@@ -2,9 +2,10 @@
 
 Gradient, covariant Hessian, Laplace-Beltrami, tensor contractions, and
 surface quadrature. Field derivatives come from an analytic provider when
-the field has one (exact chain rule through the jets, or a lambdified
-chart expression); otherwise from grid differentiation, which is FFT-based
-along periodic or pole-extendable directions.
+the field has one (order-2 Taylor jets pushed through the immersion jets,
+or the derivatives of a sympy chart expression); otherwise from grid
+differentiation, which is FFT-based along periodic or pole-extendable
+directions.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import numpy as np
 import sympy as sp
 
 from .errors import ConfigError
-from .curvature import curvature_scalars, fundamental_forms
-from .surface import PatchDomain, SurfaceSample
+from .curvature import Taylor2, curvature_jets, curvature_scalars, fundamental_forms
+from .surface import PatchDomain, Provenance, SurfaceSample
 
 _U, _V = sp.symbols("u v", real=True)
 
@@ -124,8 +125,8 @@ class ScalarField:
 class AmbientPolyField(ScalarField):
     """Restriction of an ambient quadratic polynomial, optionally windowed.
 
-    u(x) = c0 + c.x + x^T M x, with chart partials obtained exactly from
-    the immersion jets by the chain rule; a smooth window w(v) can be
+    u(x) = c0 + c.x + x^T M x, with chart partials pushed exactly through
+    the immersion jets as Taylor jets; a smooth window w(v) can be
     multiplied in for compact support in a non-periodic direction.
     """
 
@@ -133,58 +134,30 @@ class AmbientPolyField(ScalarField):
         self.c0 = float(c0)
         self.cvec = np.asarray(cvec, dtype=float)
         self.mat = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
-        j = sample.jets
+        x = Taylor2.from_jets(sample.jets)
+        jet = (
+            self.c0
+            + Taylor2.multilinear(lambda y: y @ self.cvec, x)
+            + Taylor2.multilinear(lambda y, z: np.einsum("...i,ij,...j->...", y, self.mat, z), x, x)
+        )
+        pos_map = sample.position_map
 
-        def poly_partial(a, b):
-            # chain rule for P(r(u, v)) up to second order in each slot
-            if a + b == 0:
-                x = j[(0, 0)]
-                return self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
-            grad_p = self.cvec + 2.0 * np.einsum("ij,...j->...i", self.mat, j[(0, 0)])
-            if a + b == 1:
-                return np.einsum("...i,...i->...", grad_p, j[(a, b)])
-            if a + b == 2:
-                if (a, b) == (2, 0):
-                    e1 = e2 = (1, 0)
-                elif (a, b) == (0, 2):
-                    e1 = e2 = (0, 1)
-                else:
-                    e1, e2 = (1, 0), (0, 1)
-                return np.einsum("...i,...i->...", grad_p, j[(a, b)]) + 2.0 * np.einsum(
-                    "...i,ij,...j->...", j[e1], self.mat, j[e2]
-                )
-            raise ConfigError("ambient polynomial partials available to order 2 only")
+        def ev(U, V):
+            x = pos_map(U, V)
+            return self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
 
-        if window_expr is None:
-            impl = poly_partial
-            pos_map = sample.position_map
+        if window_expr is not None:
+            wfns = [sp.lambdify(_V, sp.diff(window_expr, _V, k), modules="numpy") for k in range(3)]
+            _, VV = sample.domain.meshes()
+            w = [np.broadcast_to(np.asarray(fn(VV), dtype=float), sample.shape) for fn in wfns]
+            zero = np.zeros(sample.shape)
+            jet = jet * Taylor2((w[0], zero, w[1], zero, zero, w[2]))
+            poly_ev = ev
 
             def ev(U, V):
-                x = pos_map(U, V)
-                return self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
+                return poly_ev(U, V) * np.asarray(wfns[0](np.asarray(V, dtype=float)), dtype=float)
 
-        else:
-            wfns = {k: sp.lambdify(_V, sp.diff(window_expr, _V, k), modules="numpy") for k in range(3)}
-            UU, VV = sample.domain.meshes()
-            wg = {k: np.broadcast_to(np.asarray(wfns[k](VV), dtype=float), sample.shape) for k in range(3)}
-
-            def impl(a, b):
-                # product rule in v for P(r) * w(v)
-                acc = 0.0
-                from math import comb
-
-                for k in range(b + 1):
-                    acc = acc + comb(b, k) * poly_partial(a, b - k) * wg[k]
-                return acc
-
-            pos_map = sample.position_map
-
-            def ev(U, V):
-                x = pos_map(U, V)
-                base = self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
-                return base * np.asarray(wfns[0](np.asarray(V, dtype=float)), dtype=float)
-
-        super().__init__(impl(0, 0), sample, partial_impl=impl, eval_fn=ev)
+        super().__init__(jet.value, sample, partial_impl=jet.partial, eval_fn=ev)
 
 
 def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = False) -> ScalarField:
@@ -219,23 +192,19 @@ class TensorField02:
 
 
 def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
-    """H, K, or K_E as a ScalarField, analytic on catalog samples."""
+    """H, K, or K_E as a ScalarField.
+
+    On exact-jet samples the chart partials are the Taylor jets of
+    ``curvature_jets``; on finite-difference-jet samples they come from
+    grid differentiation, since the order-3/4 jets there are too inexact
+    to push through.
+    """
     cs = curvature_scalars(sample)
     vals = {"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which]
-    if sample.analytic_scalars:
-        UU, VV = sample.domain.meshes()
-        sgn = sample.orientation_sign
-
-        def impl(a, b, _which=which):
-            if _which == "H":
-                return sgn * sample.analytic_scalars["H_raw"][(a, b)](UU, VV)
-            out = sample.analytic_scalars["K_E"][(a, b)](UU, VV)
-            if _which == "K" and (a, b) == (0, 0):
-                out = out + sample.sf.k0
-            return out
-
-        return ScalarField(vals, sample, partial_impl=impl)
-    return ScalarField(vals, sample)
+    if sample.provenance is not Provenance.ANALYTIC:
+        return ScalarField(vals, sample)
+    H, K_E = curvature_jets(sample)
+    return ScalarField(vals, sample, partial_impl=(H if which == "H" else K_E).partial)
 
 
 # -- differential operators -------------------------------------------------

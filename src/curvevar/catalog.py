@@ -1,8 +1,9 @@
 """Built-in surface catalog with exact jets.
 
-Each chart is written down symbolically once; jets to order 4, the unit
-normal, and the curvature scalars H, K with their chart partials are
-generated by symbolic differentiation and lambdified. Catalog closed
+Each chart is written down symbolically once; its jets to order 4 are
+generated by symbolic differentiation and lambdified. The unit normal, and
+the curvature scalars H, K with their chart partials, are computed from
+those jets numerically (``curvature.curvature_jets``). Catalog closed
 surfaces are oriented so that H > 0 where that is meaningful (sphere:
 H = +1/r, i.e. inward normal).
 """
@@ -14,9 +15,10 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
+from .curvature import curvature_jets
 from .errors import ConfigError
 from .spaceform import Model, SpaceForm
-from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample
+from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _eps_normal
 
 _U, _V = sp.symbols("u v", real=True)
 
@@ -99,68 +101,20 @@ def _lambdify_vec(exprs) -> object:
     return f
 
 
-def _lambdify_scalar(expr) -> object:
-    fn = sp.lambdify((_U, _V), expr, modules="numpy")
-
-    def f(U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        return np.broadcast_to(np.asarray(fn(U, V), dtype=float), U.shape).copy()
-
-    return f
-
-
-def _symbolic_normal(r: sp.Matrix, sf: SpaceForm) -> sp.Matrix:
-    ru = r.diff(_U)
-    rv = r.diff(_V)
-    if sf.ambient_dim == 3:
-        n = ru.cross(rv)
-        return n / sp.sqrt(n.dot(n))
-    signs = sf.metric_signs
-    # covector w_l = det(e_l | q | r_u | r_v) with q the quadric direction
-    q = r
-    w = sp.zeros(4, 1)
-    for l in range(4):
-        rows = [i for i in range(4) if i != l]
-        m = sp.Matrix([[q[i], ru[i], rv[i]] for i in rows]).T
-        w[l] = (-1) ** l * m.det()
-    n = sp.Matrix([signs[l] * w[l] for l in range(4)])
-    nn = sum(signs[l] * n[l] ** 2 for l in range(4))
-    return n / sp.sqrt(nn)
-
-
 class ChartBundle:
-    """Lambdified jets, normal, and curvature scalars of one catalog chart."""
+    """Lambdified jets and the unit normal map of one catalog chart."""
 
     def __init__(self, name: str, params: dict, sf: SpaceForm):
-        self.name = name
-        self.sf = sf
         r = _chart_expr(name, params, sf)
-        self.dim = r.shape[0]
         self.jet_fns = {}
         for a, b in MULTI_INDICES:
             d = r.diff(_U, a, _V, b)
             self.jet_fns[(a, b)] = _lambdify_vec(list(d))
-        n_raw = _symbolic_normal(r, sf)
-        self.normal_fn = _lambdify_vec(list(n_raw))
-
-        signs = sp.Matrix(sf.metric_signs)
-        ru, rv = r.diff(_U), r.diff(_V)
-        basis = [ru, rv]
-
-        def inner(x, y):
-            return sum(signs[i] * x[i] * y[i] for i in range(self.dim))
-
-        g = sp.Matrix(2, 2, lambda i, j: inner(basis[i], basis[j]))
-        second = [[r.diff(_U, 2), r.diff(_U, 1, _V, 1)], [r.diff(_U, 1, _V, 1), r.diff(_V, 2)]]
-        h = sp.Matrix(2, 2, lambda i, j: inner(n_raw, second[i][j]))
-        det_g = g.det()
-        h_raw_expr = (g.inv() * h).trace() / 2  # raw-orientation mean curvature
-        ke_expr = h.det() / det_g
-        self.scalar_fns = {"H_raw": {}, "K_E": {}}
-        for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-            self.scalar_fns["H_raw"][(a, b)] = _lambdify_scalar(h_raw_expr.diff(_U, a, _V, b))
-            self.scalar_fns["K_E"][(a, b)] = _lambdify_scalar(ke_expr.diff(_U, a, _V, b))
+        pos, ru, rv = (self.jet_fns[e] for e in ((0, 0), (1, 0), (0, 1)))
+        # the Euclidean normal needs no position; skipping it saves one
+        # chart evaluation per stencil offset in deform_normal
+        euclidean = sf.ambient_dim == 3
+        self.normal_fn = lambda U, V: _eps_normal(sf, None if euclidean else pos(U, V), ru(U, V), rv(U, V))
 
 
 @lru_cache(maxsize=32)
@@ -189,29 +143,20 @@ def sample_builtin(
 
     UU, VV = domain.meshes()
     jets = {ab: fn(UU, VV) for ab, fn in bundle.jet_fns.items()}
-
-    # pick the orientation with H > 0 where the surface is not minimal,
-    # judged at the node where |H| is largest
-    h_raw = bundle.scalar_fns["H_raw"][(0, 0)](UU, VV)
-    h_ref = h_raw.flat[np.argmax(np.abs(h_raw))]
-    sign = -1.0 if h_ref < -1e-9 else 1.0
-    if flip:
-        sign = -sign
-
-    analytic = {
-        "H_raw": bundle.scalar_fns["H_raw"],
-        "K_E": bundle.scalar_fns["K_E"],
-    }
-
     s = SurfaceSample(
         domain=domain,
         sf=sf,
         jets=jets,
-        orientation_sign=sign,
         provenance=Provenance.ANALYTIC,
         position_map=bundle.jet_fns[(0, 0)],
         raw_normal_map=bundle.normal_fn,
-        analytic_scalars=analytic,
         name=name,
     )
+    # pick the orientation with H > 0 where the surface is not minimal,
+    # judged at the node where |H| is largest; the jets are cached in the
+    # raw orientation, so setting the sign afterwards keeps them valid
+    h_raw = curvature_jets(s)[0].value
+    h_ref = h_raw.flat[np.argmax(np.abs(h_raw))]
+    sign = -1.0 if h_ref < -1e-9 else 1.0
+    s.orientation_sign = -sign if flip else sign
     return s

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -379,14 +378,6 @@ def _apply_config(args):
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("CURVEVAR_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"curvevar: invalid CURVEVAR_THREADS value '{threads}'", file=sys.stderr)
-            return 1
     try:
         args = _build_parser().parse_args(argv)
         _apply_config(args)

@@ -7,18 +7,124 @@ the whole grid; arrays carry the grid shape in their leading two axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateMetricError
-from .spaceform import SpaceForm
-from .surface import SurfaceSample, _eps_normal
+from .errors import ConfigError, DegenerateMetricError
+from .surface import SurfaceSample, _eps_normal, _quadric_normal
 
 _E = [(1, 0), (0, 1)]
 
 
 def _add(ab, cd):
     return (ab[0] + cd[0], ab[1] + cd[1])
+
+
+# the chart partials a Taylor2 jet carries, in storage order
+TAYLOR_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+# each second-order slot with the two first-order slots whose product feeds it
+_SECOND = ((3, 1, 1), (4, 1, 2), (5, 2, 2))
+
+
+class Taylor2:
+    """Order-2 bivariate Taylor jet over the grid.
+
+    ``parts`` holds a grid quantity and its chart partials d_u, d_v, d_uu,
+    d_uv, d_vv, in the order of TAYLOR_INDICES; axes after the two grid
+    axes (vector components) are carried along. Arithmetic follows the
+    truncated Taylor rules (Griewank & Walther, Evaluating Derivatives,
+    2nd ed., ch. 13), vectorized over the grid.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    @classmethod
+    def from_partials(cls, partial_fn) -> "Taylor2":
+        """Jet from a callable (a, b) -> d^a_u d^b_v of the quantity."""
+        return cls(partial_fn(a, b) for a, b in TAYLOR_INDICES)
+
+    @classmethod
+    def from_jets(cls, jets: dict, base=(0, 0)) -> "Taylor2":
+        """Jet of the immersion partial ``base``, read from immersion jets."""
+        return cls.from_partials(lambda a, b: jets[(base[0] + a, base[1] + b)])
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.parts[0]
+
+    def partial(self, a: int, b: int) -> np.ndarray:
+        if a + b > 2:
+            raise ConfigError("Taylor jets carry chart partials to order 2 only")
+        return self.parts[TAYLOR_INDICES.index((a, b))]
+
+    @staticmethod
+    def multilinear(fn, *args: "Taylor2") -> "Taylor2":
+        """Jet of fn(x1, ..., xn) for fn linear in each argument (Leibniz rule)."""
+        n = len(args)
+
+        def term(picks):
+            return fn(*(x.parts[picks.get(i, 0)] for i, x in enumerate(args)))
+
+        out = [term({})] + [sum(term({i: d}) for i in range(n)) for d in (1, 2)]
+        for slot, d1, d2 in _SECOND:
+            pairs = sum(term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j)
+            out.append(sum(term({i: slot}) for i in range(n)) + pairs)
+        return Taylor2(out)
+
+    def __add__(self, other) -> "Taylor2":
+        if isinstance(other, Taylor2):
+            return Taylor2(x + y for x, y in zip(self.parts, other.parts))
+        return Taylor2((self.parts[0] + other,) + self.parts[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Taylor2":
+        return Taylor2(-x for x in self.parts)
+
+    def __sub__(self, other) -> "Taylor2":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Taylor2":
+        if isinstance(other, Taylor2):
+            return Taylor2.multilinear(np.multiply, self, other)
+        return Taylor2(other * x for x in self.parts)
+
+    __rmul__ = __mul__
+
+    def compose(self, g0, g1, g2) -> "Taylor2":
+        """G(x) from G, G' and G'' evaluated at the value of x."""
+        p = self.parts
+        out = [g0, g1 * p[1], g1 * p[2]]
+        for slot, i, j in _SECOND:
+            out.append(g2 * p[i] * p[j] + g1 * p[slot])
+        return Taylor2(out)
+
+    def reciprocal(self) -> "Taylor2":
+        r = 1.0 / self.value
+        return self.compose(r, -r * r, 2.0 * r * r * r)
+
+    def sqrt(self) -> "Taylor2":
+        r = np.sqrt(self.value)
+        return self.compose(r, 0.5 / r, -0.25 / (r * self.value))
+
+    @staticmethod
+    def compose2(H: "Taylor2", K: "Taylor2", G, G_H, G_K, G_HH, G_HK, G_KK) -> "Taylor2":
+        """G(H, K) from the partials of G evaluated at the values of H, K."""
+        h, k = H.parts, K.parts
+        out = [G, G_H * h[1] + G_K * k[1], G_H * h[2] + G_K * k[2]]
+        for slot, i, j in _SECOND:
+            out.append(
+                G_HH * h[i] * h[j]
+                + G_HK * (h[i] * k[j] + k[i] * h[j])
+                + G_KK * k[i] * k[j]
+                + G_H * h[slot]
+                + G_K * k[slot]
+            )
+        return Taylor2(out)
 
 
 @dataclass
@@ -48,37 +154,42 @@ def _inner(signs, x, y):
     return np.einsum("...i,i,...i->...", x, signs, y)
 
 
-def metric_first_derivatives(sample: SurfaceSample) -> np.ndarray:
-    """d_k g_ij from order <= 2 jets."""
-    signs = sample.sf.metric_signs
-    j = sample.jets
-    out = np.empty(sample.shape + (2, 2, 2))
-    for k in range(2):
-        for a in range(2):
-            for b in range(2):
-                out[..., k, a, b] = _inner(signs, j[_add(_E[a], _E[k])], j[_E[b]]) + _inner(
-                    signs, j[_E[a]], j[_add(_E[b], _E[k])]
-                )
-    return out
+def _metric_jets(sample: SurfaceSample) -> tuple:
+    """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
+    if "metric_jets" not in sample._cache:
+        inner = partial(Taylor2.multilinear, partial(_inner, sample.sf.metric_signs))
+        ru, rv = (Taylor2.from_jets(sample.jets, e) for e in _E)
+        sample._cache["metric_jets"] = (inner(ru, ru), inner(ru, rv), inner(rv, rv))
+    return sample._cache["metric_jets"]
 
 
-def metric_second_derivatives(sample: SurfaceSample) -> np.ndarray:
-    """d_k d_l g_ij from order <= 3 jets, shape (..., 2, 2, 2, 2)."""
-    signs = sample.sf.metric_signs
-    j = sample.jets
-    out = np.empty(sample.shape + (2, 2, 2, 2))
-    for k in range(2):
-        for l in range(2):
-            for a in range(2):
-                for b in range(2):
-                    ea, eb, ek, el = _E[a], _E[b], _E[k], _E[l]
-                    out[..., k, l, a, b] = (
-                        _inner(signs, j[_add(_add(ea, ek), el)], j[eb])
-                        + _inner(signs, j[_add(ea, ek)], j[_add(eb, el)])
-                        + _inner(signs, j[_add(ea, el)], j[_add(eb, ek)])
-                        + _inner(signs, j[ea], j[_add(_add(eb, ek), el)])
-                    )
-    return out
+def _metric_part(sample: SurfaceSample, a: int, b: int) -> np.ndarray:
+    """d^a_u d^b_v g_ij for a + b <= 2, shape (..., 2, 2)."""
+    g00, g01, g11 = (x.partial(a, b) for x in _metric_jets(sample))
+    return np.stack([np.stack([g00, g01], axis=-1), np.stack([g01, g11], axis=-1)], axis=-2)
+
+
+def curvature_jets(sample: SurfaceSample) -> tuple:
+    """Order-2 Taylor jets (H, K_E) in the sample's orientation, pushed
+    through g, the normal and h from the order-4 immersion jets."""
+    if "curvature_jets" not in sample._cache:
+        sf, jets = sample.sf, sample.jets
+        inner = partial(Taylor2.multilinear, partial(_inner, sf.metric_signs))
+        ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
+        if sf.ambient_dim == 3:
+            n = Taylor2.multilinear(np.cross, ru, rv)
+        else:
+            n = Taylor2.multilinear(partial(_quadric_normal, sf.metric_signs), Taylor2.from_jets(jets), ru, rv)
+        inv_norm = inner(n, n).sqrt().reciprocal()
+        h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
+        g00, g01, g11 = _metric_jets(sample)
+        inv_det = (g00 * g11 - g01 * g01).reciprocal()
+        h_raw = 0.5 * (g11 * h00 - 2.0 * (g01 * h01) + g00 * h11) * inv_det
+        k_e = (h00 * h11 - h01 * h01) * inv_det
+        # cached in the raw orientation of the normal, so valid for any sign
+        sample._cache["curvature_jets"] = (h_raw, k_e)
+    h_raw, k_e = sample._cache["curvature_jets"]
+    return sample.orientation_sign * h_raw, k_e
 
 
 def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
@@ -87,9 +198,7 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
         return sample._cache["forms"]
     signs = sample.sf.metric_signs
     j = sample.jets
-    r_u, r_v = j[(1, 0)], j[(0, 1)]
-    basis = np.stack([r_u, r_v], axis=-2)
-    g = np.einsum("...ik,k,...jk->...ij", basis, signs, basis)
+    g = _metric_part(sample, 0, 0)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     if np.any(det <= 0):
         i, jj = np.unravel_index(np.argmin(det), det.shape)
@@ -99,13 +208,13 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     g_inv[..., 1, 1] = g[..., 0, 0] / det
     g_inv[..., 0, 1] = g_inv[..., 1, 0] = -g[..., 0, 1] / det
 
-    N = sample.orientation_sign * _eps_normal(sample.sf, j[(0, 0)], r_u, r_v)
+    N = sample.orientation_sign * _eps_normal(sample.sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
     h = np.empty_like(g)
     for a in range(2):
         for b in range(2):
             h[..., a, b] = _inner(signs, N, j[_add(_E[a], _E[b])])
 
-    dg = metric_first_derivatives(sample)
+    dg = np.stack([_metric_part(sample, 1, 0), _metric_part(sample, 0, 1)], axis=-3)
     c = np.empty_like(dg)  # c[..., l, i, j] = dg_jl,i + dg_il,j - dg_ij,l
     for l in range(2):
         for a in range(2):
@@ -198,7 +307,14 @@ def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
     """Gauss curvature from the metric alone (Theorema Egregium route)."""
     ff = fundamental_forms(sample)
     dg = ff.dg
-    d2g = metric_second_derivatives(sample)
+    g_uv = _metric_part(sample, 1, 1)
+    d2g = np.stack(  # d2g[..., k, l, i, j] = d_k d_l g_ij
+        [
+            np.stack([_metric_part(sample, 2, 0), g_uv], axis=-3),
+            np.stack([g_uv, _metric_part(sample, 0, 2)], axis=-3),
+        ],
+        axis=-4,
+    )
     g_inv = ff.g_inv
     # d_k g^{ml} = -g^{ma} dg_ab,k g^{bl}
     dginv = -np.einsum("...ma,...kab,...bl->...kml", g_inv, dg, g_inv)

@@ -9,19 +9,17 @@ over Laplacian eigenspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import sympy as sp
 
-from .calculus import ScalarField, grad_inner, integrate, laplace_beltrami
-from .curvature import curvature_scalars
-from .densities import pwillmore
+from .calculus import ScalarField, curvature_field, grad_inner, integrate, laplace_beltrami
+from .curvature import Taylor2, curvature_scalars
 from .errors import ConfigError, GuardViolation
 from .surface import SurfaceSample
-from .variations import _composed_field, el_residual
 
 _U, _V = sp.symbols("u v", real=True)
 
@@ -153,7 +151,8 @@ def harmonic_project(u: ScalarField, l_max: int = 8) -> HarmonicDecomposition:
 
 
 def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
-    """H^q as a field with exact chart partials (chain rule through H)."""
+    """H^q as a field whose chart partials compose those of H by the
+    order-2 chain rule."""
     cs = curvature_scalars(s)
     is_int = float(q).is_integer()
     if not is_int and np.any(cs.H <= 0):
@@ -162,13 +161,12 @@ def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
     qi = int(q) if is_int else q
     if is_int and qi == 0:
         return ScalarField.constant(1.0, s)
-    val = lambda H, K: H**qi
-    # first and second H-derivatives; the q = 1 case is special-cased so no
-    # negative power of H is ever formed at H = 0
-    d1 = (lambda H, K: np.ones_like(H)) if qi == 1 else (lambda H, K: qi * H ** (qi - 1))
-    d2 = (lambda H, K: np.zeros_like(H)) if qi == 1 else (lambda H, K: qi * (qi - 1) * H ** (qi - 2))
-    zero = lambda H, K: np.zeros_like(H)
-    return _composed_field(s, val, d1, zero, {"HH": d2, "HK": zero, "KK": zero})
+    Hf = curvature_field(s, "H")
+    if is_int and qi == 1:
+        return Hf  # no negative power of H is ever formed at H = 0
+    H = cs.H
+    jet = Taylor2.from_partials(Hf.partial).compose(H**qi, qi * H ** (qi - 1), qi * (qi - 1) * H ** (qi - 2))
+    return ScalarField(jet.value, s, partial_impl=jet.partial)
 
 
 def pwillmore_el_residual(s: SurfaceSample, p: float, k0: Optional[float] = None) -> ScalarField:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
 from .gridops import ChartDerivatives, fd_weights
-from .spaceform import Model, SpaceForm
+from .spaceform import SpaceForm
 
 JET_ORDER = 4
 
@@ -100,8 +99,6 @@ class SurfaceSample:
     provenance: Provenance = Provenance.NUMERIC_JETS
     position_map: object = None  # callable (U, V) -> (..., dim)
     raw_normal_map: object = None  # callable (U, V) -> unoriented unit normal
-    # lambdified chart functions for curvature scalars: name -> {(a, b): fn}
-    analytic_scalars: dict = field(default_factory=dict)
     name: str = "surface"
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -163,18 +160,23 @@ def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
         n = np.cross(ru, rv)
         norm = np.linalg.norm(n, axis=-1, keepdims=True)
         return n / norm
-    # covector w_l = det(e_l, q, r_u, r_v); raise with the flat metric
-    q = p  # quadric gradient direction for both embedded models
-    w = np.empty_like(p)
-    idx = np.arange(4)
-    for l in range(4):
-        cols = idx[idx != l]
-        m = np.stack([q[..., cols], ru[..., cols], rv[..., cols]], axis=-2)
-        w[..., l] = (-1.0) ** l * np.linalg.det(m)
     signs = sf.metric_signs
-    n = w * signs  # raise index: n^l = G^{ll} w_l (diagonal metric)
+    n = _quadric_normal(signs, p, ru, rv)  # p is the quadric direction in both 4-d models
     nn = np.einsum("...i,i,...i->...", n, signs, n)
     return n / np.sqrt(np.abs(nn))[..., None]
+
+
+def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
+    """Unnormalised normal of a surface in a 4-dimensional model quadric,
+    linear in each of the quadric direction q, r_u and r_v."""
+    # covector w_l = det(e_l, q, r_u, r_v), expanded in the 2x2 minors of
+    # (r_u, r_v); raise with the flat metric
+    m = {(i, j): ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i in range(4) for j in range(i + 1, 4)}
+    w = []
+    for l in range(4):
+        a, b, c = (i for i in range(4) if i != l)
+        w.append((-1.0) ** l * (q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]))
+    return np.stack(w, axis=-1) * signs  # n^l = G^{ll} w_l (diagonal metric)
 
 
 def induced_metric(sample: SurfaceSample) -> np.ndarray:

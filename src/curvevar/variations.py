@@ -17,20 +17,17 @@ import numpy as np
 
 from .calculus import (
     ScalarField,
-    TensorField02,
     bilinear,
     contract,
     curvature_field,
     grad_inner,
-    gradient,
     h_squared,
     hessian,
     integrate,
     laplace_beltrami,
-    metric_tensor,
     shape_tensor,
 )
-from .curvature import curvature_scalars, fundamental_forms
+from .curvature import Taylor2, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
@@ -90,39 +87,19 @@ def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_op
     return integrate(integrand, s, allow_open=allow_open)
 
 
-def _composed_field(s: SurfaceSample, value, d1H, d1K, second: Optional[dict]) -> ScalarField:
-    """Field G(H, K) on the surface with chart partials by the chain rule
-    through the analytic partials of H and K when those are available."""
-    Hf = curvature_field(s, "H")
-    Kf = curvature_field(s, "K")
+def _composed_field(s: SurfaceSample, G, derivs: Optional[tuple]) -> ScalarField:
+    """Field G(H, K) on the surface. With ``derivs`` = (G_H, G_K, G_HH,
+    G_HK, G_KK), its chart partials compose those of H and K, from
+    whichever provider ``curvature_field`` serves, by the order-2 chain
+    rule; without, they come from grid differentiation of its values."""
     cs = curvature_scalars(s)
-    vals = value(cs.H, cs.K)
-    if s.analytic_scalars is None or second is None:
+    vals = G(cs.H, cs.K)
+    if derivs is None:
         return ScalarField(vals, s)
-
-    def impl(a, b):
-        Ha, Ka = Hf.partial(a, b), Kf.partial(a, b)
-        if a + b == 1:
-            return d1H(cs.H, cs.K) * Ha + d1K(cs.H, cs.K) * Ka
-        if a + b == 2:
-            if (a, b) == (2, 0):
-                e1 = e2 = (1, 0)
-            elif (a, b) == (0, 2):
-                e1 = e2 = (0, 1)
-            else:
-                e1, e2 = (1, 0), (0, 1)
-            H1, K1 = Hf.partial(*e1), Kf.partial(*e1)
-            H2, K2 = Hf.partial(*e2), Kf.partial(*e2)
-            return (
-                second["HH"](cs.H, cs.K) * H1 * H2
-                + second["HK"](cs.H, cs.K) * (H1 * K2 + K1 * H2)
-                + second["KK"](cs.H, cs.K) * K1 * K2
-                + d1H(cs.H, cs.K) * Ha
-                + d1K(cs.H, cs.K) * Ka
-            )
-        raise ConfigError("composed-field partials available to order 2 only")
-
-    return ScalarField(vals, s, partial_impl=impl)
+    H = Taylor2.from_partials(curvature_field(s, "H").partial)
+    K = Taylor2.from_partials(curvature_field(s, "K").partial)
+    jet = Taylor2.compose2(H, K, vals, *(d(cs.H, cs.K) for d in derivs))
+    return ScalarField(vals, s, partial_impl=jet.partial)
 
 
 def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
@@ -137,21 +114,9 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     cs = curvature_scalars(s)
     E.check_guard(cs.H, cs.K)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    third = E.third
-    EH_field = _composed_field(
-        s,
-        E.E_H,
-        E.E_HH,
-        E.E_HK,
-        None if third is None else {"HH": third["HHH"], "HK": third["HHK"], "KK": third["HKK"]},
-    )
-    EK_field = _composed_field(
-        s,
-        E.E_K,
-        E.E_HK,
-        E.E_KK,
-        None if third is None else {"HH": third["HHK"], "HK": third["HKK"], "KK": third["KKK"]},
-    )
+    t = E.third
+    EH_field = _composed_field(s, E.E_H, None if t is None else (E.E_HH, E.E_HK, t["HHH"], t["HHK"], t["HKK"]))
+    EK_field = _composed_field(s, E.E_K, None if t is None else (E.E_HK, E.E_KK, t["HHK"], t["HKK"], t["KKK"]))
     lap_EH = laplace_beltrami(EH_field, s).values
     lap_EK = laplace_beltrami(EK_field, s).values
     h_hess_EK = contract(shape_tensor(s), hessian(EK_field, s), s).values

@@ -119,11 +119,3 @@ def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0")
     assert code == 0
     assert json.loads(out)["passes"] is True
-
-
-def test_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("CURVEVAR_THREADS", "zero")
-    assert main(["spectrum", "--k", "1"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("CURVEVAR_THREADS", "2")
-    assert main(["spectrum", "--k", "1"]) == 0

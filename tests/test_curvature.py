@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from curvevar import (
     codazzi_residual,
@@ -126,3 +127,36 @@ def test_fundamental_forms_shapes(torus):
     H = 0.5 * np.einsum("...ij,...ji->...", g_inv, ff.h)
     assert np.max(np.abs(H - cs.H)) < 1e-11
     assert np.max(np.abs(np.linalg.det(ff.h) / np.linalg.det(ff.g) - cs.K_E)) < 1e-11
+
+
+def test_taylor2_arithmetic():
+    """Product, reciprocal, square root and G(H, K) composition reproduce
+    the closed-form chart partials of known functions."""
+    from curvevar.errors import ConfigError
+    from curvevar.curvature import TAYLOR_INDICES, Taylor2
+
+    u, v = sp.symbols("u v")
+    UU, VV = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-0.5, 1.5, 7), indexing="ij")
+
+    def jet(expr):
+        return Taylor2.from_partials(lambda a, b: sp.lambdify((u, v), sp.diff(expr, u, a, v, b))(UU, VV) + 0.0 * UU)
+
+    def check(got, expr):
+        for a, b in TAYLOR_INDICES:
+            want = sp.lambdify((u, v), sp.diff(expr, u, a, v, b))(UU, VV)
+            assert np.max(np.abs(got.partial(a, b) - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), (expr, a, b)
+
+    f = 2 + sp.sin(u) * sp.cos(2 * v)
+    g = sp.exp(u * v) + u**2
+    check(jet(f) * jet(g), f * g)
+    check(jet(f).reciprocal(), 1 / f)
+    check(jet(f).sqrt(), sp.sqrt(f))
+    check(3.0 + jet(g) - 2.0 * jet(f), 3 + g - 2 * f)
+
+    H, K = sp.symbols("H K")
+    G = H**2 * K + sp.sin(H) / K
+    parts = [sp.lambdify((H, K), e) for e in (G, G.diff(H), G.diff(K), G.diff(H, 2), G.diff(H, K), G.diff(K, 2))]
+    fv, gv = jet(f).value, jet(g).value
+    check(Taylor2.compose2(jet(f), jet(g), *(p(fv, gv) for p in parts)), G.subs({H: f, K: g}))
+    with pytest.raises(ConfigError):
+        jet(f).partial(2, 1)
