@@ -26,7 +26,7 @@ from .pwillmore import (
     sphere_spectrum,
     stability_report,
 )
-from .surface import deform_normal
+from .surface import deform_normal_many
 from .variations import (
     _default_steps,
     el_residual,
@@ -86,7 +86,7 @@ def criterion_3():
         for seed in range(5):
             u = random_smooth_field(s, seed, compact_v=compact)
             h1, h2 = _default_steps(s, u, order=1)
-            samples = {t: deform_normal(s, u, t) for t in (h1, -h1, h2, -h2)}
+            samples = deform_normal_many(s, u, (h1, -h1, h2, -h2))
             for E in densities:
                 F = {t: functional_value(st, E, allow_open=True) for t, st in samples.items()}
                 d1 = (F[h1] - F[-h1]) / (2.0 * h1)

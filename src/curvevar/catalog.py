@@ -112,7 +112,7 @@ class ChartBundle:
             self.jet_fns[(a, b)] = _lambdify_vec(list(d))
         pos, ru, rv = (self.jet_fns[e] for e in ((0, 0), (1, 0), (0, 1)))
         # the Euclidean normal needs no position; skipping it saves one
-        # chart evaluation per stencil offset in deform_normal
+        # chart evaluation per stencil offset in deform_normal_many
         euclidean = sf.ambient_dim == 3
         self.normal_fn = lambda U, V: _eps_normal(sf, None if euclidean else pos(U, V), ru(U, V), rv(U, V))
 

@@ -208,48 +208,69 @@ def _stencil_tables(h: float):
     return {m: fd_weights(offsets, m) for m in range(JET_ORDER + 1)}
 
 
-def numeric_jets(f, domain: PatchDomain, fd: FdConfig = FdConfig()) -> dict:
-    """All chart partials of a position map up to order 4 at the grid nodes.
+def _stencil_jets(evaluate, domain: PatchDomain, fd: FdConfig) -> list:
+    """Numeric jets of several position maps that share one evaluation per
+    stencil offset.
 
-    5-point centered stencils at steps h and h/2, combined by Richardson
-    extrapolation at the leading error order of each multi-index.
+    ``evaluate(U, V)`` returns the maps' values on the shifted grid. It is
+    called once at each offset that some 5-point stencil at step h (or h/2)
+    uses, in ascending (du, dv) order, and each value is folded into every
+    finite-difference sum at once, so no evaluation outlives its offset.
+    That order is each sum's own term order, so the sums do not depend on
+    how many maps share the pass.
     """
     UU, VV = domain.meshes()
     h = fd.step_for(domain)
     steps = [h, h / 2.0] if fd.richardson else [h]
-    # shared evaluation cache over the union of stencil offsets
-    offs = sorted({i * s for s in steps for i in range(-2, 3)})
-    evals = {}
-    for du in offs:
-        for dv in offs:
-            evals[(du, dv)] = np.asarray(f(UU + du, VV + dv), dtype=float)
-
-    def raw(a, b, step):
+    terms = {}  # offset -> [(sum key, weight)]
+    for k, step in enumerate(steps):
         w = _stencil_tables(step)
-        acc = 0.0
-        iu = range(-2, 3) if a > 0 else [0]
-        iv = range(-2, 3) if b > 0 else [0]
-        for i in iu:
-            wi = w[a][i + 2] if a > 0 else 1.0
-            for j in iv:
-                wj = w[b][j + 2] if b > 0 else 1.0
-                acc = acc + wi * wj * evals[(i * step, j * step)]
-        return acc
+        for a, b in MULTI_INDICES[1:]:
+            for i in range(-2, 3) if a > 0 else [0]:
+                wi = w[a][i + 2] if a > 0 else 1.0
+                for j in range(-2, 3) if b > 0 else [0]:
+                    wj = w[b][j + 2] if b > 0 else 1.0
+                    terms.setdefault((i * step, j * step), []).append(((a, b, k), wi * wj))
 
-    jets = {}
-    for a, b in MULTI_INDICES:
-        if a + b == 0:
-            jets[(a, b)] = evals[(0.0, 0.0)]
-            continue
-        d1 = raw(a, b, steps[0])
-        if len(steps) == 1:
-            jets[(a, b)] = d1
-            continue
-        d2 = raw(a, b, steps[1])
-        p = min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
-        fac = 2.0**p
-        jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
-    return jets
+    sums, centre = None, None
+    for du, dv in sorted(terms):
+        values = [np.asarray(x, dtype=float) for x in evaluate(UU + du, VV + dv)]
+        if sums is None:
+            sums = [{} for _ in values]
+        if du == 0.0 and dv == 0.0:
+            centre = values
+        for acc, x in zip(sums, values):
+            for key, c in terms[(du, dv)]:
+                if key in acc:
+                    acc[key] += c * x
+                else:
+                    acc[key] = 0.0 + c * x  # a sum started at 0.0 (sign of zero included)
+
+    out = []
+    for acc, x0 in zip(sums, centre):
+        jets = {(0, 0): x0}
+        for a, b in MULTI_INDICES[1:]:
+            d1 = acc.pop((a, b, 0))
+            if len(steps) == 1:
+                jets[(a, b)] = d1
+                continue
+            d2 = acc.pop((a, b, 1))
+            p = min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
+            fac = 2.0**p
+            jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
+        out.append(jets)
+    return out
+
+
+def numeric_jets(f, domain: PatchDomain, fd: FdConfig = FdConfig()) -> dict:
+    """All chart partials of a position map up to order 4 at the grid nodes.
+
+    5-point centered stencils at steps h and h/2, combined by Richardson
+    extrapolation at the leading error order of each multi-index. The map
+    is evaluated once at each of the 41 offsets the stencils use (25
+    without Richardson).
+    """
+    return _stencil_jets(lambda U, V: (f(U, V),), domain, fd)[0]
 
 
 def sample_callable(
@@ -279,29 +300,56 @@ def deform_normal(s: SurfaceSample, u, t: float, fd: FdConfig = FdConfig()) -> S
     """Geodesic normal deformation: each point moves distance t*u(x) along N.
 
     In the Euclidean model this is exactly r0 + t u N. The deformed sample
-    gets numeric jets of the composed position map.
+    gets numeric jets of the composed position map. This is the one-step
+    case of ``deform_normal_many``.
+    """
+    return deform_normal_many(s, u, (t,), fd)[t]
+
+
+def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> dict:
+    """Geodesic normal deformations by several steps: {t: deformed sample}.
+
+    Each deformed sample is the one ``deform_normal(s, u, t, fd)`` gives,
+    but the position, normal and field are evaluated once per stencil
+    offset for all steps together.
     """
     if s.position_map is None:
         raise ConfigError("deform_normal needs a sample with a position map")
+    ts = [float(t) for t in ts]
+    if not ts:
+        raise ConfigError("deform_normal_many needs at least one step")
+    if not np.all(np.isfinite(ts)):
+        raise ConfigError(f"deformation steps must be finite (got {ts})")
+    if len(set(ts)) != len(ts):
+        raise ConfigError(f"deformation steps must be distinct (got {ts}; 0.0 and -0.0 are one step)")
     sf = s.sf
     u_eval = _field_evaluator(u, s)
 
-    def moved(U, V):
-        p = s.position_map(U, V)
-        n = s.normal_at(U, V)
-        return sf.geodesic_step(p, n, t * u_eval(U, V))
+    def moved_all(U, V):
+        # one geodesic_step call for all steps: a leading step axis on the
+        # distances broadcasts over p and n, which are checked once
+        p, n, uv = s.position_map(U, V), s.normal_at(U, V), np.broadcast_to(u_eval(U, V), np.shape(U))
+        return sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
 
-    jets = numeric_jets(moved, s.domain, fd)
-    out = SurfaceSample(
-        domain=s.domain,
-        sf=sf,
-        jets=jets,
-        orientation_sign=s.orientation_sign,
-        provenance=Provenance.NUMERIC_JETS,
-        position_map=moved,
-        name=f"{s.name}+deform",
-    )
-    check_immersion(out, where="deform_normal")
+    def moved_by(t):
+        def moved(U, V):
+            return sf.geodesic_step(s.position_map(U, V), s.normal_at(U, V), t * u_eval(U, V))
+
+        return moved
+
+    out = {}
+    for t, jets in zip(ts, _stencil_jets(moved_all, s.domain, fd)):
+        d = SurfaceSample(
+            domain=s.domain,
+            sf=sf,
+            jets=jets,
+            orientation_sign=s.orientation_sign,
+            provenance=Provenance.NUMERIC_JETS,
+            position_map=moved_by(t),
+            name=f"{s.name}+deform",
+        )
+        check_immersion(d, where="deform_normal")
+        out[t] = d
     return out
 
 

@@ -31,7 +31,7 @@ from .curvature import Taylor2, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
-from .surface import FdConfig, SurfaceSample, deform_normal
+from .surface import FdConfig, SurfaceSample, deform_normal_many
 
 
 @dataclass
@@ -299,22 +299,27 @@ def fd_variation_oracle(
             if abs(lam) < 1e-8 * (1.0 + abs(functional_value(s, E, allow_open=True))):
                 lam = 0.0
 
+    if order == 1:
+        formula = first_variation(s, E, u, allow_open=allow_open)
+    else:
+        formula = second_variation(s, E, u, allow_open=allow_open, force=force)
+        if lam != 0.0:
+            cs = curvature_scalars(s)
+            formula -= lam * integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
+    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
+
     def G(t: float) -> float:
-        st = s if t == 0.0 else deform_normal(s, u, t, fd)
+        # each deformed sample is dropped once its functional is read
+        st = s if t == 0.0 else deformed.pop(t)
         val = functional_value(st, E, allow_open=True)
         if lam != 0.0:
             val -= lam * volume_functional(st)
         return val
 
     if order == 1:
-        formula = first_variation(s, E, u, allow_open=allow_open)
         d_h1 = (G(h1) - G(-h1)) / (2.0 * h1)
         d_h2 = (G(h2) - G(-h2)) / (2.0 * h2)
     else:
-        formula = second_variation(s, E, u, allow_open=allow_open, force=force)
-        if lam != 0.0:
-            cs = curvature_scalars(s)
-            formula -= lam * integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
         g0 = G(0.0)
         d_h1 = (G(h1) - 2.0 * g0 + G(-h1)) / h1**2
         d_h2 = (G(h2) - 2.0 * g0 + G(-h2)) / h2**2
@@ -417,7 +422,7 @@ def evolution_check_many(
         if q not in _EVOLUTION_QUANTITIES:
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
     h1, h2 = _default_steps(s, u) if h is None else (float(h), 0.5 * float(h))
-    deformed = {t: deform_normal(s, u, t, fd) for t in (h1, -h1, h2, -h2)}
+    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
     ratio = h1 / h2
     out = {}
     for q in quantities:
