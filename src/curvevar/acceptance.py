@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import sympy as sp
 
-from .calculus import ScalarField, integrate, laplace_beltrami, random_smooth_field
+from .calculus import AmbientPolyField, ScalarField, integrate, laplace_beltrami, random_smooth_field
 from .catalog import CATALOG_NAMES, default_domain, sample_builtin
 from .curvature import codazzi_residual, curvature_scalars, intrinsic_gauss_curvature
 from .densities import bending, builtin_density, helfrich, ksquared, pwillmore, willmore
@@ -35,8 +34,6 @@ from .variations import (
     first_variation,
     functional_value,
 )
-
-_U, _V = sp.symbols("u v", real=True)
 
 
 def _plain(x):
@@ -141,7 +138,10 @@ def criterion_6():
     s1 = sample_builtin("sphere", {"r": 1.0})
     y2 = harmonic_field(s1, 2, 0)
     ct = sample_builtin("clifford_torus_S3")
-    u_ct = ScalarField.from_expr(sp.cos(_U) * sp.cos(_V), ct)
+    # cos u cos v = 2 x0 x2 on the Clifford torus (x0 = cos u / sqrt 2, x2 = cos v / sqrt 2)
+    pair = np.zeros((4, 4))
+    pair[0, 2] = pair[2, 0] = 1.0
+    u_ct = AmbientPolyField(ct, 0.0, np.zeros(4), pair)
     cat = sample_builtin("catenoid")
     u_cat = random_smooth_field(cat, 7, compact_v=True)
     pairs = [
@@ -161,7 +161,7 @@ def criterion_6():
 
 def criterion_7():
     s = sample_builtin("sphere", {"r": 1.0})
-    u = ScalarField.from_expr(sp.cos(_V), s)
+    u = harmonic_field(s, 1, 0) * math.sqrt(4.0 * math.pi / 3.0)  # cos v
     v3 = sphere_index_form(PWillmoreSetting(3, 1.0), u)
     expected = -8.0 * math.pi / 3.0
     rel3 = abs(v3 - expected) / abs(expected)
@@ -209,7 +209,7 @@ def criterion_9():
 
 def criterion_10():
     s = sample_builtin("sphere", {"r": 1.0})
-    rep2 = poincare_check(ScalarField.from_expr((3 * sp.cos(_V) ** 2 - 1) / 2, s))
+    rep2 = poincare_check(harmonic_field(s, 2, 0) * math.sqrt(4.0 * math.pi / 5.0))  # (3 cos^2 v - 1) / 2
     target = 4.0 * math.pi / 5.0
     eq_ok = all(abs(v - target) / target <= 1e-6 for v in (rep2.norm_sq, rep2.grad_quantity, rep2.lap_quantity))
     rep3 = poincare_check(harmonic_field(s, 3, 0))

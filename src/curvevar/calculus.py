@@ -3,21 +3,19 @@
 Gradient, covariant Hessian, Laplace-Beltrami, tensor contractions, and
 surface quadrature. Field derivatives come from an analytic provider when
 the field has one (order-2 Taylor jets pushed through the immersion jets,
-or the derivatives of a sympy chart expression); otherwise from grid
-differentiation, which is FFT-based along periodic or pole-extendable
-directions.
+closed-form window derivatives, or the derivatives of a user's sympy
+chart expression); otherwise from grid differentiation, which is
+FFT-based along periodic or pole-extendable directions. Sympy is imported
+only when a field is given as a sympy expression.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError
 from .curvature import Taylor2, curvature_jets, curvature_scalars, fundamental_forms
 from .surface import PatchDomain, Provenance, SurfaceSample
-
-_U, _V = sp.symbols("u v", real=True)
 
 
 class ScalarField:
@@ -72,14 +70,15 @@ class ScalarField:
     @staticmethod
     def from_expr(expr, sample: SurfaceSample) -> "ScalarField":
         """Field given by a sympy expression in the chart symbols u, v."""
+        import sympy as sp
+
+        u, v = sp.symbols("u v", real=True)
         expr = sp.sympify(expr)
-        expr = expr.xreplace(
-            {s: (_U if s.name == "u" else _V) for s in expr.free_symbols if s.name in ("u", "v")}
-        )
+        expr = expr.xreplace({s: (u if s.name == "u" else v) for s in expr.free_symbols if s.name in ("u", "v")})
         fns = {}
         for a in range(3):
             for b in range(3 - a):
-                fns[(a, b)] = sp.lambdify((_U, _V), sp.diff(expr, _U, a, _V, b), modules="numpy")
+                fns[(a, b)] = sp.lambdify((u, v), sp.diff(expr, u, a, v, b), modules="numpy")
         UU, VV = sample.domain.meshes()
 
         def impl(a, b):
@@ -126,11 +125,23 @@ class AmbientPolyField(ScalarField):
     """Restriction of an ambient quadratic polynomial, optionally windowed.
 
     u(x) = c0 + c.x + x^T M x, with chart partials pushed exactly through
-    the immersion jets as Taylor jets; a smooth window w(v) can be
-    multiplied in for compact support in a non-periodic direction.
+    the immersion jets as Taylor jets; a smooth window w(v), given as a
+    sympy expression in v, can be multiplied in for compact support in a
+    non-periodic direction.
     """
 
     def __init__(self, sample: SurfaceSample, c0: float, cvec, mat, window_expr=None):
+        self._build(sample, c0, cvec, mat, None if window_expr is None else _sympy_window(window_expr))
+
+    @classmethod
+    def _windowed(cls, sample: SurfaceSample, c0: float, cvec, mat, window) -> "AmbientPolyField":
+        """The field with a window given as ``window(V, k)`` = d^k w / dv^k
+        at V, for k = 0, 1, 2."""
+        f = cls.__new__(cls)
+        f._build(sample, c0, cvec, mat, window)
+        return f
+
+    def _build(self, sample, c0, cvec, mat, window):
         self.c0 = float(c0)
         self.cvec = np.asarray(cvec, dtype=float)
         self.mat = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
@@ -146,18 +157,45 @@ class AmbientPolyField(ScalarField):
             x = pos_map(U, V)
             return self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
 
-        if window_expr is not None:
-            wfns = [sp.lambdify(_V, sp.diff(window_expr, _V, k), modules="numpy") for k in range(3)]
+        if window is not None:
             _, VV = sample.domain.meshes()
-            w = [np.broadcast_to(np.asarray(fn(VV), dtype=float), sample.shape) for fn in wfns]
+            w = [np.broadcast_to(np.asarray(window(VV, k), dtype=float), sample.shape) for k in range(3)]
             zero = np.zeros(sample.shape)
             jet = jet * Taylor2((w[0], zero, w[1], zero, zero, w[2]))
             poly_ev = ev
 
             def ev(U, V):
-                return poly_ev(U, V) * np.asarray(wfns[0](np.asarray(V, dtype=float)), dtype=float)
+                return poly_ev(U, V) * np.asarray(window(np.asarray(V, dtype=float), 0), dtype=float)
 
         super().__init__(jet.value, sample, partial_impl=jet.partial, eval_fn=ev)
+
+
+def _sympy_window(window_expr):
+    """``window(V, k)`` from a sympy expression in the symbol v."""
+    import sympy as sp
+
+    v = sp.Symbol("v", real=True)
+    expr = sp.sympify(window_expr)
+    expr = expr.xreplace({s: v for s in expr.free_symbols if s.name == "v"})
+    fns = [sp.lambdify(v, sp.diff(expr, v, k), modules="numpy") for k in range(3)]
+    return lambda V, k: fns[k](V)
+
+
+def _cos10_window(v_range):
+    """``window(V, k)`` for w = cos^10(q (v - mid)), q = pi / (b - a): 1 at the
+    middle of [a, b], vanishing to order 10 at both ends."""
+    a, b = v_range
+    mid, q = 0.5 * (a + b), np.pi / (b - a)
+
+    def window(V, k):
+        c, s = np.cos(q * (V - mid)), np.sin(q * (V - mid))
+        if k == 0:
+            return c**10
+        if k == 1:
+            return -10.0 * q * c**9 * s
+        return 10.0 * q**2 * (9.0 * c**8 * s**2 - c**10)
+
+    return window
 
 
 def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = False) -> ScalarField:
@@ -172,12 +210,8 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
     c0 = rng.uniform(-0.5, 0.5)
     cvec = rng.uniform(-1.0, 1.0, size=dim) * scale
     mat = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale**2
-    window = None
-    if compact_v:
-        a, b = sample.domain.v_range
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        window = sp.cos(sp.pi * (_V - mid) / (2 * half)) ** 10
-    return AmbientPolyField(sample, c0, cvec, mat, window_expr=window)
+    window = _cos10_window(sample.domain.v_range) if compact_v else None
+    return AmbientPolyField._windowed(sample, c0, cvec, mat, window)
 
 
 class TensorField02:

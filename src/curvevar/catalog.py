@@ -1,28 +1,33 @@
 """Built-in surface catalog with exact jets.
 
-Each chart is written down symbolically once; its jets to order 4 are
-generated by symbolic differentiation and lambdified. The unit normal, and
-the curvature scalars H, K with their chart partials, are computed from
-those jets numerically (``curvature.curvature_jets``). Catalog closed
+Each chart is written as a sum of separable terms c * f(u) * g(v) per
+ambient component, whose factors are 1, cos/sin(w x), cosh/sinh(w x) or
+x^n. Their k-th derivatives are known in closed form, so the jets to
+order 4, the position map and the unit normal map are evaluated with
+numpy alone. The curvature scalars H, K with their chart partials are
+computed from those jets (``curvature.curvature_jets``). Catalog closed
 surfaces are oriented so that H > 0 where that is meaningful (sphere:
 H = +1/r, i.e. inward normal).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .curvature import curvature_jets
 from .errors import ConfigError
 from .spaceform import Model, SpaceForm
 from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _eps_normal
 
-_U, _V = sp.symbols("u v", real=True)
-
 CATALOG_NAMES = ("sphere", "torus", "catenoid", "graph", "geodesic_sphere_S3", "clifford_torus_S3")
+
+# a univariate factor is (kind, w): cos/sin/cosh/sinh of w*x, or x^w for
+# kind "pow" (w a non-negative integer); _ONE = x^0 is never evaluated
+_ONE = ("pow", 0)
+_COS_CYCLE = ((1.0, "cos"), (-1.0, "sin"), (-1.0, "cos"), (1.0, "sin"))  # d^k cos(x), k mod 4
 
 
 def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int = 64) -> PatchDomain:
@@ -40,41 +45,65 @@ def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int
     raise ConfigError(f"unknown catalog surface '{name}'")
 
 
-def _chart_expr(name: str, params: dict, sf: SpaceForm) -> sp.Matrix:
-    u, v = _U, _V
+def _chart_terms(name: str, params: dict, sf: SpaceForm) -> list:
+    """The chart as separable terms (component, c, f(u), g(v))."""
+    cos, sin = ("cos", 1.0), ("sin", 1.0)
     if name == "sphere":
         r = float(params.get("r", 1.0))
         if r <= 0:
             raise ConfigError("sphere radius must be positive")
-        return sp.Matrix([r * sp.sin(v) * sp.cos(u), r * sp.sin(v) * sp.sin(u), r * sp.cos(v)])
+        return [(0, r, cos, sin), (1, r, sin, sin), (2, r, _ONE, cos)]
     if name == "torus":
         R = float(params.get("R", 2.0))
         a = float(params.get("a", 1.0))
         if not R > a > 0:
             raise ConfigError("torus needs R > a > 0")
-        w = R + a * sp.cos(v)
-        return sp.Matrix([w * sp.cos(u), w * sp.sin(u), a * sp.sin(v)])
+        # (R + a cos v) (cos u, sin u), a sin v
+        return [(0, R, cos, _ONE), (0, a, cos, cos), (1, R, sin, _ONE), (1, a, sin, cos), (2, a, _ONE, sin)]
     if name == "catenoid":
         c = float(params.get("c", 1.0))
         if c <= 0:
             raise ConfigError("catenoid scale must be positive")
-        return sp.Matrix([c * sp.cosh(v / c) * sp.cos(u), c * sp.cosh(v / c) * sp.sin(u), v])
+        ch = ("cosh", 1.0 / c)
+        return [(0, c, cos, ch), (1, c, sin, ch), (2, 1.0, _ONE, ("pow", 1))]
     if name == "graph":
-        coeffs = params.get("coeffs", {(2, 0): 1.0, (0, 2): 1.0})
-        z = sum(float(c) * u**i * v**j for (i, j), c in coeffs.items())
-        return sp.Matrix([u, v, z])
+        coeffs = dict(params.get("coeffs", {(2, 0): 1.0, (0, 2): 1.0}))
+        out = [(0, 1.0, ("pow", 1), _ONE), (1, 1.0, _ONE, ("pow", 1))]
+        for (i, j), c in coeffs.items():
+            if int(i) != i or int(j) != j or i < 0 or j < 0:
+                raise ConfigError(f"graph exponents must be non-negative integers (got {(i, j)})")
+            out.append((2, float(c), ("pow", int(i)), ("pow", int(j))))
+        return out
     if name == "geodesic_sphere_S3":
         rho = sf.radius
         a = float(params.get("a", np.pi / 4))
         if not 0 < a < np.pi * rho:
             raise ConfigError("geodesic radius must lie in (0, pi*rho)")
-        s, c = sp.sin(sp.Float(a / rho)), sp.cos(sp.Float(a / rho))
-        return rho * sp.Matrix([s * sp.sin(v) * sp.cos(u), s * sp.sin(v) * sp.sin(u), s * sp.cos(v), c])
+        rs, rc = rho * math.sin(a / rho), rho * math.cos(a / rho)
+        return [(0, rs, cos, sin), (1, rs, sin, sin), (2, rs, _ONE, cos), (3, rc, _ONE, _ONE)]
     if name == "clifford_torus_S3":
-        rho = sf.radius
-        f = rho / sp.sqrt(2)
-        return sp.Matrix([f * sp.cos(u), f * sp.sin(u), f * sp.cos(v), f * sp.sin(v)])
+        f = sf.radius / math.sqrt(2.0)
+        return [(0, f, cos, _ONE), (1, f, sin, _ONE), (2, f, _ONE, cos), (3, f, _ONE, sin)]
     raise ConfigError(f"unknown catalog surface '{name}'")
+
+
+def _factor_derivative(f, k: int):
+    """d^k f as (scale, factor), or None where it vanishes."""
+    kind, w = f
+    if kind == "pow":
+        return (float(math.perm(w, k)), ("pow", w - k)) if k <= w else None
+    if kind in ("cosh", "sinh"):
+        flip = {"cosh": "sinh", "sinh": "cosh"}[kind]
+        return w**k, (kind if k % 2 == 0 else flip, w)
+    sign, kind = _COS_CYCLE[(k + (0 if kind == "cos" else 3)) % 4]  # sin = d^3 cos
+    return sign * w**k, (kind, w)
+
+
+def _factor_values(f, X) -> np.ndarray:
+    kind, w = f
+    if kind == "pow":
+        return X if w == 1 else X**w
+    return getattr(np, kind)(X if w == 1.0 else w * X)
 
 
 def _space_form_for(name: str, params: dict, sf: SpaceForm | None) -> SpaceForm:
@@ -89,32 +118,66 @@ def _space_form_for(name: str, params: dict, sf: SpaceForm | None) -> SpaceForm:
     return SpaceForm.euclidean()
 
 
-def _lambdify_vec(exprs) -> object:
-    fns = [sp.lambdify((_U, _V), e, modules="numpy") for e in exprs]
-
-    def f(U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        comps = [np.broadcast_to(np.asarray(fn(U, V), dtype=float), U.shape) for fn in fns]
-        return np.stack(comps, axis=-1)
-
-    return f
-
-
 class ChartBundle:
-    """Lambdified jets and the unit normal map of one catalog chart."""
+    """Closed-form jets, position map and unit normal map of one catalog
+    chart."""
 
     def __init__(self, name: str, params: dict, sf: SpaceForm):
-        r = _chart_expr(name, params, sf)
-        self.jet_fns = {}
+        self.dim = sf.ambient_dim
+        terms = _chart_terms(name, params, sf)
+        # per multi-index: the terms of d^a_u d^b_v r as (component, coefficient,
+        # u factor, v factor), a factor None where it is 1
+        self.plans = {}
         for a, b in MULTI_INDICES:
-            d = r.diff(_U, a, _V, b)
-            self.jet_fns[(a, b)] = _lambdify_vec(list(d))
-        pos, ru, rv = (self.jet_fns[e] for e in ((0, 0), (1, 0), (0, 1)))
+            plan = {}
+            for comp, c, fu, fv in terms:
+                du, dv = _factor_derivative(fu, a), _factor_derivative(fv, b)
+                if du is None or dv is None:
+                    continue
+                key = (comp, None if du[1] == _ONE else du[1], None if dv[1] == _ONE else dv[1])
+                plan[key] = plan.get(key, 0.0) + c * du[0] * dv[0]
+            self.plans[(a, b)] = [key + (coef,) for key, coef in plan.items()]
         # the Euclidean normal needs no position; skipping it saves one
         # chart evaluation per stencil offset in deform_normal_many
-        euclidean = sf.ambient_dim == 3
-        self.normal_fn = lambda U, V: _eps_normal(sf, None if euclidean else pos(U, V), ru(U, V), rv(U, V))
+        normal_jets = ((1, 0), (0, 1)) if self.dim == 3 else ((0, 0), (1, 0), (0, 1))
+
+        def normal_fn(U, V):
+            r = self.evaluate(U, V, normal_jets)
+            return _eps_normal(sf, None if self.dim == 3 else r[0], r[-2], r[-1])
+
+        self.normal_fn = normal_fn
+
+    def evaluate(self, U, V, indices) -> list:
+        """The jets d^a_u d^b_v r for (a, b) in ``indices`` at the chart
+        points (U, V), shape (..., dim). Each distinct factor is evaluated
+        once per call, and factors equal to 1 not at all."""
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        shape = np.broadcast(U, V).shape
+        values = {}
+
+        def factor(f, X, axis):
+            if (axis, f) not in values:
+                values[axis, f] = _factor_values(f, X)
+            return values[axis, f]
+
+        out = []
+        for ab in indices:
+            comps = [None] * self.dim
+            for comp, fu, fv, coef in self.plans[ab]:
+                arrays = ([factor(fu, U, 0)] if fu else []) + ([factor(fv, V, 1)] if fv else [])
+                if not arrays:
+                    term = np.full(shape, coef)
+                else:
+                    term = arrays[0] if coef == 1.0 else coef * arrays[0]
+                    for x in arrays[1:]:
+                        term = term * x
+                comps[comp] = term if comps[comp] is None else comps[comp] + term
+            out.append(np.stack([np.zeros(shape) if x is None else np.broadcast_to(x, shape) for x in comps], axis=-1))
+        return out
+
+    def position_map(self, U, V) -> np.ndarray:
+        return self.evaluate(U, V, ((0, 0),))[0]
 
 
 @lru_cache(maxsize=32)
@@ -141,14 +204,13 @@ def sample_builtin(
     key = tuple(sorted((k, float(v) if not isinstance(v, dict) else tuple(sorted(v.items()))) for k, v in params.items()))
     bundle = _bundle(name, key, sf.k0)
 
-    UU, VV = domain.meshes()
-    jets = {ab: fn(UU, VV) for ab, fn in bundle.jet_fns.items()}
+    jets = dict(zip(MULTI_INDICES, bundle.evaluate(*domain.meshes(), MULTI_INDICES)))
     s = SurfaceSample(
         domain=domain,
         sf=sf,
         jets=jets,
         provenance=Provenance.ANALYTIC,
-        position_map=bundle.jet_fns[(0, 0)],
+        position_map=bundle.position_map,
         raw_normal_map=bundle.normal_fn,
         name=name,
     )

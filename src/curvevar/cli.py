@@ -106,8 +106,7 @@ def _emit(args, payload: dict, rows=None) -> None:
             if rows is not None:
                 header, data = rows
                 out.write(",".join(header) + "\n")
-                for row in data:
-                    out.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+                np.savetxt(out, data, fmt="%.17g", delimiter=",")
             else:
                 out.write("key,value\n")
                 for key, val in sorted(_flatten(payload).items()):
@@ -135,12 +134,10 @@ def _flatten(d, prefix=""):
 
 
 def _field_rows(sample, columns: dict):
+    """CSV header and one row per grid node: u, v and the named columns."""
     UU, VV = sample.domain.meshes()
     header = ["u", "v"] + list(columns)
-    data = []
-    cols = [UU.ravel(), VV.ravel()] + [np.asarray(c).ravel() for c in columns.values()]
-    for values in zip(*cols):
-        data.append([float(v) for v in values])
+    data = np.column_stack([UU.ravel(), VV.ravel()] + [np.asarray(c, dtype=float).ravel() for c in columns.values()])
     return header, data
 
 

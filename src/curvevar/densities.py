@@ -1,21 +1,26 @@
 """Curvature energy densities E(H, K) with exact partial derivatives.
 
 A density carries its value and the five partials E_H, E_K, E_HH, E_HK,
-E_KK used by the variation formulas, plus an optional domain guard (for
-example H > 0 for non-integer powers of the mean curvature).
+E_KK used by the variation formulas, its third partials, plus an optional
+domain guard (for example H > 0 for non-integer powers of the mean
+curvature). The built-in densities are sums of monomials c H^i K^j whose
+partials are written down directly; ``density_from_expr`` differentiates
+a user's sympy expression instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError, GuardViolation
 
-_H, _K = sp.symbols("H K", real=True)
+# the stored partials as (order in H, order in K)
+_PARTIALS = {"eval": (0, 0), "E_H": (1, 0), "E_K": (0, 1), "E_HH": (2, 0), "E_HK": (1, 1), "E_KK": (0, 2)}
+_THIRD = {"HHH": (3, 0), "HHK": (2, 1), "HKK": (1, 2), "KKK": (0, 3)}
 
 
 @dataclass(frozen=True)
@@ -57,46 +62,74 @@ def _scalarize(fn):
 
 def density_from_expr(expr, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
     """Build a density from a sympy expression in the symbols H and K."""
+    import sympy as sp
+
+    H, K = sp.symbols("H K", real=True)
     expr = sp.sympify(expr)
-    expr = expr.xreplace(
-        {s: (_H if s.name == "H" else _K) for s in expr.free_symbols if s.name in ("H", "K")}
-    )
-    extra = [s for s in expr.free_symbols if s not in (_H, _K)]
+    expr = expr.xreplace({s: (H if s.name == "H" else K) for s in expr.free_symbols if s.name in ("H", "K")})
+    extra = [s for s in expr.free_symbols if s not in (H, K)]
     if extra:
         raise ConfigError(f"density expression has unknown symbols: {extra}")
-    parts = {
-        "eval": expr,
-        "E_H": sp.diff(expr, _H),
-        "E_K": sp.diff(expr, _K),
-        "E_HH": sp.diff(expr, _H, 2),
-        "E_HK": sp.diff(expr, _H, _K),
-        "E_KK": sp.diff(expr, _K, 2),
-    }
-    fns = {k: _scalarize(sp.lambdify((_H, _K), e, modules="numpy")) for k, e in parts.items()}
-    third = {
-        key: _scalarize(sp.lambdify((_H, _K), sp.diff(expr, *args), modules="numpy"))
-        for key, args in {
-            "HHH": (_H, 3),
-            "HHK": (_H, 2, _K, 1),
-            "HKK": (_H, 1, _K, 2),
-            "KKK": (_K, 3),
-        }.items()
-    }
+
+    def fn(i, j):
+        return _scalarize(sp.lambdify((H, K), sp.diff(expr, H, i, K, j), modules="numpy"))
+
+    fns = {key: fn(*ij) for key, ij in _PARTIALS.items()}
+    third = {key: fn(*ij) for key, ij in _THIRD.items()}
+    return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **fns)
+
+
+def _falling(x: float, n: int) -> float:
+    """x (x - 1) ... (x - n + 1): the factor d^n/dx^n x^e brings down."""
+    return math.prod(x - k for k in range(n))
+
+
+def _monomial_partial(terms, i: int, j: int):
+    """d^i_H d^j_K of sum c H^p K^q over the (c, p, q) in ``terms``, as a
+    grid function. Integer powers stay integer, so no negative power of H
+    or K is formed where an exact partial vanishes."""
+    parts = []
+    for c, p, q in terms:
+        coef = c * _falling(p, i) * _falling(q, j)
+        if coef != 0.0:
+            parts.append((coef, p - i, q - j))
+
+    def f(H, K):
+        H = np.asarray(H, dtype=float)
+        K = np.asarray(K, dtype=float)
+        out = np.zeros(np.broadcast(H, K).shape)
+        for coef, p, q in parts:
+            term = coef
+            if p != 0:
+                term = term * H**p
+            if q != 0:
+                term = term * K**q
+            out = out + term
+        return out
+
+    return f
+
+
+def _monomial_density(terms, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
+    """Density sum c H^p K^q from (c, p, q) terms: q a non-negative integer,
+    p an integer or, for H^p with non-integer p, a real exponent."""
+    fns = {key: _monomial_partial(terms, *ij) for key, ij in _PARTIALS.items()}
+    third = {key: _monomial_partial(terms, *ij) for key, ij in _THIRD.items()}
     return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **fns)
 
 
 def willmore(k0: float = 0.0) -> EnergyDensity:
-    return density_from_expr(_H**2 + k0, "willmore", params={"k0": k0})
+    return _monomial_density([(1.0, 2, 0), (k0, 0, 0)], "willmore", params={"k0": k0})
 
 
 def bending(k0: float = 0.0) -> EnergyDensity:
-    return density_from_expr(_H**2 - _K + k0, "bending", params={"k0": k0})
+    return _monomial_density([(1.0, 2, 0), (-1.0, 0, 1), (k0, 0, 0)], "bending", params={"k0": k0})
 
 
 def helfrich(kc: float = 1.0, c0: float = 0.0, kbar: float = 0.0) -> EnergyDensity:
-    return density_from_expr(
-        kc * (2 * _H + c0) ** 2 + kbar * _K, "helfrich", params={"kc": kc, "c0": c0, "kbar": kbar}
-    )
+    # kc (2H + c0)^2 + kbar K, expanded
+    terms = [(4.0 * kc, 2, 0), (4.0 * kc * c0, 1, 0), (kc * c0**2, 0, 0), (kbar, 0, 1)]
+    return _monomial_density(terms, "helfrich", params={"kc": kc, "c0": c0, "kbar": kbar})
 
 
 def pwillmore(p: float) -> EnergyDensity:
@@ -104,20 +137,20 @@ def pwillmore(p: float) -> EnergyDensity:
     if p < 1:
         raise ConfigError("pwillmore exponent must be >= 1")
     if float(p).is_integer():
-        expr = _H ** int(p)
+        power = int(p)
         guard = None
     else:
-        expr = _H ** sp.Float(p)
+        power = float(p)
         guard = lambda H, K: H > 0
-    return density_from_expr(expr, "pwillmore", domain_guard=guard, params={"p": float(p)})
+    return _monomial_density([(1.0, power, 0)], "pwillmore", domain_guard=guard, params={"p": float(p)})
 
 
 def ksquared() -> EnergyDensity:
-    return density_from_expr(_K**2, "ksquared")
+    return _monomial_density([(1.0, 0, 2)], "ksquared")
 
 
 def area_density() -> EnergyDensity:
-    return density_from_expr(sp.Integer(1), "area")
+    return _monomial_density([(1.0, 0, 0)], "area")
 
 
 BUILTIN_DENSITIES = ("willmore", "bending", "helfrich", "pwillmore", "ksquared", "area")

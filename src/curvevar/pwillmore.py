@@ -14,14 +14,11 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .calculus import ScalarField, curvature_field, grad_inner, integrate, laplace_beltrami
 from .curvature import Taylor2, curvature_scalars
 from .errors import ConfigError, GuardViolation
 from .surface import SurfaceSample
-
-_U, _V = sp.symbols("u v", real=True)
 
 
 @dataclass(frozen=True)
@@ -50,29 +47,69 @@ def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
 # -- spherical harmonics -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _harmonic_expr(l: int, m: int):
-    """Real orthonormal spherical harmonic on the unit sphere as a sympy
-    expression in the chart (u = azimuth, v = polar angle), built from the
-    normalized associated-Legendre recurrence."""
-    if not 0 <= abs(m) <= l:
-        raise ConfigError("harmonic needs |m| <= l")
-    am = abs(m)
-    x, s = sp.cos(_V), sp.sin(_V)
-    # P^am_am, then raise the degree
-    P = sp.Integer(-1) ** am * sp.factorial2(2 * am - 1) * s**am
+def _legendre(l: int, am: int, x, s):
+    """Associated Legendre function P^am_l at x = cos v, s = sin v (with the
+    Condon-Shortley sign): P^am_am = (-1)^am (2am-1)!! s^am, raised to
+    degree l by the three-term recurrence. ``x`` and ``s`` may be numpy
+    arrays or Taylor2 jets."""
+    P = x * 0.0 + (-1.0) ** am * math.prod(range(2 * am - 1, 0, -2))
+    for _ in range(am):
+        P = P * s
     if l > am:
         P_prev, P = P, (2 * am + 1) * x * P
         for ll in range(am + 2, l + 1):
-            P_prev, P = P, ((2 * ll - 1) * x * P - (ll + am - 1) * P_prev) / (ll - am)
-    norm = sp.sqrt(sp.Rational(2 * l + 1, 4) / sp.pi * sp.factorial(l - am) / sp.factorial(l + am))
-    if m == 0:
-        az = sp.Integer(1)
-    elif m > 0:
-        az = sp.sqrt(2) * sp.cos(m * _U)
-    else:
-        az = sp.sqrt(2) * sp.sin(am * _U)
-    return norm * P * az
+            P_prev, P = P, ((2 * ll - 1) * x * P - (ll + am - 1) * P_prev) * (1.0 / (ll - am))
+    return P
+
+
+@dataclass(frozen=True)
+class _Harmonic:
+    """Real orthonormal spherical harmonic Y_{l,m} on the unit sphere in the
+    chart (u = azimuth, v = polar angle): norm * P^|m|_l(cos v) times 1,
+    sqrt(2) cos(m u) (m > 0) or sqrt(2) sin(|m| u) (m < 0)."""
+
+    l: int
+    m: int
+    norm: float
+
+    def evaluate(self, U, V) -> np.ndarray:
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        am = abs(self.m)
+        y = self.norm * _legendre(self.l, am, np.cos(V), np.sin(V))
+        if self.m > 0:
+            y = y * (math.sqrt(2.0) * np.cos(am * U))
+        elif self.m < 0:
+            y = y * (math.sqrt(2.0) * np.sin(am * U))
+        return np.broadcast_to(y, np.broadcast(U, V).shape)
+
+    def jet(self, U, V) -> Taylor2:
+        """Order-2 Taylor jet at the chart points (U, V)."""
+        am = abs(self.m)
+        zero = np.zeros(np.shape(U))
+        c, s = np.cos(V), np.sin(V)
+        x = Taylor2((c, zero, -s, zero, zero, -c))
+        sv = Taylor2((s, zero, c, zero, zero, -s))
+        y = self.norm * _legendre(self.l, am, x, sv)
+        if self.m != 0:
+            ca, sa = math.sqrt(2.0) * np.cos(am * U), math.sqrt(2.0) * np.sin(am * U)
+            if self.m > 0:
+                az = Taylor2((ca, -am * sa, zero, -(am**2) * ca, zero, zero))
+            else:
+                az = Taylor2((sa, am * ca, zero, -(am**2) * sa, zero, zero))
+            y = y * az
+        return y
+
+
+@lru_cache(maxsize=None)
+def _harmonic_expr(l: int, m: int) -> _Harmonic:
+    """Y_{l,m} with its normalization; the closed form behind
+    ``harmonic_field``."""
+    if not 0 <= abs(m) <= l:
+        raise ConfigError("harmonic needs |m| <= l")
+    am = abs(m)
+    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am))
+    return _Harmonic(l, m, norm)
 
 
 def _sphere_radius(sample: SurfaceSample) -> float:
@@ -93,9 +130,13 @@ def harmonic_field(sample: SurfaceSample, l: int, m: int, analytic: bool = True)
     if key in sample._cache:
         return sample._cache[key]
     r = _sphere_radius(sample)
-    f = ScalarField.from_expr(_harmonic_expr(l, m) / sp.Float(r), sample)
-    if not analytic:
-        f = ScalarField(f.values, sample, eval_fn=f.eval_fn)
+    y = _harmonic_expr(l, m)
+    jet = y.jet(*sample.domain.meshes()) * (1.0 / r)
+
+    def ev(U, V):
+        return y.evaluate(U, V) / r
+
+    f = ScalarField(jet.value, sample, partial_impl=jet.partial if analytic else None, eval_fn=ev)
     sample._cache[key] = f
     return f
 

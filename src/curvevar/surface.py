@@ -129,16 +129,23 @@ class SurfaceSample:
 
     def normal_at(self, U, V) -> np.ndarray:
         """Oriented unit normal at arbitrary chart points."""
-        if self.raw_normal_map is not None:
-            return self.orientation_sign * self.raw_normal_map(U, V)
-        if self.position_map is None:
+        return self._position_and_normal(U, V, want_position=False)[1]
+
+    def _position_and_normal(self, U, V, want_position: bool = True):
+        """(position or None, oriented unit normal) at chart points. The
+        position map is evaluated once, and not at all when neither the
+        caller nor the normal needs it (the Euclidean normal uses only the
+        tangents)."""
+        need_p = self.raw_normal_map is None and self.sf.ambient_dim != 3
+        if (want_position or need_p) and self.position_map is None:
             raise ConfigError("sample has no position map; cannot evaluate off-grid normal")
+        p = self.position_map(U, V) if want_position or need_p else None
+        if self.raw_normal_map is not None:
+            return p, self.orientation_sign * self.raw_normal_map(U, V)
         h = 1e-5 * self.domain.extent
         ru = _fd1(self.position_map, U, V, h, axis="u")
         rv = _fd1(self.position_map, U, V, h, axis="v")
-        p = self.position_map(U, V)
-        n = _eps_normal(self.sf, p, ru, rv)
-        return self.orientation_sign * n
+        return p, self.orientation_sign * _eps_normal(self.sf, p, ru, rv)
 
     def export_positions_csv(self, path) -> None:
         UU, VV = self.domain.meshes()
@@ -328,12 +335,13 @@ def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> di
     def moved_all(U, V):
         # one geodesic_step call for all steps: a leading step axis on the
         # distances broadcasts over p and n, which are checked once
-        p, n, uv = s.position_map(U, V), s.normal_at(U, V), np.broadcast_to(u_eval(U, V), np.shape(U))
+        p, n = s._position_and_normal(U, V)
+        uv = np.broadcast_to(u_eval(U, V), np.shape(U))
         return sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
 
     def moved_by(t):
         def moved(U, V):
-            return sf.geodesic_step(s.position_map(U, V), s.normal_at(U, V), t * u_eval(U, V))
+            return sf.geodesic_step(*s._position_and_normal(U, V), t * u_eval(U, V))
 
         return moved
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from curvevar.cli import main
@@ -119,3 +120,80 @@ def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0")
     assert code == 0
     assert json.loads(out)["passes"] is True
+
+
+def _former_csv(sample, columns: dict) -> str:
+    """The CSV as rows of Python floats, each formatted with .17g."""
+    UU, VV = sample.domain.meshes()
+    lines = [",".join(["u", "v"] + list(columns))]
+    cols = [UU.ravel(), VV.ravel()] + [np.asarray(c).ravel() for c in columns.values()]
+    for values in zip(*cols):
+        lines.append(",".join(f"{float(v):.17g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_is_byte_identical_to_per_value_formatting(tmp_path, capsys):
+    from curvevar import curvature_scalars, default_domain, el_residual, sample_builtin
+    from curvevar.densities import willmore
+
+    cat = sample_builtin("catenoid", {}, domain=default_domain("catenoid", {}, 32, 16))
+    cs = curvature_scalars(cat)
+    code, out, _ = run(capsys, "curvature", "--surface", "catenoid", "--nu", "32", "--nv", "16", "--format", "csv")
+    assert code == 0
+    assert out == _former_csv(cat, {"H": cs.H, "K": cs.K, "K_E": cs.K_E})
+
+    sph = sample_builtin("sphere", {"r": 1.5}, domain=default_domain("sphere", {}, 32, 16))
+    res = el_residual(sph, willmore())
+    target = tmp_path / "res.csv"
+    argv = ("el-residual", "--surface", "sphere:r=1.5", "--density", "willmore", "--nu", "32", "--nv", "16", "--format", "csv")
+    assert run(capsys, *argv, "--output", str(target))[0] == 0
+    assert target.read_bytes() == _former_csv(sph, {"residual": res.values}).encode()
+
+
+def test_field_csv_formats_special_values_like_python_floats(capsys):
+    from types import SimpleNamespace
+
+    from curvevar.cli import _emit
+
+    data = np.array([[-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.1, 2.0 / 3.0, 1e22, 123456789.0]])
+    _emit(SimpleNamespace(format="csv", output=None), {}, rows=(["a"] * data.shape[1], data))
+    want = ",".join(f"{float(v):.17g}" for v in data[0])
+    assert capsys.readouterr().out.splitlines()[1] == want
+
+
+COLD_COMMANDS = [
+    [],  # import only
+    ["energy", "--surface", "torus:R=2,a=1", "--density", "bending"],
+    ["energy", "--surface", "sphere:r=1", "--density", "willmore"],
+    ["energy", "--surface", "clifford_torus_S3", "--density", "willmore", "--k0", "1"],
+    ["curvature", "--surface", "catenoid", "--format", "csv"],
+    ["el-residual", "--surface", "sphere:r=1.5", "--density", "willmore"],
+    ["second-variation", "--surface", "sphere:r=1", "--density", "pwillmore", "--p", "3", "--u", "harmonic:2,0"],
+    ["first-variation", "--surface", "catenoid", "--density", "bending", "--u", "random:seed=3"],
+    ["sphere-stability", "--p", "3"],
+    ["spectrum", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=lambda a: " ".join(a[:2]) or "import")
+def test_cold_path_never_imports_sympy(argv):
+    """Built-in surfaces, densities and fields need no symbolic algebra."""
+    import os
+    import subprocess
+    import sys
+
+    import curvevar
+
+    src = os.path.dirname(os.path.dirname(curvevar.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "import curvevar, curvevar.cli\n"
+        "argv = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = curvevar.cli.main(argv) if argv else 0\n"
+        "assert rc == 0, rc\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -29,9 +29,8 @@ def _torus_map(R=2.0, a=1.0):
     return f
 
 
-def _h3_sphere(a=0.7, nu=64, nv=32):
-    """Numeric-jet geodesic sphere of radius a about the hyperboloid's
-    vertex, oriented so that H > 0."""
+def _h3_sphere_map(a=0.7):
+    """Geodesic sphere of radius a about the hyperboloid's vertex."""
 
     def f(U, V):
         sh = np.sinh(a)
@@ -40,7 +39,12 @@ def _h3_sphere(a=0.7, nu=64, nv=32):
             axis=-1,
         )
 
-    s = sample_callable(f, default_domain("sphere", None, nu, nv), sf=SpaceForm.hyperbolic(1.0))
+    return f
+
+
+def _h3_sphere(a=0.7, nu=64, nv=32):
+    """Numeric-jet geodesic sphere of radius a in H^3, oriented so that H > 0."""
+    s = sample_callable(_h3_sphere_map(a), default_domain("sphere", None, nu, nv), sf=SpaceForm.hyperbolic(1.0))
     return s if np.mean(curvature_scalars(s).H) > 0 else s.flipped()
 
 
@@ -233,6 +237,35 @@ def test_stencil_evaluation_counts():
         calls["field"] = 0
         assert len(deform_normal_many(s, u, ts)) == len(ts)
         assert calls["field"] == 41
+
+
+@pytest.mark.parametrize(
+    "f,domain,sf,normal_evals",
+    [
+        (_torus_map(), PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True, periodic_v=True), SpaceForm.euclidean(), 8),
+        (_h3_sphere_map(), default_domain("sphere", None, 16, 16), SpaceForm.hyperbolic(1.0), 9),
+    ],
+    ids=["E3", "H3"],
+)
+def test_position_evaluations_per_stencil_offset(f, domain, sf, normal_evals):
+    """Without a normal map, each stencil offset of a deformation evaluates
+    the position map 9 times: once for the point, 8 times for the tangents
+    of the normal. The Euclidean normal alone needs no point."""
+    calls = [0]
+
+    def counted_map(U, V):
+        calls[0] += 1
+        return f(U, V)
+
+    s = sample_callable(counted_map, domain, sf=sf)
+    u = ScalarField.constant(1.0, s)
+    for ts in ((0.01,), (0.01, -0.01, 0.005, -0.005)):
+        calls[0] = 0
+        deform_normal_many(s, u, ts)
+        assert calls[0] == 41 * 9
+    calls[0] = 0
+    s.normal_at(*domain.meshes())
+    assert calls[0] == normal_evals
 
 
 @pytest.mark.parametrize("ts", [(0.0, -0.0), (0.01, 0.01), (0.01, float("nan")), (float("inf"),), ()])
