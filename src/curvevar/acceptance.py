@@ -25,12 +25,11 @@ from .pwillmore import (
     sphere_spectrum,
     stability_report,
 )
-from .surface import deform_normal_many
 from .variations import (
-    _default_steps,
     el_residual,
     evolution_check_many,
     fd_variation_oracle,
+    fd_variation_oracle_many,
     first_variation,
     functional_value,
 )
@@ -77,26 +76,13 @@ def criterion_3():
     cases = [("sphere", {"r": 1.0}, False), ("torus", {"R": 2.0, "a": 1.0}, False), ("catenoid", {}, True)]
     densities = _first_order_densities()
     worst_rel, worst_order = 0.0, float("inf")
-    rows = {}
     for name, params, compact in cases:
         s = sample_builtin(name, params)
         for seed in range(5):
             u = random_smooth_field(s, seed, compact_v=compact)
-            h1, h2 = _default_steps(s, u, order=1)
-            samples = deform_normal_many(s, u, (h1, -h1, h2, -h2))
-            for E in densities:
-                F = {t: functional_value(st, E, allow_open=True) for t, st in samples.items()}
-                d1 = (F[h1] - F[-h1]) / (2.0 * h1)
-                d2 = (F[h2] - F[-h2]) / (2.0 * h2)
-                oracle = (4.0 * d2 - d1) / 3.0
-                formula = first_variation(s, E, u, allow_open=True)
-                rel = abs(formula - oracle) / max(abs(formula), abs(oracle), 1.0)
-                e1, e2 = abs(d1 - formula), abs(d2 - formula)
-                floor = 1e-11 * (1.0 + abs(formula))
-                order = 2.0 if (e1 <= floor or e2 <= floor) else math.log2(e1 / e2)
-                worst_rel = max(worst_rel, rel)
-                worst_order = min(worst_order, order)
-                rows[f"{name}/{E.name}{E.params.get('p','')}/seed{seed}"] = [rel, order]
+            for rep in fd_variation_oracle_many(s, densities, u, order=1, allow_open=True):
+                worst_rel = max(worst_rel, rep.rel_error)
+                worst_order = min(worst_order, rep.convergence_order)
     ok = worst_rel <= 1e-5 and worst_order >= 1.9
     return _crit(
         3,

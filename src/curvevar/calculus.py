@@ -374,7 +374,19 @@ def export_field_csv(f: ScalarField, path) -> None:
 
 
 def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Field from a CSV of u, v, value rows in grid order (as written by
+    ``export_field_csv``); every value must be finite."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read field CSV '{path}': {exc}")
     if data.shape[0] != sample.shape[0] * sample.shape[1]:
         raise ConfigError("CSV row count does not match the sample grid")
-    return ScalarField(data[:, 2].reshape(sample.shape), sample)
+    if data.shape[1] < 3:
+        raise ConfigError(f"field CSV '{path}' has no value column (expected u,v,value)")
+    values = data[:, 2].reshape(sample.shape)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ConfigError(f"non-finite field value {values[i, j]} at node ({i}, {j}) in '{path}'")
+    return ScalarField(values, sample)

@@ -25,6 +25,8 @@ from .pwillmore import (
     stability_report,
 )
 from .variations import (
+    _EVOLUTION_QUANTITIES,
+    _NEEDS_F,
     el_residual,
     evolution_check,
     fd_variation_oracle,
@@ -52,9 +54,10 @@ def _parse_surface(spec: str):
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            if not val:
-                raise ConfigError(f"malformed surface parameter '{item}' (expected key=value)")
-            params[key] = float(val)
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ConfigError(f"malformed surface parameter '{item}' (expected key=number)")
     return name, params
 
 
@@ -90,10 +93,9 @@ def _make_field(spec, sample):
         return harmonic_field(sample, l, m)
     if spec.startswith("random:"):
         body = spec.split(":", 1)[1]
-        if not body.startswith("seed="):
+        if not (body.startswith("seed=") and body[5:].isdecimal()):
             raise ConfigError("malformed --u random spec (expected random:seed=N)")
-        seed = int(body[5:])
-        return random_smooth_field(sample, seed, compact_v=not sample.domain.closed)
+        return random_smooth_field(sample, int(body[5:]), compact_v=not sample.domain.closed)
     if spec.endswith(".csv"):
         return import_field_csv(spec, sample)
     raise ConfigError(f"unrecognized --u spec '{spec}'")
@@ -214,7 +216,7 @@ def _cmd_verify_evolution(args):
     s = _make_sample(args)
     u = _make_field(args.u, s)
     f = None
-    if args.quantity in ("laplacian_f", "h_hess_f"):
+    if args.quantity in _NEEDS_F:
         f = random_smooth_field(s, 202)
     rep = evolution_check(s, u, f=f, quantity=args.quantity)
     payload = {"surface": args.surface, "quantity": args.quantity, **vars(rep)}
@@ -323,11 +325,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-evolution", help="check one evolution equation by deformation")
     common(p, u=True)
-    p.add_argument(
-        "--quantity",
-        choices=("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f"),
-        default="2H",
-    )
+    p.add_argument("--quantity", choices=_EVOLUTION_QUANTITIES, default="2H")
     p.set_defaults(fn=_cmd_verify_evolution)
 
     p = sub.add_parser("sphere-stability", help="H^p stability report for the round sphere")

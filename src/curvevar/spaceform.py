@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ConfigError, NotTangentError
 
 TANGENCY_RTOL = 1e-8
-QUADRIC_RTOL = 1e-12
 
 
 class Model(Enum):
@@ -99,11 +98,6 @@ class SpaceForm:
         target = self.radius**2 if self.model is Model.SPHERE else -self.radius**2
         return np.abs(self.flat_inner(p, p) - target) / self.radius**2
 
-    def check_on_model(self, p, rtol: float = QUADRIC_RTOL) -> None:
-        res = self.quadric_residual(p)
-        if np.any(res > rtol):
-            raise ConfigError(f"point off the model quadric (residual {np.max(res):.3e})")
-
     def check_tangent(self, p, v, rtol: float = TANGENCY_RTOL) -> None:
         if self.model is Model.EUCLIDEAN:
             return
@@ -115,12 +109,6 @@ class SpaceForm:
             raise NotTangentError("not tangent")
 
     # -- operations ---------------------------------------------------------
-
-    def ambient_inner(self, p, v, w):
-        """Inner product of tangent vectors v, w at the model point p."""
-        self.check_tangent(p, v)
-        self.check_tangent(p, w)
-        return self.flat_inner(v, w)
 
     def geodesic_step(self, p, n, s):
         """Point at geodesic distance s from p along the unit tangent n.

@@ -1,9 +1,8 @@
 """Parametric surface patches on structured grids.
 
 A SurfaceSample carries the partial derivatives (jets) of the immersion up
-to total order 4 at every grid node, either exactly (catalog surfaces,
-differentiated symbolically) or by high-order finite differences of a
-position map.
+to total order 4 at every grid node, either exactly (catalog surfaces, in
+closed form) or by high-order finite differences of a position map.
 """
 
 from __future__ import annotations
@@ -114,10 +113,6 @@ class SurfaceSample:
     def shape(self) -> tuple[int, int]:
         return self.positions.shape[:2]
 
-    def jet_at(self, i: int, j: int) -> dict[tuple[int, int], np.ndarray]:
-        """Pointwise jet (ImmersionJet view) at node (i, j)."""
-        return {ab: arr[i, j] for ab, arr in self.jets.items()}
-
     def chart_ops(self) -> ChartDerivatives:
         if "chart_ops" not in self._cache:
             self._cache["chart_ops"] = ChartDerivatives(self.domain)
@@ -146,13 +141,6 @@ class SurfaceSample:
         ru = _fd1(self.position_map, U, V, h, axis="u")
         rv = _fd1(self.position_map, U, V, h, axis="v")
         return p, self.orientation_sign * _eps_normal(self.sf, p, ru, rv)
-
-    def export_positions_csv(self, path) -> None:
-        UU, VV = self.domain.meshes()
-        pos = self.positions
-        cols = [UU.ravel(), VV.ravel()] + [pos[..., k].ravel() for k in range(pos.shape[-1])]
-        header = "u,v," + ",".join("xyzw"[: pos.shape[-1]])
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")
 
 
 def _fd1(f, U, V, h, axis):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -246,16 +246,109 @@ def volume_functional(s: SurfaceSample) -> float:
     return integrate(flux, s, allow_open=True) / 3.0
 
 
-def _default_steps(s: SurfaceSample, u: ScalarField, order: int = 1) -> tuple[float, float]:
+def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
     # step relative to the smallest curvature radius and the field size;
     # the second difference divides by h^2, so it gets a smaller base step
     # to keep truncation below the target tolerances
     cs = curvature_scalars(s)
     kappa = max(np.max(np.abs(cs.kappa1)), np.max(np.abs(cs.kappa2)), 1e-12)
     umax = max(float(np.max(np.abs(u.values))), 1e-12)
-    scale = 1.0 / (kappa * umax)
-    base = 1e-2 if order == 1 else 5e-3
-    return base * scale, 0.5 * base * scale
+    return (1e-2 if order == 1 else 5e-3) * (1.0 / (kappa * umax))
+
+
+def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float], fd: FdConfig, measure):
+    """Centered differences of the values ``measure(sample)`` returns (a
+    list of numbers or arrays) along the geodesic normal deformation of u.
+
+    Deforms once to t = +-h1, +-h2 with h2 = h1/2 (h1 = h, or the default
+    step), measures each deformed sample once and drops it, and for order 2
+    measures s itself as the centre. Returns h1, the differences at h1 and
+    at h2, and their Richardson value (the h2 difference when
+    ``fd.richardson`` is false).
+    """
+    h1 = _default_step(s, u, order) if h is None else float(h)
+    h2 = 0.5 * h1
+    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
+    m = {t: measure(deformed.pop(t)) for t in (h1, -h1, h2, -h2)}
+    centre = measure(s) if order == 2 else None
+
+    def difference(t):
+        if order == 1:
+            return [(a - b) / (2.0 * t) for a, b in zip(m[t], m[-t])]
+        return [(a - 2.0 * c + b) / t**2 for a, c, b in zip(m[t], centre, m[-t])]
+
+    d1, d2 = difference(h1), difference(h2)
+    # h1 / h2 = 2 exactly, so the h^2 error terms cancel in (4 d2 - d1) / 3
+    best = [(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)] if fd.richardson else d2
+    return h1, d1, d2, best
+
+
+def _observed_order(e1: float, e2: float, floor: float) -> float:
+    """Convergence order from the errors at h1 and h1/2; 2 when either is
+    at the round-off floor."""
+    return 2.0 if (e1 <= floor or e2 <= floor) else math.log(e1 / e2) / math.log(2.0)
+
+
+def fd_variation_oracle_many(
+    s: SurfaceSample,
+    Es: Sequence[EnergyDensity],
+    u: ScalarField,
+    order: int = 1,
+    lagrange_multiplier: Optional[float] = None,
+    h: Optional[float] = None,
+    fd: FdConfig = FdConfig(),
+    allow_open: bool = False,
+    force: bool = False,
+) -> list[VariationReport]:
+    """Difference quotients of F for several densities over one set of
+    deformed samples, each compared against the closed-form variation of
+    the same order; returns one VariationReport per density.
+
+    For order 2 the differenced functional is the augmented F - lambda * V;
+    the multiplier defaults to each density's (area-weighted) mean
+    Euler-Lagrange residual, which is the value making a
+    constrained-critical immersion stationary, and is zero at an
+    unconstrained critical immersion; a given multiplier applies to every
+    density. The formula side is augmented identically: the second
+    variation of the volume, integral of -2 H u^2 dS, times lambda is
+    subtracted, so both columns of the report describe the same augmented
+    functional. (Along a symmetry direction such as a translation of the
+    sphere the augmented value is zero while the plain closed-form
+    expression is not; both are available, their difference being exactly
+    lambda times the volume term.)
+    """
+    if order not in (1, 2):
+        raise ConfigError("oracle order must be 1 or 2")
+    lams, formulas = [], []
+    for E in Es:
+        if order == 1:
+            lam, formula = 0.0, first_variation(s, E, u, allow_open=allow_open)
+        else:
+            if lagrange_multiplier is not None:
+                lam = float(lagrange_multiplier)
+            else:
+                res = el_residual(s, E)
+                w = fundamental_forms(s).dS_weight
+                lam = float(np.sum(res.values * w) / np.sum(w))
+                if abs(lam) < 1e-8 * (1.0 + abs(functional_value(s, E, allow_open=True))):
+                    lam = 0.0
+            formula = second_variation(s, E, u, allow_open=allow_open, force=force)
+            if lam != 0.0:
+                cs = curvature_scalars(s)
+                formula -= lam * integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
+        lams.append(lam)
+        formulas.append(formula)
+
+    def measure(st: SurfaceSample) -> list:
+        vol = volume_functional(st) if any(lams) else 0.0
+        return [functional_value(st, E, allow_open=True) - lam * vol for E, lam in zip(Es, lams)]
+
+    h1, d1, d2, oracles = _differences(s, u, order, h, fd, measure)
+    reports = []
+    for formula, a, b, oracle in zip(formulas, d1, d2, oracles):
+        conv = _observed_order(abs(a - formula), abs(b - formula), 1e-11 * (1.0 + abs(formula)))
+        reports.append(_report(formula, oracle, h1, conv))
+    return reports
 
 
 def fd_variation_oracle(
@@ -270,72 +363,13 @@ def fd_variation_oracle(
     force: bool = False,
 ) -> VariationReport:
     """Difference quotient of F along the geodesic normal deformation of u,
-    compared against the closed-form variation of the same order.
-
-    For order 2 the differenced functional is the augmented F - lambda * V;
-    the multiplier defaults to the (area-weighted) mean Euler-Lagrange
-    residual, which is the value making a constrained-critical immersion
-    stationary, and is zero at an unconstrained critical immersion. The
-    formula side is augmented identically: the second variation of the
-    volume, integral of -2 H u^2 dS, times lambda is subtracted, so both
-    columns of the report describe the same augmented functional. (Along a
-    symmetry direction such as a translation of the sphere the augmented
-    value is zero while the plain closed-form expression is not; both are
-    available, their difference being exactly lambda times the volume
-    term.)
-    """
-    if order not in (1, 2):
-        raise ConfigError("oracle order must be 1 or 2")
-    h1, h2 = _default_steps(s, u, order) if h is None else (float(h), 0.5 * float(h))
-
-    lam = 0.0
-    if order == 2:
-        if lagrange_multiplier is not None:
-            lam = float(lagrange_multiplier)
-        else:
-            res = el_residual(s, E)
-            w = fundamental_forms(s).dS_weight
-            lam = float(np.sum(res.values * w) / np.sum(w))
-            if abs(lam) < 1e-8 * (1.0 + abs(functional_value(s, E, allow_open=True))):
-                lam = 0.0
-
-    if order == 1:
-        formula = first_variation(s, E, u, allow_open=allow_open)
-    else:
-        formula = second_variation(s, E, u, allow_open=allow_open, force=force)
-        if lam != 0.0:
-            cs = curvature_scalars(s)
-            formula -= lam * integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
-    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
-
-    def G(t: float) -> float:
-        # each deformed sample is dropped once its functional is read
-        st = s if t == 0.0 else deformed.pop(t)
-        val = functional_value(st, E, allow_open=True)
-        if lam != 0.0:
-            val -= lam * volume_functional(st)
-        return val
-
-    if order == 1:
-        d_h1 = (G(h1) - G(-h1)) / (2.0 * h1)
-        d_h2 = (G(h2) - G(-h2)) / (2.0 * h2)
-    else:
-        g0 = G(0.0)
-        d_h1 = (G(h1) - 2.0 * g0 + G(-h1)) / h1**2
-        d_h2 = (G(h2) - 2.0 * g0 + G(-h2)) / h2**2
-
-    ratio = h1 / h2
-    oracle = (ratio**2 * d_h2 - d_h1) / (ratio**2 - 1.0) if fd.richardson else d_h2
-    e1, e2 = abs(d_h1 - formula), abs(d_h2 - formula)
-    floor = 1e-11 * (1.0 + abs(formula))
-    if e1 <= floor or e2 <= floor:
-        conv = 2.0
-    else:
-        conv = math.log(e1 / e2) / math.log(ratio)
-    return _report(formula, oracle, h1, conv)
+    compared against the closed-form variation of the same order: the
+    one-density case of ``fd_variation_oracle_many``."""
+    return fd_variation_oracle_many(s, (E,), u, order, lagrange_multiplier, h, fd, allow_open, force)[0]
 
 
 _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f")
+_NEEDS_F = ("laplacian_f", "h_hess_f")  # the quantities that need the auxiliary field f
 
 
 def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantity: str):
@@ -356,8 +390,6 @@ def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField
     if quantity == "K":
         h_hess_u = contract(shape_tensor(s), hessian(u, s), s).values
         return 2.0 * H * lap_u - h_hess_u + 2.0 * H * K * uv
-    if f is None:
-        raise ConfigError(f"quantity '{quantity}' needs the auxiliary field f")
     h_t = shape_tensor(s)
     h2_t = h_squared(s)
     hess_f = hessian(f, s)
@@ -370,19 +402,18 @@ def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField
             + 2.0 * bilinear(h_t, u, f, s)
             - 2.0 * H * grad_inner(u, f, s)
         )
-    if quantity == "h_hess_f":
-        lap_f = laplace_beltrami(f, s).values
-        # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
-        grad_h2_f = 8.0 * H * grad_inner(Hf, f, s) - 2.0 * grad_inner(Kf, f, s)
-        return (
-            contract(hessian(u, s), hess_f, s).values
-            + 3.0 * uv * contract(h2_t, hess_f, s).values
-            + uv * k0 * lap_f
-            + 2.0 * bilinear(h2_t, u, f, s)
-            + 0.5 * uv * grad_h2_f
-            - cs.h_norm_sq * grad_inner(u, f, s)
-        )
-    raise ConfigError(f"unknown evolution quantity '{quantity}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
+    # h_hess_f, the one quantity left (evolution_check_many admits no other)
+    lap_f = laplace_beltrami(f, s).values
+    # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
+    grad_h2_f = 8.0 * H * grad_inner(Hf, f, s) - 2.0 * grad_inner(Kf, f, s)
+    return (
+        contract(hessian(u, s), hess_f, s).values
+        + 3.0 * uv * contract(h2_t, hess_f, s).values
+        + uv * k0 * lap_f
+        + 2.0 * bilinear(h2_t, u, f, s)
+        + 0.5 * uv * grad_h2_f
+        - cs.h_norm_sq * grad_inner(u, f, s)
+    )
 
 
 def _evolution_measure(st: SurfaceSample, f: Optional[ScalarField], quantity: str):
@@ -401,9 +432,7 @@ def _evolution_measure(st: SurfaceSample, f: Optional[ScalarField], quantity: st
     ft = f.with_sample(st)
     if quantity == "laplacian_f":
         return laplace_beltrami(ft, st).values
-    if quantity == "h_hess_f":
-        return contract(shape_tensor(st), hessian(ft, st), st).values
-    raise ConfigError(f"unknown evolution quantity '{quantity}'")
+    return contract(shape_tensor(st), hessian(ft, st), st).values  # h_hess_f, the one left
 
 
 def evolution_check_many(
@@ -417,32 +446,25 @@ def evolution_check_many(
     """Evolution-equation checks for several quantities sharing the same
     four deformed samples; returns {quantity: VariationReport}."""
     for q in quantities:
-        if q in ("laplacian_f", "h_hess_f") and f is None:
+        if q in _NEEDS_F and f is None:
             raise ConfigError(f"quantity '{q}' needs the auxiliary field f")
         if q not in _EVOLUTION_QUANTITIES:
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
-    h1, h2 = _default_steps(s, u) if h is None else (float(h), 0.5 * float(h))
-    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
-    ratio = h1 / h2
+    h1, d1s, d2s, oracles = _differences(s, u, 1, h, fd, lambda st: [_evolution_measure(st, f, q) for q in quantities])
     out = {}
-    for q in quantities:
+    for q, d1, d2, oracle in zip(quantities, d1s, d2s, oracles):
         formula = _evolution_formula(s, u, f, q)
-        d1 = (_evolution_measure(deformed[h1], f, q) - _evolution_measure(deformed[-h1], f, q)) / (2.0 * h1)
-        d2 = (_evolution_measure(deformed[h2], f, q) - _evolution_measure(deformed[-h2], f, q)) / (2.0 * h2)
-        oracle = (ratio**2 * d2 - d1) / (ratio**2 - 1.0) if fd.richardson else d2
         scale = float(np.max(np.abs(formula))) + float(np.max(np.abs(oracle))) + 1e-12
         e1 = float(np.max(np.abs(d1 - formula)))
         e2 = float(np.max(np.abs(d2 - formula)))
-        floor = 1e-10 * scale
-        conv = 2.0 if (e1 <= floor or e2 <= floor) else math.log(e1 / e2) / math.log(ratio)
         err = float(np.max(np.abs(oracle - formula)))
         out[q] = VariationReport(
             formula_value=float(np.max(np.abs(formula))),
             oracle_value=float(np.max(np.abs(oracle))),
             abs_error=err,
-            rel_error=err / max(scale, 1e-300),
+            rel_error=err / scale,
             fd_step=h1,
-            convergence_order=conv,
+            convergence_order=_observed_order(e1, e2, 1e-10 * scale),
         )
     return out
 

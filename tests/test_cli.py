@@ -42,11 +42,45 @@ def test_first_variation_with_oracle(capsys):
     assert payload["oracle"]["rel_error"] < 1e-4
 
 
-def test_validation_errors_exit_1(capsys):
+def _grid_csv(path, rows):
+    path.write_text("u,v,value\n" + "".join(rows))
+    return str(path)
+
+
+def test_validation_errors_exit_1(tmp_path, capsys):
     assert run(capsys, "energy", "--surface", "nope:r=1", "--density", "willmore")[0] == 1
     assert run(capsys, "energy", "--surface", "sphere:r=1")[0] == 1  # no density
     assert run(capsys, "energy", "--surface", "sphere:r=1", "--density", "pwillmore")[0] == 1  # no p
     assert run(capsys, "first-variation", "--surface", "sphere:r=1", "--density", "willmore", "--u", "junk")[0] == 1
+    # malformed numbers, a missing file and malformed CSV contents give a
+    # one-line message, never a traceback
+    fv = ("first-variation", "--surface", "sphere:r=1", "--density", "willmore", "--nu", "16", "--nv", "16", "--u")
+    no_value = tmp_path / "uv.csv"
+    no_value.write_text("u,v\n" + "0,0\n" * 256)
+    cases = [
+        ("energy", "--surface", "sphere:r=abc", "--density", "willmore"),
+        (*fv, "random:seed=x"),
+        (*fv, str(tmp_path / "missing.csv")),
+        (*fv, _grid_csv(tmp_path / "letters.csv", ["0,0,abc\n"] * 256)),
+        (*fv, str(no_value)),
+    ]
+    for argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("curvevar: ") and "Traceback" not in err, (argv, err)
+
+
+def test_non_finite_field_csv_names_the_node(tmp_path, capsys):
+    rows = ["0,0,1.5\n"] * 256
+    rows[16 * 3 + 5] = "0,0,nan\n"
+    fv = ("first-variation", "--surface", "sphere", "--density", "willmore", "--nu", "16", "--nv", "16", "--u")
+    code, out, err = run(capsys, *fv, _grid_csv(tmp_path / "u.csv", rows))
+    assert code == 1 and out == ""
+    assert "node (3, 5)" in err
+    # the same grid with finite values is accepted
+    rows[16 * 3 + 5] = "0,0,1.5\n"
+    code, out, _ = run(capsys, *fv, _grid_csv(tmp_path / "ok.csv", rows))
+    assert code == 0 and np.isfinite(json.loads(out)["value"])
 
 
 def test_not_critical_exits_2(capsys):

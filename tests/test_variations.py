@@ -8,8 +8,10 @@ from curvevar import (
     evolution_check,
     evolution_check_many,
     fd_variation_oracle,
+    fd_variation_oracle_many,
     first_variation,
     functional_value,
+    harmonic_field,
     integrate,
     random_smooth_field,
     sample_builtin,
@@ -18,6 +20,7 @@ from curvevar import (
 )
 from curvevar.calculus import ScalarField, curvature_field
 from curvevar.densities import area_density, bending, ksquared, pwillmore, willmore
+from curvevar.surface import FdConfig, deform_normal_many
 
 
 def test_functional_values(sphere, torus, clifford):
@@ -175,3 +178,42 @@ def test_oracle_rejects_bad_order(torus):
     u = random_smooth_field(torus, 16)
     with pytest.raises(ConfigError):
         fd_variation_oracle(torus, willmore(), u, order=3)
+
+
+def test_oracle_many_equals_one_run_per_density(torus, sphere):
+    """Several densities differenced over one set of deformed samples
+    report exactly what one oracle run per density reports; at order 2
+    each density keeps its own multiplier (zero for Willmore, nonzero for
+    H^3 on the sphere)."""
+    u = random_smooth_field(torus, 17)
+    Es = [willmore(), bending(), pwillmore(3)]
+    assert fd_variation_oracle_many(torus, Es, u, order=1) == [fd_variation_oracle(torus, E, u, order=1) for E in Es]
+    y20 = harmonic_field(sphere, 2, 0)
+    Es = [willmore(), pwillmore(3)]
+    assert fd_variation_oracle_many(sphere, Es, y20, order=2) == [fd_variation_oracle(sphere, E, y20, order=2) for E in Es]
+
+
+def test_oracle_explicit_step(torus):
+    u = random_smooth_field(torus, 18)
+    rep = fd_variation_oracle(torus, bending(), u, order=1, h=4e-3)
+    assert rep.fd_step == 4e-3
+    assert rep.rel_error < 1e-5
+    assert rep.convergence_order > 1.8
+
+
+def test_oracle_without_richardson_reports_the_half_step_difference(torus):
+    u = random_smooth_field(torus, 19)
+    E = bending()
+    fd = FdConfig(richardson=False)
+    rep = fd_variation_oracle(torus, E, u, order=1, fd=fd)
+    h1 = rep.fd_step
+    h2 = 0.5 * h1
+    F = {t: functional_value(st, E) for t, st in deform_normal_many(torus, u, (h1, -h1, h2, -h2), fd).items()}
+    d1 = (F[h1] - F[-h1]) / (2.0 * h1)
+    d2 = (F[h2] - F[-h2]) / (2.0 * h2)
+    formula = first_variation(torus, E, u)
+    assert rep.oracle_value == d2
+    assert rep.rel_error == abs(formula - d2) / max(abs(formula), abs(d2), 1.0)
+    assert rep.convergence_order == pytest.approx(np.log2(abs(d1 - formula) / abs(d2 - formula)), rel=1e-12)
+    assert 1.8 < rep.convergence_order < 2.2
+    assert rep.rel_error < 1e-4
