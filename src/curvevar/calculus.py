@@ -229,9 +229,9 @@ def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
     """H, K, or K_E as a ScalarField.
 
     On exact-jet samples the chart partials are the Taylor jets of
-    ``curvature_jets``; on finite-difference-jet samples they come from
-    grid differentiation, since the order-3/4 jets there are too inexact
-    to push through.
+    ``curvature_jets``; on numeric-jet samples they come from grid
+    differentiation, since the order-3/4 stencil jets of open charts are
+    too inexact to push through.
     """
     cs = curvature_scalars(sample)
     vals = {"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which]

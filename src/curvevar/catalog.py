@@ -22,7 +22,16 @@ from .errors import ConfigError
 from .spaceform import Model, SpaceForm
 from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _eps_normal
 
-CATALOG_NAMES = ("sphere", "torus", "catenoid", "graph", "geodesic_sphere_S3", "clifford_torus_S3")
+# the catalog charts and the parameters each takes
+_CHART_PARAMS = {
+    "sphere": ("r",),
+    "torus": ("R", "a"),
+    "catenoid": ("c", "s_max"),
+    "graph": ("coeffs",),
+    "geodesic_sphere_S3": ("a", "rho"),
+    "clifford_torus_S3": ("rho",),
+}
+CATALOG_NAMES = tuple(_CHART_PARAMS)
 
 # a univariate factor is (kind, w): cos/sin/cosh/sinh of w*x, or x^w for
 # kind "pow" (w a non-negative integer); _ONE = x^0 is never evaluated
@@ -138,7 +147,7 @@ class ChartBundle:
                 plan[key] = plan.get(key, 0.0) + c * du[0] * dv[0]
             self.plans[(a, b)] = [key + (coef,) for key, coef in plan.items()]
         # the Euclidean normal needs no position; skipping it saves one
-        # chart evaluation per stencil offset in deform_normal_many
+        # chart evaluation per stencil offset of an open-chart deformation
         normal_jets = ((1, 0), (0, 1)) if self.dim == 3 else ((0, 0), (1, 0), (0, 1))
 
         def normal_fn(U, V):
@@ -180,6 +189,28 @@ class ChartBundle:
         return self.evaluate(U, V, ((0, 0),))[0]
 
 
+def _check_params(name: str, params: dict) -> None:
+    """Refuse keys the chart does not take and values that are not finite
+    numbers, naming the key."""
+    takes = _CHART_PARAMS[name]
+    for key, val in params.items():
+        if key not in takes:
+            raise ConfigError(f"{name} takes no parameter '{key}' (takes: {', '.join(takes)})")
+        if key == "coeffs":
+            if not isinstance(val, dict):
+                raise ConfigError(f"{name} parameter 'coeffs' must be a mapping {{(i, j): c}} (got {val!r})")
+            values = val.values()
+        else:
+            values = (val,)
+        for x in values:
+            try:
+                finite = math.isfinite(float(x))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} parameter '{key}' must be a number (got {x!r})") from None
+            if not finite:
+                raise ConfigError(f"{name} parameter '{key}' must be finite (got {x!r})")
+
+
 @lru_cache(maxsize=32)
 def _bundle(name: str, params_key: tuple, k0: float) -> ChartBundle:
     params = dict(params_key)
@@ -198,6 +229,7 @@ def sample_builtin(
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
     params = dict(params or {})
+    _check_params(name, params)
     sf = _space_form_for(name, params, sf)
     if domain is None:
         domain = default_domain(name, params)

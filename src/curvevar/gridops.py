@@ -1,6 +1,7 @@
 """Grid differentiation helpers.
 
-Structured-grid partial derivatives used by fields and numeric jets:
+Structured-grid partial derivatives used by fields, and by the numeric
+jets of closed charts:
 
 - FFT differentiation along periodic directions.
 - FFT differentiation along a pole-offset latitude direction, using the

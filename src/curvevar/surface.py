@@ -1,8 +1,17 @@
 """Parametric surface patches on structured grids.
 
 A SurfaceSample carries the partial derivatives (jets) of the immersion up
-to total order 4 at every grid node, either exactly (catalog surfaces, in
-closed form) or by high-order finite differences of a position map.
+to total order 4 at every grid node. Catalog surfaces get them in closed
+form. Every other sample (a user position map, a deformed surface) gets
+them from sampled positions, and the chart decides how:
+
+- On a closed chart (periodic u, and v periodic or pole-offset) the
+  positions are needed at the grid nodes only. All 15 partials come from
+  ``gridops.ChartDerivatives``: FFT along periodic directions, and the
+  double-Fourier pole extension along a pole-offset v. A spectral-tail
+  guard refuses grids that do not resolve the positions.
+- On an open chart, 5-point stencils at steps h and h/2 (``FdConfig``)
+  evaluate a position map at 41 offsets around the nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .gridops import ChartDerivatives, fd_weights
+from .gridops import ChartDerivatives, _pole_extend, fd_weights
 from .spaceform import SpaceForm
 
 JET_ORDER = 4
@@ -36,6 +45,10 @@ class PatchDomain:
             raise ConfigError("grid counts must be at least 8")
         if self.periodic_v and self.pole_offset:
             raise ConfigError("pole_offset applies to a non-periodic v direction")
+        if self.pole_offset and self.nu % 2:
+            # the pole extension f(u, -v) = f(u + period/2, v) needs the
+            # antipodal longitude of every node on the grid
+            raise ConfigError(f"pole_offset needs an even nu (got nu = {self.nu})")
 
     @property
     def u_nodes(self) -> np.ndarray:
@@ -75,7 +88,12 @@ class Provenance(Enum):
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Stencil configuration for numeric jets (5-point + one Richardson level)."""
+    """Stencil configuration for numeric jets (5-point + one Richardson level).
+
+    ``base_step`` applies to open-chart stencils only: on a closed chart
+    jets are spectral and need no step. ``richardson`` also picks the
+    oracle's step extrapolation in ``variations._differences``.
+    """
 
     base_step: float | None = None  # default: 1e-3 x domain extent
     richardson: bool = True
@@ -96,7 +114,7 @@ class SurfaceSample:
     jets: dict[tuple[int, int], np.ndarray]
     orientation_sign: float = 1.0
     provenance: Provenance = Provenance.NUMERIC_JETS
-    position_map: object = None  # callable (U, V) -> (..., dim)
+    position_map: object = None  # callable (U, V) -> (..., dim); None on closed-chart deformations
     raw_normal_map: object = None  # callable (U, V) -> unoriented unit normal
     name: str = "surface"
     _cache: dict = field(default_factory=dict, repr=False)
@@ -132,8 +150,8 @@ class SurfaceSample:
         caller nor the normal needs it (the Euclidean normal uses only the
         tangents)."""
         need_p = self.raw_normal_map is None and self.sf.ambient_dim != 3
-        if (want_position or need_p) and self.position_map is None:
-            raise ConfigError("sample has no position map; cannot evaluate off-grid normal")
+        if (want_position or self.raw_normal_map is None) and self.position_map is None:
+            raise ConfigError(f"{self.name} has no position map; cannot evaluate it off the grid")
         p = self.position_map(U, V) if want_position or need_p else None
         if self.raw_normal_map is not None:
             return p, self.orientation_sign * self.raw_normal_map(U, V)
@@ -197,6 +215,64 @@ def check_immersion(sample: SurfaceSample, where: str = "") -> None:
 
 # -- numeric jets ----------------------------------------------------------
 
+# largest spectral tail (``spectral_tail``) that spectral jets accept
+SPECTRAL_TAIL_BOUND = 1e-20
+
+
+def spectral_tail(values, domain: PatchDomain) -> dict:
+    """Share of the spectral energy of grid values in the top third of the
+    Fourier modes (n/3 < |k| <= n/2), along each closed direction of the
+    chart: {"u": share, "v": share}. Along a pole-offset v the values are
+    first extended to the full latitude circle. Trailing axes are summed
+    over.
+
+    Spectral jets are refused when a share exceeds SPECTRAL_TAIL_BOUND =
+    1e-20: the grid does not resolve the positions, and their partials
+    would be aliased. The bound is measured. On the maps (exp(a cos u),
+    cos u, sin v) and (1/(1 + a sin^2 u), cos u, sin v), a in [0.5, 8] and
+    n in 16..128, every grid with a share <= 1e-20 gave partials at the
+    round-off floor of spectral differentiation (order 2 <= 1.2e-12,
+    order 4 <= 3.4e-9 of the positions). From 1.5e-19 up, order-4 errors
+    reach 1.6e-7, and 1.3e-3 at 1.4e-14. Catalog charts, numeric-jet
+    spheres and every deformed oracle sample measure <= 3e-32; a field
+    cos(50 u) cos(3 v) deforming the 128 x 64 torus by t = 0.01 measures
+    5e-6 along u.
+    """
+    x = np.asarray(values, dtype=float)
+    spectral = (domain.periodic_u, domain.periodic_v or (domain.pole_offset and domain.periodic_u))
+    out = {}
+    for axis, direction in enumerate("uv"):
+        if not spectral[axis]:
+            continue
+        y = _pole_extend(x, axis_u=0, axis_v=1) if axis == 1 and domain.pole_offset else x
+        n = y.shape[axis]
+        power = np.abs(np.fft.rfft(y, axis=axis)) ** 2
+        power = np.moveaxis(power, axis, 0).reshape(power.shape[axis], -1).sum(axis=1)
+        power[1 : (n + 1) // 2] *= 2.0  # every mode but the mean and Nyquist stands for +-k
+        total = power.sum()
+        out[direction] = float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
+    return out
+
+
+def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
+    """Jets of positions sampled at the nodes of a closed chart, all 15
+    partials by spectral differentiation. Refuses values that are not
+    finite, or whose spectral tail exceeds ``SPECTRAL_TAIL_BOUND``."""
+    x = np.asarray(values, dtype=float)
+    bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ConfigError(f"{name}: non-finite position at node ({i}, {j})")
+    for direction, share in spectral_tail(x, ops.domain).items():
+        if share > SPECTRAL_TAIL_BOUND:
+            nu, nv = ops.domain.nu, ops.domain.nv
+            raise ConfigError(
+                f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
+                f"{nu}x{nv} grid does not resolve it and its jets would be aliased; use a finer grid"
+            )
+    du = [x] + [ops.partial(x, a, 0) for a in range(1, JET_ORDER + 1)]
+    return {(a, b): du[a] if b == 0 else ops.partial(du[a], 0, b) for a, b in MULTI_INDICES}
+
 
 def _stencil_tables(h: float):
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
@@ -257,14 +333,19 @@ def _stencil_jets(evaluate, domain: PatchDomain, fd: FdConfig) -> list:
     return out
 
 
-def numeric_jets(f, domain: PatchDomain, fd: FdConfig = FdConfig()) -> dict:
+def numeric_jets(f, domain: PatchDomain, fd: FdConfig = FdConfig(), name: str = "position map") -> dict:
     """All chart partials of a position map up to order 4 at the grid nodes.
 
-    5-point centered stencils at steps h and h/2, combined by Richardson
-    extrapolation at the leading error order of each multi-index. The map
+    On a closed chart the map is evaluated once, at the grid nodes, and
+    differentiated spectrally; ``fd`` is not used, and ``name`` labels the
+    error raised when the grid does not resolve the map. On an open chart,
+    5-point centered stencils at steps h and h/2 are combined by Richardson
+    extrapolation at the leading error order of each multi-index; the map
     is evaluated once at each of the 41 offsets the stencils use (25
     without Richardson).
     """
+    if domain.closed:
+        return _spectral_jets(f(*domain.meshes()), ChartDerivatives(domain), name)
     return _stencil_jets(lambda U, V: (f(U, V),), domain, fd)[0]
 
 
@@ -276,8 +357,9 @@ def sample_callable(
     orientation_sign: float = 1.0,
     name: str = "callable",
 ) -> SurfaceSample:
-    """Sample a user-supplied position map with finite-difference jets."""
-    jets = numeric_jets(f, domain, fd)
+    """Sample a user-supplied position map with numeric jets (spectral on a
+    closed chart, stencils on an open one; see ``numeric_jets``)."""
+    jets = numeric_jets(f, domain, fd, name)
     s = SurfaceSample(
         domain=domain,
         sf=sf,
@@ -295,8 +377,9 @@ def deform_normal(s: SurfaceSample, u, t: float, fd: FdConfig = FdConfig()) -> S
     """Geodesic normal deformation: each point moves distance t*u(x) along N.
 
     In the Euclidean model this is exactly r0 + t u N. The deformed sample
-    gets numeric jets of the composed position map. This is the one-step
-    case of ``deform_normal_many``.
+    gets numeric jets: spectral jets of the moved grid on a closed chart,
+    stencil jets of the composed position map on an open one. This is the
+    one-step case of ``deform_normal_many``.
     """
     return deform_normal_many(s, u, (t,), fd)[t]
 
@@ -304,12 +387,18 @@ def deform_normal(s: SurfaceSample, u, t: float, fd: FdConfig = FdConfig()) -> S
 def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> dict:
     """Geodesic normal deformations by several steps: {t: deformed sample}.
 
-    Each deformed sample is the one ``deform_normal(s, u, t, fd)`` gives,
-    but the position, normal and field are evaluated once per stencil
-    offset for all steps together.
+    Each deformed sample is the one ``deform_normal(s, u, t, fd)`` gives.
+    The chart picks how its jets are built:
+
+    - Closed chart: from grid values only. The points p, the oriented
+      normal N (from the jets of s) and the field values at the nodes are
+      moved by one ``geodesic_step`` for all steps, and each moved grid is
+      differentiated spectrally. No position map, normal map or field
+      evaluator is called, and the deformed samples carry no position map.
+    - Open chart: 5-point stencils of the composed position map, with the
+      position, normal and field evaluated once per stencil offset for all
+      steps together. ``s`` needs a position map.
     """
-    if s.position_map is None:
-        raise ConfigError("deform_normal needs a sample with a position map")
     ts = [float(t) for t in ts]
     if not ts:
         raise ConfigError("deform_normal_many needs at least one step")
@@ -318,31 +407,46 @@ def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> di
     if len(set(ts)) != len(ts):
         raise ConfigError(f"deformation steps must be distinct (got {ts}; 0.0 and -0.0 are one step)")
     sf = s.sf
-    u_eval = _field_evaluator(u, s)
+    name = f"{s.name}+deform"
+    if s.domain.closed:
+        p = s.positions
+        n = s.orientation_sign * _eps_normal(sf, p, s.jets[(1, 0)], s.jets[(0, 1)])
+        uv = np.broadcast_to(np.asarray(u.values if hasattr(u, "values") else u, dtype=float), s.shape)
+        moved = sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
+        ops = s.chart_ops()
+        jets = [_spectral_jets(x, ops, f"{name} at t = {t:g}") for t, x in zip(ts, moved)]
+        maps = [None] * len(ts)
+    else:
+        if s.position_map is None:
+            raise ConfigError("deform_normal on an open chart needs a sample with a position map")
+        u_eval = _field_evaluator(u, s)
 
-    def moved_all(U, V):
-        # one geodesic_step call for all steps: a leading step axis on the
-        # distances broadcasts over p and n, which are checked once
-        p, n = s._position_and_normal(U, V)
-        uv = np.broadcast_to(u_eval(U, V), np.shape(U))
-        return sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
+        def moved_all(U, V):
+            # one geodesic_step call for all steps: a leading step axis on the
+            # distances broadcasts over p and n, which are checked once
+            p, n = s._position_and_normal(U, V)
+            uv = np.broadcast_to(u_eval(U, V), np.shape(U))
+            return sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
 
-    def moved_by(t):
-        def moved(U, V):
-            return sf.geodesic_step(*s._position_and_normal(U, V), t * u_eval(U, V))
+        def moved_by(t):
+            def moved(U, V):
+                return sf.geodesic_step(*s._position_and_normal(U, V), t * u_eval(U, V))
 
-        return moved
+            return moved
+
+        jets = _stencil_jets(moved_all, s.domain, fd)
+        maps = [moved_by(t) for t in ts]
 
     out = {}
-    for t, jets in zip(ts, _stencil_jets(moved_all, s.domain, fd)):
+    for t, jt, pmap in zip(ts, jets, maps):
         d = SurfaceSample(
             domain=s.domain,
             sf=sf,
-            jets=jets,
+            jets=jt,
             orientation_sign=s.orientation_sign,
             provenance=Provenance.NUMERIC_JETS,
-            position_map=moved_by(t),
-            name=f"{s.name}+deform",
+            position_map=pmap,
+            name=name,
         )
         check_immersion(d, where="deform_normal")
         out[t] = d
@@ -350,8 +454,8 @@ def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> di
 
 
 def _field_evaluator(u, s: SurfaceSample):
-    """Off-grid evaluator for a scalar field: analytic when available,
-    spline interpolation of grid values otherwise."""
+    """Off-grid evaluator for a scalar field on an open chart: analytic when
+    available, spline interpolation of grid values otherwise."""
     ev = getattr(u, "eval_fn", None)
     if ev is not None:
         return ev

@@ -70,6 +70,22 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         assert err.startswith("curvevar: ") and "Traceback" not in err, (argv, err)
 
 
+@pytest.mark.parametrize(
+    "surface,grid,message",
+    [
+        ("sphere:r=nan", (), "'r' must be finite"),
+        ("sphere:r=inf", (), "'r' must be finite"),
+        ("sphere:q=2", (), "sphere takes no parameter 'q'"),
+        ("torus:r=2", (), "torus takes no parameter 'r'"),
+        ("sphere:r=1", ("--nu", "33", "--nv", "16"), "even nu"),
+    ],
+)
+def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys):
+    code, out, err = run(capsys, "energy", "--surface", surface, "--density", "willmore", *grid)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: ") and message in err and "Traceback" not in err
+
+
 def test_non_finite_field_csv_names_the_node(tmp_path, capsys):
     rows = ["0,0,1.5\n"] * 256
     rows[16 * 3 + 5] = "0,0,nan\n"

@@ -97,6 +97,29 @@ def test_catalog_rejects_bad_graph_exponents():
         sample_builtin("graph", {"coeffs": {(-1, 0): 1.0}})
 
 
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("sphere", {"r": float("nan")}, "'r' must be finite"),
+        ("sphere", {"r": float("inf")}, "'r' must be finite"),
+        ("torus", {"R": 2.0, "a": -float("inf")}, "'a' must be finite"),
+        ("catenoid", {"s_max": float("nan")}, "'s_max' must be finite"),
+        ("graph", {"coeffs": {(2, 0): float("nan")}}, "'coeffs' must be finite"),
+        ("graph", {"coeffs": 1.0}, "'coeffs' must be a mapping"),
+        ("clifford_torus_S3", {"rho": float("inf")}, "'rho' must be finite"),
+        ("sphere", {"q": 2.0}, "no parameter 'q'"),
+        ("torus", {"r": 2.0}, "no parameter 'r'"),
+        ("catenoid", {"a": 1.0}, "no parameter 'a'"),
+        ("graph", {"c": 1.0}, "no parameter 'c'"),
+        ("geodesic_sphere_S3", {"r": 1.0}, "no parameter 'r'"),
+        ("clifford_torus_S3", {"a": 1.0}, "no parameter 'a'"),
+    ],
+)
+def test_catalog_rejects_unknown_and_non_finite_parameters(name, params, key):
+    with pytest.raises(ConfigError, match=key):
+        sample_builtin(name, params, domain=default_domain(name, {}, 16, 16))
+
+
 def _density_expr(name, params):
     """The built-in densities as sympy expressions (the former implementation)."""
     H, K = sp.symbols("H K", real=True)

@@ -87,17 +87,25 @@ def _assert_jets_equal(got, want, where=""):
         assert np.array_equal(got[ab], want[ab]), (where, ab)
 
 
+# open charts keep stencil jets: the torus map periodic in u only, and the
+# sphere charts on a latitude band without pole offset
+_OPEN_TORUS = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 16, periodic_u=True)
+_OPEN_BAND = PatchDomain((0, 2 * np.pi), (0.3, np.pi - 0.3), 32, 16, periodic_u=True)
+
+
 @pytest.mark.parametrize("richardson", [True, False])
 def test_numeric_jets_equal_loop_reference(richardson):
     """Sharing evaluations across sums changes no jet in the last bit."""
-    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 16, periodic_u=True, periodic_v=True)
+    domain = _OPEN_TORUS
     fd = FdConfig(richardson=richardson)
     _assert_jets_equal(numeric_jets(_torus_map(), domain, fd), _loop_numeric_jets(_torus_map(), domain, fd))
 
 
 def test_numeric_jets_match_exact_jets():
-    exact = sample_builtin("torus", {"R": 2.0, "a": 1.0})
-    numeric = sample_callable(_torus_map(), exact.domain)
+    """Stencil jets on an open chart (the torus periodic in u only)."""
+    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 128, 64, periodic_u=True)
+    exact = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=domain)
+    numeric = sample_callable(_torus_map(), domain)
     for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         err = np.max(np.abs(exact.jets[ab] - numeric.jets[ab]))
         assert err < 1e-9, f"jet {ab}: {err}"
@@ -182,7 +190,7 @@ def test_domain_validation():
 
 
 def test_richardson_improves_numeric_jets():
-    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 32, periodic_u=True, periodic_v=True)
+    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 32, periodic_u=True)
     exact = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=domain)
     plain = sample_callable(_torus_map(), domain, fd=FdConfig(base_step=0.05, richardson=False))
     rich = sample_callable(_torus_map(), domain, fd=FdConfig(base_step=0.05, richardson=True))
@@ -208,13 +216,28 @@ def test_deform_normal_many_matches_separate_calls(name, request):
     assert list(many) == [h, -h, h / 2, -h / 2]
     for t, d in many.items():
         _assert_jets_equal(d.jets, deform_normal(s, u, t).jets, t)
-        # and to the jets of the deformed position map taken on their own
+
+
+@pytest.mark.parametrize("name", ["torus", "geo_sphere", "h3_sphere"])
+def test_open_chart_deformations_equal_loop_reference(name):
+    """On an open chart, each deformed sample's jets equal the stencil jets
+    of its deformed position map taken on their own, in the last bit."""
+    if name == "torus":
+        s = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=_OPEN_TORUS)
+    elif name == "geo_sphere":
+        s = sample_builtin("geodesic_sphere_S3", {"a": np.pi / 4}, domain=_OPEN_BAND)
+    else:
+        s = sample_callable(_h3_sphere_map(), _OPEN_BAND, sf=SpaceForm.hyperbolic(1.0))
+    u = random_smooth_field(s, 5)
+    h = 1e-3
+    for t, d in deform_normal_many(s, u, (h, -h, h / 2, -h / 2)).items():
+        _assert_jets_equal(d.jets, deform_normal(s, u, t).jets, t)
         _assert_jets_equal(d.jets, _loop_numeric_jets(d.position_map, s.domain), t)
 
 
 def test_stencil_evaluation_counts():
     """One evaluation per used stencil offset, shared by every step."""
-    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True, periodic_v=True)
+    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True)
     calls = {"map": 0, "field": 0}
 
     def counted_map(U, V):
@@ -242,8 +265,8 @@ def test_stencil_evaluation_counts():
 @pytest.mark.parametrize(
     "f,domain,sf,normal_evals",
     [
-        (_torus_map(), PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True, periodic_v=True), SpaceForm.euclidean(), 8),
-        (_h3_sphere_map(), default_domain("sphere", None, 16, 16), SpaceForm.hyperbolic(1.0), 9),
+        (_torus_map(), PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True), SpaceForm.euclidean(), 8),
+        (_h3_sphere_map(), PatchDomain((0, 2 * np.pi), (0.3, np.pi - 0.3), 16, 16, periodic_u=True), SpaceForm.hyperbolic(1.0), 9),
     ],
     ids=["E3", "H3"],
 )
@@ -286,3 +309,94 @@ def test_deform_h3_sphere_gives_concentric_sphere():
         assert np.max(d.sf.quadric_residual(d.positions)) < 1e-12
         H = curvature_scalars(d).H
         assert np.max(np.abs(H - 1.0 / np.tanh(a - t))) < 1e-6, t
+
+
+def test_pole_offset_needs_even_nu():
+    """The pole extension pairs each longitude with its antipode, so an odd
+    nu on a pole-offset chart is refused up front."""
+    with pytest.raises(ConfigError, match="even nu"):
+        PatchDomain((0, 2 * np.pi), (0, np.pi), 33, 16, periodic_u=True, pole_offset=True)
+    with pytest.raises(ConfigError, match="even nu"):
+        default_domain("sphere", None, 33, 16)
+    assert not PatchDomain((0, 2 * np.pi), (0, np.pi), 33, 16, periodic_u=True).closed
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("torus", {"R": 2.0, "a": 1.0}), ("sphere", {"r": 1.0}), ("clifford_torus_S3", {}), ("geodesic_sphere_S3", {"a": np.pi / 4})],
+)
+def test_spectral_jets_match_exact_jets(name, params):
+    """Closed charts: the jets of the position map sampled at the nodes
+    alone match the catalog's exact jets at 128 x 64, all 15 multi-indices.
+    Measured worst relative errors: order <= 2 1.2e-12, orders 3-4 4.3e-9."""
+    from curvevar.surface import MULTI_INDICES
+
+    exact = sample_builtin(name, params, domain=default_domain(name, params, 128, 64))
+    numeric = sample_callable(exact.position_map, exact.domain, sf=exact.sf)
+    scale0 = np.max(np.abs(exact.positions))
+    for ab in MULTI_INDICES:
+        scale = np.max(np.abs(exact.jets[ab])) or scale0  # a vanishing jet is judged against the positions
+        err = np.max(np.abs(numeric.jets[ab] - exact.jets[ab])) / scale
+        assert err < (1e-11 if sum(ab) <= 2 else 2e-8), (ab, err)
+
+
+def test_closed_chart_jets_use_grid_values_only(torus):
+    """On a closed chart, sample_callable evaluates the map once, at the
+    nodes, and a deformation calls no position map, normal map or field
+    evaluator at all."""
+    from dataclasses import replace
+
+    calls = {"map": 0, "normal": 0, "field": 0}
+
+    def counted(key, f):
+        def g(U, V):
+            calls[key] += 1
+            return f(U, V)
+
+        return g
+
+    s = sample_callable(counted("map", _torus_map()), torus.domain)
+    assert calls["map"] == 1
+    UU, VV = torus.domain.meshes()
+
+    def field(U, V):
+        return 1.0 + 0.1 * np.cos(U) * np.sin(V)
+
+    for base in (s, replace(torus, position_map=counted("map", torus.position_map), raw_normal_map=counted("normal", torus.raw_normal_map))):
+        u = ScalarField(field(UU, VV), base, eval_fn=counted("field", field))
+        calls.update(map=0, normal=0, field=0)
+        deformed = deform_normal_many(base, u, (0.01, -0.01, 0.005, -0.005))
+        assert calls == {"map": 0, "normal": 0, "field": 0}
+        assert all(d.position_map is None for d in deformed.values())
+    with pytest.raises(ConfigError, match="no position map"):
+        deformed[0.01].normal_at(UU, VV)
+
+
+def test_spectral_tail_guard_refuses_aliased_jets(torus):
+    """A field near the Nyquist mode makes the deformed positions carry
+    5e-6 of their energy in the top third of the u modes (1e-31 without
+    it); their jets are refused, not returned aliased."""
+    from curvevar.surface import SPECTRAL_TAIL_BOUND, spectral_tail
+
+    UU, VV = torus.domain.meshes()
+    assert max(spectral_tail(torus.positions, torus.domain).values()) < 1e-30
+    u = ScalarField(np.cos(50 * UU) * np.cos(3 * VV), torus)
+    with pytest.raises(ConfigError) as err:
+        deform_normal(torus, u, 0.01)
+    msg = str(err.value)
+    assert "torus+deform" in msg and "along u" in msg and f"{SPECTRAL_TAIL_BOUND:g}" in msg and "finer grid" in msg
+    # the same guard applies to a sampled position map
+    with pytest.raises(ConfigError, match="bumpy.*along u"):
+        sample_callable(lambda U, V: _torus_map()(U, V) * (1 + 1e-3 * np.cos(50 * U))[..., None], torus.domain, name="bumpy")
+
+
+def test_spectral_jets_refuse_non_finite_positions():
+    domain = default_domain("sphere", None, 16, 16)
+
+    def f(U, V):
+        p = _h3_sphere_map()(U, V)
+        p[3, 5, 0] = np.nan
+        return p
+
+    with pytest.raises(ConfigError, match=r"node \(3, 5\)"):
+        sample_callable(f, domain, sf=SpaceForm.hyperbolic(1.0))
