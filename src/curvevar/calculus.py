@@ -1,12 +1,12 @@
 """Scalar/tensor fields on a sampled surface and intrinsic calculus.
 
 Gradient, covariant Hessian, Laplace-Beltrami, tensor contractions, and
-surface quadrature. Field derivatives come from an analytic provider when
-the field has one (order-2 Taylor jets pushed through the immersion jets,
-closed-form window derivatives, or the derivatives of a user's sympy
-chart expression); otherwise from grid differentiation, which is
-FFT-based along periodic or pole-extendable directions. Sympy is imported
-only when a field is given as a sympy expression.
+surface quadrature. A field's chart partials come from its order-2
+Taylor jet when it has one (pushed through the immersion jets, multiplied
+by closed-form window derivatives, or read from the derivatives of a
+user's sympy chart expression); otherwise from grid differentiation,
+which is FFT-based along periodic or pole-extendable directions. Sympy is
+imported only when a field is given as a sympy expression.
 """
 
 from __future__ import annotations
@@ -14,58 +14,59 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .curvature import Taylor2, curvature_jets, curvature_scalars, fundamental_forms
+from .curvature import TAYLOR_INDICES, Taylor2, curvature_jets, curvature_scalars, fundamental_forms
 from .surface import PatchDomain, Provenance, SurfaceSample
 
 
 class ScalarField:
     """Grid-sampled scalar bound to a surface sample.
 
-    ``partial_impl(a, b)`` returns the chart partial d^a_u d^b_v on the
-    grid when an analytic route exists; ``eval_fn`` evaluates off-grid.
+    ``jet``, an optional order-2 ``Taylor2``, carries the chart partials
+    d^a_u d^b_v on the grid; without one they are grid-differentiated on
+    first use and cached. ``eval_fn`` evaluates the field off the grid.
     """
 
-    def __init__(self, values, sample: SurfaceSample, partial_impl=None, eval_fn=None):
+    def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None, eval_fn=None):
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != sample.shape:
             raise ConfigError("field grid does not match the sample grid")
         self.sample = sample
-        self._partial_impl = partial_impl
+        self.jet = jet
         self.eval_fn = eval_fn
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def partial(self, a: int, b: int) -> np.ndarray:
         if (a, b) == (0, 0):
             return self.values
+        if self.jet is not None:
+            return self.jet.partial(a, b)
         key = (a, b)
         if key not in self._cache:
-            if self._partial_impl is not None:
-                self._cache[key] = self._partial_impl(a, b)
-            else:
-                self._cache[key] = self.sample.chart_ops().partial(self.values, a, b)
+            self._cache[key] = self.sample.chart_ops().partial(self.values, a, b)
         return self._cache[key]
+
+    @property
+    def _partial_impl(self):  # the provider tag perfbench/bench_trace.py reads
+        return None if self.jet is None else self.jet.partial
+
+    def taylor(self) -> Taylor2:
+        """The field's order-2 jet: its own, or one read from the grid partials."""
+        return self.jet if self.jet is not None else Taylor2.from_partials(self.partial)
 
     def with_sample(self, sample: SurfaceSample) -> "ScalarField":
         """Rebind to another sample on the same chart grid (values and chart
         partials are unchanged; only the geometry differs)."""
         if sample.domain is not self.sample.domain and sample.shape != self.sample.shape:
             raise ConfigError("cannot rebind a field across different grids")
-        return ScalarField(self.values, sample, partial_impl=self._partial_impl, eval_fn=self.eval_fn)
+        return ScalarField(self.values, sample, jet=self.jet, eval_fn=self.eval_fn)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_values(values, sample: SurfaceSample) -> "ScalarField":
-        return ScalarField(values, sample)
-
-    @staticmethod
     def constant(c: float, sample: SurfaceSample) -> "ScalarField":
         vals = np.full(sample.shape, float(c))
-
-        def impl(a, b):
-            return np.zeros(sample.shape)
-
-        return ScalarField(vals, sample, partial_impl=impl, eval_fn=lambda U, V: np.full(np.shape(U), float(c)))
+        jet = Taylor2((vals,) + (np.zeros(sample.shape),) * 5)
+        return ScalarField(vals, sample, jet=jet, eval_fn=lambda U, V: np.full(np.shape(U), float(c)))
 
     @staticmethod
     def from_expr(expr, sample: SurfaceSample) -> "ScalarField":
@@ -75,48 +76,39 @@ class ScalarField:
         u, v = sp.symbols("u v", real=True)
         expr = sp.sympify(expr)
         expr = expr.xreplace({s: (u if s.name == "u" else v) for s in expr.free_symbols if s.name in ("u", "v")})
-        fns = {}
-        for a in range(3):
-            for b in range(3 - a):
-                fns[(a, b)] = sp.lambdify((u, v), sp.diff(expr, u, a, v, b), modules="numpy")
+        fns = {ab: sp.lambdify((u, v), sp.diff(expr, u, ab[0], v, ab[1]), modules="numpy") for ab in TAYLOR_INDICES}
         UU, VV = sample.domain.meshes()
-
-        def impl(a, b):
-            if (a, b) not in fns:
-                raise ConfigError("analytic field partials available to order 2 only")
-            return np.broadcast_to(np.asarray(fns[(a, b)](UU, VV), dtype=float), sample.shape).copy()
+        jet = Taylor2.from_partials(
+            lambda a, b: np.broadcast_to(np.asarray(fns[(a, b)](UU, VV), dtype=float), sample.shape).copy()
+        )
 
         def ev(U, V):
             U = np.asarray(U, dtype=float)
             return np.broadcast_to(np.asarray(fns[(0, 0)](U, np.asarray(V, dtype=float)), dtype=float), U.shape)
 
-        return ScalarField(impl(0, 0), sample, partial_impl=impl, eval_fn=ev)
+        return ScalarField(jet.value, sample, jet=jet, eval_fn=ev)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if self.sample is not other.sample:
             raise ConfigError("fields bound to different samples")
-        impl = None
-        if self._partial_impl is not None and other._partial_impl is not None:
-            impl = lambda a, b: self.partial(a, b) + other.partial(a, b)
+        jet = None if self.jet is None or other.jet is None else self.jet + other.jet
         ev = None
         if self.eval_fn is not None and other.eval_fn is not None:
             ev = lambda U, V: self.eval_fn(U, V) + other.eval_fn(U, V)
-        return ScalarField(self.values + other.values, self.sample, partial_impl=impl, eval_fn=ev)
+        return ScalarField(self.values + other.values, self.sample, jet=jet, eval_fn=ev)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (other * -1.0)
 
     def __mul__(self, c: float) -> "ScalarField":
         c = float(c)
-        impl = None
-        if self._partial_impl is not None:
-            impl = lambda a, b: c * self.partial(a, b)
+        jet = None if self.jet is None else c * self.jet
         ev = None
         if self.eval_fn is not None:
             ev = lambda U, V: c * self.eval_fn(U, V)
-        return ScalarField(c * self.values, self.sample, partial_impl=impl, eval_fn=ev)
+        return ScalarField(c * self.values, self.sample, jet=jet, eval_fn=ev)
 
     __rmul__ = __mul__
 
@@ -167,7 +159,7 @@ class AmbientPolyField(ScalarField):
             def ev(U, V):
                 return poly_ev(U, V) * np.asarray(window(np.asarray(V, dtype=float), 0), dtype=float)
 
-        super().__init__(jet.value, sample, partial_impl=jet.partial, eval_fn=ev)
+        super().__init__(jet.value, sample, jet=jet, eval_fn=ev)
 
 
 def _sympy_window(window_expr):
@@ -238,7 +230,8 @@ def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
     if sample.provenance is not Provenance.ANALYTIC:
         return ScalarField(vals, sample)
     H, K_E = curvature_jets(sample)
-    return ScalarField(vals, sample, partial_impl=(H if which == "H" else K_E).partial)
+    jet = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
+    return ScalarField(vals, sample, jet=jet)
 
 
 # -- differential operators -------------------------------------------------

@@ -50,6 +50,23 @@ class EnergyDensity:
                 node=node,
             )
 
+    def guarded(self, H, K, *names: str) -> tuple:
+        """The named partials ("eval", "E_H", ..., "HHH", ...) at (H, K) after
+        the domain guard; GuardViolation at the first node where one is not
+        finite."""
+        self.check_guard(H, K)
+        with np.errstate(all="ignore"):
+            out = tuple((self.third[name] if name in _THIRD else getattr(self, name))(H, K) for name in names)
+        for name, x in zip(names, out):
+            if not np.all(np.isfinite(x)):
+                node = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(x)), x.shape))
+                raise GuardViolation(
+                    f"density '{self.name}' is not finite at node {node}: {name} = {x[node]} at "
+                    f"H={np.asarray(H)[node]:.6g}, K={np.asarray(K)[node]:.6g}",
+                    node=node,
+                )
+        return out
+
 
 def _scalarize(fn):
     def f(H, K):

@@ -136,7 +136,7 @@ def harmonic_field(sample: SurfaceSample, l: int, m: int, analytic: bool = True)
     def ev(U, V):
         return y.evaluate(U, V) / r
 
-    f = ScalarField(jet.value, sample, partial_impl=jet.partial if analytic else None, eval_fn=ev)
+    f = ScalarField(jet.value, sample, jet=jet if analytic else None, eval_fn=ev)
     sample._cache[key] = f
     return f
 
@@ -206,8 +206,8 @@ def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
     if is_int and qi == 1:
         return Hf  # no negative power of H is ever formed at H = 0
     H = cs.H
-    jet = Taylor2.from_partials(Hf.partial).compose(H**qi, qi * H ** (qi - 1), qi * (qi - 1) * H ** (qi - 2))
-    return ScalarField(jet.value, s, partial_impl=jet.partial)
+    jet = Hf.taylor().compose(H**qi, qi * H ** (qi - 1), qi * (qi - 1) * H ** (qi - 2))
+    return ScalarField(jet.value, s, jet=jet)
 
 
 def pwillmore_el_residual(s: SurfaceSample, p: float, k0: Optional[float] = None) -> ScalarField:

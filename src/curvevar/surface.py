@@ -10,8 +10,11 @@ them from sampled positions, and the chart decides how:
   ``gridops.ChartDerivatives``: FFT along periodic directions, and the
   double-Fourier pole extension along a pole-offset v. A spectral-tail
   guard refuses grids that do not resolve the positions.
-- On an open chart, 5-point stencils at steps h and h/2 (``FdConfig``)
-  evaluate a position map at 41 offsets around the nodes.
+- On an open chart, 5-point stencils at steps h = 1e-3 x the chart's
+  extent and h/2, combined by Richardson extrapolation, evaluate a
+  position map at 41 offsets around the nodes.
+
+Either route refuses non-finite positions or jets and names the node.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ JET_ORDER = 4
 
 @dataclass(frozen=True)
 class PatchDomain:
-    """Rectangular chart domain with grid counts and periodicity flags."""
+    """Rectangular chart domain with grid counts and periodicity flags.
+
+    ``pole_offset`` marks a lat-long v: its nodes sit half a step inside
+    both ends of ``v_range``, and both ends must be poles of the chart (v
+    in (0, pi) on the sphere charts), across which the chart continues as
+    f(u, -v) = f(u + period/2, v). Spectral jets are refused otherwise.
+    """
 
     u_range: tuple[float, float]
     v_range: tuple[float, float]
@@ -84,22 +93,6 @@ class PatchDomain:
 class Provenance(Enum):
     ANALYTIC = "analytic"
     NUMERIC_JETS = "numeric_jets"
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Stencil configuration for numeric jets (5-point + one Richardson level).
-
-    ``base_step`` applies to open-chart stencils only: on a closed chart
-    jets are spectral and need no step. ``richardson`` also picks the
-    oracle's step extrapolation in ``variations._differences``.
-    """
-
-    base_step: float | None = None  # default: 1e-3 x domain extent
-    richardson: bool = True
-
-    def step_for(self, domain: PatchDomain) -> float:
-        return self.base_step if self.base_step is not None else 1e-3 * domain.extent
 
 
 MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER + 1) if a + b <= JET_ORDER]
@@ -201,6 +194,14 @@ def induced_metric(sample: SurfaceSample) -> np.ndarray:
 
 
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
+    """Refuse non-finite jets (a map undefined at a node or, on an open
+    chart, at a stencil offset) and a degenerate metric, naming the node."""
+    at = f" in {where}" if where else ""
+    for ab, x in sample.jets.items():
+        bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
+        if np.any(bad):
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ConfigError(f"non-finite position partial {ab} at node ({i}, {j}){at}")
     g = induced_metric(sample)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     scale = np.max(np.abs(g)) ** 2 + 1e-300
@@ -208,7 +209,7 @@ def check_immersion(sample: SurfaceSample, where: str = "") -> None:
     if np.any(bad):
         i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise DegenerateMetricError(
-            f"degenerate metric at node ({i}, {j}){' in ' + where if where else ''}",
+            f"degenerate metric at node ({i}, {j}){at}",
             node=(int(i), int(j)),
         )
 
@@ -266,9 +267,12 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
     for direction, share in spectral_tail(x, ops.domain).items():
         if share > SPECTRAL_TAIL_BOUND:
             nu, nv = ops.domain.nu, ops.domain.nv
+            fix = "use a finer grid"
+            if direction == "v" and ops.domain.pole_offset:
+                fix = f"both ends of v_range = {ops.domain.v_range} must be poles of the chart; if they are, {fix}"
             raise ConfigError(
                 f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
-                f"{nu}x{nv} grid does not resolve it and its jets would be aliased; use a finer grid"
+                f"{nu}x{nv} grid does not resolve it and its jets would be aliased; {fix}"
             )
     du = [x] + [ops.partial(x, a, 0) for a in range(1, JET_ORDER + 1)]
     return {(a, b): du[a] if b == 0 else ops.partial(du[a], 0, b) for a, b in MULTI_INDICES}
@@ -279,7 +283,7 @@ def _stencil_tables(h: float):
     return {m: fd_weights(offsets, m) for m in range(JET_ORDER + 1)}
 
 
-def _stencil_jets(evaluate, domain: PatchDomain, fd: FdConfig) -> list:
+def _stencil_jets(evaluate, domain: PatchDomain) -> list:
     """Numeric jets of several position maps that share one evaluation per
     stencil offset.
 
@@ -291,8 +295,8 @@ def _stencil_jets(evaluate, domain: PatchDomain, fd: FdConfig) -> list:
     how many maps share the pass.
     """
     UU, VV = domain.meshes()
-    h = fd.step_for(domain)
-    steps = [h, h / 2.0] if fd.richardson else [h]
+    h = 1e-3 * domain.extent
+    steps = (h, h / 2.0)
     terms = {}  # offset -> [(sum key, weight)]
     for k, step in enumerate(steps):
         w = _stencil_tables(step)
@@ -321,45 +325,40 @@ def _stencil_jets(evaluate, domain: PatchDomain, fd: FdConfig) -> list:
     for acc, x0 in zip(sums, centre):
         jets = {(0, 0): x0}
         for a, b in MULTI_INDICES[1:]:
-            d1 = acc.pop((a, b, 0))
-            if len(steps) == 1:
-                jets[(a, b)] = d1
-                continue
-            d2 = acc.pop((a, b, 1))
-            p = min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
-            fac = 2.0**p
+            d1, d2 = acc.pop((a, b, 0)), acc.pop((a, b, 1))
+            # Richardson extrapolation at the leading error order h^p
+            fac = 2.0 ** min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
             jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
         out.append(jets)
     return out
 
 
-def numeric_jets(f, domain: PatchDomain, fd: FdConfig = FdConfig(), name: str = "position map") -> dict:
+def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
     """All chart partials of a position map up to order 4 at the grid nodes.
 
     On a closed chart the map is evaluated once, at the grid nodes, and
-    differentiated spectrally; ``fd`` is not used, and ``name`` labels the
-    error raised when the grid does not resolve the map. On an open chart,
-    5-point centered stencils at steps h and h/2 are combined by Richardson
-    extrapolation at the leading error order of each multi-index; the map
-    is evaluated once at each of the 41 offsets the stencils use (25
-    without Richardson).
+    differentiated spectrally. On an open chart, 5-point centered stencils
+    at steps h = 1e-3 x the domain extent and h/2 are combined by
+    Richardson extrapolation at the leading error order of each
+    multi-index; the map is evaluated once at each of the 41 offsets the
+    stencils use. ``name`` labels the error raised on a closed chart when
+    the map is not finite at a node or the grid does not resolve it.
     """
     if domain.closed:
         return _spectral_jets(f(*domain.meshes()), ChartDerivatives(domain), name)
-    return _stencil_jets(lambda U, V: (f(U, V),), domain, fd)[0]
+    return _stencil_jets(lambda U, V: (f(U, V),), domain)[0]
 
 
 def sample_callable(
     f,
     domain: PatchDomain,
     sf: SpaceForm = SpaceForm.euclidean(),
-    fd: FdConfig = FdConfig(),
     orientation_sign: float = 1.0,
     name: str = "callable",
 ) -> SurfaceSample:
     """Sample a user-supplied position map with numeric jets (spectral on a
     closed chart, stencils on an open one; see ``numeric_jets``)."""
-    jets = numeric_jets(f, domain, fd, name)
+    jets = numeric_jets(f, domain, name)
     s = SurfaceSample(
         domain=domain,
         sf=sf,
@@ -373,7 +372,7 @@ def sample_callable(
     return s
 
 
-def deform_normal(s: SurfaceSample, u, t: float, fd: FdConfig = FdConfig()) -> SurfaceSample:
+def deform_normal(s: SurfaceSample, u, t: float) -> SurfaceSample:
     """Geodesic normal deformation: each point moves distance t*u(x) along N.
 
     In the Euclidean model this is exactly r0 + t u N. The deformed sample
@@ -381,13 +380,13 @@ def deform_normal(s: SurfaceSample, u, t: float, fd: FdConfig = FdConfig()) -> S
     stencil jets of the composed position map on an open one. This is the
     one-step case of ``deform_normal_many``.
     """
-    return deform_normal_many(s, u, (t,), fd)[t]
+    return deform_normal_many(s, u, (t,))[t]
 
 
-def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> dict:
+def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     """Geodesic normal deformations by several steps: {t: deformed sample}.
 
-    Each deformed sample is the one ``deform_normal(s, u, t, fd)`` gives.
+    Each deformed sample is the one ``deform_normal(s, u, t)`` gives.
     The chart picks how its jets are built:
 
     - Closed chart: from grid values only. The points p, the oriented
@@ -434,7 +433,7 @@ def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> di
 
             return moved
 
-        jets = _stencil_jets(moved_all, s.domain, fd)
+        jets = _stencil_jets(moved_all, s.domain)
         maps = [moved_by(t) for t in ts]
 
     out = {}
@@ -448,7 +447,7 @@ def deform_normal_many(s: SurfaceSample, u, ts, fd: FdConfig = FdConfig()) -> di
             position_map=pmap,
             name=name,
         )
-        check_immersion(d, where="deform_normal")
+        check_immersion(d, where=f"{name} at t = {t:g}")
         out[t] = d
     return out
 

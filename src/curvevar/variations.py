@@ -31,7 +31,7 @@ from .curvature import Taylor2, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
-from .surface import FdConfig, SurfaceSample, deform_normal_many
+from .surface import SurfaceSample, deform_normal_many
 
 
 @dataclass
@@ -62,8 +62,8 @@ def _report(formula: float, oracle: float, step: float, order: float) -> Variati
 def functional_value(s: SurfaceSample, E: EnergyDensity, allow_open: bool = False) -> float:
     """F = integral of E(H, K) dS."""
     cs = curvature_scalars(s)
-    E.check_guard(cs.H, cs.K)
-    return integrate(E.eval(cs.H, cs.K), s, allow_open=allow_open)
+    (Ev,) = E.guarded(cs.H, cs.K, "eval")
+    return integrate(Ev, s, allow_open=allow_open)
 
 
 def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool = False) -> float:
@@ -74,9 +74,8 @@ def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_op
       - E_K <h, Hess u> dS.
     """
     cs = curvature_scalars(s)
-    E.check_guard(cs.H, cs.K)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev, EH, EK = E.eval(H, K), E.E_H(H, K), E.E_K(H, K)
+    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
     lap_u = laplace_beltrami(u, s).values
     h_hess_u = contract(shape_tensor(s), hessian(u, s), s).values
     integrand = (
@@ -87,19 +86,15 @@ def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_op
     return integrate(integrand, s, allow_open=allow_open)
 
 
-def _composed_field(s: SurfaceSample, G, derivs: Optional[tuple]) -> ScalarField:
-    """Field G(H, K) on the surface. With ``derivs`` = (G_H, G_K, G_HH,
-    G_HK, G_KK), its chart partials compose those of H and K, from
-    whichever provider ``curvature_field`` serves, by the order-2 chain
-    rule; without, they come from grid differentiation of its values."""
-    cs = curvature_scalars(s)
-    vals = G(cs.H, cs.K)
+def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: Optional[tuple]) -> ScalarField:
+    """Field G(H, K) on the surface from its values. With ``derivs``, the
+    values of (G_H, G_K, G_HH, G_HK, G_KK), its jet composes the jets of H
+    and K by the order-2 chain rule; without, its partials are
+    grid-differentiated."""
     if derivs is None:
         return ScalarField(vals, s)
-    H = Taylor2.from_partials(curvature_field(s, "H").partial)
-    K = Taylor2.from_partials(curvature_field(s, "K").partial)
-    jet = Taylor2.compose2(H, K, vals, *(d(cs.H, cs.K) for d in derivs))
-    return ScalarField(vals, s, partial_impl=jet.partial)
+    H, K = (curvature_field(s, which).taylor() for which in ("H", "K"))
+    return ScalarField(vals, s, jet=Taylor2.compose2(H, K, vals, *derivs))
 
 
 def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
@@ -112,11 +107,11 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     among closed surfaces.
     """
     cs = curvature_scalars(s)
-    E.check_guard(cs.H, cs.K)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    t = E.third
-    EH_field = _composed_field(s, E.E_H, None if t is None else (E.E_HH, E.E_HK, t["HHH"], t["HHK"], t["HKK"]))
-    EK_field = _composed_field(s, E.E_K, None if t is None else (E.E_HK, E.E_KK, t["HHK"], t["HKK"], t["KKK"]))
+    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
+    analytic = E.third is not None
+    EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK") if analytic else None)
+    EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK") if analytic else None)
     lap_EH = laplace_beltrami(EH_field, s).values
     lap_EK = laplace_beltrami(EK_field, s).values
     h_hess_EK = contract(shape_tensor(s), hessian(EK_field, s), s).values
@@ -126,7 +121,7 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
         + 2.0 * H * lap_EK
         - h_hess_EK
         + 2.0 * H * K * EK_field.values
-        - 2.0 * H * E.eval(H, K)
+        - 2.0 * H * Ev
     )
     return ScalarField(vals, s)
 
@@ -162,7 +157,8 @@ def second_variation(
     regardless, outside its stated validity.
     """
     cs = curvature_scalars(s)
-    E.check_guard(cs.H, cs.K)
+    H, K, k0 = cs.H, cs.K, s.sf.k0
+    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
     if not force:
         kind, _ = _criticality(s, E, criticality_tol)
         if kind == "not_critical":
@@ -179,11 +175,6 @@ def second_variation(
                     "surface is only volume-constrained critical; the variation "
                     "field must have zero mean (or pass force=True)"
                 )
-
-    H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev = E.eval(H, K)
-    EH, EK = E.E_H(H, K), E.E_K(H, K)
-    EHH, EHK, EKK = E.E_HH(H, K), E.E_HK(H, K), E.E_KK(H, K)
 
     h_t = shape_tensor(s)
     h2_t = h_squared(s)
@@ -256,19 +247,18 @@ def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
     return (1e-2 if order == 1 else 5e-3) * (1.0 / (kappa * umax))
 
 
-def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float], fd: FdConfig, measure):
+def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float], measure):
     """Centered differences of the values ``measure(sample)`` returns (a
     list of numbers or arrays) along the geodesic normal deformation of u.
 
     Deforms once to t = +-h1, +-h2 with h2 = h1/2 (h1 = h, or the default
     step), measures each deformed sample once and drops it, and for order 2
     measures s itself as the centre. Returns h1, the differences at h1 and
-    at h2, and their Richardson value (the h2 difference when
-    ``fd.richardson`` is false).
+    at h2, and their Richardson value.
     """
     h1 = _default_step(s, u, order) if h is None else float(h)
     h2 = 0.5 * h1
-    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2), fd)
+    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2))
     m = {t: measure(deformed.pop(t)) for t in (h1, -h1, h2, -h2)}
     centre = measure(s) if order == 2 else None
 
@@ -279,7 +269,7 @@ def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float
 
     d1, d2 = difference(h1), difference(h2)
     # h1 / h2 = 2 exactly, so the h^2 error terms cancel in (4 d2 - d1) / 3
-    best = [(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)] if fd.richardson else d2
+    best = [(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)]
     return h1, d1, d2, best
 
 
@@ -296,7 +286,6 @@ def fd_variation_oracle_many(
     order: int = 1,
     lagrange_multiplier: Optional[float] = None,
     h: Optional[float] = None,
-    fd: FdConfig = FdConfig(),
     allow_open: bool = False,
     force: bool = False,
 ) -> list[VariationReport]:
@@ -343,7 +332,7 @@ def fd_variation_oracle_many(
         vol = volume_functional(st) if any(lams) else 0.0
         return [functional_value(st, E, allow_open=True) - lam * vol for E, lam in zip(Es, lams)]
 
-    h1, d1, d2, oracles = _differences(s, u, order, h, fd, measure)
+    h1, d1, d2, oracles = _differences(s, u, order, h, measure)
     reports = []
     for formula, a, b, oracle in zip(formulas, d1, d2, oracles):
         conv = _observed_order(abs(a - formula), abs(b - formula), 1e-11 * (1.0 + abs(formula)))
@@ -358,14 +347,13 @@ def fd_variation_oracle(
     order: int = 1,
     lagrange_multiplier: Optional[float] = None,
     h: Optional[float] = None,
-    fd: FdConfig = FdConfig(),
     allow_open: bool = False,
     force: bool = False,
 ) -> VariationReport:
     """Difference quotient of F along the geodesic normal deformation of u,
     compared against the closed-form variation of the same order: the
     one-density case of ``fd_variation_oracle_many``."""
-    return fd_variation_oracle_many(s, (E,), u, order, lagrange_multiplier, h, fd, allow_open, force)[0]
+    return fd_variation_oracle_many(s, (E,), u, order, lagrange_multiplier, h, allow_open, force)[0]
 
 
 _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f")
@@ -441,7 +429,6 @@ def evolution_check_many(
     f: Optional[ScalarField] = None,
     quantities: tuple = _EVOLUTION_QUANTITIES,
     h: Optional[float] = None,
-    fd: FdConfig = FdConfig(),
 ) -> dict:
     """Evolution-equation checks for several quantities sharing the same
     four deformed samples; returns {quantity: VariationReport}."""
@@ -450,7 +437,7 @@ def evolution_check_many(
             raise ConfigError(f"quantity '{q}' needs the auxiliary field f")
         if q not in _EVOLUTION_QUANTITIES:
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
-    h1, d1s, d2s, oracles = _differences(s, u, 1, h, fd, lambda st: [_evolution_measure(st, f, q) for q in quantities])
+    h1, d1s, d2s, oracles = _differences(s, u, 1, h, lambda st: [_evolution_measure(st, f, q) for q in quantities])
     out = {}
     for q, d1, d2, oracle in zip(quantities, d1s, d2s, oracles):
         formula = _evolution_formula(s, u, f, q)
@@ -475,10 +462,9 @@ def evolution_check(
     f: Optional[ScalarField] = None,
     quantity: str = "2H",
     h: Optional[float] = None,
-    fd: FdConfig = FdConfig(),
 ) -> VariationReport:
     """Per-node check of one evolution equation: centered finite difference
     of the quantity along the geodesic normal deformation versus its
     closed-form deformation derivative. Reports sup-norm errors.
     """
-    return evolution_check_many(s, u, f, (quantity,), h, fd)[quantity]
+    return evolution_check_many(s, u, f, (quantity,), h)[quantity]

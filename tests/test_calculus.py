@@ -78,7 +78,7 @@ def test_analytic_vs_grid_partials(torus):
     u, v = sp.symbols("u v")
     expr = sp.sin(2 * u) * sp.cos(v) + sp.cos(u + v)
     analytic = ScalarField.from_expr(expr, torus)
-    grid = ScalarField.from_values(analytic.values, torus)
+    grid = ScalarField(analytic.values, torus)
     for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         assert np.max(np.abs(analytic.partial(a, b) - grid.partial(a, b))) < 1e-9
 
@@ -89,7 +89,7 @@ def test_ambient_poly_field_partials(torus):
     rng = np.random.default_rng(5)
     M = rng.standard_normal((3, 3))
     f = AmbientPolyField(torus, 0.3, rng.standard_normal(3), 0.5 * (M + M.T))
-    grid = ScalarField.from_values(f.values, torus)
+    grid = ScalarField(f.values, torus)
     for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
         scale = max(1.0, np.max(np.abs(grid.partial(a, b))))
         assert np.max(np.abs(f.partial(a, b) - grid.partial(a, b))) / scale < 1e-8
@@ -106,7 +106,7 @@ def test_curvature_field_partials():
         s = sample_builtin(name, {}, domain=domain)
         for which in ("H", "K"):
             f = curvature_field(s, which)
-            grid = ScalarField.from_values(f.values, s)
+            grid = ScalarField(f.values, s)
             for a, b in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 assert np.max(np.abs(f.partial(a, b) - grid.partial(a, b))) < 1e-8, (name, which, a, b)
 

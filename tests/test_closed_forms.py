@@ -221,7 +221,7 @@ def test_harmonic_field_matches_sympy(l, small_sphere):
             y.partial(3, 0)
         # the grid-only variant keeps the values and the evaluator
         g = harmonic_field(s, l, m, analytic=False)
-        assert np.array_equal(g.values, y.values) and g._partial_impl is None
+        assert np.array_equal(g.values, y.values) and g.jet is None
 
 
 def test_harmonic_field_degree_zero_and_bad_order(small_sphere):

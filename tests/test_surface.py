@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from curvevar import (
-    FdConfig,
     PatchDomain,
     SpaceForm,
     SpaceForm,
@@ -48,15 +47,15 @@ def _h3_sphere(a=0.7, nu=64, nv=32):
     return s if np.mean(curvature_scalars(s).H) > 0 else s.flipped()
 
 
-def _loop_numeric_jets(f, domain, fd=FdConfig()):
+def _loop_numeric_jets(f, domain):
     """Reference numeric jets: all 49 offsets of the 7x7 stencil union
     evaluated up front, then each finite-difference sum formed on its own."""
     from curvevar.gridops import fd_weights
     from curvevar.surface import MULTI_INDICES
 
     UU, VV = domain.meshes()
-    h = fd.step_for(domain)
-    steps = [h, h / 2.0] if fd.richardson else [h]
+    h = 1e-3 * domain.extent
+    steps = [h, h / 2.0]
     offs = sorted({i * s for s in steps for i in range(-2, 3)})
     evals = {(du, dv): np.asarray(f(UU + du, VV + dv), dtype=float) for du in offs for dv in offs}
 
@@ -73,9 +72,6 @@ def _loop_numeric_jets(f, domain, fd=FdConfig()):
     jets = {(0, 0): evals[(0.0, 0.0)]}
     for a, b in MULTI_INDICES[1:]:
         d1 = raw(a, b, steps[0])
-        if len(steps) == 1:
-            jets[(a, b)] = d1
-            continue
         fac = 2.0 ** min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
         jets[(a, b)] = (fac * raw(a, b, steps[1]) - d1) / (fac - 1.0)
     return jets
@@ -93,12 +89,9 @@ _OPEN_TORUS = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 16, periodic_u=Tru
 _OPEN_BAND = PatchDomain((0, 2 * np.pi), (0.3, np.pi - 0.3), 32, 16, periodic_u=True)
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_numeric_jets_equal_loop_reference(richardson):
+def test_numeric_jets_equal_loop_reference():
     """Sharing evaluations across sums changes no jet in the last bit."""
-    domain = _OPEN_TORUS
-    fd = FdConfig(richardson=richardson)
-    _assert_jets_equal(numeric_jets(_torus_map(), domain, fd), _loop_numeric_jets(_torus_map(), domain, fd))
+    _assert_jets_equal(numeric_jets(_torus_map(), _OPEN_TORUS), _loop_numeric_jets(_torus_map(), _OPEN_TORUS))
 
 
 def test_numeric_jets_match_exact_jets():
@@ -189,16 +182,6 @@ def test_domain_validation():
     assert not PatchDomain((0, 1), (0, 1), 16, 16).closed
 
 
-def test_richardson_improves_numeric_jets():
-    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 32, periodic_u=True)
-    exact = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=domain)
-    plain = sample_callable(_torus_map(), domain, fd=FdConfig(base_step=0.05, richardson=False))
-    rich = sample_callable(_torus_map(), domain, fd=FdConfig(base_step=0.05, richardson=True))
-    err_plain = np.max(np.abs(exact.jets[(2, 0)] - plain.jets[(2, 0)]))
-    err_rich = np.max(np.abs(exact.jets[(2, 0)] - rich.jets[(2, 0)]))
-    assert err_rich < err_plain
-
-
 def test_flipped_reverses_normal(sphere):
     flipped = sphere.flipped()
     UU, VV = sphere.domain.meshes()
@@ -244,10 +227,8 @@ def test_stencil_evaluation_counts():
         calls["map"] += 1
         return _torus_map()(U, V)
 
-    for richardson, expected in ((True, 41), (False, 25)):
-        calls["map"] = 0
-        numeric_jets(counted_map, domain, FdConfig(richardson=richardson))
-        assert calls["map"] == expected
+    numeric_jets(counted_map, domain)
+    assert calls["map"] == 41
 
     s = sample_callable(_torus_map(), domain)
 
@@ -400,3 +381,37 @@ def test_spectral_jets_refuse_non_finite_positions():
 
     with pytest.raises(ConfigError, match=r"node \(3, 5\)"):
         sample_callable(f, domain, sf=SpaceForm.hyperbolic(1.0))
+
+
+def test_open_chart_refuses_non_finite_positions():
+    """A map undefined at some nodes (here u > 0.95) is refused with the
+    first such node named, not sampled into a NaN energy."""
+    domain = PatchDomain((-1, 1), (-1, 1), 32, 32)
+
+    def f(U, V):
+        with np.errstate(invalid="ignore"):
+            return np.stack([U, V, np.sqrt(0.95 - U)], axis=-1)
+
+    with pytest.raises(ConfigError, match=r"non-finite position partial \(0, 0\) at node \(31, 0\) in callable"):
+        sample_callable(f, domain)
+
+
+def test_open_chart_deformation_refuses_non_finite_jets():
+    s = sample_builtin("catenoid", {})
+    u = ScalarField(np.ones(s.shape), s, eval_fn=lambda U, V: np.where(U > 0.5, np.nan, 1.0))
+    with pytest.raises(ConfigError, match=r"non-finite position partial .* at node .* in catenoid\+deform at t = 0.01"):
+        deform_normal(s, u, 0.01)
+
+
+def test_pole_offset_chart_must_end_at_poles():
+    """A lat-long v range short of the poles has no smooth pole extension;
+    the refusal says so instead of asking for a finer grid."""
+    domain = PatchDomain((0, 2 * np.pi), (0.1, 3.0), 64, 32, periodic_u=True, pole_offset=True)
+
+    def sphere_map(U, V):
+        return np.stack([np.sin(V) * np.cos(U), np.sin(V) * np.sin(U), np.cos(V)], axis=-1)
+
+    with pytest.raises(ConfigError, match=r"along v .* both ends of v_range = \(0\.1, 3\.0\) must be poles of the chart"):
+        sample_callable(sphere_map, domain)
+    full = PatchDomain((0, 2 * np.pi), (0, np.pi), 64, 32, periodic_u=True, pole_offset=True)
+    assert sample_callable(sphere_map, full).domain is full
