@@ -5,8 +5,10 @@ surface quadrature. A field's chart partials come from its order-2
 Taylor jet when it has one (pushed through the immersion jets, multiplied
 by closed-form window derivatives, or read from the derivatives of a
 user's sympy chart expression); otherwise from grid differentiation,
-which is FFT-based along periodic or pole-extendable directions. Sympy is
-imported only when a field is given as a sympy expression.
+which is FFT-based along periodic or pole-extendable directions. Fields
+live on the grid: nothing evaluates them at other chart points (a
+deformation reads their jets). Sympy is imported only when a field is
+given as a sympy expression.
 """
 
 from __future__ import annotations
@@ -23,16 +25,15 @@ class ScalarField:
 
     ``jet``, an optional order-2 ``Taylor2``, carries the chart partials
     d^a_u d^b_v on the grid; without one they are grid-differentiated on
-    first use and cached. ``eval_fn`` evaluates the field off the grid.
+    first use and cached. A field lives on the grid only.
     """
 
-    def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None, eval_fn=None):
+    def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None):
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != sample.shape:
             raise ConfigError("field grid does not match the sample grid")
         self.sample = sample
         self.jet = jet
-        self.eval_fn = eval_fn
         self._cache: dict[tuple[int, int], np.ndarray] = {}
 
     def partial(self, a: int, b: int) -> np.ndarray:
@@ -56,9 +57,9 @@ class ScalarField:
     def with_sample(self, sample: SurfaceSample) -> "ScalarField":
         """Rebind to another sample on the same chart grid (values and chart
         partials are unchanged; only the geometry differs)."""
-        if sample.domain is not self.sample.domain and sample.shape != self.sample.shape:
-            raise ConfigError("cannot rebind a field across different grids")
-        return ScalarField(self.values, sample, jet=self.jet, eval_fn=self.eval_fn)
+        if sample.domain != self.sample.domain:
+            raise ConfigError("cannot rebind a field across different chart grids")
+        return ScalarField(self.values, sample, jet=self.jet)
 
     # -- constructors -------------------------------------------------------
 
@@ -66,7 +67,7 @@ class ScalarField:
     def constant(c: float, sample: SurfaceSample) -> "ScalarField":
         vals = np.full(sample.shape, float(c))
         jet = Taylor2((vals,) + (np.zeros(sample.shape),) * 5)
-        return ScalarField(vals, sample, jet=jet, eval_fn=lambda U, V: np.full(np.shape(U), float(c)))
+        return ScalarField(vals, sample, jet=jet)
 
     @staticmethod
     def from_expr(expr, sample: SurfaceSample) -> "ScalarField":
@@ -81,12 +82,7 @@ class ScalarField:
         jet = Taylor2.from_partials(
             lambda a, b: np.broadcast_to(np.asarray(fns[(a, b)](UU, VV), dtype=float), sample.shape).copy()
         )
-
-        def ev(U, V):
-            U = np.asarray(U, dtype=float)
-            return np.broadcast_to(np.asarray(fns[(0, 0)](U, np.asarray(V, dtype=float)), dtype=float), U.shape)
-
-        return ScalarField(jet.value, sample, jet=jet, eval_fn=ev)
+        return ScalarField(jet.value, sample, jet=jet)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -94,10 +90,7 @@ class ScalarField:
         if self.sample is not other.sample:
             raise ConfigError("fields bound to different samples")
         jet = None if self.jet is None or other.jet is None else self.jet + other.jet
-        ev = None
-        if self.eval_fn is not None and other.eval_fn is not None:
-            ev = lambda U, V: self.eval_fn(U, V) + other.eval_fn(U, V)
-        return ScalarField(self.values + other.values, self.sample, jet=jet, eval_fn=ev)
+        return ScalarField(self.values + other.values, self.sample, jet=jet)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (other * -1.0)
@@ -105,10 +98,7 @@ class ScalarField:
     def __mul__(self, c: float) -> "ScalarField":
         c = float(c)
         jet = None if self.jet is None else c * self.jet
-        ev = None
-        if self.eval_fn is not None:
-            ev = lambda U, V: c * self.eval_fn(U, V)
-        return ScalarField(c * self.values, self.sample, jet=jet, eval_fn=ev)
+        return ScalarField(c * self.values, self.sample, jet=jet)
 
     __rmul__ = __mul__
 
@@ -143,23 +133,12 @@ class AmbientPolyField(ScalarField):
             + Taylor2.multilinear(lambda y: y @ self.cvec, x)
             + Taylor2.multilinear(lambda y, z: np.einsum("...i,ij,...j->...", y, self.mat, z), x, x)
         )
-        pos_map = sample.position_map
-
-        def ev(U, V):
-            x = pos_map(U, V)
-            return self.c0 + x @ self.cvec + np.einsum("...i,ij,...j->...", x, self.mat, x)
-
         if window is not None:
             _, VV = sample.domain.meshes()
             w = [np.broadcast_to(np.asarray(window(VV, k), dtype=float), sample.shape) for k in range(3)]
             zero = np.zeros(sample.shape)
             jet = jet * Taylor2((w[0], zero, w[1], zero, zero, w[2]))
-            poly_ev = ev
-
-            def ev(U, V):
-                return poly_ev(U, V) * np.asarray(window(np.asarray(V, dtype=float), 0), dtype=float)
-
-        super().__init__(jet.value, sample, jet=jet, eval_fn=ev)
+        super().__init__(jet.value, sample, jet=jet)
 
 
 def _sympy_window(window_expr):

@@ -3,8 +3,7 @@
 Each chart is written as a sum of separable terms c * f(u) * g(v) per
 ambient component, whose factors are 1, cos/sin(w x), cosh/sinh(w x) or
 x^n. Their k-th derivatives are known in closed form, so the jets to
-order 4, the position map and the unit normal map are evaluated with
-numpy alone. The curvature scalars H, K with their chart partials are
+order 4 (and the position map) are evaluated with numpy alone. The curvature scalars H, K with their chart partials are
 computed from those jets (``curvature.curvature_jets``). Catalog closed
 surfaces are oriented so that H > 0 where that is meaningful (sphere:
 H = +1/r, i.e. inward normal).
@@ -20,7 +19,7 @@ import numpy as np
 from .curvature import curvature_jets
 from .errors import ConfigError
 from .spaceform import Model, SpaceForm
-from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _eps_normal
+from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample
 
 # the catalog charts and the parameters each takes
 _CHART_PARAMS = {
@@ -128,8 +127,7 @@ def _space_form_for(name: str, params: dict, sf: SpaceForm | None) -> SpaceForm:
 
 
 class ChartBundle:
-    """Closed-form jets, position map and unit normal map of one catalog
-    chart."""
+    """Closed-form jets and position map of one catalog chart."""
 
     def __init__(self, name: str, params: dict, sf: SpaceForm):
         self.dim = sf.ambient_dim
@@ -146,15 +144,6 @@ class ChartBundle:
                 key = (comp, None if du[1] == _ONE else du[1], None if dv[1] == _ONE else dv[1])
                 plan[key] = plan.get(key, 0.0) + c * du[0] * dv[0]
             self.plans[(a, b)] = [key + (coef,) for key, coef in plan.items()]
-        # the Euclidean normal needs no position; skipping it saves one
-        # chart evaluation per stencil offset of an open-chart deformation
-        normal_jets = ((1, 0), (0, 1)) if self.dim == 3 else ((0, 0), (1, 0), (0, 1))
-
-        def normal_fn(U, V):
-            r = self.evaluate(U, V, normal_jets)
-            return _eps_normal(sf, None if self.dim == 3 else r[0], r[-2], r[-1])
-
-        self.normal_fn = normal_fn
 
     def evaluate(self, U, V, indices) -> list:
         """The jets d^a_u d^b_v r for (a, b) in ``indices`` at the chart
@@ -218,14 +207,27 @@ def _bundle(name: str, params_key: tuple, k0: float) -> ChartBundle:
     return ChartBundle(name, params, sf)
 
 
+def _check_poles(name: str, bundle: ChartBundle, domain: PatchDomain) -> None:
+    """Refuse a pole-offset domain unless the chart maps each end of
+    v_range to a single point (a pole), across which it continues."""
+    for v in domain.v_range:
+        p = bundle.position_map(domain.u_nodes, np.full(domain.nu, float(v)))
+        spread = float(np.max(np.abs(p - p[0])))
+        if spread > 1e-12 * max(1.0, float(np.max(np.abs(p)))):
+            raise ConfigError(
+                f"{name}: a pole-offset chart needs a pole at both ends of v_range = {domain.v_range}, but "
+                f"the chart's points at v = {float(v):g} are not a single point (spread {spread:.2e})"
+            )
+
+
 def sample_builtin(
     name: str,
     params: dict | None = None,
     domain: PatchDomain | None = None,
     sf: SpaceForm | None = None,
-    flip: bool = False,
 ) -> SurfaceSample:
-    """Exact-jet sample of a catalog surface."""
+    """Exact-jet sample of a catalog surface. A pole-offset domain must end
+    at poles of the chart in v (``ConfigError`` naming v_range otherwise)."""
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
     params = dict(params or {})
@@ -235,6 +237,8 @@ def sample_builtin(
         domain = default_domain(name, params)
     key = tuple(sorted((k, float(v) if not isinstance(v, dict) else tuple(sorted(v.items()))) for k, v in params.items()))
     bundle = _bundle(name, key, sf.k0)
+    if domain.pole_offset:
+        _check_poles(name, bundle, domain)
 
     jets = dict(zip(MULTI_INDICES, bundle.evaluate(*domain.meshes(), MULTI_INDICES)))
     s = SurfaceSample(
@@ -243,7 +247,6 @@ def sample_builtin(
         jets=jets,
         provenance=Provenance.ANALYTIC,
         position_map=bundle.position_map,
-        raw_normal_map=bundle.normal_fn,
         name=name,
     )
     # pick the orientation with H > 0 where the surface is not minimal,
@@ -251,6 +254,5 @@ def sample_builtin(
     # raw orientation, so setting the sign afterwards keeps them valid
     h_raw = curvature_jets(s)[0].value
     h_ref = h_raw.flat[np.argmax(np.abs(h_raw))]
-    sign = -1.0 if h_ref < -1e-9 else 1.0
-    s.orientation_sign = -sign if flip else sign
+    s.orientation_sign = -1.0 if h_ref < -1e-9 else 1.0
     return s

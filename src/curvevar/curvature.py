@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .surface import SurfaceSample, _eps_normal, _quadric_normal
+from .surface import SurfaceSample, _eps_normal, _quadric_normal, _require_jets
 
 _E = [(1, 0), (0, 1)]
 
@@ -95,6 +95,10 @@ class Taylor2:
 
     __rmul__ = __mul__
 
+    def times_vector(self, vec: "Taylor2") -> "Taylor2":
+        """Jet of this scalar quantity times the vector quantity ``vec``."""
+        return Taylor2.multilinear(lambda a, x: a[..., None] * x, self, vec)
+
     def compose(self, g0, g1, g2) -> "Taylor2":
         """G(x) from G, G' and G'' evaluated at the value of x."""
         p = self.parts
@@ -164,15 +168,17 @@ def _metric_jets(sample: SurfaceSample) -> tuple:
 
 
 def _metric_part(sample: SurfaceSample, a: int, b: int) -> np.ndarray:
-    """d^a_u d^b_v g_ij for a + b <= 2, shape (..., 2, 2)."""
+    """d^a_u d^b_v g_ij for a + b <= 2, shape (..., 2, 2); needs the order-3
+    immersion jets."""
     g00, g01, g11 = (x.partial(a, b) for x in _metric_jets(sample))
     return np.stack([np.stack([g00, g01], axis=-1), np.stack([g01, g11], axis=-1)], axis=-2)
 
 
-def curvature_jets(sample: SurfaceSample) -> tuple:
-    """Order-2 Taylor jets (H, K_E) in the sample's orientation, pushed
-    through g, the normal and h from the order-4 immersion jets."""
-    if "curvature_jets" not in sample._cache:
+def _normal_jets(sample: SurfaceSample) -> tuple:
+    """Order-2 jets (n, 1/|n|) of the unnormalised normal n, in the raw
+    orientation, and of its inverse norm, from the order-3 immersion jets.
+    ``normal_jet`` and ``curvature_jets`` both read them."""
+    if "normal_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
         inner = partial(Taylor2.multilinear, partial(_inner, sf.metric_signs))
         ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
@@ -180,7 +186,25 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
             n = Taylor2.multilinear(np.cross, ru, rv)
         else:
             n = Taylor2.multilinear(partial(_quadric_normal, sf.metric_signs), Taylor2.from_jets(jets), ru, rv)
-        inv_norm = inner(n, n).sqrt().reciprocal()
+        sample._cache["normal_jets"] = (n, inner(n, n).sqrt().reciprocal())
+    return sample._cache["normal_jets"]
+
+
+def normal_jet(sample: SurfaceSample) -> Taylor2:
+    """Order-2 jet of the unit normal in the sample's orientation."""
+    _require_jets(sample, 3, "normal_jet")
+    n, inv_norm = _normal_jets(sample)
+    return sample.orientation_sign * inv_norm.times_vector(n)
+
+
+def curvature_jets(sample: SurfaceSample) -> tuple:
+    """Order-2 Taylor jets (H, K_E) in the sample's orientation, pushed
+    through g, the normal and h from the order-4 immersion jets."""
+    _require_jets(sample, 4, "curvature_jets")
+    if "curvature_jets" not in sample._cache:
+        sf, jets = sample.sf, sample.jets
+        inner = partial(Taylor2.multilinear, partial(_inner, sf.metric_signs))
+        n, inv_norm = _normal_jets(sample)
         h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
         g00, g01, g11 = _metric_jets(sample)
         inv_det = (g00 * g11 - g01 * g01).reciprocal()
@@ -198,7 +222,16 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
         return sample._cache["forms"]
     signs = sample.sf.metric_signs
     j = sample.jets
-    g = _metric_part(sample, 0, 0)
+    r = [j[e] for e in _E]
+    g = np.empty(sample.shape + (2, 2))
+    dg = np.empty(sample.shape + (2, 2, 2))  # dg[..., k, i, j] = d_k g_ij
+    for a in range(2):
+        for b in range(a, 2):
+            g[..., a, b] = g[..., b, a] = _inner(signs, r[a], r[b])
+            for k in range(2):
+                # d_k <r_a, r_b> = <r_ak, r_b> + <r_a, r_bk>: order-2 jets suffice
+                r_ak, r_bk = j[_add(_E[a], _E[k])], j[_add(_E[b], _E[k])]
+                dg[..., k, a, b] = dg[..., k, b, a] = _inner(signs, r_ak, r[b]) + _inner(signs, r[a], r_bk)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     if np.any(det <= 0):
         i, jj = np.unravel_index(np.argmin(det), det.shape)
@@ -214,7 +247,6 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
         for b in range(2):
             h[..., a, b] = _inner(signs, N, j[_add(_E[a], _E[b])])
 
-    dg = np.stack([_metric_part(sample, 1, 0), _metric_part(sample, 0, 1)], axis=-3)
     c = np.empty_like(dg)  # c[..., l, i, j] = dg_jl,i + dg_il,j - dg_ij,l
     for l in range(2):
         for a in range(2):
@@ -253,6 +285,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     Weingarten form and downstream identities are genuine checks rather
     than algebraic tautologies.
     """
+    _require_jets(sample, 3, "shape_operator_derivatives")
     signs = sample.sf.metric_signs
     ff = fundamental_forms(sample)
     j = sample.jets
@@ -268,7 +301,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     return out
 
 
-def codazzi_residual(sample: SurfaceSample, include_curvature_term: bool = True) -> np.ndarray:
+def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
     """Max-norm Codazzi defect per node: nabla_k h_ij - nabla_j h_ik - RHS.
 
     In a space form the ambient-curvature RHS has only the tangential
@@ -294,7 +327,7 @@ def codazzi_residual(sample: SurfaceSample, include_curvature_term: bool = True)
         np.stack([_inner(signs, ff.N, sample.jets[e]) for e in _E], axis=-1),
     )
     res = np.zeros(sample.shape)
-    k0 = sample.sf.k0 if include_curvature_term else 0.0
+    k0 = sample.sf.k0
     for a in range(2):
         for b in range(2):
             for k in range(2):
@@ -305,6 +338,7 @@ def codazzi_residual(sample: SurfaceSample, include_curvature_term: bool = True)
 
 def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
     """Gauss curvature from the metric alone (Theorema Egregium route)."""
+    _require_jets(sample, 3, "intrinsic_gauss_curvature")
     ff = fundamental_forms(sample)
     dg = ff.dg
     g_uv = _metric_part(sample, 1, 1)

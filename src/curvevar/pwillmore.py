@@ -27,7 +27,6 @@ class PWillmoreSetting:
 
     p: float
     r: float = 1.0
-    k0: float = 0.0
 
     def __post_init__(self):
         if self.p < 1:
@@ -71,17 +70,6 @@ class _Harmonic:
     l: int
     m: int
     norm: float
-
-    def evaluate(self, U, V) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        am = abs(self.m)
-        y = self.norm * _legendre(self.l, am, np.cos(V), np.sin(V))
-        if self.m > 0:
-            y = y * (math.sqrt(2.0) * np.cos(am * U))
-        elif self.m < 0:
-            y = y * (math.sqrt(2.0) * np.sin(am * U))
-        return np.broadcast_to(y, np.broadcast(U, V).shape)
 
     def jet(self, U, V) -> Taylor2:
         """Order-2 Taylor jet at the chart points (U, V)."""
@@ -132,11 +120,7 @@ def harmonic_field(sample: SurfaceSample, l: int, m: int, analytic: bool = True)
     r = _sphere_radius(sample)
     y = _harmonic_expr(l, m)
     jet = y.jet(*sample.domain.meshes()) * (1.0 / r)
-
-    def ev(U, V):
-        return y.evaluate(U, V) / r
-
-    f = ScalarField(jet.value, sample, jet=jet if analytic else None, eval_fn=ev)
+    f = ScalarField(jet.value, sample, jet=jet if analytic else None)
     sample._cache[key] = f
     return f
 

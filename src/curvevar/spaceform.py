@@ -108,6 +108,13 @@ class SpaceForm:
         if np.any(bad):
             raise NotTangentError("not tangent")
 
+    def check_unit_tangent(self, p, n) -> None:
+        """Refuse a direction n at p that is not a unit vector tangent to
+        the model."""
+        if np.any(np.abs(self.flat_inner(n, n) - 1.0) > 1e-8):
+            raise NotTangentError("direction is not a unit vector")
+        self.check_tangent(p, n)
+
     # -- operations ---------------------------------------------------------
 
     def geodesic_step(self, p, n, s):
@@ -118,12 +125,9 @@ class SpaceForm:
         p = np.asarray(p, dtype=float)
         n = np.asarray(n, dtype=float)
         s = np.asarray(s, dtype=float)
-        nn = self.flat_inner(n, n)
-        if np.any(np.abs(nn - 1.0) > 1e-8):
-            raise NotTangentError("direction is not a unit vector")
+        self.check_unit_tangent(p, n)
         if self.model is Model.EUCLIDEAN:
             return p + s[..., None] * n if s.ndim else p + s * n
-        self.check_tangent(p, n)
         rho = self.radius
         t = np.asarray(s / rho)[..., None] if np.ndim(s) else s / rho
         if self.model is Model.SPHERE:

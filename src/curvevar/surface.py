@@ -1,9 +1,9 @@
 """Parametric surface patches on structured grids.
 
-A SurfaceSample carries the partial derivatives (jets) of the immersion up
-to total order 4 at every grid node. Catalog surfaces get them in closed
-form. Every other sample (a user position map, a deformed surface) gets
-them from sampled positions, and the chart decides how:
+A SurfaceSample carries the partial derivatives (jets) of the immersion at
+every grid node. Catalog surfaces get them to order 4 in closed form. A
+user position map (``sample_callable``) gets them to order 4 from sampled
+positions, and the chart decides how:
 
 - On a closed chart (periodic u, and v periodic or pole-offset) the
   positions are needed at the grid nodes only. All 15 partials come from
@@ -14,7 +14,10 @@ them from sampled positions, and the chart decides how:
   extent and h/2, combined by Richardson extrapolation, evaluate a
   position map at 41 offsets around the nodes.
 
-Either route refuses non-finite positions or jets and names the node.
+A deformed surface (``deform_normal``) gets its jets to order 2 by the
+chain rule from those of the base sample, its normal and the field, on
+every chart alike; nothing is evaluated off the grid. Every route refuses
+non-finite positions or jets and names the node.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
 from .gridops import ChartDerivatives, _pole_extend, fd_weights
-from .spaceform import SpaceForm
+from .spaceform import Model, SpaceForm
 
 JET_ORDER = 4
 
@@ -100,15 +103,17 @@ MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER +
 
 @dataclass
 class SurfaceSample:
-    """Grid of immersion jets plus evaluation hooks for off-grid points."""
+    """Grid of immersion jets: {(a, b): d^a_u d^b_v r} at every node."""
 
     domain: PatchDomain
     sf: SpaceForm
     jets: dict[tuple[int, int], np.ndarray]
     orientation_sign: float = 1.0
     provenance: Provenance = Provenance.NUMERIC_JETS
-    position_map: object = None  # callable (U, V) -> (..., dim); None on closed-chart deformations
-    raw_normal_map: object = None  # callable (U, V) -> unoriented unit normal
+    # the map the jets were sampled from, callable (U, V) -> (..., dim); kept
+    # for callers that inspect or wrap it, read by nothing in curvevar; None on a
+    # deformed sample
+    position_map: object = None
     name: str = "surface"
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -133,31 +138,19 @@ class SurfaceSample:
         s = replace(self, orientation_sign=-self.orientation_sign, _cache={})
         return s
 
-    def normal_at(self, U, V) -> np.ndarray:
-        """Oriented unit normal at arbitrary chart points."""
-        return self._position_and_normal(U, V, want_position=False)[1]
-
-    def _position_and_normal(self, U, V, want_position: bool = True):
-        """(position or None, oriented unit normal) at chart points. The
-        position map is evaluated once, and not at all when neither the
-        caller nor the normal needs it (the Euclidean normal uses only the
-        tangents)."""
-        need_p = self.raw_normal_map is None and self.sf.ambient_dim != 3
-        if (want_position or self.raw_normal_map is None) and self.position_map is None:
-            raise ConfigError(f"{self.name} has no position map; cannot evaluate it off the grid")
-        p = self.position_map(U, V) if want_position or need_p else None
-        if self.raw_normal_map is not None:
-            return p, self.orientation_sign * self.raw_normal_map(U, V)
-        h = 1e-5 * self.domain.extent
-        ru = _fd1(self.position_map, U, V, h, axis="u")
-        rv = _fd1(self.position_map, U, V, h, axis="v")
-        return p, self.orientation_sign * _eps_normal(self.sf, p, ru, rv)
+    @property
+    def jet_order(self) -> int:
+        """Highest total order of the chart partials the sample carries."""
+        return max(a + b for a, b in self.jets)
 
 
-def _fd1(f, U, V, h, axis):
-    if axis == "u":
-        return (8 * (f(U + h, V) - f(U - h, V)) - (f(U + 2 * h, V) - f(U - 2 * h, V))) / (12 * h)
-    return (8 * (f(U, V + h) - f(U, V - h)) - (f(U, V + 2 * h) - f(U, V - 2 * h))) / (12 * h)
+def _require_jets(sample: "SurfaceSample", order: int, what: str) -> None:
+    """Refuse a sample whose jets stop short of ``order``, naming it."""
+    if sample.jet_order < order:
+        raise ConfigError(
+            f"{what} needs immersion jets to order {order}, but {sample.name} carries them to order "
+            f"{sample.jet_order} only (a deformed sample carries order 2)"
+        )
 
 
 def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
@@ -234,10 +227,8 @@ def spectral_tail(values, domain: PatchDomain) -> dict:
     n in 16..128, every grid with a share <= 1e-20 gave partials at the
     round-off floor of spectral differentiation (order 2 <= 1.2e-12,
     order 4 <= 3.4e-9 of the positions). From 1.5e-19 up, order-4 errors
-    reach 1.6e-7, and 1.3e-3 at 1.4e-14. Catalog charts, numeric-jet
-    spheres and every deformed oracle sample measure <= 3e-32; a field
-    cos(50 u) cos(3 v) deforming the 128 x 64 torus by t = 0.01 measures
-    5e-6 along u.
+    reach 1.6e-7, and 1.3e-3 at 1.4e-14. Catalog charts and numeric-jet
+    spheres measure <= 3e-32.
     """
     x = np.asarray(values, dtype=float)
     spectral = (domain.periodic_u, domain.periodic_v or (domain.pole_offset and domain.periodic_u))
@@ -283,16 +274,13 @@ def _stencil_tables(h: float):
     return {m: fd_weights(offsets, m) for m in range(JET_ORDER + 1)}
 
 
-def _stencil_jets(evaluate, domain: PatchDomain) -> list:
-    """Numeric jets of several position maps that share one evaluation per
-    stencil offset.
+def _stencil_jets(f, domain: PatchDomain) -> dict:
+    """Numeric jets of a position map on an open chart.
 
-    ``evaluate(U, V)`` returns the maps' values on the shifted grid. It is
-    called once at each offset that some 5-point stencil at step h (or h/2)
-    uses, in ascending (du, dv) order, and each value is folded into every
-    finite-difference sum at once, so no evaluation outlives its offset.
-    That order is each sum's own term order, so the sums do not depend on
-    how many maps share the pass.
+    The map is called once at each offset that some 5-point stencil at
+    step h (or h/2) uses, in ascending (du, dv) order, and each value is
+    folded into every finite-difference sum at once, so no evaluation
+    outlives its offset. That order is each sum's own term order.
     """
     UU, VV = domain.meshes()
     h = 1e-3 * domain.extent
@@ -307,30 +295,24 @@ def _stencil_jets(evaluate, domain: PatchDomain) -> list:
                     wj = w[b][j + 2] if b > 0 else 1.0
                     terms.setdefault((i * step, j * step), []).append(((a, b, k), wi * wj))
 
-    sums, centre = None, None
+    acc, centre = {}, None
     for du, dv in sorted(terms):
-        values = [np.asarray(x, dtype=float) for x in evaluate(UU + du, VV + dv)]
-        if sums is None:
-            sums = [{} for _ in values]
+        x = np.asarray(f(UU + du, VV + dv), dtype=float)
         if du == 0.0 and dv == 0.0:
-            centre = values
-        for acc, x in zip(sums, values):
-            for key, c in terms[(du, dv)]:
-                if key in acc:
-                    acc[key] += c * x
-                else:
-                    acc[key] = 0.0 + c * x  # a sum started at 0.0 (sign of zero included)
+            centre = x
+        for key, c in terms[(du, dv)]:
+            if key in acc:
+                acc[key] += c * x
+            else:
+                acc[key] = 0.0 + c * x  # a sum started at 0.0 (sign of zero included)
 
-    out = []
-    for acc, x0 in zip(sums, centre):
-        jets = {(0, 0): x0}
-        for a, b in MULTI_INDICES[1:]:
-            d1, d2 = acc.pop((a, b, 0)), acc.pop((a, b, 1))
-            # Richardson extrapolation at the leading error order h^p
-            fac = 2.0 ** min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
-            jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
-        out.append(jets)
-    return out
+    jets = {(0, 0): centre}
+    for a, b in MULTI_INDICES[1:]:
+        d1, d2 = acc.pop((a, b, 0)), acc.pop((a, b, 1))
+        # Richardson extrapolation at the leading error order h^p
+        fac = 2.0 ** min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
+        jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
+    return jets
 
 
 def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
@@ -346,7 +328,7 @@ def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
     """
     if domain.closed:
         return _spectral_jets(f(*domain.meshes()), ChartDerivatives(domain), name)
-    return _stencil_jets(lambda U, V: (f(U, V),), domain)[0]
+    return _stencil_jets(f, domain)
 
 
 def sample_callable(
@@ -376,9 +358,9 @@ def deform_normal(s: SurfaceSample, u, t: float) -> SurfaceSample:
     """Geodesic normal deformation: each point moves distance t*u(x) along N.
 
     In the Euclidean model this is exactly r0 + t u N. The deformed sample
-    gets numeric jets: spectral jets of the moved grid on a closed chart,
-    stencil jets of the composed position map on an open one. This is the
-    one-step case of ``deform_normal_many``.
+    carries the jets of order <= 2 of the moved points, pushed forward from
+    those of s, N and u (see ``deform_normal_many``, whose one-step case
+    this is).
     """
     return deform_normal_many(s, u, (t,))[t]
 
@@ -386,18 +368,28 @@ def deform_normal(s: SurfaceSample, u, t: float) -> SurfaceSample:
 def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     """Geodesic normal deformations by several steps: {t: deformed sample}.
 
-    Each deformed sample is the one ``deform_normal(s, u, t)`` gives.
-    The chart picks how its jets are built:
+    Each deformed sample is the one ``deform_normal(s, u, t)`` gives. Its
+    jets follow from the chain rule in order-2 Taylor arithmetic
+    (``curvature.Taylor2``; Griewank & Walther, Evaluating Derivatives, 2nd
+    ed., ch. 13). The jets of the points p (order <= 2 jets of s), of the
+    oriented unit normal N (from the order-3 jets of s) and of the field
+    (``u.taylor()``: its own jet, or its grid partials) give those of the
+    moved points
 
-    - Closed chart: from grid values only. The points p, the oriented
-      normal N (from the jets of s) and the field values at the nodes are
-      moved by one ``geodesic_step`` for all steps, and each moved grid is
-      differentiated spectrally. No position map, normal map or field
-      evaluator is called, and the deformed samples carry no position map.
-    - Open chart: 5-point stencils of the composed position map, with the
-      position, normal and field evaluated once per stencil offset for all
-      steps together. ``s`` needs a position map.
+        p + t u N                                      in E^3,
+        cos(t u / rho) p + rho sin(t u / rho) N        in S^3 of radius rho,
+        cosh(t u / rho) p + rho sinh(t u / rho) N      in H^3 of radius rho.
+
+    The same code serves open and closed charts in all three space forms,
+    and calls no position map, normal map, field evaluator or FFT. The
+    field must live on the chart grid of s, and N must be a unit vector
+    tangent to the model at every node, as for ``SpaceForm.geodesic_step``. A deformed sample carries the six jets of
+    order <= 2 only and no position map, so what needs jets of order 3 or
+    4 (curvature jets, shape-operator derivatives, a further deformation)
+    refuses it with a ``ConfigError``.
     """
+    from .curvature import TAYLOR_INDICES, Taylor2, normal_jet
+
     ts = [float(t) for t in ts]
     if not ts:
         raise ConfigError("deform_normal_many needs at least one step")
@@ -405,81 +397,37 @@ def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
         raise ConfigError(f"deformation steps must be finite (got {ts})")
     if len(set(ts)) != len(ts):
         raise ConfigError(f"deformation steps must be distinct (got {ts}; 0.0 and -0.0 are one step)")
+    _require_jets(s, 3, "deform_normal")
+    if u.sample.domain != s.domain:
+        raise ConfigError(f"the field lives on the chart grid of {u.sample.name}, not on that of {s.name}")
     sf = s.sf
+    p, n = Taylor2.from_jets(s.jets), normal_jet(s)
+    sf.check_unit_tangent(p.value, n.value)
+    uj = u.taylor()
     name = f"{s.name}+deform"
-    if s.domain.closed:
-        p = s.positions
-        n = s.orientation_sign * _eps_normal(sf, p, s.jets[(1, 0)], s.jets[(0, 1)])
-        uv = np.broadcast_to(np.asarray(u.values if hasattr(u, "values") else u, dtype=float), s.shape)
-        moved = sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
-        ops = s.chart_ops()
-        jets = [_spectral_jets(x, ops, f"{name} at t = {t:g}") for t, x in zip(ts, moved)]
-        maps = [None] * len(ts)
-    else:
-        if s.position_map is None:
-            raise ConfigError("deform_normal on an open chart needs a sample with a position map")
-        u_eval = _field_evaluator(u, s)
-
-        def moved_all(U, V):
-            # one geodesic_step call for all steps: a leading step axis on the
-            # distances broadcasts over p and n, which are checked once
-            p, n = s._position_and_normal(U, V)
-            uv = np.broadcast_to(u_eval(U, V), np.shape(U))
-            return sf.geodesic_step(p, n, np.multiply.outer(ts, uv))
-
-        def moved_by(t):
-            def moved(U, V):
-                return sf.geodesic_step(*s._position_and_normal(U, V), t * u_eval(U, V))
-
-            return moved
-
-        jets = _stencil_jets(moved_all, s.domain)
-        maps = [moved_by(t) for t in ts]
-
     out = {}
-    for t, jt, pmap in zip(ts, jets, maps):
+    for t in ts:
+        if sf.model is Model.EUCLIDEAN:
+            x = p + (t * uj).times_vector(n)
+        else:
+            theta = (t / sf.radius) * uj
+            th = theta.value
+            if sf.model is Model.SPHERE:
+                c, sn, sign = np.cos(th), np.sin(th), -1.0
+            else:
+                c, sn, sign = np.cosh(th), np.sinh(th), 1.0
+            # (cos, sin)' = (-sin, cos) and (cosh, sinh)' = (sinh, cosh)
+            cos_t = theta.compose(c, sign * sn, sign * c)
+            sin_t = theta.compose(sn, c, sign * sn)
+            x = cos_t.times_vector(p) + sf.radius * sin_t.times_vector(n)
         d = SurfaceSample(
             domain=s.domain,
             sf=sf,
-            jets=jt,
+            jets=dict(zip(TAYLOR_INDICES, x.parts)),
             orientation_sign=s.orientation_sign,
             provenance=Provenance.NUMERIC_JETS,
-            position_map=pmap,
             name=name,
         )
         check_immersion(d, where=f"{name} at t = {t:g}")
         out[t] = d
     return out
-
-
-def _field_evaluator(u, s: SurfaceSample):
-    """Off-grid evaluator for a scalar field on an open chart: analytic when
-    available, spline interpolation of grid values otherwise."""
-    ev = getattr(u, "eval_fn", None)
-    if ev is not None:
-        return ev
-    values = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
-    return _spline_evaluator(values, s.domain)
-
-
-def _spline_evaluator(values: np.ndarray, domain: PatchDomain):
-    from scipy.interpolate import RectBivariateSpline
-
-    un = domain.u_nodes.copy()
-    vn = domain.v_nodes.copy()
-    vals = values
-    pad = 5
-    if domain.periodic_u:
-        lu = domain.u_range[1] - domain.u_range[0]
-        un = np.concatenate([un[-pad:] - lu, un, un[:pad] + lu])
-        vals = np.concatenate([vals[-pad:], vals, vals[:pad]], axis=0)
-    if domain.periodic_v:
-        lv = domain.v_range[1] - domain.v_range[0]
-        vn = np.concatenate([vn[-pad:] - lv, vn, vn[:pad] + lv])
-        vals = np.concatenate([vals[:, -pad:], vals, vals[:, :pad]], axis=1)
-    spl = RectBivariateSpline(un, vn, vals, kx=min(5, len(un) - 1), ky=min(5, len(vn) - 1))
-
-    def ev(U, V):
-        return spl.ev(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-
-    return ev

