@@ -9,6 +9,11 @@ which is FFT-based along periodic or pole-extendable directions. Fields
 live on the grid: nothing evaluates them at other chart points (a
 deformation reads their jets). Sympy is imported only when a field is
 given as a sympy expression.
+
+Per-node tensors keep their index axes trailing, as ``curvature`` lays
+them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2).
+Operators combine them with batched ``@`` on those axes, e.g. <a, b> =
+tr((g^-1 a)(g^-1 b)).
 """
 
 from __future__ import annotations
@@ -16,8 +21,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .curvature import TAYLOR_INDICES, Taylor2, curvature_jets, curvature_scalars, fundamental_forms
+from .curvature import (
+    TAYLOR_INDICES,
+    Taylor2,
+    _times_blocks,
+    curvature_jets,
+    curvature_scalars,
+    fundamental_forms,
+)
 from .surface import PatchDomain, Provenance, SurfaceSample
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-node x_i y_i, contracting the trailing axes of x and y."""
+    return (x * y) @ np.ones(x.shape[-1])
 
 
 class ScalarField:
@@ -131,7 +148,7 @@ class AmbientPolyField(ScalarField):
         jet = (
             self.c0
             + Taylor2.multilinear(lambda y: y @ self.cvec, x)
-            + Taylor2.multilinear(lambda y, z: np.einsum("...i,ij,...j->...", y, self.mat, z), x, x)
+            + Taylor2.multilinear(lambda y, z: _dot(y @ self.mat, z), x, x)
         )
         if window is not None:
             _, VV = sample.domain.meshes()
@@ -222,14 +239,12 @@ def grad_lower(f: ScalarField, s: SurfaceSample) -> np.ndarray:
 
 def gradient(f: ScalarField, s: SurfaceSample) -> np.ndarray:
     """Raised gradient components grad^i f = g^{ij} f_j, shape (..., 2)."""
-    ff = fundamental_forms(s)
-    return np.einsum("...ij,...j->...i", ff.g_inv, grad_lower(f, s))
+    return (fundamental_forms(s).g_inv @ grad_lower(f, s)[..., None])[..., 0]
 
 
 def grad_inner(f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
     """<grad f1, grad f2> = g^{ij} (f1)_i (f2)_j."""
-    ff = fundamental_forms(s)
-    return np.einsum("...ij,...i,...j->...", ff.g_inv, grad_lower(f1, s), grad_lower(f2, s))
+    return _dot(gradient(f1, s), grad_lower(f2, s))
 
 
 def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
@@ -240,28 +255,26 @@ def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
     comps[..., 0, 0] = f.partial(2, 0)
     comps[..., 1, 1] = f.partial(0, 2)
     comps[..., 0, 1] = comps[..., 1, 0] = f.partial(1, 1)
-    comps -= np.einsum("...kij,...k->...ij", ff.gamma, fk)
+    comps -= _times_blocks(fk[..., None, :], ff.gamma)[..., 0, :, :]
     return TensorField02(comps, s)
 
 
 def laplace_beltrami(f: ScalarField, s: SurfaceSample) -> ScalarField:
-    ff = fundamental_forms(s)
-    vals = np.einsum("...ij,...ij->...", ff.g_inv, hessian(f, s).comps)
+    vals = np.sum(fundamental_forms(s).g_inv * hessian(f, s).comps, axis=(-2, -1))
     return ScalarField(vals, s)
 
 
 def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarField:
     """<a, b> = g^{ik} g^{jl} a_ij b_kl."""
-    ff = fundamental_forms(s)
-    vals = np.einsum("...ik,...jl,...ij,...kl->...", ff.g_inv, ff.g_inv, a.comps, b.comps)
+    g_inv = fundamental_forms(s).g_inv
+    # tr(P Q) = sum of P * Q^T, with (g^-1 b)^T = b g^-1 for symmetric b, g
+    vals = np.sum((g_inv @ a.comps) * (b.comps @ g_inv), axis=(-2, -1))
     return ScalarField(vals, s)
 
 
 def bilinear(a: TensorField02, f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
     """a(grad f1, grad f2) with raised gradients."""
-    g1 = gradient(f1, s)
-    g2 = gradient(f2, s)
-    return np.einsum("...ij,...i,...j->...", a.comps, g1, g2)
+    return _dot(gradient(f1, s), (a.comps @ gradient(f2, s)[..., None])[..., 0])
 
 
 def shape_tensor(s: SurfaceSample) -> TensorField02:
@@ -275,8 +288,7 @@ def metric_tensor(s: SurfaceSample) -> TensorField02:
 def h_squared(s: SurfaceSample) -> TensorField02:
     """(h^2)_ij = g^{kl} h_li h_kj."""
     ff = fundamental_forms(s)
-    comps = np.einsum("...kl,...li,...kj->...ij", ff.g_inv, ff.h, ff.h)
-    return TensorField02(comps, s)
+    return TensorField02(ff.h @ ff.g_inv @ ff.h, s)
 
 
 # -- quadrature --------------------------------------------------------------

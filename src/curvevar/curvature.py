@@ -2,6 +2,10 @@
 
 Everything is computed per node from the immersion jets, vectorized over
 the whole grid; arrays carry the grid shape in their leading two axes.
+Per-node tensors keep their index axes trailing, (..., 2, 2) for g, g^-1
+and h and (..., 2, 2, 2) for Gamma and dg, and are combined with batched
+``@`` on those axes (a Christoffel symbol as a (2, 4) block); ambient
+inner products are ``SpaceForm.flat_inner``, (x * y) @ signs.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError
-from .surface import SurfaceSample, _eps_normal, _quadric_normal, _require_jets
+from .errors import ConfigError, DegenerateMetricError, GuardViolation
+from .surface import SurfaceSample, _eps_normal, _quadric_normal, _require_jets, induced_metric
 
 _E = [(1, 0), (0, 1)]
 
@@ -154,14 +158,17 @@ class CurvatureScalars:
     kappa2: np.ndarray
 
 
-def _inner(signs, x, y):
-    return np.einsum("...i,i,...i->...", x, signs, y)
+def _times_blocks(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a @ t over the first index of t, t of shape (..., 2, 2, 2): the
+    contraction a^k_l t^l_ij, as a (2, 2) @ (2, 4) product per node."""
+    out = a @ t.reshape(t.shape[:-2] + (4,))
+    return out.reshape(out.shape[:-1] + (2, 2))
 
 
 def _metric_jets(sample: SurfaceSample) -> tuple:
     """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
     if "metric_jets" not in sample._cache:
-        inner = partial(Taylor2.multilinear, partial(_inner, sample.sf.metric_signs))
+        inner = partial(Taylor2.multilinear, sample.sf.flat_inner)
         ru, rv = (Taylor2.from_jets(sample.jets, e) for e in _E)
         sample._cache["metric_jets"] = (inner(ru, ru), inner(ru, rv), inner(rv, rv))
     return sample._cache["metric_jets"]
@@ -180,7 +187,7 @@ def _normal_jets(sample: SurfaceSample) -> tuple:
     ``normal_jet`` and ``curvature_jets`` both read them."""
     if "normal_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.multilinear, partial(_inner, sf.metric_signs))
+        inner = partial(Taylor2.multilinear, sf.flat_inner)
         ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
         if sf.ambient_dim == 3:
             n = Taylor2.multilinear(np.cross, ru, rv)
@@ -203,7 +210,7 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
     _require_jets(sample, 4, "curvature_jets")
     if "curvature_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.multilinear, partial(_inner, sf.metric_signs))
+        inner = partial(Taylor2.multilinear, sf.flat_inner)
         n, inv_norm = _normal_jets(sample)
         h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
         g00, g01, g11 = _metric_jets(sample)
@@ -220,18 +227,17 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     """First and second fundamental forms with the sample's orientation."""
     if "forms" in sample._cache:
         return sample._cache["forms"]
-    signs = sample.sf.metric_signs
+    inner = sample.sf.flat_inner
     j = sample.jets
     r = [j[e] for e in _E]
-    g = np.empty(sample.shape + (2, 2))
+    g = induced_metric(sample)
     dg = np.empty(sample.shape + (2, 2, 2))  # dg[..., k, i, j] = d_k g_ij
     for a in range(2):
         for b in range(a, 2):
-            g[..., a, b] = g[..., b, a] = _inner(signs, r[a], r[b])
             for k in range(2):
                 # d_k <r_a, r_b> = <r_ak, r_b> + <r_a, r_bk>: order-2 jets suffice
                 r_ak, r_bk = j[_add(_E[a], _E[k])], j[_add(_E[b], _E[k])]
-                dg[..., k, a, b] = dg[..., k, b, a] = _inner(signs, r_ak, r[b]) + _inner(signs, r[a], r_bk)
+                dg[..., k, a, b] = dg[..., k, b, a] = inner(r_ak, r[b]) + inner(r[a], r_bk)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     if np.any(det <= 0):
         i, jj = np.unravel_index(np.argmin(det), det.shape)
@@ -245,14 +251,14 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     h = np.empty_like(g)
     for a in range(2):
         for b in range(2):
-            h[..., a, b] = _inner(signs, N, j[_add(_E[a], _E[b])])
+            h[..., a, b] = inner(N, j[_add(_E[a], _E[b])])
 
     c = np.empty_like(dg)  # c[..., l, i, j] = dg_jl,i + dg_il,j - dg_ij,l
     for l in range(2):
         for a in range(2):
             for b in range(2):
                 c[..., l, a, b] = dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b]
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, c)
+    gamma = 0.5 * _times_blocks(g_inv, c)
 
     ff = FundamentalForms(g=g, g_inv=g_inv, h=h, N=N, gamma=gamma, dS_weight=np.sqrt(det), dg=dg)
     sample._cache["forms"] = ff
@@ -264,12 +270,22 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
         return sample._cache["scalars"]
     ff = fundamental_forms(sample)
     sf = sample.sf
-    shape_op = np.einsum("...ik,...kj->...ij", ff.g_inv, ff.h)
-    H = 0.5 * (shape_op[..., 0, 0] + shape_op[..., 1, 1])
-    det_g = ff.dS_weight**2
-    K_E = (ff.h[..., 0, 0] * ff.h[..., 1, 1] - ff.h[..., 0, 1] ** 2) / det_g
+    # overflow is reported below, naming the scalar and the node
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape_op = ff.g_inv @ ff.h
+        H = 0.5 * (shape_op[..., 0, 0] + shape_op[..., 1, 1])
+        K_E = (ff.h[..., 0, 0] * ff.h[..., 1, 1] - ff.h[..., 0, 1] ** 2) / ff.dS_weight**2
+        # |h|^2 = g^ik g^jl h_ij h_kl = tr(S S) with S = g^-1 h
+        h_norm_sq = np.sum(shape_op * np.swapaxes(shape_op, -1, -2), axis=(-2, -1))
+    for name, x in (("H", H), ("K_E", K_E), ("|h|^2", h_norm_sq)):
+        bad = ~np.isfinite(x)
+        if np.any(bad):
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise GuardViolation(
+                f"{sample.name}: curvature scalar {name} = {x[i, j]} is not finite at node ({i}, {j})",
+                node=(int(i), int(j)),
+            )
     K = K_E + sf.k0
-    h_norm_sq = np.einsum("...ik,...jl,...ij,...kl->...", ff.g_inv, ff.g_inv, ff.h, ff.h)
     disc = np.sqrt(np.maximum(H**2 - K_E, 0.0))
     cs = CurvatureScalars(H=H, K_E=K_E, K=K, h_norm_sq=h_norm_sq, kappa1=H + disc, kappa2=H - disc)
     sample._cache["scalars"] = cs
@@ -286,7 +302,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     than algebraic tautologies.
     """
     _require_jets(sample, 3, "shape_operator_derivatives")
-    signs = sample.sf.metric_signs
+    inner = sample.sf.flat_inner
     ff = fundamental_forms(sample)
     j = sample.jets
     ops = sample.chart_ops()
@@ -297,7 +313,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
             for b in range(2):
                 rab = j[_add(_E[a], _E[b])]
                 rabk = j[_add(_add(_E[a], _E[b]), _E[k])]
-                out[..., k, a, b] = _inner(signs, dN[k], rab) + _inner(signs, ff.N, rabk)
+                out[..., k, a, b] = inner(dN[k], rab) + inner(ff.N, rabk)
     return out
 
 
@@ -320,12 +336,8 @@ def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
                 )
                 grad[..., k, a, b] = dh[..., k, a, b] - corr
     # tangential components of N: N^l = g^{lm} <N, r_m> (identically zero)
-    signs = sample.sf.metric_signs
-    n_tan = np.einsum(
-        "...lm,...m->...l",
-        ff.g_inv,
-        np.stack([_inner(signs, ff.N, sample.jets[e]) for e in _E], axis=-1),
-    )
+    n_low = np.stack([sample.sf.flat_inner(ff.N, sample.jets[e]) for e in _E], axis=-1)
+    n_tan = (ff.g_inv @ n_low[..., None])[..., 0]
     res = np.zeros(sample.shape)
     k0 = sample.sf.k0
     for a in range(2):
@@ -351,7 +363,8 @@ def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
     )
     g_inv = ff.g_inv
     # d_k g^{ml} = -g^{ma} dg_ab,k g^{bl}
-    dginv = -np.einsum("...ma,...kab,...bl->...kml", g_inv, dg, g_inv)
+    g_inv_k = g_inv[..., None, :, :]  # broadcast over the derivative index k
+    dginv = -(g_inv_k @ dg @ g_inv_k)
     c = np.empty_like(dg)
     dc = np.empty(sample.shape + (2, 2, 2, 2))  # dc[..., k, l, i, j] = d_k C_{l,ij}
     for l in range(2):
@@ -362,21 +375,18 @@ def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
                     dc[..., k, l, a, b] = (
                         d2g[..., k, a, b, l] + d2g[..., k, b, a, l] - d2g[..., k, l, a, b]
                     )
-    dgamma = 0.5 * (
-        np.einsum("...kml,...lij->...kmij", dginv, c) + np.einsum("...ml,...klij->...kmij", g_inv, dc)
-    )
+    # d_k Gamma^m_ij = (d_k g^ml C_l,ij + g^ml d_k C_l,ij) / 2
+    dgamma = 0.5 * (_times_blocks(dginv, c[..., None, :, :, :]) + _times_blocks(g_inv_k, dc))
     gam = ff.gamma
     # R^e_{bcd} = d_c Gamma^e_{db} - d_d Gamma^e_{cb} + Gamma^e_{cm}Gamma^m_{db} - Gamma^e_{dm}Gamma^m_{cb};
     # K = g_{0e} R^e_{101} / det g
     b, cidx, d = 1, 0, 1
-    r_up_full = np.empty(sample.shape + (2,))
-    for ee in range(2):
-        r_up_full[..., ee] = (
-            dgamma[..., cidx, ee, d, b]
-            - dgamma[..., d, ee, cidx, b]
-            + np.einsum("...m,...m->...", gam[..., ee, cidx, :], gam[..., :, d, b])
-            - np.einsum("...m,...m->...", gam[..., ee, d, :], gam[..., :, cidx, b])
-        )
-    r_low = np.einsum("...e,...e->...", ff.g[..., 0, :], r_up_full)
+    r_up = (
+        dgamma[..., cidx, :, d, b]
+        - dgamma[..., d, :, cidx, b]
+        + (gam[..., :, cidx, :] @ gam[..., :, d, b, None])[..., 0]
+        - (gam[..., :, d, :] @ gam[..., :, cidx, b, None])[..., 0]
+    )
+    r_low = (ff.g[..., 0, None, :] @ r_up[..., None])[..., 0, 0]
     det_g = ff.dS_weight**2
     return r_low / det_g

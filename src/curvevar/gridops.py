@@ -45,20 +45,21 @@ def fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def spectral_derivative(vals: np.ndarray, order: int, period: float, axis: int) -> np.ndarray:
-    """Derivative of a periodic sampled function along ``axis`` via FFT."""
-    if order == 0:
-        return vals.copy()
+def spectral_derivatives(vals: np.ndarray, orders, period: float, axis: int) -> list:
+    """Derivatives of the given orders (each >= 1) of a periodic sampled
+    function along ``axis`` via FFT, all from one forward transform."""
     n = vals.shape[axis]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period
-    fk = np.fft.rfft(vals, axis=axis)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult = mult.copy()
-        mult[-1] = 0.0
     shape = [1] * vals.ndim
     shape[axis] = len(k)
-    out = np.fft.irfft(fk * mult.reshape(shape), n=n, axis=axis)
+    fk = np.fft.rfft(vals, axis=axis)
+    out = []
+    for order in orders:
+        mult = (1j * k) ** order
+        if order % 2 == 1 and n % 2 == 0:
+            mult = mult.copy()
+            mult[-1] = 0.0
+        out.append(np.fft.irfft(fk * mult.reshape(shape), n=n, axis=axis))
     return out
 
 
@@ -113,25 +114,29 @@ class ChartDerivatives:
                 self._mats[key] = fd_derivative_matrix(self.domain.nv, self._dv, order)
         return self._mats[key]
 
-    def _d_u(self, vals: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return vals
-        if self.domain.periodic_u:
-            return spectral_derivative(vals, order, self._lu, axis=0)
-        return np.einsum("ij,j...->i...", self._fd_matrix("u", order), vals)
-
-    def _d_v(self, vals: np.ndarray, order: int) -> np.ndarray:
-        if order == 0:
-            return vals
-        if self.domain.periodic_v:
-            return spectral_derivative(vals, order, self._lv, axis=1)
-        if self.domain.pole_offset and self.domain.periodic_u:
+    def derivatives(self, vals: np.ndarray, axis: int, orders) -> list:
+        """The derivatives of the given orders along axis 0 (u) or 1 (v),
+        in the order given; order 0 is ``vals`` itself. Along a spectral
+        direction one forward FFT serves all the orders."""
+        d = self.domain
+        todo = [m for m in orders if m]
+        if not todo:
+            return [vals] * len(orders)
+        if axis == 0 and d.periodic_u:
+            ders = spectral_derivatives(vals, todo, self._lu, axis=0)
+        elif axis == 1 and d.periodic_v:
+            ders = spectral_derivatives(vals, todo, self._lv, axis=1)
+        elif axis == 1 and d.pole_offset and d.periodic_u:
             ext = _pole_extend(vals, axis_u=0, axis_v=1)
-            der = spectral_derivative(ext, order, 2.0 * self._lv, axis=1)
-            nv = self.domain.nv
-            return der[:, :nv]
-        return np.einsum("ij,kj...->ki...", self._fd_matrix("v", order), vals)
+            ders = [der[:, : d.nv] for der in spectral_derivatives(ext, todo, 2.0 * self._lv, axis=1)]
+        elif axis == 0:
+            ders = [np.einsum("ij,j...->i...", self._fd_matrix("u", m), vals) for m in todo]
+        else:
+            ders = [np.einsum("ij,kj...->ki...", self._fd_matrix("v", m), vals) for m in todo]
+        out = {0: vals, **dict(zip(todo, ders))}
+        return [out[m] for m in orders]
 
     def partial(self, vals: np.ndarray, a: int, b: int) -> np.ndarray:
         """a-th u-derivative and b-th v-derivative of grid values."""
-        return self._d_v(self._d_u(np.asarray(vals, dtype=float), a), b)
+        du = self.derivatives(np.asarray(vals, dtype=float), 0, (a,))[0]
+        return self.derivatives(du, 1, (b,))[0]

@@ -86,10 +86,11 @@ class SpaceForm:
     # -- quadric bookkeeping ------------------------------------------------
 
     def flat_inner(self, v, w):
-        """Bilinear form of the flat ambient (Minkowski for hyperbolic)."""
+        """Bilinear form of the flat ambient (Minkowski for hyperbolic),
+        contracted over the trailing axis of v and w."""
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        return np.einsum("...i,i,...i->...", v, self.metric_signs, w)
+        return (v * w) @ self.metric_signs
 
     def quadric_residual(self, p) -> np.ndarray:
         """Relative violation of the model constraint <p,p> = ±rho^2."""

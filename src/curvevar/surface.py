@@ -159,10 +159,8 @@ def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
         n = np.cross(ru, rv)
         norm = np.linalg.norm(n, axis=-1, keepdims=True)
         return n / norm
-    signs = sf.metric_signs
-    n = _quadric_normal(signs, p, ru, rv)  # p is the quadric direction in both 4-d models
-    nn = np.einsum("...i,i,...i->...", n, signs, n)
-    return n / np.sqrt(np.abs(nn))[..., None]
+    n = _quadric_normal(sf.metric_signs, p, ru, rv)  # p is the quadric direction in both 4-d models
+    return n / np.sqrt(np.abs(sf.flat_inner(n, n)))[..., None]
 
 
 def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
@@ -180,10 +178,10 @@ def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
 
 def induced_metric(sample: SurfaceSample) -> np.ndarray:
     """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2)."""
-    signs = sample.sf.metric_signs
+    inner = sample.sf.flat_inner
     r_u, r_v = sample.jets[(1, 0)], sample.jets[(0, 1)]
-    basis = np.stack([r_u, r_v], axis=-2)
-    return np.einsum("...ik,k,...jk->...ij", basis, signs, basis)
+    g_uv = inner(r_u, r_v)
+    return np.stack([np.stack([inner(r_u, r_u), g_uv], axis=-1), np.stack([g_uv, inner(r_v, r_v)], axis=-1)], axis=-2)
 
 
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
@@ -265,8 +263,10 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
                 f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
                 f"{nu}x{nv} grid does not resolve it and its jets would be aliased; {fix}"
             )
-    du = [x] + [ops.partial(x, a, 0) for a in range(1, JET_ORDER + 1)]
-    return {(a, b): du[a] if b == 0 else ops.partial(du[a], 0, b) for a, b in MULTI_INDICES}
+    # one forward transform along u, then one along v per u-order
+    du = ops.derivatives(x, 0, range(JET_ORDER + 1))
+    dv = [ops.derivatives(du[a], 1, range(JET_ORDER + 1 - a)) for a in range(JET_ORDER + 1)]
+    return {(a, b): dv[a][b] for a, b in MULTI_INDICES}
 
 
 def _stencil_tables(h: float):

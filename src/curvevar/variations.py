@@ -238,7 +238,7 @@ def volume_functional(s: SurfaceSample) -> float:
     """
     if s.sf.model is not Model.EUCLIDEAN:
         raise ConfigError("the flux volume functional is defined in the Euclidean model")
-    flux = np.einsum("...i,...i->...", s.positions, fundamental_forms(s).N)
+    flux = s.sf.flat_inner(s.positions, fundamental_forms(s).N)
     return integrate(flux, s, allow_open=True) / 3.0
 
 
@@ -373,7 +373,7 @@ def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField
     if quantity == "g":
         return -2.0 * uv[..., None, None] * ff.h
     if quantity == "g_inv":
-        h_up = np.einsum("...ik,...jl,...kl->...ij", ff.g_inv, ff.g_inv, ff.h)
+        h_up = ff.g_inv @ ff.h @ ff.g_inv
         return 2.0 * uv[..., None, None] * h_up
     if quantity == "dS":
         return -2.0 * H * uv * ff.dS_weight

@@ -5,12 +5,14 @@ import pytest
 import sympy as sp
 
 from curvevar import (
+    GuardViolation,
     codazzi_residual,
     curvature_scalars,
     fundamental_forms,
     intrinsic_gauss_curvature,
     sample_builtin,
 )
+from curvevar.surface import check_immersion
 
 
 def test_sphere_curvatures(sphere2):
@@ -103,6 +105,22 @@ def test_codazzi_negative_control(torus):
     jets[(0, 2)] = bad
     broken = dataclasses.replace(torus, jets=jets, _cache={})
     assert np.max(np.abs(codazzi_residual(broken))) > 1e-3
+
+
+def test_non_finite_curvature_from_finite_jets_is_refused(torus):
+    """Finite jets can give curvature that is not finite: with the (2, 0)
+    and (0, 2) jets of the torus scaled by 1e200, K_E and |h|^2 overflow at
+    every node. check_immersion accepts the jets; curvature_scalars refuses
+    the scalars with GuardViolation naming the scalar and the node, rather
+    than returning inf."""
+    jets = dict(torus.jets)
+    for ab in ((2, 0), (0, 2)):
+        jets[ab] = 1e200 * jets[ab]
+    s = dataclasses.replace(torus, jets=jets, _cache={})
+    check_immersion(s)
+    with pytest.raises(GuardViolation, match=r"K_E = inf is not finite at node \(0, 0\)") as err:
+        curvature_scalars(s)
+    assert err.value.node == (0, 0)
 
 
 def test_theorema_egregium(torus, geo_sphere):

@@ -357,6 +357,38 @@ def test_spectral_jets_match_exact_jets(name, params):
         assert err < (1e-11 if sum(ab) <= 2 else 2e-8), (ab, err)
 
 
+@pytest.mark.parametrize("case", ["torus", "h3_sphere"])
+def test_spectral_jets_transform_each_input_once(case, monkeypatch):
+    """A spectral jet build runs one forward FFT along u, and one along v
+    per u-order below 4 (5 in all; one partial at a time took 14), and its
+    jets equal bit for bit those of ChartDerivatives.partial taken one
+    multi-index at a time."""
+    from curvevar import surface
+    from curvevar.gridops import ChartDerivatives
+    from curvevar.surface import JET_ORDER, MULTI_INDICES
+
+    if case == "torus":
+        f, domain = _torus_map(), PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 64, 32, periodic_u=True, periodic_v=True)
+    else:
+        f, domain = _h3_sphere_map(), default_domain("sphere", None, 64, 32)
+    x = np.asarray(f(*domain.meshes()), dtype=float)
+    ops = ChartDerivatives(domain)
+    want = {(a, b): ops.partial(ops.partial(x, a, 0), 0, b) for a, b in MULTI_INDICES}
+    axes = []
+    rfft = np.fft.rfft
+
+    def counted(a, *args, **kwargs):
+        axes.append(kwargs["axis"])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    monkeypatch.setattr(surface, "spectral_tail", lambda values, domain: {})  # it transforms the positions too
+    jets = surface._spectral_jets(x, ops, case)
+    assert sorted(axes) == [0] + [1] * JET_ORDER
+    for ab in MULTI_INDICES:
+        assert np.array_equal(jets[ab], want[ab]), ab
+
+
 def test_closed_chart_jets_use_grid_values_only(torus):
     """On a closed chart, sample_callable evaluates the map once, at the
     nodes, and a deformation of it or of a catalog sample calls no
