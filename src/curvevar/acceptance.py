@@ -212,7 +212,7 @@ def criterion_11():
         lam, nk = sphere_spectrum(k, 1.0)
         mult_ok = mult_ok and nk == math.comb(k + 2, 2)
         for m in (0, k):
-            y = harmonic_field(s, k, m, analytic=False)
+            y = ScalarField(harmonic_field(s, k, m).values, s)
             res = laplace_beltrami(y, s).values + lam * y.values
             worst = max(worst, float(np.max(np.abs(res))))
     return _crit(11, "discrete Laplacian reproduces the sphere spectrum through k=6", worst <= 1e-6 and mult_ok, {"worst_residual": worst})

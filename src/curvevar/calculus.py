@@ -29,7 +29,7 @@ from .curvature import (
     curvature_scalars,
     fundamental_forms,
 )
-from .surface import PatchDomain, Provenance, SurfaceSample
+from .surface import PatchDomain, Provenance, SurfaceSample, _require_same_grid
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,6 +234,9 @@ def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
 
 
 def grad_lower(f: ScalarField, s: SurfaceSample) -> np.ndarray:
+    """Chart partials (f_u, f_v), shape (..., 2); f must live on the chart
+    grid of s."""
+    _require_same_grid(f.sample, s)
     return np.stack([f.partial(1, 0), f.partial(0, 1)], axis=-1)
 
 
@@ -265,7 +268,9 @@ def laplace_beltrami(f: ScalarField, s: SurfaceSample) -> ScalarField:
 
 
 def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarField:
-    """<a, b> = g^{ik} g^{jl} a_ij b_kl."""
+    """<a, b> = g^{ik} g^{jl} a_ij b_kl; a and b must live on the chart grid of s."""
+    _require_same_grid(a.sample, s)
+    _require_same_grid(b.sample, s)
     g_inv = fundamental_forms(s).g_inv
     # tr(P Q) = sum of P * Q^T, with (g^-1 b)^T = b g^-1 for symmetric b, g
     vals = np.sum((g_inv @ a.comps) * (b.comps @ g_inv), axis=(-2, -1))
@@ -333,7 +338,10 @@ def integrate(f, s: SurfaceSample, allow_open: bool = False) -> float:
     """
     if not s.domain.closed and not allow_open:
         raise ConfigError("integrating over a non-closed patch requires allow_open=True")
-    vals = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+    if isinstance(f, ScalarField):
+        _require_same_grid(f.sample, s)
+        f = f.values
+    vals = np.asarray(f, dtype=float)
     w = fundamental_forms(s).dS_weight
     wu, wv = _direction_weights(s.domain)
     return float(np.sum(vals * w * wu[:, None] * wv[None, :]))

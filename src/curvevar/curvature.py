@@ -174,13 +174,6 @@ def _metric_jets(sample: SurfaceSample) -> tuple:
     return sample._cache["metric_jets"]
 
 
-def _metric_part(sample: SurfaceSample, a: int, b: int) -> np.ndarray:
-    """d^a_u d^b_v g_ij for a + b <= 2, shape (..., 2, 2); needs the order-3
-    immersion jets."""
-    g00, g01, g11 = (x.partial(a, b) for x in _metric_jets(sample))
-    return np.stack([np.stack([g00, g01], axis=-1), np.stack([g01, g11], axis=-1)], axis=-2)
-
-
 def _normal_jets(sample: SurfaceSample) -> tuple:
     """Order-2 jets (n, 1/|n|) of the unnormalised normal n, in the raw
     orientation, and of its inverse norm, from the order-3 immersion jets.
@@ -318,11 +311,10 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
 
 
 def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
-    """Max-norm Codazzi defect per node: nabla_k h_ij - nabla_j h_ik - RHS.
+    """Max-norm Codazzi defect per node: nabla_k h_ij - nabla_j h_ik.
 
-    In a space form the ambient-curvature RHS has only the tangential
-    normal components, which vanish, so the residual of any genuine
-    immersion is numerically zero.
+    In a space form the ambient curvature adds nothing to the Codazzi
+    equation, so the residual of any genuine immersion is numerically zero.
     """
     ff = fundamental_forms(sample)
     dh = shape_operator_derivatives(sample)
@@ -335,58 +327,23 @@ def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
                     for m in range(2)
                 )
                 grad[..., k, a, b] = dh[..., k, a, b] - corr
-    # tangential components of N: N^l = g^{lm} <N, r_m> (identically zero)
-    n_low = np.stack([sample.sf.flat_inner(ff.N, sample.jets[e]) for e in _E], axis=-1)
-    n_tan = (ff.g_inv @ n_low[..., None])[..., 0]
-    res = np.zeros(sample.shape)
-    k0 = sample.sf.k0
-    for a in range(2):
-        for b in range(2):
-            for k in range(2):
-                rhs = k0 * (ff.g[..., a, k] * n_tan[..., b] - ff.g[..., b, k] * n_tan[..., a])
-                res = np.maximum(res, np.abs(grad[..., k, a, b] - grad[..., b, a, k] - rhs))
-    return res
+    return np.max(np.abs(grad - np.swapaxes(grad, -3, -1)), axis=(-3, -2, -1))
 
 
 def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
-    """Gauss curvature from the metric alone (Theorema Egregium route)."""
+    """Gauss curvature from the metric alone (Theorema Egregium route):
+    Brioschi's formula in E, F, G = g_00, g_01, g_11 and their first and
+    second chart partials, read from the order-2 metric jets."""
     _require_jets(sample, 3, "intrinsic_gauss_curvature")
-    ff = fundamental_forms(sample)
-    dg = ff.dg
-    g_uv = _metric_part(sample, 1, 1)
-    d2g = np.stack(  # d2g[..., k, l, i, j] = d_k d_l g_ij
-        [
-            np.stack([_metric_part(sample, 2, 0), g_uv], axis=-3),
-            np.stack([g_uv, _metric_part(sample, 0, 2)], axis=-3),
-        ],
-        axis=-4,
+    (E, E_u, E_v, _, _, E_vv), (F, F_u, F_v, _, F_uv, _), (G, G_u, G_v, G_uu, _, _) = (
+        x.parts for x in _metric_jets(sample)
     )
-    g_inv = ff.g_inv
-    # d_k g^{ml} = -g^{ma} dg_ab,k g^{bl}
-    g_inv_k = g_inv[..., None, :, :]  # broadcast over the derivative index k
-    dginv = -(g_inv_k @ dg @ g_inv_k)
-    c = np.empty_like(dg)
-    dc = np.empty(sample.shape + (2, 2, 2, 2))  # dc[..., k, l, i, j] = d_k C_{l,ij}
-    for l in range(2):
-        for a in range(2):
-            for b in range(2):
-                c[..., l, a, b] = dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b]
-                for k in range(2):
-                    dc[..., k, l, a, b] = (
-                        d2g[..., k, a, b, l] + d2g[..., k, b, a, l] - d2g[..., k, l, a, b]
-                    )
-    # d_k Gamma^m_ij = (d_k g^ml C_l,ij + g^ml d_k C_l,ij) / 2
-    dgamma = 0.5 * (_times_blocks(dginv, c[..., None, :, :, :]) + _times_blocks(g_inv_k, dc))
-    gam = ff.gamma
-    # R^e_{bcd} = d_c Gamma^e_{db} - d_d Gamma^e_{cb} + Gamma^e_{cm}Gamma^m_{db} - Gamma^e_{dm}Gamma^m_{cb};
-    # K = g_{0e} R^e_{101} / det g
-    b, cidx, d = 1, 0, 1
-    r_up = (
-        dgamma[..., cidx, :, d, b]
-        - dgamma[..., d, :, cidx, b]
-        + (gam[..., :, cidx, :] @ gam[..., :, d, b, None])[..., 0]
-        - (gam[..., :, d, :] @ gam[..., :, cidx, b, None])[..., 0]
-    )
-    r_low = (ff.g[..., 0, None, :] @ r_up[..., None])[..., 0, 0]
-    det_g = ff.dS_weight**2
-    return r_low / det_g
+    a = -0.5 * E_vv + F_uv - 0.5 * G_uu
+    b, c = 0.5 * E_u, F_u - 0.5 * E_v
+    d, e = F_v - 0.5 * G_u, 0.5 * G_v
+    det_g = E * G - F * F
+    # det [[a, b, c], [d, E, F], [e, F, G]] - det [[0, p, q], [p, E, F], [q, F, G]]
+    det_a = a * det_g - b * (d * G - F * e) + c * (d * F - E * e)
+    p, q = 0.5 * E_v, 0.5 * G_u
+    det_b = -p * p * G + 2.0 * p * q * F - q * q * E
+    return (det_a - det_b) / det_g**2

@@ -2,8 +2,7 @@
 
 Contains the specialized Euler-Lagrange residual, the sphere index form,
 real orthonormal spherical harmonics with their projections, the Poincare
-inequality check, volume-variation bookkeeping, and the stability report
-over Laplacian eigenspaces.
+inequality check, and the stability report over Laplacian eigenspaces.
 """
 
 from __future__ import annotations
@@ -108,30 +107,28 @@ def _sphere_radius(sample: SurfaceSample) -> float:
     return r
 
 
-def harmonic_field(sample: SurfaceSample, l: int, m: int, analytic: bool = True) -> ScalarField:
-    """Y_{l,m} scaled to be L2-orthonormal on the sampled sphere.
-
-    With ``analytic=False`` only grid values are kept, so derivatives go
-    through the discrete grid operators (useful for spectrum tests).
-    """
-    key = ("harmonic", l, m, analytic)
+def harmonic_field(sample: SurfaceSample, l: int, m: int) -> ScalarField:
+    """Y_{l,m} scaled to be L2-orthonormal on the sampled sphere, with its
+    closed-form jet. ``ScalarField(harmonic_field(s, l, m).values, s)``
+    keeps the values only, so its derivatives go through the grid
+    operators (as the spectrum checks want)."""
+    key = ("harmonic", l, m)
     if key in sample._cache:
         return sample._cache[key]
     r = _sphere_radius(sample)
     y = _harmonic_expr(l, m)
     jet = y.jet(*sample.domain.meshes()) * (1.0 / r)
-    f = ScalarField(jet.value, sample, jet=jet if analytic else None)
+    f = ScalarField(jet.value, sample, jet=jet)
     sample._cache[key] = f
     return f
 
 
-def random_span_field(sample: SurfaceSample, seed: int, l_range: Tuple[int, int] = (2, 6)) -> ScalarField:
-    """Seeded unit-norm random combination of harmonics with l in l_range."""
+def random_span_field(sample: SurfaceSample, seed: int) -> ScalarField:
+    """Seeded unit-norm random combination of the harmonics with 2 <= l <= 6."""
     rng = np.random.default_rng(seed)
-    lo, hi = l_range
     total: Optional[ScalarField] = None
     coeffs = []
-    for l in range(lo, hi + 1):
+    for l in range(2, 7):
         for m in range(-l, l + 1):
             coeffs.append((l, m, rng.normal()))
     norm = math.sqrt(sum(c**2 for _, _, c in coeffs))
@@ -153,9 +150,10 @@ class HarmonicDecomposition:
         total = sum(c**2 for c in self.coefficients.values()) + self.residual
         return abs(total - self.norm_sq) / max(self.norm_sq, 1e-300)
 
-    def is_orthogonal_to_first_eigenspace(self, tol: float = 1e-8) -> bool:
+    def is_orthogonal_to_first_eigenspace(self) -> bool:
+        """Every l = 1 coefficient within 1e-6 of the field's L2 norm."""
         scale = math.sqrt(max(self.norm_sq, 1e-300))
-        return all(abs(self.coefficients.get((1, m), 0.0)) <= tol * scale for m in (-1, 0, 1))
+        return all(abs(self.coefficients.get((1, m), 0.0)) <= 1e-6 * scale for m in (-1, 0, 1))
 
 
 def harmonic_project(u: ScalarField, l_max: int = 8) -> HarmonicDecomposition:
@@ -194,14 +192,16 @@ def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
     return ScalarField(jet.value, s, jet=jet)
 
 
-def pwillmore_el_residual(s: SurfaceSample, p: float, k0: Optional[float] = None) -> ScalarField:
+def pwillmore_el_residual(s: SurfaceSample, p: float) -> ScalarField:
     """Pointwise H^p Euler-Lagrange residual:
 
-    (p/2) Lap(H^{p-1}) + p (2H^2 - K + 2 k0) H^{p-1} - 2 H^{p+1}.
+    (p/2) Lap(H^{p-1}) + p (2H^2 - K + 2 k0) H^{p-1} - 2 H^{p+1},
+
+    with k0 the curvature of the sample's space form.
     """
     if p < 1:
         raise ConfigError("exponent p must be >= 1")
-    k0 = s.sf.k0 if k0 is None else float(k0)
+    k0 = s.sf.k0
     cs = curvature_scalars(s)
     w = _h_power_field(s, p - 1)
     lap_w = laplace_beltrami(w, s).values
@@ -247,21 +247,21 @@ class PoincareReport:
     ratios: Tuple[float, float]
 
 
-def poincare_check(u: ScalarField, r: Optional[float] = None, tol: float = 1e-8) -> PoincareReport:
+def poincare_check(u: ScalarField, r: Optional[float] = None) -> PoincareReport:
     """Checks norm^2 <= (r^2/6)|grad u|^2 <= (r^4/36)(Lap u)^2 for fields
     orthogonal to constants and to the first Laplacian eigenspace."""
     s = u.sample
     r = _sphere_radius(s) if r is None else float(r)
     dec = harmonic_project(u, l_max=2)
     scale = math.sqrt(max(dec.norm_sq, 1e-300))
-    if abs(dec.coefficients[(0, 0)]) > 1e-6 * scale or not dec.is_orthogonal_to_first_eigenspace(1e-6):
+    if abs(dec.coefficients[(0, 0)]) > 1e-6 * scale or not dec.is_orthogonal_to_first_eigenspace():
         raise ConfigError(
             "Poincare check requires a field orthogonal to constants and to the first eigenspace"
         )
     norm_sq = integrate(u.values**2, s)
     grad_q = r**2 / 6.0 * integrate(grad_inner(u, u, s), s)
     lap_q = r**4 / 36.0 * integrate(laplace_beltrami(u, s).values ** 2, s)
-    slack = tol * max(norm_sq, grad_q, lap_q)
+    slack = 1e-8 * max(norm_sq, grad_q, lap_q)
     passes = norm_sq <= grad_q + slack and grad_q <= lap_q + slack
     equality = abs(grad_q - norm_sq) <= 1e-6 * norm_sq and abs(lap_q - norm_sq) <= 1e-6 * norm_sq
     return PoincareReport(
@@ -272,13 +272,6 @@ def poincare_check(u: ScalarField, r: Optional[float] = None, tol: float = 1e-8)
         equality=equality,
         ratios=(grad_q / norm_sq, lap_q / norm_sq),
     )
-
-
-def volume_variations(s: SurfaceSample, u: ScalarField) -> Tuple[float, float]:
-    """(first, second) deformation derivatives of the enclosed volume:
-    integral of u dS and integral of -2 H u^2 dS."""
-    cs = curvature_scalars(s)
-    return integrate(u, s), integrate(-2.0 * cs.H * u.values**2, s)
 
 
 @dataclass

@@ -99,13 +99,13 @@ class SpaceForm:
         target = self.radius**2 if self.model is Model.SPHERE else -self.radius**2
         return np.abs(self.flat_inner(p, p) - target) / self.radius**2
 
-    def check_tangent(self, p, v, rtol: float = TANGENCY_RTOL) -> None:
+    def check_tangent(self, p, v) -> None:
         if self.model is Model.EUCLIDEAN:
             return
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         scale = np.sqrt(np.abs(self.flat_inner(p, p)) * np.maximum(np.abs(self.flat_inner(v, v)), 1e-300))
-        bad = np.abs(self.flat_inner(p, v)) > rtol * np.maximum(scale, 1e-300)
+        bad = np.abs(self.flat_inner(p, v)) > TANGENCY_RTOL * np.maximum(scale, 1e-300)
         if np.any(bad):
             raise NotTangentError("not tangent")
 

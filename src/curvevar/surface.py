@@ -153,6 +153,14 @@ def _require_jets(sample: "SurfaceSample", order: int, what: str) -> None:
         )
 
 
+def _require_same_grid(field_sample: "SurfaceSample", s: "SurfaceSample") -> None:
+    """Refuse a field sampled on another chart grid than s: its values and
+    partials belong to the chart of ``field_sample``. Samples on equal
+    ``PatchDomain``s share a grid."""
+    if field_sample.domain != s.domain:
+        raise ConfigError(f"the field lives on the chart grid of {field_sample.name}, not on that of {s.name}")
+
+
 def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
     """Unit normal tangent to the model quadric, via generalized cross product."""
     if sf.ambient_dim == 3:
@@ -398,8 +406,7 @@ def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     if len(set(ts)) != len(ts):
         raise ConfigError(f"deformation steps must be distinct (got {ts}; 0.0 and -0.0 are one step)")
     _require_jets(s, 3, "deform_normal")
-    if u.sample.domain != s.domain:
-        raise ConfigError(f"the field lives on the chart grid of {u.sample.name}, not on that of {s.name}")
+    _require_same_grid(u.sample, s)
     sf = s.sf
     p, n = Taylor2.from_jets(s.jets), normal_jet(s)
     sf.check_unit_tangent(p.value, n.value)

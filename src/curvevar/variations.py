@@ -126,25 +126,53 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     return ScalarField(vals, s)
 
 
-# relative size of the Euler-Lagrange residual below which second_variation
-# takes an immersion for critical (or, for a constant residual,
-# volume-constrained critical)
+# relative size of the Euler-Lagrange residual below which an immersion
+# counts as critical (or, for a constant residual, volume-constrained
+# critical)
 CRITICALITY_TOL = 1e-5
 
 
 def _criticality(s: SurfaceSample, E: EnergyDensity):
-    """Classify the immersion: returns (kind, multiplier) with kind one of
-    'critical', 'constrained', 'not_critical'."""
+    """Classify the immersion: returns (kind, multiplier, sizes) with kind
+    one of 'critical', 'constrained', 'not_critical'. The multiplier is the
+    area-weighted mean EL residual, or zero at a critical immersion;
+    ``sizes`` states the measured residual against the bound, for messages.
+    This is the one place either is decided."""
     res = el_residual(s, E)
     cs = curvature_scalars(s)
     scale = 1.0 + np.max(np.abs(E.eval(cs.H, cs.K))) * (1.0 + 2.0 * np.max(np.abs(cs.H)))
+    bound = CRITICALITY_TOL * scale
     w = fundamental_forms(s).dS_weight
     mean = float(np.sum(res.values * w) / np.sum(w))
-    if np.max(np.abs(res.values)) <= CRITICALITY_TOL * scale:
-        return "critical", 0.0
-    if np.max(np.abs(res.values - mean)) <= CRITICALITY_TOL * scale:
-        return "constrained", mean
-    return "not_critical", mean
+    sup = float(np.max(np.abs(res.values)))
+    sizes = f"sup |EL residual| = {sup:.3e}, bound {bound:.3e}, mean residual {mean:.6g}"
+    if sup <= bound:
+        return "critical", 0.0, sizes
+    if np.max(np.abs(res.values - mean)) <= bound:
+        return "constrained", mean, sizes
+    return "not_critical", mean, sizes
+
+
+def _second_variation_multiplier(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
+    """The multiplier of ``_criticality`` where the second-variation
+    formula holds: at a critical immersion, or on a zero-mean field at a
+    volume-constrained critical one. Raises NotCriticalError elsewhere."""
+    kind, lam, sizes = _criticality(s, E)
+    if kind == "not_critical":
+        raise NotCriticalError(
+            f"surface is not critical for this density ({sizes}); the second-variation "
+            "formula only holds there (pass force=True to evaluate anyway)"
+        )
+    if kind == "constrained":
+        mean_u = integrate(u, s, allow_open=allow_open) / integrate(np.ones(s.shape), s, allow_open=allow_open)
+        bound = 1e-8 * (1.0 + float(np.max(np.abs(u.values))))
+        if abs(mean_u) > bound:
+            raise NotCriticalError(
+                f"surface is only volume-constrained critical ({sizes}); the variation "
+                f"field must have zero mean (|mean u| = {abs(mean_u):.3e}, bound {bound:.3e}; "
+                "or pass force=True)"
+            )
+    return lam
 
 
 def second_variation(
@@ -161,25 +189,15 @@ def second_variation(
     zero mean; this is checked. ``force=True`` evaluates the expression
     regardless, outside its stated validity.
     """
+    if not force:
+        _second_variation_multiplier(s, E, u, allow_open)
+    return _second_variation_integral(s, E, u, allow_open)
+
+
+def _second_variation_integral(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
     Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
-    if not force:
-        kind, _ = _criticality(s, E)
-        if kind == "not_critical":
-            raise NotCriticalError(
-                "surface is not critical for this density; the second-variation "
-                "formula only holds there (pass force=True to evaluate anyway)"
-            )
-        if kind == "constrained":
-            mean_u = integrate(u, s, allow_open=allow_open) / integrate(
-                np.ones(s.shape), s, allow_open=allow_open
-            )
-            if abs(mean_u) > 1e-8 * (1.0 + float(np.max(np.abs(u.values)))):
-                raise NotCriticalError(
-                    "surface is only volume-constrained critical; the variation "
-                    "field must have zero mean (or pass force=True)"
-                )
 
     h_t = shape_tensor(s)
     h2_t = h_squared(s)
@@ -233,13 +251,22 @@ def second_variation(
 def volume_functional(s: SurfaceSample) -> float:
     """Signed flux volume (1/3) integral of <r, N> dS (Euclidean model).
 
-    Its deformation derivatives are integral of u dS and of -2 H u^2 dS in
-    the orientation carried by the sample, whatever that orientation is.
+    Its deformation derivatives are ``volume_variations``, in the
+    orientation carried by the sample, whatever that orientation is.
     """
     if s.sf.model is not Model.EUCLIDEAN:
         raise ConfigError("the flux volume functional is defined in the Euclidean model")
     flux = s.sf.flat_inner(s.positions, fundamental_forms(s).N)
     return integrate(flux, s, allow_open=True) / 3.0
+
+
+def volume_variations(s: SurfaceSample, u: ScalarField) -> tuple[float, float]:
+    """(first, second) deformation derivatives of the enclosed volume:
+    integral of u dS and integral of -2 H u^2 dS. Like ``volume_functional``
+    they integrate over open patches too, where they are meaningful for
+    compactly supported u."""
+    cs = curvature_scalars(s)
+    return integrate(u, s, allow_open=True), integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
 
 
 def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
@@ -289,7 +316,6 @@ def fd_variation_oracle_many(
     Es: Sequence[EnergyDensity],
     u: ScalarField,
     order: int = 1,
-    lagrange_multiplier: Optional[float] = None,
     h: Optional[float] = None,
     allow_open: bool = False,
     force: bool = False,
@@ -298,18 +324,18 @@ def fd_variation_oracle_many(
     deformed samples, each compared against the closed-form variation of
     the same order; returns one VariationReport per density.
 
-    For order 2 the differenced functional is the augmented F - lambda * V;
-    the multiplier defaults to each density's (area-weighted) mean
-    Euler-Lagrange residual, which is the value making a
-    constrained-critical immersion stationary, and is zero at an
-    unconstrained critical immersion; a given multiplier applies to every
-    density. The formula side is augmented identically: the second
-    variation of the volume, integral of -2 H u^2 dS, times lambda is
-    subtracted, so both columns of the report describe the same augmented
-    functional. (Along a symmetry direction such as a translation of the
-    sphere the augmented value is zero while the plain closed-form
-    expression is not; both are available, their difference being exactly
-    lambda times the volume term.)
+    For order 2 the differenced functional is the augmented F - lambda * V,
+    with each density's multiplier lambda from the classification that
+    ``second_variation`` checks: zero at a critical immersion, the
+    (area-weighted) mean Euler-Lagrange residual at a constrained-critical
+    one, where the field must have zero mean unless ``force`` is set. The
+    formula side is augmented identically: lambda times the second
+    variation of the volume (``volume_variations``) is subtracted, so both
+    columns of the report describe the same augmented functional. (Along a
+    symmetry direction such as a translation of the sphere the augmented
+    value is zero while the plain closed-form expression is not; both are
+    available, their difference being exactly lambda times the volume
+    term.)
     """
     if order not in (1, 2):
         raise ConfigError("oracle order must be 1 or 2")
@@ -318,18 +344,10 @@ def fd_variation_oracle_many(
         if order == 1:
             lam, formula = 0.0, first_variation(s, E, u, allow_open=allow_open)
         else:
-            if lagrange_multiplier is not None:
-                lam = float(lagrange_multiplier)
-            else:
-                res = el_residual(s, E)
-                w = fundamental_forms(s).dS_weight
-                lam = float(np.sum(res.values * w) / np.sum(w))
-                if abs(lam) < 1e-8 * (1.0 + abs(functional_value(s, E, allow_open=True))):
-                    lam = 0.0
-            formula = second_variation(s, E, u, allow_open=allow_open, force=force)
+            lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u, allow_open)
+            formula = _second_variation_integral(s, E, u, allow_open)
             if lam != 0.0:
-                cs = curvature_scalars(s)
-                formula -= lam * integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
+                formula -= lam * volume_variations(s, u)[1]
         lams.append(lam)
         formulas.append(formula)
 
@@ -350,7 +368,6 @@ def fd_variation_oracle(
     E: EnergyDensity,
     u: ScalarField,
     order: int = 1,
-    lagrange_multiplier: Optional[float] = None,
     h: Optional[float] = None,
     allow_open: bool = False,
     force: bool = False,
@@ -358,7 +375,7 @@ def fd_variation_oracle(
     """Difference quotient of F along the geodesic normal deformation of u,
     compared against the closed-form variation of the same order: the
     one-density case of ``fd_variation_oracle_many``."""
-    return fd_variation_oracle_many(s, (E,), u, order, lagrange_multiplier, h, allow_open, force)[0]
+    return fd_variation_oracle_many(s, (E,), u, order, h, allow_open, force)[0]
 
 
 _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f")

@@ -159,3 +159,32 @@ def test_open_patch_integration_guard():
     with pytest.raises(ConfigError):
         integrate(np.ones(s.shape), s)
     assert integrate(np.ones(s.shape), s, allow_open=True) > 0
+
+
+def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, clifford):
+    """The torus and the sphere share a 128 x 64 grid but not a chart: the
+    operators, the quadrature and the variation formulas refuse a torus
+    field on the sphere (they used to return numbers, e.g. a Laplacian
+    with sup 6263). A field rebound within one chart grid stays accepted."""
+    from curvevar import first_variation
+    from curvevar.calculus import gradient
+    from curvevar.densities import willmore
+    from curvevar.errors import ConfigError
+
+    u = random_smooth_field(torus, 3)
+    refused = (
+        lambda: first_variation(sphere, willmore(), u),
+        lambda: laplace_beltrami(u, sphere),
+        lambda: gradient(u, sphere),
+        lambda: grad_inner(u, u, sphere),
+        lambda: bilinear(shape_tensor(sphere), u, u, sphere),
+        lambda: contract(hessian(u, torus), shape_tensor(sphere), sphere),
+        lambda: contract(shape_tensor(sphere), shape_tensor(torus), sphere),
+        lambda: integrate(u, sphere),
+    )
+    for call in refused:
+        with pytest.raises(ConfigError, match="the field lives on the chart grid of torus, not on that of sphere"):
+            call()
+    assert clifford.domain == torus.domain
+    w = u.with_sample(clifford)
+    assert np.isfinite(integrate(laplace_beltrami(w, clifford), clifford))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_not_critical_exits_2(capsys):
     )
     assert code == 2
     assert "critical" in err
+
+
+def test_not_critical_reports_how_far_off(capsys):
+    """The refusal names the sup EL residual, its bound and the mean
+    residual on stderr; stdout stays empty and the exit code 2."""
+    code, out, err = run(
+        capsys,
+        "second-variation",
+        "--surface", "torus:R=2,a=1",
+        "--density", "willmore",
+        "--u", "random:seed=1",
+    )
+    assert code == 2 and out == ""
+    number = r"-?\d\.\d{3}e[+-]\d\d"
+    assert re.search(rf"sup \|EL residual\| = {number}, bound {number}, mean residual -?[\d.e+-]+\)", err), err
 
 
 def test_second_variation_force(capsys):

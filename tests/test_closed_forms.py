@@ -213,9 +213,8 @@ def test_harmonic_field_matches_sympy(l, small_sphere):
                 assert err <= 1e-14 * np.max(np.abs(want)), (m, a, b)
         with pytest.raises(ConfigError):
             y.partial(3, 0)
-        # the grid-only variant keeps the values
-        g = harmonic_field(s, l, m, analytic=False)
-        assert np.array_equal(g.values, y.values) and g.jet is None
+        # one cached field per (l, m)
+        assert harmonic_field(s, l, m) is y
 
 
 def test_harmonic_field_degree_zero_and_bad_order(small_sphere):

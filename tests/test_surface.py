@@ -519,12 +519,15 @@ def test_order3_consumers_refuse_deformed_samples(torus):
 def test_fundamental_forms_read_order2_jets_only(name):
     """g and its first partials come from the order <= 2 jets; they equal
     the order-2 Taylor jets of the metric bit for bit."""
-    from curvevar.curvature import _metric_part, fundamental_forms
+    from curvevar.curvature import _metric_jets, fundamental_forms
 
     s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
     ff = fundamental_forms(s)
-    assert np.array_equal(ff.g, _metric_part(s, 0, 0))
-    assert np.array_equal(ff.dg, np.stack([_metric_part(s, 1, 0), _metric_part(s, 0, 1)], axis=-3))
+    for (i, j), x in zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)):
+        for a, b in ((i, j), (j, i)):
+            assert np.array_equal(ff.g[..., a, b], x.value)
+            assert np.array_equal(ff.dg[..., 0, a, b], x.partial(1, 0))
+            assert np.array_equal(ff.dg[..., 1, a, b], x.partial(0, 1))
 
 
 def test_catalog_pole_offset_domain_must_end_at_poles():

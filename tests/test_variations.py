@@ -325,3 +325,38 @@ def test_willmore_conformal_invariance_on_geodesic_spheres(space, a):
         s, k0 = _h3_geodesic_sphere(a), -1.0
     F = functional_value(s, willmore(k0))
     assert abs(F - 4 * np.pi) <= 1e-12 * 4 * np.pi
+
+
+def test_order2_oracle_classifies_each_density_once(sphere, monkeypatch):
+    """An order-2 oracle takes each density's multiplier from the
+    classification that guards second_variation: one EL residual per
+    density (two rules used to make two)."""
+    import curvevar.variations as variations
+
+    calls = []
+    real = variations.el_residual
+    monkeypatch.setattr(variations, "el_residual", lambda s, E: calls.append(E.name) or real(s, E))
+    fd_variation_oracle_many(sphere, [willmore(), pwillmore(3)], harmonic_field(sphere, 2, 0), order=2)
+    assert len(calls) == 2
+
+
+def test_order2_oracle_formula_is_augmented_by_the_classified_multiplier(sphere):
+    """On the unit sphere H^3 is volume-constrained critical with lambda
+    the mean EL residual (1); the order-2 report's formula is the second
+    variation minus lambda times the volume's second variation."""
+    from curvevar import volume_variations
+    from curvevar.variations import _criticality
+
+    E, y20 = pwillmore(3), harmonic_field(sphere, 2, 0)
+    kind, lam, _ = _criticality(sphere, E)
+    assert kind == "constrained" and lam == pytest.approx(1.0, abs=1e-12)
+    rep = fd_variation_oracle(sphere, E, y20, order=2)
+    assert rep.formula_value == second_variation(sphere, E, y20) - lam * volume_variations(sphere, y20)[1]
+
+
+def test_zero_mean_refusal_says_how_far_off(sphere):
+    """At a constrained-critical immersion the refusal of a field with
+    nonzero mean reports the mean residual, and |mean u| against its
+    bound."""
+    with pytest.raises(NotCriticalError, match=r"mean residual 1\b.*\|mean u\| = 1\.000e\+00, bound 2\.000e-08"):
+        second_variation(sphere, pwillmore(3), ScalarField.constant(1.0, sphere))
