@@ -12,8 +12,12 @@ given as a sympy expression.
 
 Per-node tensors keep their index axes trailing, as ``curvature`` lays
 them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2).
-Operators combine them with batched ``@`` on those axes, e.g. <a, b> =
-tr((g^-1 a)(g^-1 b)).
+Operators combine them with the per-node kernels of ``curvature``, which
+write each entry out with whole-grid ufuncs, e.g. <a, b> = the sum over
+i, j of (g^-1 a)_ij (b g^-1)_ij. At 128x64 nodes on a 2-core machine
+that sum takes 0.05 ms where ``np.sum`` over the trailing (2, 2) axes
+took 0.21 ms, and each 2x2 product 0.16 ms where batched ``@`` took
+0.44-0.53 ms.
 """
 
 from __future__ import annotations
@@ -24,17 +28,16 @@ from .errors import ConfigError
 from .curvature import (
     TAYLOR_INDICES,
     Taylor2,
+    _block_inner,
+    _dot,
+    _mat2_mul,
+    _mat2_vec,
     _times_blocks,
     curvature_jets,
     curvature_scalars,
     fundamental_forms,
 )
 from .surface import PatchDomain, Provenance, SurfaceSample, _require_same_grid
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-node x_i y_i, contracting the trailing axes of x and y."""
-    return (x * y) @ np.ones(x.shape[-1])
 
 
 class ScalarField:
@@ -194,7 +197,7 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
     """
     rng = np.random.default_rng(seed)
     dim = sample.ambient_dim
-    scale = 1.0 / max(1.0, np.max(np.linalg.norm(sample.positions, axis=-1)))
+    scale = 1.0 / max(1.0, np.max(np.sqrt(_dot(sample.positions, sample.positions))))
     c0 = rng.uniform(-0.5, 0.5)
     cvec = rng.uniform(-1.0, 1.0, size=dim) * scale
     mat = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale**2
@@ -209,7 +212,13 @@ class TensorField02:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != sample.shape + (2, 2):
             raise ConfigError("tensor grid does not match the sample grid")
-        self.comps = 0.5 * (comps + np.swapaxes(comps, -1, -2))
+        # the symmetric part, entry by entry
+        self.comps = np.empty_like(comps)
+        for i in range(2):
+            self.comps[..., i, i] = comps[..., i, i]
+        off = np.add(comps[..., 0, 1], comps[..., 1, 0])
+        off *= 0.5
+        self.comps[..., 0, 1] = self.comps[..., 1, 0] = off
         self.sample = sample
 
 
@@ -242,7 +251,7 @@ def grad_lower(f: ScalarField, s: SurfaceSample) -> np.ndarray:
 
 def gradient(f: ScalarField, s: SurfaceSample) -> np.ndarray:
     """Raised gradient components grad^i f = g^{ij} f_j, shape (..., 2)."""
-    return (fundamental_forms(s).g_inv @ grad_lower(f, s)[..., None])[..., 0]
+    return _mat2_vec(fundamental_forms(s).g_inv, grad_lower(f, s))
 
 
 def grad_inner(f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
@@ -263,7 +272,7 @@ def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
 
 
 def laplace_beltrami(f: ScalarField, s: SurfaceSample) -> ScalarField:
-    vals = np.sum(fundamental_forms(s).g_inv * hessian(f, s).comps, axis=(-2, -1))
+    vals = _block_inner(fundamental_forms(s).g_inv, hessian(f, s).comps)
     return ScalarField(vals, s)
 
 
@@ -273,13 +282,13 @@ def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarFiel
     _require_same_grid(b.sample, s)
     g_inv = fundamental_forms(s).g_inv
     # tr(P Q) = sum of P * Q^T, with (g^-1 b)^T = b g^-1 for symmetric b, g
-    vals = np.sum((g_inv @ a.comps) * (b.comps @ g_inv), axis=(-2, -1))
+    vals = _block_inner(_mat2_mul(g_inv, a.comps), _mat2_mul(b.comps, g_inv))
     return ScalarField(vals, s)
 
 
 def bilinear(a: TensorField02, f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
     """a(grad f1, grad f2) with raised gradients."""
-    return _dot(gradient(f1, s), (a.comps @ gradient(f2, s)[..., None])[..., 0])
+    return _dot(gradient(f1, s), _mat2_vec(a.comps, gradient(f2, s)))
 
 
 def shape_tensor(s: SurfaceSample) -> TensorField02:
@@ -293,7 +302,7 @@ def metric_tensor(s: SurfaceSample) -> TensorField02:
 def h_squared(s: SurfaceSample) -> TensorField02:
     """(h^2)_ij = g^{kl} h_li h_kj."""
     ff = fundamental_forms(s)
-    return TensorField02(ff.h @ ff.g_inv @ ff.h, s)
+    return TensorField02(_mat2_mul(_mat2_mul(ff.h, ff.g_inv), ff.h), s)
 
 
 # -- quadrature --------------------------------------------------------------

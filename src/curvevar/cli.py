@@ -27,9 +27,9 @@ from .pwillmore import (
 from .variations import (
     _EVOLUTION_QUANTITIES,
     _NEEDS_F,
+    _oracle_core,
     el_residual,
     evolution_check,
-    fd_variation_oracle,
     first_variation,
     functional_value,
     second_variation,
@@ -173,10 +173,13 @@ def _cmd_first_variation(args):
     E = _make_density(args)
     u = _make_field(args.u, s)
     allow = not s.domain.closed
-    val = first_variation(s, E, u, allow_open=allow)
+    if args.oracle:
+        # one pass gives the formula value and the report, evaluating the formula once
+        (val,), (rep,) = _oracle_core(s, (E,), u, 1, None, allow, False)
+    else:
+        val = first_variation(s, E, u, allow_open=allow)
     payload = {"surface": args.surface, "density": E.name, "value": val}
     if args.oracle:
-        rep = fd_variation_oracle(s, E, u, order=1, allow_open=allow)
         payload["oracle"] = vars(rep)
     _emit(args, payload)
     return 0
@@ -187,12 +190,15 @@ def _cmd_second_variation(args):
     E = _make_density(args)
     u = _make_field(args.u, s)
     allow = not s.domain.closed
-    val = second_variation(s, E, u, allow_open=allow, force=args.force)
+    if args.oracle:
+        # one pass classifies the immersion and evaluates the formula once
+        (val,), (rep,) = _oracle_core(s, (E,), u, 2, None, allow, args.force)
+    else:
+        val = second_variation(s, E, u, allow_open=allow, force=args.force)
     payload = {"surface": args.surface, "density": E.name, "value": val}
     if args.force:
         payload["note"] = "formula outside stated validity (forced)"
     if args.oracle:
-        rep = fd_variation_oracle(s, E, u, order=2, allow_open=allow, force=args.force)
         payload["oracle"] = vars(rep)
     _emit(args, payload)
     return 0

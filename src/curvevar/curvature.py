@@ -3,20 +3,33 @@
 Everything is computed per node from the immersion jets, vectorized over
 the whole grid; arrays carry the grid shape in their leading two axes.
 Per-node tensors keep their index axes trailing, (..., 2, 2) for g, g^-1
-and h and (..., 2, 2, 2) for Gamma and dg, and are combined with batched
-``@`` on those axes (a Christoffel symbol as a (2, 4) block); ambient
-inner products are ``SpaceForm.flat_inner``, (x * y) @ signs.
+and h and (..., 2, 2, 2) for Gamma and dg. They are combined by the
+per-node kernels below, which write every entry of the result with
+whole-grid ufuncs into a preallocated array: numpy runs batched ``@``,
+``np.sum`` over the trailing (2, 2) axes or ``np.cross`` as a short inner
+loop per node. At 128x64 nodes on a 2-core machine, g^-1 @ h takes
+0.44-0.53 ms against 0.16 ms written out, and a sum over a (2, 2) block
+0.21 ms against 0.05 ms. Ambient inner products are
+``SpaceForm.flat_inner``, (x * y) @ signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, GuardViolation
-from .surface import SurfaceSample, _eps_normal, _quadric_normal, _require_jets, induced_metric
+from .surface import (
+    SurfaceSample,
+    _cross,
+    _eps_normal,
+    _nonfinite_node,
+    _quadric_normal,
+    _require_jets,
+    induced_metric,
+)
 
 _E = [(1, 0), (0, 1)]
 
@@ -67,16 +80,27 @@ class Taylor2:
 
     @staticmethod
     def multilinear(fn, *args: "Taylor2") -> "Taylor2":
-        """Jet of fn(x1, ..., xn) for fn linear in each argument (Leibniz rule)."""
+        """Jet of fn(x1, ..., xn) for fn linear in each argument (Leibniz rule).
+
+        A product of two first-order partials enters d_uu and d_vv once per
+        ordered pair (i, j), i != j; the picks of (i, j) and (j, i) are the
+        same, so each unordered pair is evaluated once and doubled (15 calls
+        of fn for n = 2, 28 for n = 3)."""
         n = len(args)
 
         def term(picks):
             return fn(*(x.parts[picks.get(i, 0)] for i, x in enumerate(args)))
 
-        out = [term({})] + [sum(term({i: d}) for i in range(n)) for d in (1, 2)]
+        out = [term({})] + [reduce(np.add, [term({i: d}) for i in range(n)]) for d in (1, 2)]
         for slot, d1, d2 in _SECOND:
-            pairs = sum(term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j)
-            out.append(sum(term({i: slot}) for i in range(n)) + pairs)
+            own = reduce(np.add, [term({i: slot}) for i in range(n)])
+            if n == 1:
+                out.append(own)
+            elif d1 == d2:
+                pairs = [term({i: d1, j: d1}) for i in range(n) for j in range(i + 1, n)]
+                out.append(own + 2.0 * reduce(np.add, pairs))
+            else:
+                out.append(own + reduce(np.add, [term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j]))
         return Taylor2(out)
 
     def __add__(self, other) -> "Taylor2":
@@ -135,17 +159,49 @@ class Taylor2:
         return Taylor2(out)
 
 
-@dataclass
 class FundamentalForms:
-    """g, g^-1, shape operator components h, unit normal N, Christoffels."""
+    """g, g^-1, shape operator components h, unit normal N and the area
+    weight sqrt(det g) of a sample. The metric derivatives dg and the
+    Christoffel symbols gamma are computed on first read and then kept:
+    only the covariant Hessian and the Codazzi check read them."""
 
-    g: np.ndarray          # (nu, nv, 2, 2)
-    g_inv: np.ndarray      # (nu, nv, 2, 2)
-    h: np.ndarray          # (nu, nv, 2, 2)
-    N: np.ndarray          # (nu, nv, dim)
-    gamma: np.ndarray      # (nu, nv, 2, 2, 2): gamma[..., k, i, j] = Gamma^k_ij
-    dS_weight: np.ndarray  # (nu, nv): sqrt(det g)
-    dg: np.ndarray         # (nu, nv, 2, 2, 2): dg[..., k, i, j] = d_k g_ij
+    def __init__(self, g, g_inv, h, N, dS_weight, jets: dict, inner):
+        self.g = g                  # (nu, nv, 2, 2)
+        self.g_inv = g_inv          # (nu, nv, 2, 2)
+        self.h = h                  # (nu, nv, 2, 2)
+        self.N = N                  # (nu, nv, dim)
+        self.dS_weight = dS_weight  # (nu, nv)
+        # the order <= 2 immersion jets and the ambient inner product dg is
+        # built from (not the sample, which caches this object)
+        self._jets, self._inner = jets, inner
+
+    @cached_property
+    def dg(self) -> np.ndarray:
+        """(nu, nv, 2, 2, 2): dg[..., k, i, j] = d_k g_ij."""
+        j, inner = self._jets, self._inner
+        r = [j[e] for e in _E]
+        dg = np.empty(self.g.shape[:-2] + (2, 2, 2))
+        for a in range(2):
+            for b in range(a, 2):
+                for k in range(2):
+                    # d_k <r_a, r_b> = <r_ak, r_b> + <r_a, r_bk>: order-2 jets suffice
+                    r_ak, r_bk = j[_add(_E[a], _E[k])], j[_add(_E[b], _E[k])]
+                    dg[..., k, a, b] = dg[..., k, b, a] = inner(r_ak, r[b]) + inner(r[a], r_bk)
+        return dg
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """(nu, nv, 2, 2, 2): gamma[..., k, i, j] = Gamma^k_ij."""
+        dg, g_inv = self.dg, self.g_inv
+        gamma = np.empty_like(dg)
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            # c[l] = C_l,ab = d_a g_bl + d_b g_al - d_l g_ab, symmetric in a, b
+            c = [dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b] for l in range(2)]
+            for k in range(2):
+                _sum_of_products([(g_inv[..., k, l], c[l]) for l in range(2)], gamma[..., k, a, b])
+        gamma[..., 1, 0] = gamma[..., 0, 1]
+        gamma *= 0.5
+        return gamma
 
 
 @dataclass
@@ -158,11 +214,58 @@ class CurvatureScalars:
     kappa2: np.ndarray
 
 
+# -- per-node kernels ---------------------------------------------------------
+
+
+def _sum_of_products(pairs: list, out=None) -> np.ndarray:
+    """Per node, the sum of x * y over the (x, y) in ``pairs``, left to
+    right, written into ``out`` (a fresh array when None) through one
+    scratch array."""
+    (x, y), *rest = pairs
+    out = np.multiply(x, y, out=out)
+    scratch = np.empty(out.shape) if rest else None
+    for x, y in rest:
+        out += np.multiply(x, y, out=scratch)
+    return out
+
+
+def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node matrix product a @ b of (..., 2, 2) blocks."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(2):
+        for j in range(2):
+            _sum_of_products([(a[..., i, l], b[..., l, j]) for l in range(2)], out[..., i, j])
+    return out
+
+
+def _mat2_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-node a @ x of a (..., 2, 2) block and a (..., 2) vector."""
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], x.shape))
+    for i in range(2):
+        _sum_of_products([(a[..., i, l], x[..., l]) for l in range(2)], out[..., i])
+    return out
+
+
 def _times_blocks(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """a @ t over the first index of t, t of shape (..., 2, 2, 2): the
-    contraction a^k_l t^l_ij, as a (2, 2) @ (2, 4) product per node."""
-    out = a @ t.reshape(t.shape[:-2] + (4,))
-    return out.reshape(out.shape[:-1] + (2, 2))
+    """Per-node contraction a^k_l t^l_ij of a (..., m, 2) block with t of
+    shape (..., 2, 2, 2); the result has shape (..., m, 2, 2)."""
+    m = a.shape[-2]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2))
+    for k in range(m):
+        for i in range(2):
+            for j in range(2):
+                _sum_of_products([(a[..., k, l], t[..., l, i, j]) for l in range(2)], out[..., k, i, j])
+    return out
+
+
+def _block_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node sum over i, j of a_ij b_ij for (..., 2, 2) blocks."""
+    return _sum_of_products([(a[..., i, j], b[..., i, j]) for i in range(2) for j in range(2)])
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-node x_i y_i, contracting the trailing axes of x and y."""
+    return _sum_of_products([(x[..., i], y[..., i]) for i in range(x.shape[-1])])
 
 
 def _metric_jets(sample: SurfaceSample) -> tuple:
@@ -183,7 +286,7 @@ def _normal_jets(sample: SurfaceSample) -> tuple:
         inner = partial(Taylor2.multilinear, sf.flat_inner)
         ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
         if sf.ambient_dim == 3:
-            n = Taylor2.multilinear(np.cross, ru, rv)
+            n = Taylor2.multilinear(_cross, ru, rv)
         else:
             n = Taylor2.multilinear(partial(_quadric_normal, sf.metric_signs), Taylor2.from_jets(jets), ru, rv)
         sample._cache["normal_jets"] = (n, inner(n, n).sqrt().reciprocal())
@@ -222,15 +325,7 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
         return sample._cache["forms"]
     inner = sample.sf.flat_inner
     j = sample.jets
-    r = [j[e] for e in _E]
     g = induced_metric(sample)
-    dg = np.empty(sample.shape + (2, 2, 2))  # dg[..., k, i, j] = d_k g_ij
-    for a in range(2):
-        for b in range(a, 2):
-            for k in range(2):
-                # d_k <r_a, r_b> = <r_ak, r_b> + <r_a, r_bk>: order-2 jets suffice
-                r_ak, r_bk = j[_add(_E[a], _E[k])], j[_add(_E[b], _E[k])]
-                dg[..., k, a, b] = dg[..., k, b, a] = inner(r_ak, r[b]) + inner(r[a], r_bk)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     if np.any(det <= 0):
         i, jj = np.unravel_index(np.argmin(det), det.shape)
@@ -240,20 +335,14 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     g_inv[..., 1, 1] = g[..., 0, 0] / det
     g_inv[..., 0, 1] = g_inv[..., 1, 0] = -g[..., 0, 1] / det
 
-    N = sample.orientation_sign * _eps_normal(sample.sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
+    N = _eps_normal(sample.sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
+    N *= sample.orientation_sign
     h = np.empty_like(g)
-    for a in range(2):
-        for b in range(2):
-            h[..., a, b] = inner(N, j[_add(_E[a], _E[b])])
+    h[..., 0, 0] = inner(N, j[(2, 0)])
+    h[..., 0, 1] = h[..., 1, 0] = inner(N, j[(1, 1)])
+    h[..., 1, 1] = inner(N, j[(0, 2)])
 
-    c = np.empty_like(dg)  # c[..., l, i, j] = dg_jl,i + dg_il,j - dg_ij,l
-    for l in range(2):
-        for a in range(2):
-            for b in range(2):
-                c[..., l, a, b] = dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b]
-    gamma = 0.5 * _times_blocks(g_inv, c)
-
-    ff = FundamentalForms(g=g, g_inv=g_inv, h=h, N=N, gamma=gamma, dS_weight=np.sqrt(det), dg=dg)
+    ff = FundamentalForms(g, g_inv, h, N, np.sqrt(det), j, inner)
     sample._cache["forms"] = ff
     return ff
 
@@ -265,18 +354,17 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
     sf = sample.sf
     # overflow is reported below, naming the scalar and the node
     with np.errstate(over="ignore", invalid="ignore"):
-        shape_op = ff.g_inv @ ff.h
+        shape_op = _mat2_mul(ff.g_inv, ff.h)
         H = 0.5 * (shape_op[..., 0, 0] + shape_op[..., 1, 1])
         K_E = (ff.h[..., 0, 0] * ff.h[..., 1, 1] - ff.h[..., 0, 1] ** 2) / ff.dS_weight**2
         # |h|^2 = g^ik g^jl h_ij h_kl = tr(S S) with S = g^-1 h
-        h_norm_sq = np.sum(shape_op * np.swapaxes(shape_op, -1, -2), axis=(-2, -1))
+        h_norm_sq = _block_inner(shape_op, np.swapaxes(shape_op, -1, -2))
     for name, x in (("H", H), ("K_E", K_E), ("|h|^2", h_norm_sq)):
-        bad = ~np.isfinite(x)
-        if np.any(bad):
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        node = _nonfinite_node(x)
+        if node is not None:
             raise GuardViolation(
-                f"{sample.name}: curvature scalar {name} = {x[i, j]} is not finite at node ({i}, {j})",
-                node=(int(i), int(j)),
+                f"{sample.name}: curvature scalar {name} = {x[node]} is not finite at node {node}",
+                node=node,
             )
     K = K_E + sf.k0
     disc = np.sqrt(np.maximum(H**2 - K_E, 0.0))

@@ -45,14 +45,13 @@ def fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def spectral_derivatives(vals: np.ndarray, orders, period: float, axis: int) -> list:
-    """Derivatives of the given orders (each >= 1) of a periodic sampled
-    function along ``axis`` via FFT, all from one forward transform."""
-    n = vals.shape[axis]
+def spectral_derivatives(fk: np.ndarray, n: int, orders, period: float, axis: int) -> list:
+    """Derivatives of the given orders (each >= 1) along ``axis`` of a
+    periodic function sampled at n points, from its forward transform
+    fk = rfft(values, axis=axis); one transform serves all the orders."""
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period
-    shape = [1] * vals.ndim
+    shape = [1] * fk.ndim
     shape[axis] = len(k)
-    fk = np.fft.rfft(vals, axis=axis)
     out = []
     for order in orders:
         mult = (1j * k) ** order
@@ -114,25 +113,53 @@ class ChartDerivatives:
                 self._mats[key] = fd_derivative_matrix(self.domain.nv, self._dv, order)
         return self._mats[key]
 
+    def spectral(self, axis: int) -> bool:
+        """True when derivatives along axis 0 (u) or 1 (v) are taken by FFT:
+        along a periodic direction, and along a pole-offset v of a chart
+        with periodic u."""
+        d = self.domain
+        return d.periodic_u if axis == 0 else d.periodic_v or (d.pole_offset and d.periodic_u)
+
+    def transform_size(self, axis: int) -> int:
+        """Length of the values ``transform`` takes along ``axis``: the grid
+        count, doubled along a pole-offset v by the pole extension."""
+        d = self.domain
+        return d.nu if axis == 0 else (d.nv if d.periodic_v else 2 * d.nv)
+
+    def transform(self, vals: np.ndarray, axis: int) -> np.ndarray:
+        """Forward FFT of grid values along a spectral direction; along a
+        pole-offset v, of the values extended to the full latitude circle."""
+        if axis == 1 and not self.domain.periodic_v:
+            vals = _pole_extend(vals, axis_u=0, axis_v=1)
+        return np.fft.rfft(vals, axis=axis)
+
     def derivatives(self, vals: np.ndarray, axis: int, orders) -> list:
         """The derivatives of the given orders along axis 0 (u) or 1 (v),
         in the order given; order 0 is ``vals`` itself. Along a spectral
         direction one forward FFT serves all the orders."""
-        d = self.domain
         todo = [m for m in orders if m]
         if not todo:
             return [vals] * len(orders)
-        if axis == 0 and d.periodic_u:
-            ders = spectral_derivatives(vals, todo, self._lu, axis=0)
-        elif axis == 1 and d.periodic_v:
-            ders = spectral_derivatives(vals, todo, self._lv, axis=1)
-        elif axis == 1 and d.pole_offset and d.periodic_u:
-            ext = _pole_extend(vals, axis_u=0, axis_v=1)
-            ders = [der[:, : d.nv] for der in spectral_derivatives(ext, todo, 2.0 * self._lv, axis=1)]
-        elif axis == 0:
+        if self.spectral(axis):
+            return self.derivatives_from(self.transform(vals, axis), vals, axis, orders)
+        if axis == 0:
             ders = [np.einsum("ij,j...->i...", self._fd_matrix("u", m), vals) for m in todo]
         else:
             ders = [np.einsum("ij,kj...->ki...", self._fd_matrix("v", m), vals) for m in todo]
+        out = {0: vals, **dict(zip(todo, ders))}
+        return [out[m] for m in orders]
+
+    def derivatives_from(self, fk: np.ndarray, vals: np.ndarray, axis: int, orders) -> list:
+        """``derivatives(vals, axis, orders)`` along a spectral direction,
+        from fk = ``transform(vals, axis)``."""
+        todo = [m for m in orders if m]
+        n = self.transform_size(axis)
+        if axis == 0:
+            ders = spectral_derivatives(fk, n, todo, self._lu, 0)
+        elif self.domain.periodic_v:
+            ders = spectral_derivatives(fk, n, todo, self._lv, 1)
+        else:  # over the pole extension, of twice the length of v_range
+            ders = [der[:, : self.domain.nv] for der in spectral_derivatives(fk, n, todo, 2.0 * self._lv, 1)]
         out = {0: vals, **dict(zip(todo, ders))}
         return [out[m] for m in orders]
 

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError
-from .gridops import ChartDerivatives, _pole_extend, fd_weights
+from .gridops import ChartDerivatives, fd_weights
 from .spaceform import Model, SpaceForm
 
 JET_ORDER = 4
@@ -161,35 +161,65 @@ def _require_same_grid(field_sample: "SurfaceSample", s: "SurfaceSample") -> Non
         raise ConfigError(f"the field lives on the chart grid of {field_sample.name}, not on that of {s.name}")
 
 
+def _nonfinite_node(x: np.ndarray):
+    """The first grid node (i, j) at which some entry of x is not finite,
+    or None. A finite sum of x clears every node at once; a sum that is
+    not finite (a NaN or infinity in x, or finite entries whose sum
+    overflows) falls through to the per-node search."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(x.sum()):
+            return None
+    bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
+    if not np.any(bad):
+        return None
+    i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    return int(i), int(j)
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-node cross product x × y of (..., 3) vectors, entry by entry."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    scratch = np.empty(out.shape[:-1])
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        out_i = np.multiply(x[..., j], y[..., k], out=out[..., i])
+        out_i -= np.multiply(x[..., k], y[..., j], out=scratch)
+    return out
+
+
 def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
     """Unit normal tangent to the model quadric, via generalized cross product."""
     if sf.ambient_dim == 3:
-        n = np.cross(ru, rv)
-        norm = np.linalg.norm(n, axis=-1, keepdims=True)
-        return n / norm
-    n = _quadric_normal(sf.metric_signs, p, ru, rv)  # p is the quadric direction in both 4-d models
-    return n / np.sqrt(np.abs(sf.flat_inner(n, n)))[..., None]
+        n = _cross(ru, rv)
+    else:
+        n = _quadric_normal(sf.metric_signs, p, ru, rv)  # p is the quadric direction in both 4-d models
+    n /= np.sqrt(np.abs(sf.flat_inner(n, n)))[..., None]
+    return n
 
 
 def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
     """Unnormalised normal of a surface in a 4-dimensional model quadric,
     linear in each of the quadric direction q, r_u and r_v."""
     # covector w_l = det(e_l, q, r_u, r_v), expanded in the 2x2 minors of
-    # (r_u, r_v); raise with the flat metric
+    # (r_u, r_v); raised with the flat metric, n^l = G^{ll} w_l (diagonal)
     m = {(i, j): ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i in range(4) for j in range(i + 1, 4)}
-    w = []
+    out = np.empty(np.broadcast_shapes(q.shape, ru.shape, rv.shape))
     for l in range(4):
         a, b, c = (i for i in range(4) if i != l)
-        w.append((-1.0) ** l * (q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]))
-    return np.stack(w, axis=-1) * signs  # n^l = G^{ll} w_l (diagonal metric)
+        w = q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]
+        np.multiply(w, (-1.0) ** l * signs[l], out=out[..., l])
+    return out
 
 
 def induced_metric(sample: SurfaceSample) -> np.ndarray:
     """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2)."""
     inner = sample.sf.flat_inner
     r_u, r_v = sample.jets[(1, 0)], sample.jets[(0, 1)]
-    g_uv = inner(r_u, r_v)
-    return np.stack([np.stack([inner(r_u, r_u), g_uv], axis=-1), np.stack([g_uv, inner(r_v, r_v)], axis=-1)], axis=-2)
+    g = np.empty(sample.shape + (2, 2))
+    g[..., 0, 0] = inner(r_u, r_u)
+    g[..., 0, 1] = g[..., 1, 0] = inner(r_u, r_v)
+    g[..., 1, 1] = inner(r_v, r_v)
+    return g
 
 
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
@@ -197,10 +227,9 @@ def check_immersion(sample: SurfaceSample, where: str = "") -> None:
     chart, at a stencil offset) and a degenerate metric, naming the node."""
     at = f" in {where}" if where else ""
     for ab, x in sample.jets.items():
-        bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
-        if np.any(bad):
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ConfigError(f"non-finite position partial {ab} at node ({i}, {j}){at}")
+        node = _nonfinite_node(x)
+        if node is not None:
+            raise ConfigError(f"non-finite position partial {ab} at node {node}{at}")
     g = induced_metric(sample)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     scale = np.max(np.abs(g)) ** 2 + 1e-300
@@ -236,19 +265,22 @@ def spectral_tail(values, domain: PatchDomain) -> dict:
     reach 1.6e-7, and 1.3e-3 at 1.4e-14. Catalog charts and numeric-jet
     spheres measure <= 3e-32.
     """
+    ops = ChartDerivatives(domain)
     x = np.asarray(values, dtype=float)
-    spectral = (domain.periodic_u, domain.periodic_v or (domain.pole_offset and domain.periodic_u))
+    return _tail_shares({axis: ops.transform(x, axis) for axis in (0, 1) if ops.spectral(axis)}, ops)
+
+
+def _tail_shares(spectra: dict, ops: ChartDerivatives) -> dict:
+    """``spectral_tail`` from the forward transforms {axis: ops.transform(x,
+    axis)} of the values."""
     out = {}
-    for axis, direction in enumerate("uv"):
-        if not spectral[axis]:
-            continue
-        y = _pole_extend(x, axis_u=0, axis_v=1) if axis == 1 and domain.pole_offset else x
-        n = y.shape[axis]
-        power = np.abs(np.fft.rfft(y, axis=axis)) ** 2
+    for axis, fk in spectra.items():
+        n = ops.transform_size(axis)
+        power = np.abs(fk) ** 2
         power = np.moveaxis(power, axis, 0).reshape(power.shape[axis], -1).sum(axis=1)
         power[1 : (n + 1) // 2] *= 2.0  # every mode but the mean and Nyquist stands for +-k
         total = power.sum()
-        out[direction] = float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
+        out["uv"[axis]] = float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
     return out
 
 
@@ -257,11 +289,13 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
     partials by spectral differentiation. Refuses values that are not
     finite, or whose spectral tail exceeds ``SPECTRAL_TAIL_BOUND``."""
     x = np.asarray(values, dtype=float)
-    bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
-    if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ConfigError(f"{name}: non-finite position at node ({i}, {j})")
-    for direction, share in spectral_tail(x, ops.domain).items():
+    node = _nonfinite_node(x)
+    if node is not None:
+        raise ConfigError(f"{name}: non-finite position at node {node}")
+    # one forward transform along u, then one along v per u-order; the
+    # first two also give the spectral tail
+    spectra = {axis: ops.transform(x, axis) for axis in (0, 1)}
+    for direction, share in _tail_shares(spectra, ops).items():
         if share > SPECTRAL_TAIL_BOUND:
             nu, nv = ops.domain.nu, ops.domain.nv
             fix = "use a finer grid"
@@ -271,9 +305,9 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
                 f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
                 f"{nu}x{nv} grid does not resolve it and its jets would be aliased; {fix}"
             )
-    # one forward transform along u, then one along v per u-order
-    du = ops.derivatives(x, 0, range(JET_ORDER + 1))
-    dv = [ops.derivatives(du[a], 1, range(JET_ORDER + 1 - a)) for a in range(JET_ORDER + 1)]
+    du = ops.derivatives_from(spectra[0], x, 0, range(JET_ORDER + 1))
+    dv = [ops.derivatives_from(spectra[1], x, 1, range(JET_ORDER + 1))]
+    dv += [ops.derivatives(du[a], 1, range(JET_ORDER + 1 - a)) for a in range(1, JET_ORDER + 1)]
     return {(a, b): dv[a][b] for a, b in MULTI_INDICES}
 
 
@@ -411,11 +445,13 @@ def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     p, n = Taylor2.from_jets(s.jets), normal_jet(s)
     sf.check_unit_tangent(p.value, n.value)
     uj = u.taylor()
+    # the Euclidean step is linear in t: u N is pushed forward once
+    un = uj.times_vector(n) if sf.model is Model.EUCLIDEAN else None
     name = f"{s.name}+deform"
     out = {}
     for t in ts:
-        if sf.model is Model.EUCLIDEAN:
-            x = p + (t * uj).times_vector(n)
+        if un is not None:
+            x = p + t * un
         else:
             theta = (t / sf.radius) * uj
             th = theta.value

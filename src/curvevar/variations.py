@@ -27,7 +27,7 @@ from .calculus import (
     laplace_beltrami,
     shape_tensor,
 )
-from .curvature import Taylor2, curvature_scalars, fundamental_forms
+from .curvature import Taylor2, _mat2_mul, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
@@ -337,19 +337,34 @@ def fd_variation_oracle_many(
     available, their difference being exactly lambda times the volume
     term.)
     """
+    return _oracle_core(s, Es, u, order, h, allow_open, force)[1]
+
+
+def _oracle_core(
+    s: SurfaceSample,
+    Es: Sequence[EnergyDensity],
+    u: ScalarField,
+    order: int,
+    h: Optional[float],
+    allow_open: bool,
+    force: bool,
+) -> tuple[list, list]:
+    """``fd_variation_oracle_many``, returning with its reports the closed-form
+    variation of F itself for each density: the value ``first_variation``
+    or ``second_variation`` gives, before the multiplier term. A caller
+    that reports both pays for each classification and integral once."""
     if order not in (1, 2):
         raise ConfigError("oracle order must be 1 or 2")
-    lams, formulas = [], []
+    lams, values, formulas = [], [], []
     for E in Es:
         if order == 1:
-            lam, formula = 0.0, first_variation(s, E, u, allow_open=allow_open)
+            lam, value = 0.0, first_variation(s, E, u, allow_open=allow_open)
         else:
             lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u, allow_open)
-            formula = _second_variation_integral(s, E, u, allow_open)
-            if lam != 0.0:
-                formula -= lam * volume_variations(s, u)[1]
+            value = _second_variation_integral(s, E, u, allow_open)
         lams.append(lam)
-        formulas.append(formula)
+        values.append(value)
+        formulas.append(value - lam * volume_variations(s, u)[1] if lam != 0.0 else value)
 
     def measure(st: SurfaceSample) -> list:
         vol = volume_functional(st) if any(lams) else 0.0
@@ -360,7 +375,7 @@ def fd_variation_oracle_many(
     for formula, a, b, oracle in zip(formulas, d1, d2, oracles):
         conv = _observed_order(abs(a - formula), abs(b - formula), 1e-11 * (1.0 + abs(formula)))
         reports.append(_report(formula, oracle, h1, conv))
-    return reports
+    return values, reports
 
 
 def fd_variation_oracle(
@@ -390,7 +405,7 @@ def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField
     if quantity == "g":
         return -2.0 * uv[..., None, None] * ff.h
     if quantity == "g_inv":
-        h_up = ff.g_inv @ ff.h @ ff.g_inv
+        h_up = _mat2_mul(_mat2_mul(ff.g_inv, ff.h), ff.g_inv)
         return 2.0 * uv[..., None, None] * h_up
     if quantity == "dS":
         return -2.0 * H * uv * ff.dS_weight

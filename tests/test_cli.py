@@ -159,6 +159,32 @@ def test_second_variation_force(capsys):
     assert "note" in json.loads(out)
 
 
+def test_second_variation_oracle_classifies_and_integrates_once(capsys, monkeypatch):
+    """With --oracle the immersion is classified once and the
+    second-variation integral evaluated once (the formula value and the
+    oracle's formula side share them); the printed value is the one the
+    command prints without --oracle."""
+    from curvevar import variations
+
+    argv = ["second-variation", "--surface", "sphere:r=1", "--density", "pwillmore", "--p", "3", "--u", "harmonic:2,0"]
+    argv += ["--nu", "32", "--nv", "16"]
+    counts = {"_criticality": 0, "_second_variation_integral": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _fn=getattr(variations, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(variations, name, counted)
+    code, out, _ = run(capsys, *argv, "--oracle")
+    assert code == 0
+    assert counts == {"_criticality": 1, "_second_variation_integral": 1}
+    payload = json.loads(out)
+    assert payload["oracle"]["rel_error"] < 1e-4
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(plain)["value"] == payload["value"]
+
+
 def test_config_file_merge(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"surface": "sphere:r=2", "density": "willmore"}))

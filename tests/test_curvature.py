@@ -178,3 +178,69 @@ def test_taylor2_arithmetic():
     check(Taylor2.compose2(jet(f), jet(g), *(p(fv, gv) for p in parts)), G.subs({H: f, K: g}))
     with pytest.raises(ConfigError):
         jet(f).partial(2, 1)
+
+
+def _leibniz_every_ordered_pair(fn, *args):
+    """The Leibniz expansion of a multilinear fn with the product of two
+    first-order partials evaluated once per ordered pair (i, j): 17 calls
+    of fn for two arguments, 34 for three."""
+    from curvevar.curvature import Taylor2
+
+    n = len(args)
+
+    def term(picks):
+        return fn(*(x.parts[picks.get(i, 0)] for i, x in enumerate(args)))
+
+    out = [term({})] + [sum(term({i: d}) for i in range(n)) for d in (1, 2)]
+    for slot, d1, d2 in ((3, 1, 1), (4, 1, 2), (5, 2, 2)):
+        pairs = sum(term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j)
+        out.append(sum(term({i: slot}) for i in range(n)) + pairs)
+    return Taylor2(out)
+
+
+def _counted(fn, calls):
+    def wrapper(*xs):
+        calls.append(1)
+        return fn(*xs)
+
+    return wrapper
+
+
+def test_multilinear_evaluates_each_pair_product_once(torus, clifford):
+    """The products of two first-order partials in d_uu and d_vv are
+    evaluated once per unordered pair: 15 calls of fn for a bilinear map
+    (17 with every ordered pair), 28 for the trilinear 4-d normal (34).
+    The bilinear jet is the ordered-pair expansion bit for bit; the
+    trilinear one, whose map is not symmetric, equals it to round-off."""
+    from functools import partial
+
+    from curvevar.curvature import Taylor2
+    from curvevar.surface import _quadric_normal
+
+    ru, rv = (Taylor2.from_jets(torus.jets, e) for e in ((1, 0), (0, 1)))
+    calls = []
+    got = Taylor2.multilinear(_counted(torus.sf.flat_inner, calls), ru, rv)
+    assert len(calls) == 15
+    for x, y in zip(got.parts, _leibniz_every_ordered_pair(torus.sf.flat_inner, ru, rv).parts):
+        assert np.array_equal(x, y)
+
+    fn = partial(_quadric_normal, clifford.sf.metric_signs)
+    p, ru, rv = (Taylor2.from_jets(clifford.jets, e) for e in ((0, 0), (1, 0), (0, 1)))
+    calls = []
+    got = Taylor2.multilinear(_counted(fn, calls), p, ru, rv)
+    assert len(calls) == 28
+    for x, y in zip(got.parts, _leibniz_every_ordered_pair(fn, p, ru, rv).parts):
+        assert np.max(np.abs(x - y)) <= 1e-14 * max(np.max(np.abs(y)), 1.0)
+
+
+def test_christoffel_symbols_are_built_when_first_read(torus):
+    """Measuring a functional on a deformed sample builds g, h and N but
+    neither dg nor Gamma; the first read of gamma builds both and keeps them."""
+    from curvevar import builtin_density, deform_normal, functional_value, random_smooth_field
+
+    d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
+    functional_value(d, builtin_density("willmore"))
+    ff = fundamental_forms(d)
+    assert "dg" not in vars(ff) and "gamma" not in vars(ff)
+    gamma = ff.gamma
+    assert "dg" in vars(ff) and fundamental_forms(d).gamma is gamma

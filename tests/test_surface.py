@@ -360,9 +360,9 @@ def test_spectral_jets_match_exact_jets(name, params):
 @pytest.mark.parametrize("case", ["torus", "h3_sphere"])
 def test_spectral_jets_transform_each_input_once(case, monkeypatch):
     """A spectral jet build runs one forward FFT along u, and one along v
-    per u-order below 4 (5 in all; one partial at a time took 14), and its
-    jets equal bit for bit those of ChartDerivatives.partial taken one
-    multi-index at a time."""
+    per u-order below 4 (5 in all; one partial at a time took 14), the
+    spectral-tail guard reading the first two, and its jets equal bit for
+    bit those of ChartDerivatives.partial taken one multi-index at a time."""
     from curvevar import surface
     from curvevar.gridops import ChartDerivatives
     from curvevar.surface import JET_ORDER, MULTI_INDICES
@@ -382,7 +382,6 @@ def test_spectral_jets_transform_each_input_once(case, monkeypatch):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
-    monkeypatch.setattr(surface, "spectral_tail", lambda values, domain: {})  # it transforms the positions too
     jets = surface._spectral_jets(x, ops, case)
     assert sorted(axes) == [0] + [1] * JET_ORDER
     for ab in MULTI_INDICES:

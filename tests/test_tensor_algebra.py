@@ -1,19 +1,23 @@
-"""Per-node 2x2 tensor algebra: parity with einsum references, and the rule
-that keeps einsum out of the per-node code.
+"""Per-node tensor algebra: parity with einsum references, the per-node
+kernels on their own, and the rule that keeps numpy's per-node loops out
+of the per-node code.
 
-The modules combine per-node tensors with batched ``@`` on their trailing
-axes. The references below spell each contraction out as the index
-expression it encodes, with ``np.einsum``, so the two routes share no code
-past the immersion jets.
+The modules combine per-node tensors with the kernels of ``curvature``
+and ``surface``, which write every entry out with whole-grid ufuncs. The
+references below spell each contraction out as the index expression it
+encodes, with ``np.einsum`` (or ``np.cross``), so the two routes share no
+code past the immersion jets.
 """
 
-import re
+import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvevar import SpaceForm, default_domain, deform_normal, sample_builtin, sample_callable
+from curvevar.errors import ConfigError, GuardViolation
 from curvevar.calculus import (
     bilinear,
     contract,
@@ -26,8 +30,19 @@ from curvevar.calculus import (
     shape_tensor,
 )
 from curvevar.catalog import CATALOG_NAMES
-from curvevar.curvature import Taylor2, curvature_scalars, fundamental_forms, intrinsic_gauss_curvature
-from curvevar.surface import induced_metric
+from curvevar.curvature import (
+    Taylor2,
+    _block_inner,
+    _dot,
+    _mat2_mul,
+    _mat2_vec,
+    _sum_of_products,
+    _times_blocks,
+    curvature_scalars,
+    fundamental_forms,
+    intrinsic_gauss_curvature,
+)
+from curvevar.surface import _cross, _nonfinite_node, _quadric_normal, check_immersion, induced_metric, numeric_jets
 
 # Worst differences measured over the cases below (all six catalog charts,
 # a deformed torus and the numeric-jet H^3 sphere, at 64x32), relative to
@@ -202,20 +217,132 @@ def test_ambient_quadratic_form_matches_einsum_reference(torus):
         assert _rel(got, ref) <= PARITY_BOUND
 
 
+def test_per_node_kernels_match_einsum_reference():
+    """Each kernel equals the index expression it writes out, on operands
+    whose leading axes broadcast against each other, including hessian's
+    (..., 1, 2) covector row against a (..., 2, 2, 2) Gamma block."""
+    rng = np.random.default_rng(3)
+    a, b, t = rng.standard_normal((5, 4, 2, 2)), rng.standard_normal((4, 2, 2)), rng.standard_normal((5, 4, 2, 2, 2))
+    row, vec = rng.standard_normal((4, 1, 2)), rng.standard_normal((5, 1, 2))
+    cases = [
+        ("_mat2_mul", _mat2_mul(a, b), np.einsum("...ik,...kj->...ij", a, b)),
+        ("_mat2_mul", _mat2_mul(b, a), np.einsum("...ik,...kj->...ij", b, a)),
+        ("_mat2_vec", _mat2_vec(a, vec), np.einsum("...ij,...j->...i", a, vec)),
+        ("_times_blocks", _times_blocks(b, t), np.einsum("...kl,...lij->...kij", b, t)),
+        ("_times_blocks", _times_blocks(row, t), np.einsum("...kl,...lij->...kij", row, t)),
+        ("_block_inner", _block_inner(a, b), np.einsum("...ij,...ij->...", a, b)),
+        ("_sum_of_products", _sum_of_products([(a, b), (b, t[..., 0])]), a * b + b * t[..., 0]),
+    ]
+    for n in (2, 3, 4):
+        x, y = rng.standard_normal((5, 4, n)), rng.standard_normal((4, n))
+        cases.append((f"_dot ({n})", _dot(x, y), np.einsum("...i,...i->...", x, y)))
+    x, y = rng.standard_normal((5, 4, 3)), rng.standard_normal((4, 3))
+    cases += [("_cross", _cross(x, y), np.cross(x, y)), ("_cross", _cross(y, x), np.cross(y, x))]
+    for name, got, want in cases:
+        assert got.shape == want.shape, name
+        assert _rel(got, want) <= PARITY_BOUND, name
+
+
+@pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0)])
+def test_quadric_normal_matches_determinant_reference(signs):
+    """The cofactor expansion with the metric signs folded in equals
+    n^l = G^ll det(e_l, q, r_u, r_v), the determinants taken by numpy."""
+    rng = np.random.default_rng(4)
+    q, ru, rv = rng.standard_normal((5, 4, 4)), rng.standard_normal((4, 4)), rng.standard_normal((5, 4, 4))
+    shape = (5, 4, 4)
+    want = np.stack(
+        [
+            signs[l] * np.linalg.det(np.stack([np.broadcast_to(np.eye(4)[l], shape), q, np.broadcast_to(ru, shape), rv], -2))
+            for l in range(4)
+        ],
+        axis=-1,
+    )
+    assert _rel(_quadric_normal(np.array(signs), q, ru, rv), want) <= PARITY_BOUND
+
+
+def _with_jet(s, ab, jet):
+    jets = dict(s.jets)
+    jets[ab] = jet
+    return dataclasses.replace(s, jets=jets, _cache={})
+
+
+def test_a_nan_reaches_the_guard_that_names_its_node(torus):
+    """A NaN skips no guard on the fast path: check_immersion names the
+    partial and the node; the forms carry it into h, and curvature_scalars
+    names the node of H; spectral jets name the node of the position."""
+    bad = torus.jets[(0, 2)].copy()
+    bad[3, 5, 1] = np.nan
+    s = _with_jet(torus, (0, 2), bad)
+    with pytest.raises(ConfigError, match=r"non-finite position partial \(0, 2\) at node \(3, 5\)"):
+        check_immersion(s, "nan torus")
+    with pytest.raises(GuardViolation, match=r"curvature scalar H = nan is not finite at node \(3, 5\)") as err:
+        curvature_scalars(s)
+    assert err.value.node == (3, 5)
+    x = torus.positions.copy()
+    x[7, 2, 0] = np.nan
+    with pytest.raises(ConfigError, match=r"nan map: non-finite position at node \(7, 2\)"):
+        numeric_jets(lambda U, V: x, torus.domain, "nan map")
+
+
+def test_finite_values_whose_sum_overflows_are_accepted(torus):
+    """The one-sum test clears finite arrays; a sum that overflows although
+    every entry is finite falls through to the per-node search, which
+    accepts it (and still names a node that is not finite)."""
+    big = np.full((8, 8, 3), 1e308)
+    assert _nonfinite_node(big) is None
+    big[2, 6, 1] = -np.inf
+    assert _nonfinite_node(big) == (2, 6)
+    assert _nonfinite_node(torus.positions) is None
+    check_immersion(_with_jet(torus, (4, 0), np.full(torus.shape + (3,), 1e308)))
+
+
 PER_NODE_MODULES = ("curvature", "calculus", "surface", "spaceform", "variations")
+
+# numpy runs each of these on the trailing axes of per-node arrays as a
+# short loop per node
+FORBIDDEN_ATTRIBUTES = ("np.einsum", "np.cross", "np.linalg.norm")
+
+
+def _per_node_loops(source: str) -> list:
+    """(line, what) for each forbidden call in the code (docstrings and
+    comments aside): an attribute of FORBIDDEN_ATTRIBUTES, or any call that
+    reduces over axis=(-2, -1)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (ast.unparse(node) in FORBIDDEN_ATTRIBUTES or node.attr == "einsum"):
+            hits.append((node.lineno, ast.unparse(node)))
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg == "axis" and ast.unparse(kw.value) == "(-2, -1)":
+                    hits.append((node.lineno, ast.unparse(node.func) + "(..., axis=(-2, -1))"))
+    return sorted(hits)
+
+
+def test_per_node_rule_sees_each_forbidden_call():
+    """The rule's own check: it finds each forbidden form in code and
+    ignores the names in a docstring."""
+    source = '''"""np.cross and np.einsum in a docstring"""
+a = np.einsum("...ij,...jk->...ik", x, y)
+b = np.cross(x, y)
+c = np.linalg.norm(x, axis=-1)
+d = np.sum(x * y, axis=(-2, -1))
+e = (x * y).sum(axis=(-2, -1))
+'''
+    assert [line for line, _ in _per_node_loops(source)] == [2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("module", PER_NODE_MODULES)
 def test_no_einsum_in_per_node_code(module):
-    """Per-node contractions over trailing 2x2 axes go through batched @.
+    """Per-node arrays are combined by the kernels, entry by entry; no
+    einsum, np.cross, np.linalg.norm or sum over the trailing (2, 2) axes.
 
-    numpy's einsum runs them as a generic strided loop over the tiny
-    trailing axes: at 128x64 nodes, "...ik,...kj->...ij" takes 2.1 ms
-    where g_inv @ h takes 0.27 ms, and the 4-operand contraction of
-    |h|^2 took 2.8 ms. Those calls were 58 % of a deformation-oracle pass,
-    so einsum stays out of these modules (gridops keeps its einsums, which
-    apply dense difference matrices along a grid axis).
+    numpy runs those as a generic loop over the tiny trailing axes. At
+    128x64 nodes on a 2-core machine, "...ik,...kj->...ij" by einsum took
+    2.1 ms; g_inv @ h by batched matmul takes 0.44-0.53 ms and the four
+    entries written out 0.16 ms; np.sum over axis=(-2, -1) 0.21 ms against
+    0.05 ms; np.cross 0.42 ms against 0.095 ms. gridops keeps its einsums,
+    which apply dense difference matrices along a grid axis.
     """
     path = Path(__file__).resolve().parents[1] / "src" / "curvevar" / f"{module}.py"
-    hits = [i + 1 for i, line in enumerate(path.read_text().splitlines()) if re.search(r"\beinsum\b", line)]
-    assert not hits, f"einsum in curvevar/{module}.py at lines {hits}"
+    hits = _per_node_loops(path.read_text())
+    assert not hits, f"per-node loops in curvevar/{module}.py: {hits}"
