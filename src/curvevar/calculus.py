@@ -212,13 +212,7 @@ class TensorField02:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != sample.shape + (2, 2):
             raise ConfigError("tensor grid does not match the sample grid")
-        # the symmetric part, entry by entry
-        self.comps = np.empty_like(comps)
-        for i in range(2):
-            self.comps[..., i, i] = comps[..., i, i]
-        off = np.add(comps[..., 0, 1], comps[..., 1, 0])
-        off *= 0.5
-        self.comps[..., 0, 1] = self.comps[..., 1, 0] = off
+        self.comps = 0.5 * (comps + np.swapaxes(comps, -1, -2))
         self.sample = sample
 
 

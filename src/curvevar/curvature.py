@@ -223,7 +223,7 @@ def _sum_of_products(pairs: list, out=None) -> np.ndarray:
     scratch array."""
     (x, y), *rest = pairs
     out = np.multiply(x, y, out=out)
-    scratch = np.empty(out.shape) if rest else None
+    scratch = np.empty_like(out) if rest else None
     for x, y in rest:
         out += np.multiply(x, y, out=scratch)
     return out
@@ -231,7 +231,7 @@ def _sum_of_products(pairs: list, out=None) -> np.ndarray:
 
 def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-node matrix product a @ b of (..., 2, 2) blocks."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for i in range(2):
         for j in range(2):
             _sum_of_products([(a[..., i, l], b[..., l, j]) for l in range(2)], out[..., i, j])
@@ -240,7 +240,7 @@ def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mat2_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-node a @ x of a (..., 2, 2) block and a (..., 2) vector."""
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], x.shape))
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], x.shape), np.result_type(a, x))
     for i in range(2):
         _sum_of_products([(a[..., i, l], x[..., l]) for l in range(2)], out[..., i])
     return out
@@ -250,7 +250,7 @@ def _times_blocks(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-node contraction a^k_l t^l_ij of a (..., m, 2) block with t of
     shape (..., 2, 2, 2); the result has shape (..., m, 2, 2)."""
     m = a.shape[-2]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2))
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2), np.result_type(a, t))
     for k in range(m):
         for i in range(2):
             for j in range(2):

@@ -178,8 +178,8 @@ def _nonfinite_node(x: np.ndarray):
 
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-node cross product x × y of (..., 3) vectors, entry by entry."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    scratch = np.empty(out.shape[:-1])
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
+    scratch = np.empty(out.shape[:-1], out.dtype)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         out_i = np.multiply(x[..., j], y[..., k], out=out[..., i])
@@ -203,7 +203,7 @@ def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
     # covector w_l = det(e_l, q, r_u, r_v), expanded in the 2x2 minors of
     # (r_u, r_v); raised with the flat metric, n^l = G^{ll} w_l (diagonal)
     m = {(i, j): ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i in range(4) for j in range(i + 1, 4)}
-    out = np.empty(np.broadcast_shapes(q.shape, ru.shape, rv.shape))
+    out = np.empty(np.broadcast_shapes(q.shape, ru.shape, rv.shape), np.result_type(q, ru, rv))
     for l in range(4):
         a, b, c = (i for i in range(4) if i != l)
         w = q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]
@@ -215,10 +215,11 @@ def induced_metric(sample: SurfaceSample) -> np.ndarray:
     """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2)."""
     inner = sample.sf.flat_inner
     r_u, r_v = sample.jets[(1, 0)], sample.jets[(0, 1)]
-    g = np.empty(sample.shape + (2, 2))
-    g[..., 0, 0] = inner(r_u, r_u)
-    g[..., 0, 1] = g[..., 1, 0] = inner(r_u, r_v)
-    g[..., 1, 1] = inner(r_v, r_v)
+    g_uu, g_uv, g_vv = inner(r_u, r_u), inner(r_u, r_v), inner(r_v, r_v)
+    g = np.empty(sample.shape + (2, 2), np.result_type(g_uu, g_uv, g_vv))
+    g[..., 0, 0] = g_uu
+    g[..., 0, 1] = g[..., 1, 0] = g_uv
+    g[..., 1, 1] = g_vv
     return g
 
 

@@ -11,6 +11,7 @@ code past the immersion jets.
 
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,34 @@ def test_per_node_kernels_match_einsum_reference():
         assert _rel(got, want) <= PARITY_BOUND, name
 
 
+def test_per_node_kernels_keep_complex_operands():
+    """The kernels allocate their result in the operands' dtype, so a
+    complex-step derivative keeps its imaginary part through each one."""
+    rng = np.random.default_rng(5)
+
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b, t, row, vec = z(5, 4, 2, 2), z(4, 2, 2), z(5, 4, 2, 2, 2), z(4, 1, 2), z(5, 1, 2)
+    x, y = z(5, 4, 3), z(4, 3)
+    q, ru, rv = z(5, 4, 4), z(4, 4), z(5, 4, 4)
+    plain = _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q.real, ru.real, rv.real)
+    cases = [
+        ("_mat2_mul", _mat2_mul(a, b), np.einsum("...ik,...kj->...ij", a, b)),
+        ("_mat2_vec", _mat2_vec(a, vec), np.einsum("...ij,...j->...i", a, vec)),
+        ("_times_blocks", _times_blocks(row, t), np.einsum("...kl,...lij->...kij", row, t)),
+        ("_block_inner", _block_inner(a, b), np.einsum("...ij,...ij->...", a, b)),
+        ("_dot", _dot(x, y), np.einsum("...i,...i->...", x, y)),
+        ("_cross", _cross(x, y), np.cross(x, y)),
+        # linear in q: the imaginary part of q carries through alone
+        ("_quadric_normal", _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q, ru.real, rv.real),
+         plain + 1j * _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q.imag, ru.real, rv.real)),
+    ]
+    for name, got, want in cases:
+        assert np.iscomplexobj(got), name
+        assert _rel(got, want) <= PARITY_BOUND, name
+
+
 @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0)])
 def test_quadric_normal_matches_determinant_reference(signs):
     """The cofactor expansion with the metric signs folded in equals
@@ -299,36 +328,60 @@ def test_finite_values_whose_sum_overflows_are_accepted(torus):
 PER_NODE_MODULES = ("curvature", "calculus", "surface", "spaceform", "variations")
 
 # numpy runs each of these on the trailing axes of per-node arrays as a
-# short loop per node
-FORBIDDEN_ATTRIBUTES = ("np.einsum", "np.cross", "np.linalg.norm")
+# short loop per node, whatever name the code reaches it by
+FORBIDDEN_NAMES = ("einsum", "cross", "norm")
+TRAILING_BLOCK_AXES = ("(-2, -1)", "(-1, -2)")
 
 
 def _per_node_loops(source: str) -> list:
-    """(line, what) for each forbidden call in the code (docstrings and
-    comments aside): an attribute of FORBIDDEN_ATTRIBUTES, or any call that
-    reduces over axis=(-2, -1)."""
-    hits = []
+    """(line, what) for each per-node loop in ``source``: every line that
+    mentions einsum, comments and docstrings included; in the code, every
+    attribute, bare name, imported name or string constant (as passed to
+    getattr) in FORBIDDEN_NAMES; and every call that takes (-2, -1) as a
+    positional or ``axis`` argument."""
+    hits = {(i + 1, "einsum") for i, line in enumerate(source.splitlines()) if re.search(r"\beinsum\b", line)}
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and (ast.unparse(node) in FORBIDDEN_ATTRIBUTES or node.attr == "einsum"):
-            hits.append((node.lineno, ast.unparse(node)))
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            name = None
+        if isinstance(name, str) and name in FORBIDDEN_NAMES:
+            hits.add((node.lineno, name))
         if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg == "axis" and ast.unparse(kw.value) == "(-2, -1)":
-                    hits.append((node.lineno, ast.unparse(node.func) + "(..., axis=(-2, -1))"))
+            for arg in node.args + [kw.value for kw in node.keywords if kw.arg == "axis"]:
+                if ast.unparse(arg) in TRAILING_BLOCK_AXES:
+                    hits.add((node.lineno, ast.unparse(node.func) + f"(..., {ast.unparse(arg)})"))
     return sorted(hits)
 
 
 def test_per_node_rule_sees_each_forbidden_call():
-    """The rule's own check: it finds each forbidden form in code and
-    ignores the names in a docstring."""
-    source = '''"""np.cross and np.einsum in a docstring"""
+    """The rule's own check: it finds each forbidden form in code, under
+    any spelling, and einsum on any line; the other names may appear in a
+    docstring."""
+    source = '''"""np.cross and np.linalg.norm in a docstring"""
+from numpy import einsum, cross as cr
+from numpy.linalg import norm
+import numpy.linalg as la
 a = np.einsum("...ij,...jk->...ik", x, y)
-b = np.cross(x, y)
-c = np.linalg.norm(x, axis=-1)
-d = np.sum(x * y, axis=(-2, -1))
-e = (x * y).sum(axis=(-2, -1))
+b = einsum("...ij,...jk->...ik", x, y)
+c = getattr(np, "einsum")
+d = np.cross(x, y)
+e = numpy.cross(x, y)
+f = np.linalg.norm(x, axis=-1)
+g = numpy.linalg.norm(x, axis=-1) + la.norm(x) + norm(x)
+h = np.sum(x * y, axis=(-2, -1))
+k = (x * y).sum(axis=(-1, -2))
+m = np.sum(x * y, (-2, -1))
+# einsum in a comment
+n = np.swapaxes(x, -2, -1)
 '''
-    assert [line for line, _ in _per_node_loops(source)] == [2, 3, 4, 5, 6]
+    assert sorted({line for line, _ in _per_node_loops(source)}) == [2, 3] + list(range(5, 16))
 
 
 @pytest.mark.parametrize("module", PER_NODE_MODULES)
