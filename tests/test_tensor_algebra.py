@@ -218,13 +218,28 @@ def test_ambient_quadratic_form_matches_einsum_reference(torus):
         assert _rel(got, ref) <= PARITY_BOUND
 
 
-def test_per_node_kernels_match_einsum_reference():
+def _operands(dtype, seed):
+    """Standard normal arrays of the given shapes, complex ones with a
+    standard normal imaginary part."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    return draw
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_per_node_kernels_match_einsum_reference(dtype):
     """Each kernel equals the index expression it writes out, on operands
     whose leading axes broadcast against each other, including hessian's
-    (..., 1, 2) covector row against a (..., 2, 2, 2) Gamma block."""
-    rng = np.random.default_rng(3)
-    a, b, t = rng.standard_normal((5, 4, 2, 2)), rng.standard_normal((4, 2, 2)), rng.standard_normal((5, 4, 2, 2, 2))
-    row, vec = rng.standard_normal((4, 1, 2)), rng.standard_normal((5, 1, 2))
+    (..., 1, 2) covector row against a (..., 2, 2, 2) Gamma block. The
+    result takes the operands' dtype, so complex operands (a complex-step
+    derivative) keep their imaginary part."""
+    draw = _operands(dtype, 3)
+    a, b, t = draw(5, 4, 2, 2), draw(4, 2, 2), draw(5, 4, 2, 2, 2)
+    row, vec = draw(4, 1, 2), draw(5, 1, 2)
     cases = [
         ("_mat2_mul", _mat2_mul(a, b), np.einsum("...ik,...kj->...ij", a, b)),
         ("_mat2_mul", _mat2_mul(b, a), np.einsum("...ik,...kj->...ij", b, a)),
@@ -235,49 +250,23 @@ def test_per_node_kernels_match_einsum_reference():
         ("_sum_of_products", _sum_of_products([(a, b), (b, t[..., 0])]), a * b + b * t[..., 0]),
     ]
     for n in (2, 3, 4):
-        x, y = rng.standard_normal((5, 4, n)), rng.standard_normal((4, n))
+        x, y = draw(5, 4, n), draw(4, n)
         cases.append((f"_dot ({n})", _dot(x, y), np.einsum("...i,...i->...", x, y)))
-    x, y = rng.standard_normal((5, 4, 3)), rng.standard_normal((4, 3))
+    x, y = draw(5, 4, 3), draw(4, 3)
     cases += [("_cross", _cross(x, y), np.cross(x, y)), ("_cross", _cross(y, x), np.cross(y, x))]
     for name, got, want in cases:
-        assert got.shape == want.shape, name
+        assert got.shape == want.shape and got.dtype == want.dtype, name
         assert _rel(got, want) <= PARITY_BOUND, name
 
 
-def test_per_node_kernels_keep_complex_operands():
-    """The kernels allocate their result in the operands' dtype, so a
-    complex-step derivative keeps its imaginary part through each one."""
-    rng = np.random.default_rng(5)
-
-    def z(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    a, b, t, row, vec = z(5, 4, 2, 2), z(4, 2, 2), z(5, 4, 2, 2, 2), z(4, 1, 2), z(5, 1, 2)
-    x, y = z(5, 4, 3), z(4, 3)
-    q, ru, rv = z(5, 4, 4), z(4, 4), z(5, 4, 4)
-    plain = _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q.real, ru.real, rv.real)
-    cases = [
-        ("_mat2_mul", _mat2_mul(a, b), np.einsum("...ik,...kj->...ij", a, b)),
-        ("_mat2_vec", _mat2_vec(a, vec), np.einsum("...ij,...j->...i", a, vec)),
-        ("_times_blocks", _times_blocks(row, t), np.einsum("...kl,...lij->...kij", row, t)),
-        ("_block_inner", _block_inner(a, b), np.einsum("...ij,...ij->...", a, b)),
-        ("_dot", _dot(x, y), np.einsum("...i,...i->...", x, y)),
-        ("_cross", _cross(x, y), np.cross(x, y)),
-        # linear in q: the imaginary part of q carries through alone
-        ("_quadric_normal", _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q, ru.real, rv.real),
-         plain + 1j * _quadric_normal(np.array((1.0, 1.0, 1.0, -1.0)), q.imag, ru.real, rv.real)),
-    ]
-    for name, got, want in cases:
-        assert np.iscomplexobj(got), name
-        assert _rel(got, want) <= PARITY_BOUND, name
-
-
+@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0)])
-def test_quadric_normal_matches_determinant_reference(signs):
+def test_quadric_normal_matches_determinant_reference(signs, dtype):
     """The cofactor expansion with the metric signs folded in equals
-    n^l = G^ll det(e_l, q, r_u, r_v), the determinants taken by numpy."""
-    rng = np.random.default_rng(4)
-    q, ru, rv = rng.standard_normal((5, 4, 4)), rng.standard_normal((4, 4)), rng.standard_normal((5, 4, 4))
+    n^l = G^ll det(e_l, q, r_u, r_v), the determinants taken by numpy, in
+    the operands' dtype."""
+    draw = _operands(dtype, 4)
+    q, ru, rv = draw(5, 4, 4), draw(4, 4), draw(5, 4, 4)
     shape = (5, 4, 4)
     want = np.stack(
         [
@@ -286,7 +275,9 @@ def test_quadric_normal_matches_determinant_reference(signs):
         ],
         axis=-1,
     )
-    assert _rel(_quadric_normal(np.array(signs), q, ru, rv), want) <= PARITY_BOUND
+    got = _quadric_normal(np.array(signs), q, ru, rv)
+    assert got.dtype == want.dtype
+    assert _rel(got, want) <= PARITY_BOUND
 
 
 def _with_jet(s, ab, jet):
