@@ -3,10 +3,10 @@
 Each chart is written as a sum of separable terms c * f(u) * g(v) per
 ambient component, whose factors are 1, cos/sin(w x), cosh/sinh(w x) or
 x^n. Their k-th derivatives are known in closed form, so the jets to
-order 4 (and the position map) are evaluated with numpy alone. The curvature scalars H, K with their chart partials are
-computed from those jets (``curvature.curvature_jets``). Catalog closed
-surfaces are oriented so that H > 0 where that is meaningful (sphere:
-H = +1/r, i.e. inward normal).
+order 4 (and the position map) are evaluated with numpy alone. A sample
+is checked (``surface.check_immersion``) and oriented before anything is
+cached on it: H > 0 at the node of largest |H|, unless the surface is
+minimal there (sphere: H = +1/r, i.e. inward normal).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import curvature_jets
+from .curvature import curvature_scalars
 from .errors import ConfigError
 from .spaceform import Model, SpaceForm
-from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample
+from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, check_immersion
 
 # the catalog charts and the parameters each takes
 _CHART_PARAMS = {
@@ -226,8 +226,9 @@ def sample_builtin(
     domain: PatchDomain | None = None,
     sf: SpaceForm | None = None,
 ) -> SurfaceSample:
-    """Exact-jet sample of a catalog surface. A pole-offset domain must end
-    at poles of the chart in v (``ConfigError`` naming v_range otherwise)."""
+    """Exact-jet sample of a catalog surface, checked and oriented as the
+    module docstring says. A pole-offset domain must end at poles of the
+    chart in v (``ConfigError`` naming v_range otherwise)."""
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
     params = dict(params or {})
@@ -249,10 +250,6 @@ def sample_builtin(
         position_map=bundle.position_map,
         name=name,
     )
-    # pick the orientation with H > 0 where the surface is not minimal,
-    # judged at the node where |H| is largest; the jets are cached in the
-    # raw orientation, so setting the sign afterwards keeps them valid
-    h_raw = curvature_jets(s)[0].value
-    h_ref = h_raw.flat[np.argmax(np.abs(h_raw))]
-    s.orientation_sign = -1.0 if h_ref < -1e-9 else 1.0
-    return s
+    check_immersion(s, where=name)
+    H = curvature_scalars(s).H
+    return s.flipped() if H.flat[np.argmax(np.abs(H))] < -1e-9 else s

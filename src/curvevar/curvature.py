@@ -302,7 +302,8 @@ def normal_jet(sample: SurfaceSample) -> Taylor2:
 
 def curvature_jets(sample: SurfaceSample) -> tuple:
     """Order-2 Taylor jets (H, K_E) in the sample's orientation, pushed
-    through g, the normal and h from the order-4 immersion jets."""
+    through g, the normal and h from the order-4 immersion jets; built on
+    first read and cached like the forms."""
     _require_jets(sample, 4, "curvature_jets")
     if "curvature_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
@@ -311,25 +312,24 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
         h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
         g00, g01, g11 = _metric_jets(sample)
         inv_det = (g00 * g11 - g01 * g01).reciprocal()
-        h_raw = 0.5 * (g11 * h00 - 2.0 * (g01 * h01) + g00 * h11) * inv_det
-        k_e = (h00 * h11 - h01 * h01) * inv_det
-        # cached in the raw orientation of the normal, so valid for any sign
-        sample._cache["curvature_jets"] = (h_raw, k_e)
-    h_raw, k_e = sample._cache["curvature_jets"]
-    return sample.orientation_sign * h_raw, k_e
+        H = 0.5 * sample.orientation_sign * (g11 * h00 - 2.0 * (g01 * h01) + g00 * h11) * inv_det
+        sample._cache["curvature_jets"] = (H, (h00 * h11 - h01 * h01) * inv_det)
+    return sample._cache["curvature_jets"]
 
 
 def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
-    """First and second fundamental forms with the sample's orientation."""
+    """First and second fundamental forms with the sample's orientation;
+    the one degeneracy guard, det g <= 1e-12 max|g|^2, names the node."""
     if "forms" in sample._cache:
         return sample._cache["forms"]
     inner = sample.sf.flat_inner
     j = sample.jets
     g = induced_metric(sample)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.any(det <= 0):
-        i, jj = np.unravel_index(np.argmin(det), det.shape)
-        raise DegenerateMetricError(f"degenerate metric at node ({i}, {jj})", node=(int(i), int(jj)))
+    bad = det <= 1e-12 * (np.max(np.abs(g)) ** 2 + 1e-300)
+    if np.any(bad):
+        node = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise DegenerateMetricError(f"degenerate metric at node {node} in {sample.name}", node=node)
     g_inv = np.empty_like(g)
     g_inv[..., 0, 0] = g[..., 1, 1] / det
     g_inv[..., 1, 1] = g[..., 0, 0] / det

@@ -7,13 +7,19 @@ jets of closed charts:
 - FFT differentiation along a pole-offset latitude direction, using the
   double-covering extension f(u, -v) = f(u + period_u/2, v) valid for any
   smooth function on a sphere-type chart.
-- Banded finite differences (5-point, one-sided near the edges) elsewhere.
+- Banded finite differences (FD_WIDTH = 9 points, one-sided near the
+  edges) elsewhere; a direction needs at least FD_WIDTH grid nodes.
 - Fornberg stencil weights for the local jet stencils.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
+
+# points of the banded finite-difference stencils
+FD_WIDTH = 9
 
 
 def fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
@@ -62,15 +68,14 @@ def spectral_derivatives(fk: np.ndarray, n: int, orders, period: float, axis: in
     return out
 
 
-def fd_derivative_matrix(n: int, spacing: float, order: int, width: int = 9) -> np.ndarray:
-    """Dense differentiation matrix for a uniform non-periodic grid."""
-    if n < width:
-        raise ValueError("grid too small for the stencil")
+def fd_derivative_matrix(n: int, spacing: float, order: int) -> np.ndarray:
+    """Dense differentiation matrix for a uniform non-periodic grid of
+    n >= FD_WIDTH nodes."""
     d = np.zeros((n, n))
-    half = width // 2
+    half = FD_WIDTH // 2
     for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        idx = np.arange(lo, lo + width)
+        lo = min(max(i - half, 0), n - FD_WIDTH)
+        idx = np.arange(lo, lo + FD_WIDTH)
         d[i, idx] = fd_weights((idx - i) * spacing, order)
     return d
 
@@ -107,10 +112,10 @@ class ChartDerivatives:
     def _fd_matrix(self, direction: str, order: int) -> np.ndarray:
         key = (direction, order)
         if key not in self._mats:
-            if direction == "u":
-                self._mats[key] = fd_derivative_matrix(self.domain.nu, self._du, order)
-            else:
-                self._mats[key] = fd_derivative_matrix(self.domain.nv, self._dv, order)
+            n, step = (self.domain.nu, self._du) if direction == "u" else (self.domain.nv, self._dv)
+            if n < FD_WIDTH:
+                raise ConfigError(f"finite differences along {direction} need at least {FD_WIDTH} grid nodes (got n{direction} = {n})")
+            self._mats[key] = fd_derivative_matrix(n, step, order)
         return self._mats[key]
 
     def spectral(self, axis: int) -> bool:

@@ -135,8 +135,7 @@ class SurfaceSample:
         return self._cache["chart_ops"]
 
     def flipped(self) -> "SurfaceSample":
-        s = replace(self, orientation_sign=-self.orientation_sign, _cache={})
-        return s
+        return replace(self, orientation_sign=-self.orientation_sign, _cache={})
 
     @property
     def jet_order(self) -> int:
@@ -225,22 +224,19 @@ def induced_metric(sample: SurfaceSample) -> np.ndarray:
 
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
     """Refuse non-finite jets (a map undefined at a node or, on an open
-    chart, at a stencil offset) and a degenerate metric, naming the node."""
+    chart, at a stencil offset) and a degenerate metric, naming the node.
+    The metric guard builds the forms (``fundamental_forms``), which stay cached."""
+    from .curvature import fundamental_forms
+
     at = f" in {where}" if where else ""
     for ab, x in sample.jets.items():
         node = _nonfinite_node(x)
         if node is not None:
             raise ConfigError(f"non-finite position partial {ab} at node {node}{at}")
-    g = induced_metric(sample)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    scale = np.max(np.abs(g)) ** 2 + 1e-300
-    bad = det <= 1e-12 * scale
-    if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateMetricError(
-            f"degenerate metric at node ({i}, {j}){at}",
-            node=(int(i), int(j)),
-        )
+    try:
+        fundamental_forms(sample)
+    except DegenerateMetricError as err:
+        raise DegenerateMetricError(f"degenerate metric at node {err.node}{at}", node=err.node) from None
 
 
 # -- numeric jets ----------------------------------------------------------

@@ -324,3 +324,27 @@ def test_cold_path_never_imports_sympy(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_small_open_grid_field_exits_1(tmp_path, capsys):
+    """A value-only field on an open chart takes its partials from banded
+    finite differences, which need 9 nodes per direction: an 8 x 8 graph
+    grid is refused with a message naming the direction and the count."""
+    argv = ("first-variation", "--surface", "graph", "--nu", "8", "--nv", "8", "--density", "bending", "--u")
+    code, out, err = run(capsys, *argv, _grid_csv(tmp_path / "u.csv", ["0,0,1.0\n"] * 64))
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: ") and "along u need at least 9 grid nodes (got nu = 8)" in err
+
+
+@pytest.mark.parametrize("quantity", ["2H", "laplacian_f"])
+def test_verify_evolution(quantity, capsys):
+    """laplacian_f needs the auxiliary field f, which the subcommand draws
+    itself; both checks pass at second order."""
+    code, out, _ = run(
+        capsys, "verify-evolution", "--surface", "torus", "--u", "random:seed=3", "--quantity", quantity,
+        "--nu", "64", "--nv", "32",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["quantity"] == quantity and payload["surface"] == "torus"
+    assert payload["rel_error"] < 1e-6 and payload["convergence_order"] >= 1.9

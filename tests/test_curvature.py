@@ -244,3 +244,26 @@ def test_christoffel_symbols_are_built_when_first_read(torus):
     assert "dg" not in vars(ff) and "gamma" not in vars(ff)
     gamma = ff.gamma
     assert "dg" in vars(ff) and fundamental_forms(d).gamma is gamma
+
+
+def test_nearly_degenerate_metric_is_refused():
+    """fundamental_forms holds the one degeneracy guard, det g <= 1e-12
+    max|g|^2: a hand-built sample of the plane map (u + v, 1e-7 v, 0) has
+    det g = 1e-14 > 0 at every node and is refused, naming the first node
+    and the sample."""
+    from curvevar import DegenerateMetricError, PatchDomain, SpaceForm
+    from curvevar.surface import SurfaceSample
+
+    domain = PatchDomain((0, 1), (0, 1), 8, 8)
+    U, V = domain.meshes()
+    zero = np.zeros(U.shape + (3,))
+    jets = {
+        (0, 0): np.stack([U + V, 1e-7 * V, 0 * U], axis=-1),
+        (1, 0): zero + [1.0, 0.0, 0.0],
+        (0, 1): zero + [1.0, 1e-7, 0.0],
+        **{ab: zero for ab in ((2, 0), (1, 1), (0, 2))},
+    }
+    s = SurfaceSample(domain, SpaceForm.euclidean(), jets, name="sliver")
+    with pytest.raises(DegenerateMetricError, match=r"degenerate metric at node \(0, 0\) in sliver") as err:
+        fundamental_forms(s)
+    assert err.value.node == (0, 0)

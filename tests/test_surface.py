@@ -553,3 +553,69 @@ def test_fields_stay_on_their_chart_grid(torus, sphere):
         deform_normal(sphere, u, 0.01)
     with pytest.raises(ConfigError, match="different chart grids"):
         u.with_sample(sphere)
+
+
+def test_degenerate_catalog_domain_names_the_node():
+    """A catalog sample is checked like any other: the sphere chart on a
+    v grid that includes both poles has g = 0 there, and the refusal names
+    the first pole node and the surface instead of dividing by zero."""
+    domain = PatchDomain((0, 2 * np.pi), (0, np.pi), 16, 16, periodic_u=True)
+    with pytest.raises(DegenerateMetricError, match=r"degenerate metric at node \(0, 0\) in sphere$") as err:
+        sample_builtin("sphere", domain=domain)
+    assert err.value.node == (0, 0)
+
+
+def test_deformed_sample_builds_its_metric_once(torus, monkeypatch):
+    """Checking a deformed sample builds its fundamental forms, which stay
+    cached: reading its curvature afterwards computes g no second time."""
+    import curvevar.curvature
+    import curvevar.surface
+
+    calls = []
+
+    def counting(sample):
+        calls.append(sample.name)
+        return induced_metric(sample)
+
+    monkeypatch.setattr(curvevar.surface, "induced_metric", counting)
+    monkeypatch.setattr(curvevar.curvature, "induced_metric", counting)
+    d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
+    curvature_scalars(d)
+    assert calls == ["torus+deform"]
+
+
+def test_catalog_samples_build_no_curvature_jets():
+    """The orientation is read from the H values of the forms; curvature
+    jets are built only when something reads them."""
+    from curvevar import functional_value
+    from curvevar.curvature import curvature_jets
+    from curvevar.densities import willmore
+
+    for name in ("sphere", "torus"):
+        s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
+        functional_value(s, willmore())
+        assert "curvature_jets" not in s._cache
+        H, _ = curvature_jets(s)
+        assert np.max(np.abs(H.value - curvature_scalars(s).H)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,params,sign",
+    [
+        ("torus", {}, -1.0),
+        ("sphere", {}, 1.0),
+        ("catenoid", {}, 1.0),
+        ("graph", {}, 1.0),
+        ("geodesic_sphere_S3", {}, 1.0),
+        ("clifford_torus_S3", {}, 1.0),
+        ("graph", {"coeffs": {(2, 0): -1.0, (0, 2): -1.0}}, -1.0),
+    ],
+)
+def test_catalog_orientation(name, params, sign):
+    """Each catalog sample is oriented so that H > 0 at the node where |H|
+    is largest, unless the surface is minimal there (catenoid, Clifford
+    torus), and its cached forms carry that orientation."""
+    s = sample_builtin(name, params)
+    assert s.orientation_sign == sign
+    H = curvature_scalars(s).H
+    assert H.flat[np.argmax(np.abs(H))] >= -1e-9

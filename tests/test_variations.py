@@ -154,6 +154,18 @@ def test_evolution_equations_with_aux_field(geo_sphere):
         assert rep.rel_error < 1e-5, q
 
 
+def test_evolution_check_refuses_bad_quantities(torus):
+    """An unknown quantity and an f-quantity without f are refused before
+    any deformed sample is built."""
+    from curvevar.errors import ConfigError
+
+    u = random_smooth_field(torus, 1)
+    with pytest.raises(ConfigError, match=r"unknown evolution quantity 'H' \(have: g, g_inv"):
+        evolution_check_many(torus, u, quantities=("2H", "H"))
+    with pytest.raises(ConfigError, match="quantity 'h_hess_f' needs the auxiliary field f"):
+        evolution_check(torus, u, quantity="h_hess_f")
+
+
 def test_volume_functional(sphere, sphere2):
     assert abs(volume_functional(sphere)) == pytest.approx(4 * np.pi / 3, abs=1e-9)
     assert abs(volume_functional(sphere2)) == pytest.approx(32 * np.pi / 3, abs=1e-8)
