@@ -266,8 +266,14 @@ def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
 
 
 def laplace_beltrami(f: ScalarField, s: SurfaceSample) -> ScalarField:
-    vals = _block_inner(fundamental_forms(s).g_inv, hessian(f, s).comps)
-    return ScalarField(vals, s)
+    return metric_trace(hessian(f, s), s)
+
+
+def metric_trace(a: TensorField02, s: SurfaceSample) -> ScalarField:
+    """g^{ij} a_ij; the Laplace-Beltrami operator is the trace of the Hessian.
+    a must live on the chart grid of s."""
+    _require_same_grid(a.sample, s)
+    return ScalarField(_block_inner(fundamental_forms(s).g_inv, a.comps), s)
 
 
 def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarField:

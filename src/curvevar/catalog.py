@@ -147,7 +147,8 @@ class ChartBundle:
 
     def evaluate(self, U, V, indices) -> list:
         """The jets d^a_u d^b_v r for (a, b) in ``indices`` at the chart
-        points (U, V), shape (..., dim). Each distinct factor is evaluated
+        points (U, V), shape (..., dim) laid out component-major (each
+        component one contiguous array). Each distinct factor is evaluated
         once per call, and factors equal to 1 not at all."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
@@ -171,7 +172,8 @@ class ChartBundle:
                     for x in arrays[1:]:
                         term = term * x
                 comps[comp] = term if comps[comp] is None else comps[comp] + term
-            out.append(np.stack([np.zeros(shape) if x is None else np.broadcast_to(x, shape) for x in comps], axis=-1))
+            planes = np.stack([np.zeros(shape) if x is None else np.broadcast_to(x, shape) for x in comps])
+            out.append(np.moveaxis(planes, 0, -1))
         return out
 
     def position_map(self, U, V) -> np.ndarray:

@@ -9,8 +9,12 @@ whole-grid ufuncs into a preallocated array: numpy runs batched ``@``,
 ``np.sum`` over the trailing (2, 2) axes or ``np.cross`` as a short inner
 loop per node. At 128x64 nodes on a 2-core machine, g^-1 @ h takes
 0.44-0.53 ms against 0.16 ms written out, and a sum over a (2, 2) block
-0.21 ms against 0.05 ms. Ambient inner products are
-``SpaceForm.flat_inner``, (x * y) @ signs.
+0.21 ms against 0.05 ms. Ambient vectors are laid out component-major
+(each x[..., k] one contiguous grid plane, see ``surface._empty_planes``),
+and their kernels work component by component: ambient inner products
+are ``SpaceForm.flat_inner``, one product per component with the metric
+signs folded in, and a scalar times a vector is one multiply per
+component.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from .errors import ConfigError, DegenerateMetricError, GuardViolation
 from .surface import (
     SurfaceSample,
     _cross,
+    _empty_planes,
     _eps_normal,
+    _minors,
     _nonfinite_node,
-    _quadric_normal,
+    _normal_from_minors,
     _require_jets,
     induced_metric,
 )
@@ -125,7 +131,7 @@ class Taylor2:
 
     def times_vector(self, vec: "Taylor2") -> "Taylor2":
         """Jet of this scalar quantity times the vector quantity ``vec``."""
-        return Taylor2.multilinear(lambda a, x: a[..., None] * x, self, vec)
+        return Taylor2.multilinear(_times_vector, self, vec)
 
     def compose(self, g0, g1, g2) -> "Taylor2":
         """G(x) from G, G' and G'' evaluated at the value of x."""
@@ -174,6 +180,13 @@ class FundamentalForms:
         # the order <= 2 immersion jets and the ambient inner product dg is
         # built from (not the sample, which caches this object)
         self._jets, self._inner = jets, inner
+
+    def flipped(self) -> "FundamentalForms":
+        """The forms in the opposite orientation: N and h negated, the rest
+        (dg and gamma too, once read) shared."""
+        out = FundamentalForms(self.g, self.g_inv, -self.h, -self.N, self.dS_weight, self._jets, self._inner)
+        out.__dict__.update((k, v) for k, v in vars(self).items() if k in ("dg", "gamma"))
+        return out
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -268,6 +281,24 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _sum_of_products([(x[..., i], y[..., i]) for i in range(x.shape[-1])])
 
 
+def _times_vector(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-node a x of a scalar grid a and a (..., k) vector x, component
+    by component into a component-major result."""
+    out = _empty_planes(np.broadcast_shapes(a.shape + x.shape[-1:], x.shape), np.result_type(a, x))
+    for k in range(x.shape[-1]):
+        np.multiply(a, x[..., k], out=out[..., k])
+    return out
+
+
+def _quadric_normal_jet(signs, q: "Taylor2", ru: "Taylor2", rv: "Taylor2") -> "Taylor2":
+    """Order-2 jet of ``surface._quadric_normal``: a bilinear jet of the
+    minors of (r_u, r_v), then a bilinear map of (q, minors), 15 + 15
+    calls where the trilinear expansion takes 28 that each rebuild the
+    minors."""
+    minors = Taylor2.multilinear(_minors, ru, rv)
+    return Taylor2.multilinear(partial(_normal_from_minors, signs), q, minors)
+
+
 def _metric_jets(sample: SurfaceSample) -> tuple:
     """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
     if "metric_jets" not in sample._cache:
@@ -288,7 +319,7 @@ def _normal_jets(sample: SurfaceSample) -> tuple:
         if sf.ambient_dim == 3:
             n = Taylor2.multilinear(_cross, ru, rv)
         else:
-            n = Taylor2.multilinear(partial(_quadric_normal, sf.metric_signs), Taylor2.from_jets(jets), ru, rv)
+            n = _quadric_normal_jet(sf.metric_signs, Taylor2.from_jets(jets), ru, rv)
         sample._cache["normal_jets"] = (n, inner(n, n).sqrt().reciprocal())
     return sample._cache["normal_jets"]
 

@@ -164,7 +164,9 @@ class ChartDerivatives:
         elif self.domain.periodic_v:
             ders = spectral_derivatives(fk, n, todo, self._lv, 1)
         else:  # over the pole extension, of twice the length of v_range
-            ders = [der[:, : self.domain.nv] for der in spectral_derivatives(fk, n, todo, 2.0 * self._lv, 1)]
+            ders = spectral_derivatives(fk, n, todo, 2.0 * self._lv, 1)
+            # the first half, copied so it keeps the memory layout of vals
+            ders = [der[:, : self.domain.nv].copy(order="K") for der in ders]
         out = {0: vals, **dict(zip(todo, ders))}
         return [out[m] for m in orders]
 

@@ -87,10 +87,20 @@ class SpaceForm:
 
     def flat_inner(self, v, w):
         """Bilinear form of the flat ambient (Minkowski for hyperbolic),
-        contracted over the trailing axis of v and w."""
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return (v * w) @ self.metric_signs
+        contracted over the trailing axis of v and w. It is written out
+        component by component in the operands' dtype, so complex operands
+        keep their imaginary part."""
+        v, w = np.asarray(v), np.asarray(w)
+        dim = self.ambient_dim
+        if v.shape[-1] != dim or w.shape[-1] != dim:
+            raise ValueError(f"flat_inner takes {dim}-vectors (got trailing axes {v.shape[-1]} and {w.shape[-1]})")
+        out = v[..., 0] * w[..., 0]
+        for k in range(1, dim):
+            if k == 3 and self.model is Model.HYPERBOLOID:
+                out -= v[..., k] * w[..., k]
+            else:
+                out += v[..., k] * w[..., k]
+        return out
 
     def quadric_residual(self, p) -> np.ndarray:
         """Relative violation of the model constraint <p,p> = ±rho^2."""

@@ -18,6 +18,10 @@ A deformed surface (``deform_normal``) gets its jets to order 2 by the
 chain rule from those of the base sample, its normal and the field, on
 every chart alike; nothing is evaluated off the grid. Every route refuses
 non-finite positions or jets and names the node.
+
+Every route lays its (nu, nv, dim) jets out component-major, each
+component x[..., k] one contiguous grid plane (``_empty_planes``), so the
+per-component arithmetic downstream streams whole planes.
 """
 
 from __future__ import annotations
@@ -101,6 +105,11 @@ class Provenance(Enum):
 MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER + 1) if a + b <= JET_ORDER]
 
 
+# the cache entries of a sample that do not depend on its orientation: the
+# chart operators, and the order-2 jets of g and of the raw normal
+_ORIENTATION_FREE = ("chart_ops", "metric_jets", "normal_jets")
+
+
 @dataclass
 class SurfaceSample:
     """Grid of immersion jets: {(a, b): d^a_u d^b_v r} at every node."""
@@ -135,7 +144,13 @@ class SurfaceSample:
         return self._cache["chart_ops"]
 
     def flipped(self) -> "SurfaceSample":
-        return replace(self, orientation_sign=-self.orientation_sign, _cache={})
+        """The sample in the opposite orientation. Its cache keeps what the
+        orientation leaves alone, and the fundamental forms with N and h
+        negated; what is built from N or h is built again on first read."""
+        cache = {k: v for k, v in self._cache.items() if k in _ORIENTATION_FREE}
+        if "forms" in self._cache:
+            cache["forms"] = self._cache["forms"].flipped()
+        return replace(self, orientation_sign=-self.orientation_sign, _cache=cache)
 
     @property
     def jet_order(self) -> int:
@@ -175,9 +190,21 @@ def _nonfinite_node(x: np.ndarray):
     return int(i), int(j)
 
 
+def _empty_planes(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised (..., k) array laid out component-major: each
+    x[..., k] is one contiguous grid plane."""
+    return np.empty(shape[-1:] + shape[:-1], dtype).transpose(tuple(range(1, len(shape))) + (0,))
+
+
+def _as_planes(x: np.ndarray) -> np.ndarray:
+    """x as a float array of the same (..., k) shape laid out
+    component-major (a copy)."""
+    return np.moveaxis(np.array(np.moveaxis(x, -1, 0), dtype=float, order="C"), 0, -1)
+
+
 def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-node cross product x × y of (..., 3) vectors, entry by entry."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
+    out = _empty_planes(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
     scratch = np.empty(out.shape[:-1], out.dtype)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -196,18 +223,42 @@ def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
     return n
 
 
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
+def _minors(ru, rv) -> np.ndarray:
+    """The six 2x2 minors m_ij = r_u^i r_v^j - r_u^j r_v^i (i < j) of two
+    4-vectors, in the order of _PAIRS, as a (..., 6) array; bilinear in
+    (r_u, r_v)."""
+    out = _empty_planes(np.broadcast_shapes(ru.shape, rv.shape)[:-1] + (6,), np.result_type(ru, rv))
+    scratch = np.empty(out.shape[:-1], out.dtype)
+    for c, (i, j) in enumerate(_PAIRS):
+        out_c = np.multiply(ru[..., i], rv[..., j], out=out[..., c])
+        out_c -= np.multiply(ru[..., j], rv[..., i], out=scratch)
+    return out
+
+
+def _normal_from_minors(signs, q, m) -> np.ndarray:
+    """Unnormalised normal of a surface in a 4-dimensional model quadric
+    from the quadric direction q and the minors m of (r_u, r_v)
+    (``_minors``); bilinear in (q, m)."""
+    # covector w_l = det(e_l, q, r_u, r_v), expanded in the minors; raised
+    # with the flat metric, n^l = G^{ll} w_l (diagonal)
+    out = _empty_planes(np.broadcast_shapes(q.shape, m.shape[:-1] + (4,)), np.result_type(q, m))
+    scratch = np.empty(out.shape[:-1], out.dtype)
+    for l in range(4):
+        a, b, c = (i for i in range(4) if i != l)
+        w = np.multiply(q[..., a], m[..., _PAIRS.index((b, c))], out=out[..., l])
+        w -= np.multiply(q[..., b], m[..., _PAIRS.index((a, c))], out=scratch)
+        w += np.multiply(q[..., c], m[..., _PAIRS.index((a, b))], out=scratch)
+        w *= (-1.0) ** l * signs[l]
+    return out
+
+
 def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
     """Unnormalised normal of a surface in a 4-dimensional model quadric,
     linear in each of the quadric direction q, r_u and r_v."""
-    # covector w_l = det(e_l, q, r_u, r_v), expanded in the 2x2 minors of
-    # (r_u, r_v); raised with the flat metric, n^l = G^{ll} w_l (diagonal)
-    m = {(i, j): ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i in range(4) for j in range(i + 1, 4)}
-    out = np.empty(np.broadcast_shapes(q.shape, ru.shape, rv.shape), np.result_type(q, ru, rv))
-    for l in range(4):
-        a, b, c = (i for i in range(4) if i != l)
-        w = q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]
-        np.multiply(w, (-1.0) ** l * signs[l], out=out[..., l])
-    return out
+    return _normal_from_minors(signs, q, _minors(ru, rv))
 
 
 def induced_metric(sample: SurfaceSample) -> np.ndarray:
@@ -283,9 +334,10 @@ def _tail_shares(spectra: dict, ops: ChartDerivatives) -> dict:
 
 def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
     """Jets of positions sampled at the nodes of a closed chart, all 15
-    partials by spectral differentiation. Refuses values that are not
-    finite, or whose spectral tail exceeds ``SPECTRAL_TAIL_BOUND``."""
-    x = np.asarray(values, dtype=float)
+    partials by spectral differentiation, laid out component-major like
+    the values. Refuses values that are not finite, or whose spectral tail
+    exceeds ``SPECTRAL_TAIL_BOUND``."""
+    x = _as_planes(values)
     node = _nonfinite_node(x)
     if node is not None:
         raise ConfigError(f"{name}: non-finite position at node {node}")
@@ -336,7 +388,7 @@ def _stencil_jets(f, domain: PatchDomain) -> dict:
 
     acc, centre = {}, None
     for du, dv in sorted(terms):
-        x = np.asarray(f(UU + du, VV + dv), dtype=float)
+        x = _as_planes(f(UU + du, VV + dv))
         if du == 0.0 and dv == 0.0:
             centre = x
         for key, c in terms[(du, dv)]:
@@ -427,6 +479,15 @@ def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     4 (curvature jets, shape-operator derivatives, a further deformation)
     refuses it with a ``ConfigError``.
     """
+    return dict(_deformed_samples(s, u, ts))
+
+
+def _deformed_samples(s: SurfaceSample, u, ts):
+    """``deform_normal_many`` one step at a time: yields (t, deformed
+    sample) in the order of ts, each checked (``check_immersion``) before
+    it is yielded. The generator keeps no reference to a sample it has
+    yielded, so a caller that drops each one before asking for the next
+    holds one deformed sample at a time."""
     from .curvature import TAYLOR_INDICES, Taylor2, normal_jet
 
     ts = [float(t) for t in ts]
@@ -445,29 +506,30 @@ def deform_normal_many(s: SurfaceSample, u, ts) -> dict:
     # the Euclidean step is linear in t: u N is pushed forward once
     un = uj.times_vector(n) if sf.model is Model.EUCLIDEAN else None
     name = f"{s.name}+deform"
-    out = {}
-    for t in ts:
+
+    def moved(t: float) -> Taylor2:
         if un is not None:
-            x = p + t * un
+            return p + t * un
+        theta = (t / sf.radius) * uj
+        th = theta.value
+        if sf.model is Model.SPHERE:
+            c, sn, sign = np.cos(th), np.sin(th), -1.0
         else:
-            theta = (t / sf.radius) * uj
-            th = theta.value
-            if sf.model is Model.SPHERE:
-                c, sn, sign = np.cos(th), np.sin(th), -1.0
-            else:
-                c, sn, sign = np.cosh(th), np.sinh(th), 1.0
-            # (cos, sin)' = (-sin, cos) and (cosh, sinh)' = (sinh, cosh)
-            cos_t = theta.compose(c, sign * sn, sign * c)
-            sin_t = theta.compose(sn, c, sign * sn)
-            x = cos_t.times_vector(p) + sf.radius * sin_t.times_vector(n)
+            c, sn, sign = np.cosh(th), np.sinh(th), 1.0
+        # (cos, sin)' = (-sin, cos) and (cosh, sinh)' = (sinh, cosh)
+        cos_t = theta.compose(c, sign * sn, sign * c)
+        sin_t = theta.compose(sn, c, sign * sn)
+        return cos_t.times_vector(p) + sf.radius * sin_t.times_vector(n)
+
+    for t in ts:
         d = SurfaceSample(
             domain=s.domain,
             sf=sf,
-            jets=dict(zip(TAYLOR_INDICES, x.parts)),
+            jets=dict(zip(TAYLOR_INDICES, moved(t).parts)),
             orientation_sign=s.orientation_sign,
             provenance=Provenance.NUMERIC_JETS,
             name=name,
         )
         check_immersion(d, where=f"{name} at t = {t:g}")
-        out[t] = d
-    return out
+        yield t, d
+        del d

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,13 +26,14 @@ from .calculus import (
     hessian,
     integrate,
     laplace_beltrami,
+    metric_trace,
     shape_tensor,
 )
 from .curvature import Taylor2, _mat2_mul, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
-from .surface import SurfaceSample, deform_normal_many
+from .surface import SurfaceSample, _deformed_samples
 
 
 @dataclass
@@ -284,14 +286,17 @@ def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float
     list of numbers or arrays) along the geodesic normal deformation of u.
 
     Deforms once to t = +-h1, +-h2 with h2 = h1/2 (h1 = h, or the default
-    step), measures each deformed sample once and drops it, and for order 2
+    step), measures each deformed sample once and drops it before the next
+    is built, so one is alive at a time, and for order 2
     measures s itself as the centre. Returns h1, the differences at h1 and
     at h2, and their Richardson value.
     """
     h1 = _default_step(s, u, order) if h is None else float(h)
     h2 = 0.5 * h1
-    deformed = deform_normal_many(s, u, (h1, -h1, h2, -h2))
-    m = {t: measure(deformed.pop(t)) for t in (h1, -h1, h2, -h2)}
+    m = {}
+    for t, st in _deformed_samples(s, u, (h1, -h1, h2, -h2)):
+        m[t] = measure(st)
+        del st  # before the next sample is built
     centre = measure(s) if order == 2 else None
 
     def difference(t):
@@ -397,67 +402,68 @@ _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f
 _NEEDS_F = ("laplacian_f", "h_hess_f")  # the quantities that need the auxiliary field f
 
 
-def _evolution_formula(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantity: str):
+def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantities) -> list:
+    """The closed-form deformation derivatives of ``quantities``, in order.
+    Every operator they share is built once: Hess u, for one, serves Lap u,
+    <h, Hess u> and <Hess u, Hess f>."""
     ff = fundamental_forms(s)
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
     uv = u.values
-    if quantity == "g":
-        return -2.0 * uv[..., None, None] * ff.h
-    if quantity == "g_inv":
-        h_up = _mat2_mul(_mat2_mul(ff.g_inv, ff.h), ff.g_inv)
-        return 2.0 * uv[..., None, None] * h_up
-    if quantity == "dS":
-        return -2.0 * H * uv * ff.dS_weight
-    lap_u = laplace_beltrami(u, s).values
-    if quantity == "2H":
-        return lap_u + 2.0 * uv * (2.0 * H**2 - K + 2.0 * k0)
-    if quantity == "K":
-        h_hess_u = contract(shape_tensor(s), hessian(u, s), s).values
-        return 2.0 * H * lap_u - h_hess_u + 2.0 * H * K * uv
-    h_t = shape_tensor(s)
-    h2_t = h_squared(s)
-    hess_f = hessian(f, s)
-    Hf = curvature_field(s, "H")
-    Kf = curvature_field(s, "K")
-    if quantity == "laplacian_f":
+    hess = cache(lambda x: hessian(x, s))
+    lap = cache(lambda x: metric_trace(hess(x), s).values)
+    grad = cache(lambda x, y: grad_inner(x, y, s))
+    h_t, h2_t = cache(lambda: shape_tensor(s)), cache(lambda: h_squared(s))
+    Hf, Kf = cache(lambda: curvature_field(s, "H")), cache(lambda: curvature_field(s, "K"))
+
+    def laplacian_f():
         return (
-            2.0 * uv * contract(h_t, hess_f, s).values
-            + 2.0 * uv * grad_inner(Hf, f, s)
-            + 2.0 * bilinear(h_t, u, f, s)
-            - 2.0 * H * grad_inner(u, f, s)
+            2.0 * uv * contract(h_t(), hess(f), s).values
+            + 2.0 * uv * grad(Hf(), f)
+            + 2.0 * bilinear(h_t(), u, f, s)
+            - 2.0 * H * grad(u, f)
         )
-    # h_hess_f, the one quantity left (evolution_check_many admits no other)
-    lap_f = laplace_beltrami(f, s).values
-    # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
-    grad_h2_f = 8.0 * H * grad_inner(Hf, f, s) - 2.0 * grad_inner(Kf, f, s)
-    return (
-        contract(hessian(u, s), hess_f, s).values
-        + 3.0 * uv * contract(h2_t, hess_f, s).values
-        + uv * k0 * lap_f
-        + 2.0 * bilinear(h2_t, u, f, s)
-        + 0.5 * uv * grad_h2_f
-        - cs.h_norm_sq * grad_inner(u, f, s)
-    )
+
+    def h_hess_f():
+        # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
+        grad_h2_f = 8.0 * H * grad(Hf(), f) - 2.0 * grad(Kf(), f)
+        return (
+            contract(hess(u), hess(f), s).values
+            + 3.0 * uv * contract(h2_t(), hess(f), s).values
+            + uv * k0 * lap(f)
+            + 2.0 * bilinear(h2_t(), u, f, s)
+            + 0.5 * uv * grad_h2_f
+            - cs.h_norm_sq * grad(u, f)
+        )
+
+    formulas = {
+        "g": lambda: -2.0 * uv[..., None, None] * ff.h,
+        "g_inv": lambda: 2.0 * uv[..., None, None] * _mat2_mul(_mat2_mul(ff.g_inv, ff.h), ff.g_inv),
+        "dS": lambda: -2.0 * H * uv * ff.dS_weight,
+        "2H": lambda: lap(u) + 2.0 * uv * (2.0 * H**2 - K + 2.0 * k0),
+        "K": lambda: 2.0 * H * lap(u) - contract(h_t(), hess(u), s).values + 2.0 * H * K * uv,
+        "laplacian_f": laplacian_f,
+        "h_hess_f": h_hess_f,
+    }
+    return [formulas[q]() for q in quantities]
 
 
-def _evolution_measure(st: SurfaceSample, f: Optional[ScalarField], quantity: str):
+def _evolution_measures(st: SurfaceSample, f: Optional[ScalarField], quantities) -> list:
+    """``quantities`` measured on the sample st, in order; Hess f is built
+    once for both quantities that read it."""
     ff = fundamental_forms(st)
     cs = curvature_scalars(st)
-    if quantity == "g":
-        return ff.g
-    if quantity == "g_inv":
-        return ff.g_inv
-    if quantity == "dS":
-        return ff.dS_weight
-    if quantity == "2H":
-        return 2.0 * cs.H
-    if quantity == "K":
-        return cs.K
-    ft = f.with_sample(st)
-    if quantity == "laplacian_f":
-        return laplace_beltrami(ft, st).values
-    return contract(shape_tensor(st), hessian(ft, st), st).values  # h_hess_f, the one left
+    hess_f = cache(lambda: hessian(f.with_sample(st), st))
+    measures = {
+        "g": lambda: ff.g,
+        "g_inv": lambda: ff.g_inv,
+        "dS": lambda: ff.dS_weight,
+        "2H": lambda: 2.0 * cs.H,
+        "K": lambda: cs.K,
+        "laplacian_f": lambda: metric_trace(hess_f(), st).values,
+        "h_hess_f": lambda: contract(shape_tensor(st), hess_f(), st).values,
+    }
+    return [measures[q]() for q in quantities]
 
 
 def evolution_check_many(
@@ -474,10 +480,9 @@ def evolution_check_many(
             raise ConfigError(f"quantity '{q}' needs the auxiliary field f")
         if q not in _EVOLUTION_QUANTITIES:
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
-    h1, d1s, d2s, oracles = _differences(s, u, 1, h, lambda st: [_evolution_measure(st, f, q) for q in quantities])
+    h1, d1s, d2s, oracles = _differences(s, u, 1, h, lambda st: _evolution_measures(st, f, quantities))
     out = {}
-    for q, d1, d2, oracle in zip(quantities, d1s, d2s, oracles):
-        formula = _evolution_formula(s, u, f, q)
+    for q, formula, d1, d2, oracle in zip(quantities, _evolution_formulas(s, u, f, quantities), d1s, d2s, oracles):
         scale = float(np.max(np.abs(formula))) + float(np.max(np.abs(oracle))) + 1e-12
         e1 = float(np.max(np.abs(d1 - formula)))
         e2 = float(np.max(np.abs(d2 - formula)))

@@ -619,3 +619,60 @@ def test_catalog_orientation(name, params, sign):
     assert s.orientation_sign == sign
     H = curvature_scalars(s).H
     assert H.flat[np.argmax(np.abs(H))] >= -1e-9
+
+
+def test_flipped_catalog_sample_keeps_its_orientation_free_forms(monkeypatch):
+    """A catalog sample flipped to H > 0 (the torus) carries g, g^-1 and dS
+    over from the check and negates N and h: g is built once, and the
+    forms equal a fresh build in the flipped orientation bit for bit."""
+    import dataclasses
+
+    import curvevar.curvature
+    import curvevar.surface
+    from curvevar.curvature import fundamental_forms, normal_jet
+
+    calls = []
+
+    def counting(sample):
+        calls.append(sample.name)
+        return induced_metric(sample)
+
+    monkeypatch.setattr(curvevar.surface, "induced_metric", counting)
+    monkeypatch.setattr(curvevar.curvature, "induced_metric", counting)
+    s = sample_builtin("torus", {}, domain=default_domain("torus", {}, 32, 16))
+    ff = fundamental_forms(s)
+    assert s.orientation_sign == -1.0 and calls == ["torus"]
+    fresh = dataclasses.replace(s, _cache={})
+    want = fundamental_forms(fresh)
+    for name in ("g", "g_inv", "h", "N", "dS_weight", "gamma"):
+        assert np.array_equal(getattr(ff, name), getattr(want, name)), name
+    for x, y in zip(normal_jet(s).parts, normal_jet(fresh).parts):
+        assert np.array_equal(x, y)
+
+
+def _planes_contiguous(x) -> bool:
+    """True when every component x[..., k] of a (..., k) array is one
+    contiguous grid plane (the component-major layout)."""
+    return all(x[..., k].flags.c_contiguous for k in range(x.shape[-1]))
+
+
+@pytest.mark.parametrize("case", ["catalog", "spectral", "stencil", "deformed_E3", "deformed_S3", "deformed_H3"])
+def test_vector_jets_are_laid_out_component_major(case, torus, clifford):
+    """Catalog, spectral, stencil and deformed jets and the unit normal of
+    the forms keep each ambient component in one contiguous grid plane."""
+    from curvevar.curvature import fundamental_forms, normal_jet
+
+    if case == "catalog":
+        s = sample_builtin("geodesic_sphere_S3", {}, domain=default_domain("geodesic_sphere_S3", {}, 32, 16))
+    elif case == "spectral":
+        s = _h3_sphere(nu=32, nv=16)
+    elif case == "stencil":
+        s = sample_callable(_torus_map(), PatchDomain((0.0, 1.0), (0.0, 1.0), 16, 16))
+    else:
+        base = {"deformed_E3": torus, "deformed_S3": clifford, "deformed_H3": _h3_sphere(nu=32, nv=16)}[case]
+        s = deform_normal(base, random_smooth_field(base, 3), 0.01)
+    arrays = {**{f"jet {ab}": x for ab, x in s.jets.items()}, "N": fundamental_forms(s).N}
+    if s.jet_order >= 3:
+        arrays.update({f"normal jet {i}": x for i, x in enumerate(normal_jet(s).parts)})
+    bad = [name for name, x in arrays.items() if not _planes_contiguous(x)]
+    assert not bad

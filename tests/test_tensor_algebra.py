@@ -390,3 +390,57 @@ def test_no_einsum_in_per_node_code(module):
     path = Path(__file__).resolve().parents[1] / "src" / "curvevar" / f"{module}.py"
     hits = _per_node_loops(path.read_text())
     assert not hits, f"per-node loops in curvevar/{module}.py: {hits}"
+
+
+def _trilinear_quadric_normal(signs, q, ru, rv):
+    """The 4-d normal as one map linear in each of q, r_u and r_v, its 2x2
+    minors rebuilt on every call: the expansion the minors jet replaced."""
+    m = {(i, j): ru[..., i] * rv[..., j] - ru[..., j] * rv[..., i] for i in range(4) for j in range(i + 1, 4)}
+    out = np.empty(np.broadcast_shapes(q.shape, ru.shape, rv.shape), np.result_type(q, ru, rv))
+    for l in range(4):
+        a, b, c = (i for i in range(4) if i != l)
+        w = q[..., a] * m[b, c] - q[..., b] * m[a, c] + q[..., c] * m[a, b]
+        np.multiply(w, (-1.0) ** l * signs[l], out=out[..., l])
+    return out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -1.0)])
+def test_minors_jet_normal_matches_trilinear_expansion(signs, dtype):
+    """The 4-d normal jet built as a bilinear jet of the minors of (r_u,
+    r_v), then a bilinear map of (q, minors), equals the Leibniz rule
+    applied to the trilinear map, in the operands' dtype."""
+    from functools import partial
+
+    from curvevar.curvature import _quadric_normal_jet
+
+    draw = _operands(dtype, 5)
+    q, ru, rv = (Taylor2([draw(5, 4, 4) for _ in range(6)]) for _ in range(3))
+    got = _quadric_normal_jet(np.array(signs), q, ru, rv)
+    want = Taylor2.multilinear(partial(_trilinear_quadric_normal, np.array(signs)), q, ru, rv)
+    for x, y in zip(got.parts, want.parts):
+        assert x.dtype == y.dtype
+        assert _rel(x, y) <= PARITY_BOUND
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sf", [SpaceForm.euclidean(), SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)], ids=lambda sf: sf.model.name)
+def test_flat_inner_and_induced_metric_keep_the_operands_dtype(sf, dtype):
+    """flat_inner, and the metric built from it, take the operands' dtype:
+    complex jets keep their imaginary part (a complex-step derivative reads
+    it), against the einsum form with the metric signs."""
+    from curvevar import PatchDomain
+    from curvevar.surface import SurfaceSample
+
+    draw = _operands(dtype, 6)
+    dim, signs = sf.ambient_dim, sf.metric_signs
+    x, y = draw(8, 8, dim), draw(8, 8, dim)
+    got = sf.flat_inner(x, y)
+    assert got.dtype == np.dtype(dtype)
+    assert _rel(got, _inner(signs, x, y)) <= PARITY_BOUND
+    jets = {(0, 0): draw(8, 8, dim), (1, 0): x, (0, 1): y}
+    g = induced_metric(SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets))
+    want = np.einsum("...ai,i,...bi->...ab", np.stack([x, y], -2), signs, np.stack([x, y], -2))
+    assert g.dtype == np.dtype(dtype)
+    assert _rel(g, want) <= PARITY_BOUND
+    assert (np.max(np.abs(g.imag)) > 0.1) == (dtype is complex)

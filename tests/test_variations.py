@@ -372,3 +372,50 @@ def test_zero_mean_refusal_says_how_far_off(sphere):
     bound."""
     with pytest.raises(NotCriticalError, match=r"mean residual 1\b.*\|mean u\| = 1\.000e\+00, bound 2\.000e-08"):
         second_variation(sphere, pwillmore(3), ScalarField.constant(1.0, sphere))
+
+
+def test_oracle_measures_one_deformed_sample_at_a_time(torus, monkeypatch):
+    """The oracle's deformed samples are built, measured and dropped one at
+    a time: while one is measured, or the next one is checked, no earlier
+    one is alive."""
+    import weakref
+
+    import curvevar.surface as surface
+    from curvevar.variations import _differences
+
+    seen, alive_at = [], []
+
+    def alive():
+        return sum(r() is not None for r in seen)
+
+    real_check = surface.check_immersion
+    monkeypatch.setattr(surface, "check_immersion", lambda d, where="": alive_at.append(("check", alive())) or real_check(d, where))
+
+    def measure(st):
+        alive_at.append(("measure", alive()))
+        seen.append(weakref.ref(st))
+        return [functional_value(st, willmore())]
+
+    _differences(torus, random_smooth_field(torus, 4), 1, None, measure)
+    assert alive_at == [("check", 0), ("measure", 0)] * 4
+
+
+def test_evolution_check_builds_each_hessian_once(torus, monkeypatch):
+    """One evolution check of all seven quantities builds Hess u and Hess f
+    once on the surface, and Hess f once on each deformed sample (the
+    Laplacians are their traces)."""
+    import curvevar.calculus as calculus
+    import curvevar.variations as variations
+
+    calls = []
+    real = calculus.hessian
+
+    def counting(f, s):
+        calls.append(("u" if f is u else "f" if f.values is fv.values else "other", s is torus))
+        return real(f, s)
+
+    monkeypatch.setattr(calculus, "hessian", counting)
+    monkeypatch.setattr(variations, "hessian", counting)
+    u, fv = random_smooth_field(torus, 4), random_smooth_field(torus, 5)
+    evolution_check_many(torus, u, f=fv)
+    assert sorted(calls) == sorted([("u", True), ("f", True)] + [("f", False)] * 4)
