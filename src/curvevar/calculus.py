@@ -11,13 +11,13 @@ deformation reads their jets). Sympy is imported only when a field is
 given as a sympy expression.
 
 Per-node tensors keep their index axes trailing, as ``curvature`` lays
-them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2).
-Operators combine them with the per-node kernels of ``curvature``, which
-write each entry out with whole-grid ufuncs, e.g. <a, b> = the sum over
-i, j of (g^-1 a)_ij (b g^-1)_ij. At 128x64 nodes on a 2-core machine
-that sum takes 0.05 ms where ``np.sum`` over the trailing (2, 2) axes
-took 0.21 ms, and each 2x2 product 0.16 ms where batched ``@`` took
-0.44-0.53 ms.
+them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2),
+each entry one contiguous grid plane. Operators combine them with the
+per-node kernels of ``curvature``, which write each entry out with
+whole-grid ufuncs, e.g. <a, b> = the sum over i, j of (g^-1 a)_ij
+(b g^-1)_ij. At 128x64 nodes on a 2-core machine that sum takes 0.05 ms
+where ``np.sum`` over the trailing (2, 2) axes took 0.21 ms, and each 2x2
+product 0.07 ms where batched ``@`` took 0.44-0.53 ms.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .curvature import (
     curvature_scalars,
     fundamental_forms,
 )
-from .surface import PatchDomain, Provenance, SurfaceSample, _require_same_grid
+from .surface import PatchDomain, Provenance, SurfaceSample, _empty_planes, _require_same_grid
 
 
 class ScalarField:
@@ -212,7 +212,12 @@ class TensorField02:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != sample.shape + (2, 2):
             raise ConfigError("tensor grid does not match the sample grid")
-        self.comps = 0.5 * (comps + np.swapaxes(comps, -1, -2))
+        # 0.5 (c + c^T), entry by entry
+        self.comps = _empty_planes(comps.shape, float, 2)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            c_ij = np.add(comps[..., i, j], comps[..., j, i], out=self.comps[..., i, j])
+            c_ij *= 0.5
+        self.comps[..., 1, 0] = self.comps[..., 0, 1]
         self.sample = sample
 
 
@@ -240,7 +245,10 @@ def grad_lower(f: ScalarField, s: SurfaceSample) -> np.ndarray:
     """Chart partials (f_u, f_v), shape (..., 2); f must live on the chart
     grid of s."""
     _require_same_grid(f.sample, s)
-    return np.stack([f.partial(1, 0), f.partial(0, 1)], axis=-1)
+    f_u, f_v = f.partial(1, 0), f.partial(0, 1)
+    out = _empty_planes(np.broadcast_shapes(f_u.shape, f_v.shape) + (2,), np.result_type(f_u, f_v))
+    out[..., 0], out[..., 1] = f_u, f_v
+    return out
 
 
 def gradient(f: ScalarField, s: SurfaceSample) -> np.ndarray:
@@ -257,7 +265,7 @@ def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
     """Covariant Hessian f_{;ij} = f_ij - Gamma^k_ij f_k."""
     ff = fundamental_forms(s)
     fk = grad_lower(f, s)
-    comps = np.empty(s.shape + (2, 2))
+    comps = _empty_planes(s.shape + (2, 2), float, 2)
     comps[..., 0, 0] = f.partial(2, 0)
     comps[..., 1, 1] = f.partial(0, 2)
     comps[..., 0, 1] = comps[..., 1, 0] = f.partial(1, 1)

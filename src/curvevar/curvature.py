@@ -2,19 +2,26 @@
 
 Everything is computed per node from the immersion jets, vectorized over
 the whole grid; arrays carry the grid shape in their leading two axes.
-Per-node tensors keep their index axes trailing, (..., 2, 2) for g, g^-1
-and h and (..., 2, 2, 2) for Gamma and dg. They are combined by the
-per-node kernels below, which write every entry of the result with
-whole-grid ufuncs into a preallocated array: numpy runs batched ``@``,
+Per-node tensors keep their index axes trailing in shape, (..., 2, 2) for
+g, g^-1 and h and (..., 2, 2, 2) for Gamma and dg, but are laid out
+entry-major: each entry x[..., i, j] is one contiguous grid plane
+(``surface._empty_planes``), as each component x[..., k] of an ambient
+vector is. The per-node kernels below write every entry of the result
+with whole-grid ufuncs into such an array; numpy runs batched ``@``,
 ``np.sum`` over the trailing (2, 2) axes or ``np.cross`` as a short inner
 loop per node. At 128x64 nodes on a 2-core machine, g^-1 @ h takes
-0.44-0.53 ms against 0.16 ms written out, and a sum over a (2, 2) block
-0.21 ms against 0.05 ms. Ambient vectors are laid out component-major
-(each x[..., k] one contiguous grid plane, see ``surface._empty_planes``),
-and their kernels work component by component: ambient inner products
-are ``SpaceForm.flat_inner``, one product per component with the metric
-signs folded in, and a scalar times a vector is one multiply per
-component.
+0.44-0.53 ms by batched ``@``; written out it took 83 us on node-major
+blocks, whose entries are planes with a 32-byte stride, and takes 66 us
+entry-major.
+
+Every bilinear map of ambient vectors and grid scalars (the product, a
+scalar times a vector, ``SpaceForm.flat_inner``, the cross product, the
+2x2 minors and the 4-d normal from them) is one table of +-x_a y_b terms
+(``surface._Bilinear``), whose value is slot 0 of its jet.
+``Taylor2.bilinear`` writes the order-2 jet in place, bit for bit the jet
+``Taylor2.multilinear`` builds from fresh arrays: at 128x64 a scalar times
+a 4-vector takes 0.70 ms against 1.67 ms, the minors 1.66 ms against
+3.31 ms, the cross product 0.90 ms against 1.14 ms.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateMetricError, GuardViolation
 from .surface import (
     SurfaceSample,
+    _Bilinear,
     _cross,
     _empty_planes,
     _eps_normal,
@@ -109,6 +117,41 @@ class Taylor2:
                 out.append(own + reduce(np.add, [term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j]))
         return Taylor2(out)
 
+    @staticmethod
+    def bilinear(fn: _Bilinear, x: "Taylor2", y: "Taylor2") -> "Taylor2":
+        """``multilinear(fn, x, y)`` bit for bit, for a bilinear map given
+        as its table, written in place: the six parts go into one array,
+        each Leibniz term is formed whole in a scratch plane and the terms
+        are summed in the order ``multilinear`` sums them."""
+        xp, yp = [fn.planes(p, 0) for p in x.parts], [fn.planes(p, 1) for p in y.parts]
+        lead = np.broadcast_shapes(*(p[0].shape for p in xp + yp))
+        dtype = np.result_type(*x.parts, *y.parts)
+        parts = fn.empty((6,) + lead, dtype)
+        scratch, t, t2 = (np.empty(lead, dtype) for _ in range(3))
+
+        def term(c, i, j, dst):  # component c of fn(x_i, y_j)
+            fn.write(c, xp[i], yp[j], dst, scratch)
+
+        for c in range(len(fn.rows)):
+            out = [fn.plane(part, c) for part in parts]
+            term(c, 0, 0, out[0])
+            for d in (1, 2):
+                term(c, d, 0, out[d])
+                term(c, 0, d, t)
+                out[d] += t
+            for slot, d1, d2 in _SECOND:
+                term(c, slot, 0, out[slot])
+                term(c, 0, slot, t)
+                out[slot] += t
+                term(c, d1, d2, t)
+                if d1 == d2:
+                    t *= 2.0
+                else:
+                    term(c, d2, d1, t2)
+                    t += t2
+                out[slot] += t
+        return Taylor2(parts)
+
     def __add__(self, other) -> "Taylor2":
         if isinstance(other, Taylor2):
             return Taylor2(x + y for x, y in zip(self.parts, other.parts))
@@ -124,14 +167,14 @@ class Taylor2:
 
     def __mul__(self, other) -> "Taylor2":
         if isinstance(other, Taylor2):
-            return Taylor2.multilinear(np.multiply, self, other)
+            return Taylor2.bilinear(_PRODUCT, self, other)
         return Taylor2(other * x for x in self.parts)
 
     __rmul__ = __mul__
 
     def times_vector(self, vec: "Taylor2") -> "Taylor2":
         """Jet of this scalar quantity times the vector quantity ``vec``."""
-        return Taylor2.multilinear(_times_vector, self, vec)
+        return Taylor2.bilinear(_times_vector(vec.value.shape[-1]), self, vec)
 
     def compose(self, g0, g1, g2) -> "Taylor2":
         """G(x) from G, G' and G'' evaluated at the value of x."""
@@ -168,8 +211,10 @@ class Taylor2:
 class FundamentalForms:
     """g, g^-1, shape operator components h, unit normal N and the area
     weight sqrt(det g) of a sample. The metric derivatives dg and the
-    Christoffel symbols gamma are computed on first read and then kept:
-    only the covariant Hessian and the Codazzi check read them."""
+    Christoffel symbols gamma are computed on first read, in the dtype of
+    the immersion jets, and then kept: only the covariant Hessian and the
+    Codazzi check read them. g, g^-1, h, dg and gamma are laid out
+    entry-major, each entry one contiguous grid plane; N component-major."""
 
     def __init__(self, g, g_inv, h, N, dS_weight, jets: dict, inner):
         self.g = g                  # (nu, nv, 2, 2)
@@ -190,10 +235,10 @@ class FundamentalForms:
 
     @cached_property
     def dg(self) -> np.ndarray:
-        """(nu, nv, 2, 2, 2): dg[..., k, i, j] = d_k g_ij."""
+        """(nu, nv, 2, 2, 2): dg[..., k, i, j] = d_k g_ij, in the jets' dtype."""
         j, inner = self._jets, self._inner
         r = [j[e] for e in _E]
-        dg = np.empty(self.g.shape[:-2] + (2, 2, 2))
+        dg = _empty_planes(self.g.shape[:-2] + (2, 2, 2), np.result_type(*(j[ab] for ab in TAYLOR_INDICES[1:])), 3)
         for a in range(2):
             for b in range(a, 2):
                 for k in range(2):
@@ -244,7 +289,7 @@ def _sum_of_products(pairs: list, out=None) -> np.ndarray:
 
 def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-node matrix product a @ b of (..., 2, 2) blocks."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = _empty_planes(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), 2)
     for i in range(2):
         for j in range(2):
             _sum_of_products([(a[..., i, l], b[..., l, j]) for l in range(2)], out[..., i, j])
@@ -253,7 +298,7 @@ def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mat2_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-node a @ x of a (..., 2, 2) block and a (..., 2) vector."""
-    out = np.empty(np.broadcast_shapes(a.shape[:-1], x.shape), np.result_type(a, x))
+    out = _empty_planes(np.broadcast_shapes(a.shape[:-1], x.shape), np.result_type(a, x))
     for i in range(2):
         _sum_of_products([(a[..., i, l], x[..., l]) for l in range(2)], out[..., i])
     return out
@@ -263,7 +308,7 @@ def _times_blocks(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-node contraction a^k_l t^l_ij of a (..., m, 2) block with t of
     shape (..., 2, 2, 2); the result has shape (..., m, 2, 2)."""
     m = a.shape[-2]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2), np.result_type(a, t))
+    out = _empty_planes(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2), np.result_type(a, t), 3)
     for k in range(m):
         for i in range(2):
             for j in range(2):
@@ -281,28 +326,27 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _sum_of_products([(x[..., i], y[..., i]) for i in range(x.shape[-1])])
 
 
-def _times_vector(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-node a x of a scalar grid a and a (..., k) vector x, component
-    by component into a component-major result."""
-    out = _empty_planes(np.broadcast_shapes(a.shape + x.shape[-1:], x.shape), np.result_type(a, x))
-    for k in range(x.shape[-1]):
-        np.multiply(a, x[..., k], out=out[..., k])
-    return out
+# the product of two grid scalars
+_PRODUCT = _Bilinear([[(1, None, None)]], scalar_out=True)
+
+
+def _times_vector(dim: int) -> _Bilinear:
+    """A grid scalar times a dim-vector, one product per component."""
+    return _Bilinear([[(1, None, k)] for k in range(dim)])
 
 
 def _quadric_normal_jet(signs, q: "Taylor2", ru: "Taylor2", rv: "Taylor2") -> "Taylor2":
     """Order-2 jet of ``surface._quadric_normal``: a bilinear jet of the
     minors of (r_u, r_v), then a bilinear map of (q, minors), 15 + 15
-    calls where the trilinear expansion takes 28 that each rebuild the
-    minors."""
-    minors = Taylor2.multilinear(_minors, ru, rv)
-    return Taylor2.multilinear(partial(_normal_from_minors, signs), q, minors)
+    Leibniz terms where the trilinear expansion takes 28 that each rebuild
+    the minors."""
+    return Taylor2.bilinear(_normal_from_minors(signs), q, Taylor2.bilinear(_minors, ru, rv))
 
 
 def _metric_jets(sample: SurfaceSample) -> tuple:
     """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
     if "metric_jets" not in sample._cache:
-        inner = partial(Taylor2.multilinear, sample.sf.flat_inner)
+        inner = partial(Taylor2.bilinear, sample.sf._inner_map)
         ru, rv = (Taylor2.from_jets(sample.jets, e) for e in _E)
         sample._cache["metric_jets"] = (inner(ru, ru), inner(ru, rv), inner(rv, rv))
     return sample._cache["metric_jets"]
@@ -314,10 +358,10 @@ def _normal_jets(sample: SurfaceSample) -> tuple:
     ``normal_jet`` and ``curvature_jets`` both read them."""
     if "normal_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.multilinear, sf.flat_inner)
+        inner = partial(Taylor2.bilinear, sf._inner_map)
         ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
         if sf.ambient_dim == 3:
-            n = Taylor2.multilinear(_cross, ru, rv)
+            n = Taylor2.bilinear(_cross, ru, rv)
         else:
             n = _quadric_normal_jet(sf.metric_signs, Taylor2.from_jets(jets), ru, rv)
         sample._cache["normal_jets"] = (n, inner(n, n).sqrt().reciprocal())
@@ -338,7 +382,7 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
     _require_jets(sample, 4, "curvature_jets")
     if "curvature_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.multilinear, sf.flat_inner)
+        inner = partial(Taylor2.bilinear, sf._inner_map)
         n, inv_norm = _normal_jets(sample)
         h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
         g00, g01, g11 = _metric_jets(sample)
@@ -419,7 +463,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     j = sample.jets
     ops = sample.chart_ops()
     dN = [ops.partial(ff.N, 1, 0), ops.partial(ff.N, 0, 1)]
-    out = np.empty(sample.shape + (2, 2, 2))
+    out = _empty_planes(sample.shape + (2, 2, 2), float, 3)
     for k in range(2):
         for a in range(2):
             for b in range(2):

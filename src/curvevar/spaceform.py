@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,14 @@ class SpaceForm:
 
     # -- quadric bookkeeping ------------------------------------------------
 
+    @cached_property
+    def _inner_map(self):
+        """``flat_inner`` as the table of a bilinear map
+        (``surface._Bilinear``): the sum of sign_k v_k w_k, left to right."""
+        from .surface import _Bilinear  # surface imports this module
+
+        return _Bilinear([[(float(s), k, k) for k, s in enumerate(self.metric_signs)]], scalar_out=True)
+
     def flat_inner(self, v, w):
         """Bilinear form of the flat ambient (Minkowski for hyperbolic),
         contracted over the trailing axis of v and w. It is written out
@@ -94,13 +103,7 @@ class SpaceForm:
         dim = self.ambient_dim
         if v.shape[-1] != dim or w.shape[-1] != dim:
             raise ValueError(f"flat_inner takes {dim}-vectors (got trailing axes {v.shape[-1]} and {w.shape[-1]})")
-        out = v[..., 0] * w[..., 0]
-        for k in range(1, dim):
-            if k == 3 and self.model is Model.HYPERBOLOID:
-                out -= v[..., k] * w[..., k]
-            else:
-                out += v[..., k] * w[..., k]
-        return out
+        return self._inner_map(v, w)[()]
 
     def quadric_residual(self, p) -> np.ndarray:
         """Relative violation of the model constraint <p,p> = ±rho^2."""

@@ -190,10 +190,13 @@ def _nonfinite_node(x: np.ndarray):
     return int(i), int(j)
 
 
-def _empty_planes(shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised (..., k) array laid out component-major: each
-    x[..., k] is one contiguous grid plane."""
-    return np.empty(shape[-1:] + shape[:-1], dtype).transpose(tuple(range(1, len(shape))) + (0,))
+def _empty_planes(shape: tuple, dtype, entry_axes: int = 1) -> np.ndarray:
+    """An uninitialised array of ``shape`` whose trailing ``entry_axes``
+    axes are laid out entry-major: each entry (x[..., k] of a vector,
+    x[..., i, j] of a 2x2 block, ...) is one contiguous grid plane."""
+    lead = len(shape) - entry_axes
+    order = tuple(range(entry_axes, len(shape))) + tuple(range(entry_axes))
+    return np.empty(shape[lead:] + shape[:lead], dtype).transpose(order)
 
 
 def _as_planes(x: np.ndarray) -> np.ndarray:
@@ -202,15 +205,80 @@ def _as_planes(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array(np.moveaxis(x, -1, 0), dtype=float, order="C"), 0, -1)
 
 
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-node cross product x × y of (..., 3) vectors, entry by entry."""
-    out = _empty_planes(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
-    scratch = np.empty(out.shape[:-1], out.dtype)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        out_i = np.multiply(x[..., j], y[..., k], out=out[..., i])
-        out_i -= np.multiply(x[..., k], y[..., j], out=scratch)
-    return out
+class _Bilinear:
+    """A bilinear map of per-node components, defined by its table.
+
+    Row c of ``rows`` lists the terms (s, a, b), s = +1 or -1 and the
+    first s = +1, of output component c: the sum, left to right, of
+    s x_a y_b, times ``scales[c]`` (+1 or -1) when given. An index None
+    stands for a scalar operand, the grid x itself. With ``scalar_out``
+    the map has one row and a grid scalar as its value; otherwise the
+    value is a vector laid out component-major.
+
+    Calling the map evaluates it on two arrays, in their dtype, through
+    one scratch plane; ``curvature.Taylor2.bilinear`` takes its order-2
+    jet, writing each term with ``write``."""
+
+    def __init__(self, rows, scales=None, scalar_out=False):
+        self.vector = tuple(any(t[i] is not None for row in rows for t in row) for i in (1, 2))
+        self.rows = tuple(tuple((s, a or 0, b or 0) for s, a, b in row) for row in rows)
+        self.scales = (1.0,) * len(self.rows) if scales is None else tuple(scales)
+        self.scalar_out = scalar_out
+
+    def planes(self, x, operand: int) -> list:
+        """The entries of operand 0 or 1: [x] for a scalar, else each x[..., k]."""
+        return [x[..., k] for k in range(x.shape[-1])] if self.vector[operand] else [x]
+
+    def empty(self, lead: tuple, dtype) -> np.ndarray:
+        """An uninitialised value array over the leading axes ``lead``."""
+        return np.empty(lead, dtype) if self.scalar_out else _empty_planes(lead + (len(self.rows),), dtype)
+
+    def plane(self, out: np.ndarray, c: int) -> np.ndarray:
+        return out if self.scalar_out else out[..., c]
+
+    def write(self, c: int, xp: list, yp: list, dst: np.ndarray, scratch: np.ndarray) -> None:
+        """Component c of the map of the entries xp, yp into dst."""
+        (_, a, b), *rest = self.rows[c]
+        np.multiply(xp[a], yp[b], out=dst)
+        for s, a, b in rest:
+            term = np.multiply(xp[a], yp[b], out=scratch)
+            if s > 0:
+                dst += term
+            else:
+                dst -= term
+        if self.scales[c] < 0:
+            dst *= -1.0
+
+    def __call__(self, x, y) -> np.ndarray:
+        xp, yp = self.planes(x, 0), self.planes(y, 1)
+        lead, dtype = np.broadcast_shapes(xp[0].shape, yp[0].shape), np.result_type(x, y)
+        out, scratch = self.empty(lead, dtype), np.empty(lead, dtype)
+        for c in range(len(self.rows)):
+            self.write(c, xp, yp, self.plane(out, c), scratch)
+        return out
+
+
+# the cross product x × y of 3-vectors
+_cross = _Bilinear([((1, (i + 1) % 3, (i + 2) % 3), (-1, (i + 2) % 3, (i + 1) % 3)) for i in range(3)])
+
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+# the six 2x2 minors m_ij = r_u^i r_v^j - r_u^j r_v^i (i < j) of two
+# 4-vectors, in the order of _PAIRS
+_minors = _Bilinear([((1, i, j), (-1, j, i)) for i, j in _PAIRS])
+
+
+def _normal_from_minors(signs) -> _Bilinear:
+    """The unnormalised normal of a surface in a 4-dimensional model
+    quadric with metric signs ``signs``, as a bilinear map of the quadric
+    direction q and the minors m of (r_u, r_v) (``_minors``)."""
+    # covector w_l = det(e_l, q, r_u, r_v), expanded in the minors; raised
+    # with the flat metric, n^l = G^{ll} w_l (diagonal)
+    rows = []
+    for l in range(4):
+        a, b, c = (i for i in range(4) if i != l)
+        rows.append(((1, a, _PAIRS.index((b, c))), (-1, b, _PAIRS.index((a, c))), (1, c, _PAIRS.index((a, b)))))
+    return _Bilinear(rows, [(-1.0) ** l * signs[l] for l in range(4)])
 
 
 def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
@@ -223,50 +291,19 @@ def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
     return n
 
 
-_PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
-
-
-def _minors(ru, rv) -> np.ndarray:
-    """The six 2x2 minors m_ij = r_u^i r_v^j - r_u^j r_v^i (i < j) of two
-    4-vectors, in the order of _PAIRS, as a (..., 6) array; bilinear in
-    (r_u, r_v)."""
-    out = _empty_planes(np.broadcast_shapes(ru.shape, rv.shape)[:-1] + (6,), np.result_type(ru, rv))
-    scratch = np.empty(out.shape[:-1], out.dtype)
-    for c, (i, j) in enumerate(_PAIRS):
-        out_c = np.multiply(ru[..., i], rv[..., j], out=out[..., c])
-        out_c -= np.multiply(ru[..., j], rv[..., i], out=scratch)
-    return out
-
-
-def _normal_from_minors(signs, q, m) -> np.ndarray:
-    """Unnormalised normal of a surface in a 4-dimensional model quadric
-    from the quadric direction q and the minors m of (r_u, r_v)
-    (``_minors``); bilinear in (q, m)."""
-    # covector w_l = det(e_l, q, r_u, r_v), expanded in the minors; raised
-    # with the flat metric, n^l = G^{ll} w_l (diagonal)
-    out = _empty_planes(np.broadcast_shapes(q.shape, m.shape[:-1] + (4,)), np.result_type(q, m))
-    scratch = np.empty(out.shape[:-1], out.dtype)
-    for l in range(4):
-        a, b, c = (i for i in range(4) if i != l)
-        w = np.multiply(q[..., a], m[..., _PAIRS.index((b, c))], out=out[..., l])
-        w -= np.multiply(q[..., b], m[..., _PAIRS.index((a, c))], out=scratch)
-        w += np.multiply(q[..., c], m[..., _PAIRS.index((a, b))], out=scratch)
-        w *= (-1.0) ** l * signs[l]
-    return out
-
-
 def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
     """Unnormalised normal of a surface in a 4-dimensional model quadric,
     linear in each of the quadric direction q, r_u and r_v."""
-    return _normal_from_minors(signs, q, _minors(ru, rv))
+    return _normal_from_minors(signs)(q, _minors(ru, rv))
 
 
 def induced_metric(sample: SurfaceSample) -> np.ndarray:
-    """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2)."""
+    """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2) laid out
+    entry-major."""
     inner = sample.sf.flat_inner
     r_u, r_v = sample.jets[(1, 0)], sample.jets[(0, 1)]
     g_uu, g_uv, g_vv = inner(r_u, r_u), inner(r_u, r_v), inner(r_v, r_v)
-    g = np.empty(sample.shape + (2, 2), np.result_type(g_uu, g_uv, g_vv))
+    g = _empty_planes(sample.shape + (2, 2), np.result_type(g_uu, g_uv, g_vv), 2)
     g[..., 0, 0] = g_uu
     g[..., 0, 1] = g[..., 1, 0] = g_uv
     g[..., 1, 1] = g_vv

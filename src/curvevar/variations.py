@@ -78,8 +78,9 @@ def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_op
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
     Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
-    lap_u = laplace_beltrami(u, s).values
-    h_hess_u = contract(shape_tensor(s), hessian(u, s), s).values
+    hess_u = hessian(u, s)
+    lap_u = metric_trace(hess_u, s).values
+    h_hess_u = contract(shape_tensor(s), hess_u, s).values
     integrand = (
         (0.5 * EH + 2.0 * H * EK) * lap_u
         + ((2.0 * H**2 - K + 2.0 * k0) * EH + 2.0 * H * K * EK - 2.0 * H * Ev) * u.values
@@ -114,9 +115,10 @@ def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     analytic = E.third is not None
     EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK") if analytic else None)
     EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK") if analytic else None)
+    hess_EK = hessian(EK_field, s)
     lap_EH = laplace_beltrami(EH_field, s).values
-    lap_EK = laplace_beltrami(EK_field, s).values
-    h_hess_EK = contract(shape_tensor(s), hessian(EK_field, s), s).values
+    lap_EK = metric_trace(hess_EK, s).values
+    h_hess_EK = contract(shape_tensor(s), hess_EK, s).values
     vals = (
         0.5 * lap_EH
         + (2.0 * H**2 - K + 2.0 * k0) * EH_field.values
@@ -204,7 +206,7 @@ def _second_variation_integral(s: SurfaceSample, E: EnergyDensity, u: ScalarFiel
     h_t = shape_tensor(s)
     h2_t = h_squared(s)
     hess_u = hessian(u, s)
-    lap_u = laplace_beltrami(u, s).values
+    lap_u = metric_trace(hess_u, s).values
     h_hess_u = contract(h_t, hess_u, s).values
     h2_hess_u = contract(h2_t, hess_u, s).values
     hess_u_sq = contract(hess_u, hess_u, s).values

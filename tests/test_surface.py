@@ -676,3 +676,49 @@ def test_vector_jets_are_laid_out_component_major(case, torus, clifford):
         arrays.update({f"normal jet {i}": x for i, x in enumerate(normal_jet(s).parts)})
     bad = [name for name, x in arrays.items() if not _planes_contiguous(x)]
     assert not bad
+
+
+def _entries_contiguous(x, entry_axes: int) -> bool:
+    """True when every entry of the trailing ``entry_axes`` axes of x
+    (x[..., i, j] of a 2x2 block) is one contiguous grid plane (the
+    entry-major layout)."""
+    return all(x[(...,) + idx].flags.c_contiguous for idx in np.ndindex(*x.shape[-entry_axes:]))
+
+
+@pytest.mark.parametrize(
+    "case", ["catalog_E3", "catalog_S3", "spectral", "stencil", "deformed_E3", "deformed_S3", "deformed_H3"]
+)
+def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
+    """The fundamental forms, the Christoffel symbols, g^-1 h, Hessians,
+    symmetric tensors and gradients keep each entry in one contiguous grid
+    plane on catalog, spectral, stencil and deformed samples."""
+    from curvevar.calculus import grad_lower, gradient, h_squared, hessian, shape_tensor
+    from curvevar.curvature import _mat2_mul, fundamental_forms
+
+    if case == "catalog_E3":
+        s = torus
+    elif case == "catalog_S3":
+        s = sample_builtin("geodesic_sphere_S3", {}, domain=default_domain("geodesic_sphere_S3", {}, 32, 16))
+    elif case == "spectral":
+        s = _h3_sphere(nu=32, nv=16)
+    elif case == "stencil":
+        s = sample_callable(_torus_map(), PatchDomain((0.0, 1.0), (0.0, 1.0), 16, 16))
+    else:
+        base = {"deformed_E3": torus, "deformed_S3": clifford, "deformed_H3": _h3_sphere(nu=32, nv=16)}[case]
+        s = deform_normal(base, random_smooth_field(base, 3), 0.01)
+    ff, f = fundamental_forms(s), random_smooth_field(s, 4)
+    arrays = {
+        "g": (ff.g, 2),
+        "g_inv": (ff.g_inv, 2),
+        "h": (ff.h, 2),
+        "dg": (ff.dg, 3),
+        "gamma": (ff.gamma, 3),
+        "g_inv h": (_mat2_mul(ff.g_inv, ff.h), 2),
+        "hessian": (hessian(f, s).comps, 2),
+        "shape_tensor": (shape_tensor(s).comps, 2),
+        "h_squared": (h_squared(s).comps, 2),
+        "grad_lower": (grad_lower(f, s), 1),
+        "gradient": (gradient(f, s), 1),
+    }
+    bad = [name for name, (x, n) in arrays.items() if not _entries_contiguous(x, n)]
+    assert not bad

@@ -322,14 +322,35 @@ PER_NODE_MODULES = ("curvature", "calculus", "surface", "spaceform", "variations
 # short loop per node, whatever name the code reaches it by
 FORBIDDEN_NAMES = ("einsum", "cross", "norm")
 TRAILING_BLOCK_AXES = ("(-2, -1)", "(-1, -2)")
+# these lay trailing entry axes out node-major, each entry a strided plane,
+# when stacking along a negative axis or allocating ``shape + (2, ...)``
+STACKS = ("stack",)
+ALLOCATIONS = ("empty", "zeros")
+
+
+def _node_major(node: ast.Call):
+    """What the call builds node-major, or None: np.stack along a negative
+    axis, or np.empty / np.zeros of a shape with a tuple appended."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else func.id if isinstance(func, ast.Name) else None
+    if name in STACKS:
+        axis = [kw.value for kw in node.keywords if kw.arg == "axis"] + node.args[1:2]
+        if axis and ast.unparse(axis[0]).startswith("-"):
+            return f"{ast.unparse(func)}(..., axis={ast.unparse(axis[0])})"
+    if name in ALLOCATIONS:
+        shape = [kw.value for kw in node.keywords if kw.arg == "shape"] + node.args[:1]
+        if shape and isinstance(shape[0], ast.BinOp) and isinstance(shape[0].right, ast.Tuple):
+            return f"{ast.unparse(func)}(... + {ast.unparse(shape[0].right)})"
+    return None
 
 
 def _per_node_loops(source: str) -> list:
     """(line, what) for each per-node loop in ``source``: every line that
     mentions einsum, comments and docstrings included; in the code, every
     attribute, bare name, imported name or string constant (as passed to
-    getattr) in FORBIDDEN_NAMES; and every call that takes (-2, -1) as a
-    positional or ``axis`` argument."""
+    getattr) in FORBIDDEN_NAMES; every call that takes (-2, -1) as a
+    positional or ``axis`` argument; and every node-major construction
+    (``_node_major``)."""
     hits = {(i + 1, "einsum") for i, line in enumerate(source.splitlines()) if re.search(r"\beinsum\b", line)}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
@@ -348,13 +369,17 @@ def _per_node_loops(source: str) -> list:
             for arg in node.args + [kw.value for kw in node.keywords if kw.arg == "axis"]:
                 if ast.unparse(arg) in TRAILING_BLOCK_AXES:
                     hits.add((node.lineno, ast.unparse(node.func) + f"(..., {ast.unparse(arg)})"))
+            what = _node_major(node)
+            if what is not None:
+                hits.add((node.lineno, what))
     return sorted(hits)
 
 
 def test_per_node_rule_sees_each_forbidden_call():
     """The rule's own check: it finds each forbidden form in code, under
     any spelling, and einsum on any line; the other names may appear in a
-    docstring."""
+    docstring. Stacking along axis 0 and allocating entry axes first, or
+    through ``_empty_planes``, pass."""
     source = '''"""np.cross and np.linalg.norm in a docstring"""
 from numpy import einsum, cross as cr
 from numpy.linalg import norm
@@ -371,14 +396,23 @@ k = (x * y).sum(axis=(-1, -2))
 m = np.sum(x * y, (-2, -1))
 # einsum in a comment
 n = np.swapaxes(x, -2, -1)
+p = np.stack([x, y], axis=-1)
+q = numpy.stack((x, y), -2) + stack([x, y], axis=-1)
+r = np.empty(shape + (2, 2))
+s = np.zeros(x.shape[:2] + (2,), dtype=complex) + zeros(shape=shape + (2, 2, 2))
+t = np.stack([x, y]) + np.stack([x, y], axis=0)
+w = np.empty((2, 2) + shape) + np.empty(shape[-1:] + shape[:-1]) + np.zeros(shape)
+z = _empty_planes(shape + (2, 2), float, 2)
 '''
-    assert sorted({line for line, _ in _per_node_loops(source)}) == [2, 3] + list(range(5, 16))
+    assert sorted({line for line, _ in _per_node_loops(source)}) == [2, 3] + list(range(5, 16)) + [17, 18, 19, 20]
 
 
 @pytest.mark.parametrize("module", PER_NODE_MODULES)
 def test_no_einsum_in_per_node_code(module):
     """Per-node arrays are combined by the kernels, entry by entry; no
-    einsum, np.cross, np.linalg.norm or sum over the trailing (2, 2) axes.
+    einsum, np.cross, np.linalg.norm or sum over the trailing (2, 2) axes,
+    and no per-node tensor built node-major (np.stack along a trailing
+    axis, np.empty or np.zeros of ``shape + (2, ...)``).
 
     numpy runs those as a generic loop over the tiny trailing axes. At
     128x64 nodes on a 2-core machine, "...ik,...kj->...ij" by einsum took
@@ -444,3 +478,96 @@ def test_flat_inner_and_induced_metric_keep_the_operands_dtype(sf, dtype):
     assert g.dtype == np.dtype(dtype)
     assert _rel(g, want) <= PARITY_BOUND
     assert (np.max(np.abs(g.imag)) > 0.1) == (dtype is complex)
+
+
+def _written_out(name, signs):
+    """The map of each bilinear table written out in plain numpy, term by
+    term in the table's order: the value kernels the tables replaced."""
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def inner(x, y):
+        out = x[..., 0] * y[..., 0]
+        for k in range(1, len(signs)):
+            out = out + x[..., k] * y[..., k] if signs[k] > 0 else out - x[..., k] * y[..., k]
+        return out
+
+    def normal_from_minors(q, m):
+        cols = []
+        for l in range(4):
+            a, b, c = (i for i in range(4) if i != l)
+            w = q[..., a] * m[..., pairs.index((b, c))] - q[..., b] * m[..., pairs.index((a, c))]
+            cols.append((w + q[..., c] * m[..., pairs.index((a, b))]) * ((-1.0) ** l * signs[l]))
+        return np.stack(cols, axis=-1)
+
+    return {
+        "product": np.multiply,
+        "times_vector": lambda a, x: a[..., None] * x,
+        "flat_inner": inner,
+        "cross": lambda x, y: np.stack([x[..., j] * y[..., k] - x[..., k] * y[..., j] for j, k in ((1, 2), (2, 0), (0, 1))], -1),
+        "minors": lambda x, y: np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], -1),
+        "normal_from_minors": normal_from_minors,
+    }[name]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("sf", [SpaceForm.euclidean(), SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)], ids=lambda sf: sf.model.name)
+def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
+    """Each bilinear table's jet (Taylor2.bilinear) equals, bit for bit and
+    in every slot, Taylor2.multilinear of its map written out in plain
+    numpy, and its value path equals that map; one in four operand entries
+    is exactly zero, so signed zeros are compared too."""
+    from curvevar.curvature import _PRODUCT, _times_vector
+    from curvevar.surface import _minors, _normal_from_minors
+
+    dim, signs = sf.ambient_dim, sf.metric_signs
+    draw, mask = _operands(dtype, 8), np.random.default_rng(9)
+
+    def jet(*shape):
+        return Taylor2([np.where(mask.random(shape) < 0.25, 0.0, draw(*shape)) for _ in range(6)])
+
+    tables = [("product", _PRODUCT, (), ()), ("times_vector", _times_vector(dim), (), (dim,))]
+    tables.append(("flat_inner", sf._inner_map, (dim,), (dim,)))
+    if dim == 3:
+        tables.append(("cross", _cross, (3,), (3,)))
+    else:
+        tables += [("minors", _minors, (4,), (4,)), ("normal_from_minors", _normal_from_minors(signs), (4,), (6,))]
+    for name, table, x_axes, y_axes in tables:
+        x, y = jet(5, 4, *x_axes), jet(5, 4, *y_axes)
+        ref = _written_out(name, signs)
+        got, want = Taylor2.bilinear(table, x, y), Taylor2.multilinear(ref, x, y)
+        for slot, (a, b) in enumerate(zip(got.parts, want.parts)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, slot)
+        value = table(x.value, y.value)
+        assert value.dtype == want.value.dtype and value.tobytes() == want.value.tobytes(), name
+
+
+@pytest.mark.parametrize("sf", [SpaceForm.euclidean(), SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)], ids=lambda sf: sf.model.name)
+def test_metric_derivatives_keep_the_jets_dtype(sf):
+    """dg, and Gamma from it, take the dtype of the immersion jets: on
+    complex jets (a complex-step derivative) they keep their imaginary
+    part, against the einsum reference with the metric signs."""
+    from curvevar import PatchDomain
+    from curvevar.curvature import FundamentalForms
+    from curvevar.surface import SurfaceSample
+
+    draw, signs = _operands(complex, 10), sf.metric_signs
+    jets = {ab: draw(8, 8, sf.ambient_dim) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
+    s = SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets)
+    g = induced_metric(s)
+    g_inv = np.linalg.inv(g)
+    ff = FundamentalForms(g, g_inv, g, jets[(0, 0)], np.ones(s.shape), jets, sf.flat_inner)
+
+    def r(*ab):
+        return jets[tuple(map(sum, zip((0, 0), *ab)))]
+
+    dg = np.empty(s.shape + (2, 2, 2), complex)
+    for k, ek in enumerate(_E):
+        for a, ea in enumerate(_E):
+            for b, eb in enumerate(_E):
+                dg[..., k, a, b] = _inner(signs, r(ea, ek), r(eb)) + _inner(signs, r(ea), r(eb, ek))
+    c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, c)
+    for got, want in ((ff.dg, dg), (ff.gamma, gamma)):
+        assert got.dtype == np.dtype(complex)
+        assert _rel(got, want) <= PARITY_BOUND
+        assert np.max(np.abs(got.imag)) > 0.1

@@ -419,3 +419,31 @@ def test_evolution_check_builds_each_hessian_once(torus, monkeypatch):
     u, fv = random_smooth_field(torus, 4), random_smooth_field(torus, 5)
     evolution_check_many(torus, u, f=fv)
     assert sorted(calls) == sorted([("u", True), ("f", True)] + [("f", False)] * 4)
+
+
+@pytest.mark.parametrize("which, hessians", [("first_variation", 1), ("el_residual", 2), ("second_variation", 1)])
+def test_variations_build_each_hessian_once(torus, monkeypatch, which, hessians):
+    """first_variation and the second-variation integral build Hess u once,
+    and el_residual Hess E_H and Hess E_K once each: every Laplacian is the
+    trace of a Hessian already built."""
+    import curvevar.calculus as calculus
+    import curvevar.variations as variations
+
+    calls = []
+    real = calculus.hessian
+
+    def counting(f, s):
+        calls.append(f)
+        return real(f, s)
+
+    monkeypatch.setattr(calculus, "hessian", counting)
+    monkeypatch.setattr(variations, "hessian", counting)
+    u = random_smooth_field(torus, 4)
+    run = {
+        "first_variation": lambda: first_variation(torus, willmore(), u),
+        "el_residual": lambda: el_residual(torus, willmore()),
+        "second_variation": lambda: second_variation(torus, willmore(), u, force=True),
+    }
+    run[which]()
+    assert len(calls) == hessians
+    assert len({id(f) for f in calls}) == hessians
