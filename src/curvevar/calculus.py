@@ -13,11 +13,12 @@ given as a sympy expression.
 Per-node tensors keep their index axes trailing, as ``curvature`` lays
 them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2),
 each entry one contiguous grid plane. Operators combine them with the
-per-node kernels of ``curvature``, which write each entry out with
-whole-grid ufuncs, e.g. <a, b> = the sum over i, j of (g^-1 a)_ij
-(b g^-1)_ij. At 128x64 nodes on a 2-core machine that sum takes 0.05 ms
-where ``np.sum`` over the trailing (2, 2) axes took 0.21 ms, and each 2x2
-product 0.07 ms where batched ``@`` took 0.44-0.53 ms.
+bilinear tables of ``curvature`` (``surface._Bilinear``), which write
+each entry out with whole-grid ufuncs, e.g. <a, b> = the sum over i, j of
+(g^-1 a)_ij (b g^-1)_ij. At 128x64 nodes on a 2-core machine that sum
+takes 0.05 ms where ``np.sum`` over the trailing (2, 2) axes took
+0.21 ms, and each 2x2 product 0.07 ms where batched ``@`` took
+0.44-0.53 ms.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ from .errors import ConfigError
 from .curvature import (
     TAYLOR_INDICES,
     Taylor2,
-    _block_inner,
-    _dot,
-    _mat2_mul,
-    _mat2_vec,
-    _times_blocks,
+    _DOT2,
+    _FROBENIUS,
+    _MAT_MUL,
+    _MAT_VEC,
+    _VEC_BLOCKS,
     curvature_jets,
     curvature_scalars,
     fundamental_forms,
 )
-from .surface import PatchDomain, Provenance, SurfaceSample, _empty_planes, _require_same_grid
+from .surface import PatchDomain, Provenance, SurfaceSample, _empty_planes, _inner_form, _require_same_grid
 
 
 class ScalarField:
@@ -148,10 +149,11 @@ class AmbientPolyField(ScalarField):
         self.cvec = np.asarray(cvec, dtype=float)
         self.mat = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
         x = Taylor2.from_jets(sample.jets)
+        dot = _inner_form((1,) * sample.ambient_dim)
         jet = (
             self.c0
             + Taylor2.multilinear(lambda y: y @ self.cvec, x)
-            + Taylor2.multilinear(lambda y, z: _dot(y @ self.mat, z), x, x)
+            + Taylor2.multilinear(lambda y, z: dot(y @ self.mat, z), x, x)
         )
         if window is not None:
             _, VV = sample.domain.meshes()
@@ -197,7 +199,8 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
     """
     rng = np.random.default_rng(seed)
     dim = sample.ambient_dim
-    scale = 1.0 / max(1.0, np.max(np.sqrt(_dot(sample.positions, sample.positions))))
+    dot = _inner_form((1,) * dim)
+    scale = 1.0 / max(1.0, np.max(np.sqrt(dot(sample.positions, sample.positions))))
     c0 = rng.uniform(-0.5, 0.5)
     cvec = rng.uniform(-1.0, 1.0, size=dim) * scale
     mat = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale**2
@@ -253,23 +256,22 @@ def grad_lower(f: ScalarField, s: SurfaceSample) -> np.ndarray:
 
 def gradient(f: ScalarField, s: SurfaceSample) -> np.ndarray:
     """Raised gradient components grad^i f = g^{ij} f_j, shape (..., 2)."""
-    return _mat2_vec(fundamental_forms(s).g_inv, grad_lower(f, s))
+    return _MAT_VEC(fundamental_forms(s).g_inv, grad_lower(f, s))
 
 
 def grad_inner(f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
     """<grad f1, grad f2> = g^{ij} (f1)_i (f2)_j."""
-    return _dot(gradient(f1, s), grad_lower(f2, s))
+    return _DOT2(gradient(f1, s), grad_lower(f2, s))
 
 
 def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
     """Covariant Hessian f_{;ij} = f_ij - Gamma^k_ij f_k."""
-    ff = fundamental_forms(s)
     fk = grad_lower(f, s)
     comps = _empty_planes(s.shape + (2, 2), float, 2)
     comps[..., 0, 0] = f.partial(2, 0)
     comps[..., 1, 1] = f.partial(0, 2)
     comps[..., 0, 1] = comps[..., 1, 0] = f.partial(1, 1)
-    comps -= _times_blocks(fk[..., None, :], ff.gamma)[..., 0, :, :]
+    comps -= _VEC_BLOCKS(fk, fundamental_forms(s).gamma)
     return TensorField02(comps, s)
 
 
@@ -281,7 +283,7 @@ def metric_trace(a: TensorField02, s: SurfaceSample) -> ScalarField:
     """g^{ij} a_ij; the Laplace-Beltrami operator is the trace of the Hessian.
     a must live on the chart grid of s."""
     _require_same_grid(a.sample, s)
-    return ScalarField(_block_inner(fundamental_forms(s).g_inv, a.comps), s)
+    return ScalarField(_FROBENIUS(fundamental_forms(s).g_inv, a.comps), s)
 
 
 def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarField:
@@ -290,13 +292,13 @@ def contract(a: TensorField02, b: TensorField02, s: SurfaceSample) -> ScalarFiel
     _require_same_grid(b.sample, s)
     g_inv = fundamental_forms(s).g_inv
     # tr(P Q) = sum of P * Q^T, with (g^-1 b)^T = b g^-1 for symmetric b, g
-    vals = _block_inner(_mat2_mul(g_inv, a.comps), _mat2_mul(b.comps, g_inv))
+    vals = _FROBENIUS(_MAT_MUL(g_inv, a.comps), _MAT_MUL(b.comps, g_inv))
     return ScalarField(vals, s)
 
 
 def bilinear(a: TensorField02, f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray:
     """a(grad f1, grad f2) with raised gradients."""
-    return _dot(gradient(f1, s), _mat2_vec(a.comps, gradient(f2, s)))
+    return _DOT2(gradient(f1, s), _MAT_VEC(a.comps, gradient(f2, s)))
 
 
 def shape_tensor(s: SurfaceSample) -> TensorField02:
@@ -310,7 +312,7 @@ def metric_tensor(s: SurfaceSample) -> TensorField02:
 def h_squared(s: SurfaceSample) -> TensorField02:
     """(h^2)_ij = g^{kl} h_li h_kj."""
     ff = fundamental_forms(s)
-    return TensorField02(_mat2_mul(_mat2_mul(ff.h, ff.g_inv), ff.h), s)
+    return TensorField02(_MAT_MUL(_MAT_MUL(ff.h, ff.g_inv), ff.h), s)
 
 
 # -- quadrature --------------------------------------------------------------

@@ -102,7 +102,10 @@ def _make_field(spec, sample):
 
 
 def _emit(args, payload: dict, rows=None) -> None:
-    out = sys.stdout if not args.output else open(args.output, "w")
+    try:
+        out = sys.stdout if not args.output else open(args.output, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output file '{args.output}': {exc.strerror}") from None
     try:
         if args.format == "csv":
             if rows is not None:
@@ -289,8 +292,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, surface=True, density=False, u=False):
-        p.add_argument("--config", help="JSON file with defaults for any flag (explicit flags win)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.set_defaults(parser=p)
+        p.add_argument("--config", help="JSON file with values for any flag (explicit flags win)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
         if surface:
             p.add_argument("--surface", help="surface spec, e.g. sphere:r=1 or torus:R=2,a=1")
@@ -359,8 +363,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
+def _parse_args(argv) -> argparse.Namespace:
+    """The command line, with the values of a --config file parsed as flags
+    placed before the typed ones: argparse checks their types and choices,
+    and a typed flag wins."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
         try:
             with open(args.config) as fh:
                 conf = json.load(fh)
@@ -368,20 +378,26 @@ def _apply_config(args):
             raise ConfigError(f"cannot read --config file: {exc}")
         if not isinstance(conf, dict):
             raise ConfigError("--config must contain a JSON object")
+        actions = {a.dest: a for a in args.parser._actions if a.option_strings and a.dest not in ("help", "config")}
+        flags = []
         for key, val in conf.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 raise ConfigError(f"unknown config key '{key}'")
-            if getattr(args, attr) in (None, False):
-                setattr(args, attr, val)
-    if args.format is None:
-        args.format = "json"
+            if action.nargs != 0:
+                flags.append(f"{action.option_strings[0]}={val}")
+            elif isinstance(val, bool):  # a switch
+                flags += [action.option_strings[0]] if val else []
+            else:
+                raise ConfigError(f"config key '{key}' takes true or false (got {val!r})")
+        # argv[0] is the subcommand: the top-level parser has no options but -h
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        _apply_config(args)
+        args = _parse_args(argv)
         return args.fn(args)
     except BrokenPipeError:
         return 0

@@ -6,28 +6,26 @@ Per-node tensors keep their index axes trailing in shape, (..., 2, 2) for
 g, g^-1 and h and (..., 2, 2, 2) for Gamma and dg, but are laid out
 entry-major: each entry x[..., i, j] is one contiguous grid plane
 (``surface._empty_planes``), as each component x[..., k] of an ambient
-vector is. The per-node kernels below write every entry of the result
-with whole-grid ufuncs into such an array; numpy runs batched ``@``,
-``np.sum`` over the trailing (2, 2) axes or ``np.cross`` as a short inner
-loop per node. At 128x64 nodes on a 2-core machine, g^-1 @ h takes
-0.44-0.53 ms by batched ``@``; written out it took 83 us on node-major
-blocks, whose entries are planes with a 32-byte stride, and takes 66 us
-entry-major.
+vector is.
 
-Every bilinear map of ambient vectors and grid scalars (the product, a
-scalar times a vector, ``SpaceForm.flat_inner``, the cross product, the
-2x2 minors and the 4-d normal from them) is one table of +-x_a y_b terms
-(``surface._Bilinear``), whose value is slot 0 of its jet.
-``Taylor2.bilinear`` writes the order-2 jet in place, bit for bit the jet
-``Taylor2.multilinear`` builds from fresh arrays: at 128x64 a scalar times
-a 4-vector takes 0.70 ms against 1.67 ms, the minors 1.66 ms against
-3.31 ms, the cross product 0.90 ms against 1.14 ms.
+Every per-node bilinear map is one table of +-x_a y_b terms per entry of
+its value (``surface._Bilinear``): the 2x2 algebra below and in
+``calculus`` (g^-1 h, |h|^2, Gamma, the operators), the product, a scalar
+times a vector, ``SpaceForm.flat_inner``, the cross product, the 2x2
+minors and the 4-d normal from them. A table writes each entry with
+whole-grid ufuncs; numpy runs batched ``@``, ``np.sum`` over the trailing
+(2, 2) axes or ``np.cross`` as a short loop per node. At 128x64 nodes on
+a 2-core machine g^-1 h takes 0.44-0.53 ms by batched ``@``, 83 us
+written out on node-major blocks and 66 us entry-major.
+``Taylor2.bilinear`` writes the order-2 jet of a table in place, bit for
+bit the jet ``Taylor2.multilinear`` builds: a scalar times a 4-vector
+takes 0.70 ms against 1.67 ms, the minors 1.66 ms against 3.31 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .surface import (
     _cross,
     _empty_planes,
     _eps_normal,
+    _inner_form,
     _minors,
     _nonfinite_node,
     _normal_from_minors,
@@ -163,7 +162,9 @@ class Taylor2:
         return Taylor2(-x for x in self.parts)
 
     def __sub__(self, other) -> "Taylor2":
-        return self + (-other)
+        if isinstance(other, Taylor2):
+            return Taylor2(x - y for x, y in zip(self.parts, other.parts))
+        return Taylor2((self.parts[0] - other,) + self.parts[1:])
 
     def __mul__(self, other) -> "Taylor2":
         if isinstance(other, Taylor2):
@@ -250,14 +251,12 @@ class FundamentalForms:
     @cached_property
     def gamma(self) -> np.ndarray:
         """(nu, nv, 2, 2, 2): gamma[..., k, i, j] = Gamma^k_ij."""
-        dg, g_inv = self.dg, self.g_inv
-        gamma = np.empty_like(dg)
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            # c[l] = C_l,ab = d_a g_bl + d_b g_al - d_l g_ab, symmetric in a, b
-            c = [dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b] for l in range(2)]
-            for k in range(2):
-                _sum_of_products([(g_inv[..., k, l], c[l]) for l in range(2)], gamma[..., k, a, b])
-        gamma[..., 1, 0] = gamma[..., 0, 1]
+        dg = self.dg
+        c = np.empty_like(dg)  # c[..., l, a, b] = C_l,ab = d_a g_bl + d_b g_al - d_l g_ab
+        for l in range(2):
+            for a, b in ((0, 0), (0, 1), (1, 1)):
+                c[..., l, a, b] = c[..., l, b, a] = dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b]
+        gamma = _MAT_BLOCKS(self.g_inv, c)
         gamma *= 0.5
         return gamma
 
@@ -272,67 +271,31 @@ class CurvatureScalars:
     kappa2: np.ndarray
 
 
-# -- per-node kernels ---------------------------------------------------------
+# -- per-node tables -----------------------------------------------------------
+# Every per-node product is one bilinear table (``surface._Bilinear``); l is
+# summed over, left to right.
 
-
-def _sum_of_products(pairs: list, out=None) -> np.ndarray:
-    """Per node, the sum of x * y over the (x, y) in ``pairs``, left to
-    right, written into ``out`` (a fresh array when None) through one
-    scratch array."""
-    (x, y), *rest = pairs
-    out = np.multiply(x, y, out=out)
-    scratch = np.empty_like(out) if rest else None
-    for x, y in rest:
-        out += np.multiply(x, y, out=scratch)
-    return out
-
-
-def _mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node matrix product a @ b of (..., 2, 2) blocks."""
-    out = _empty_planes(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b), 2)
-    for i in range(2):
-        for j in range(2):
-            _sum_of_products([(a[..., i, l], b[..., l, j]) for l in range(2)], out[..., i, j])
-    return out
-
-
-def _mat2_vec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-node a @ x of a (..., 2, 2) block and a (..., 2) vector."""
-    out = _empty_planes(np.broadcast_shapes(a.shape[:-1], x.shape), np.result_type(a, x))
-    for i in range(2):
-        _sum_of_products([(a[..., i, l], x[..., l]) for l in range(2)], out[..., i])
-    return out
-
-
-def _times_blocks(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-node contraction a^k_l t^l_ij of a (..., m, 2) block with t of
-    shape (..., 2, 2, 2); the result has shape (..., m, 2, 2)."""
-    m = a.shape[-2]
-    out = _empty_planes(np.broadcast_shapes(a.shape[:-2], t.shape[:-3]) + (m, 2, 2), np.result_type(a, t), 3)
-    for k in range(m):
-        for i in range(2):
-            for j in range(2):
-                _sum_of_products([(a[..., k, l], t[..., l, i, j]) for l in range(2)], out[..., k, i, j])
-    return out
-
-
-def _block_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node sum over i, j of a_ij b_ij for (..., 2, 2) blocks."""
-    return _sum_of_products([(a[..., i, j], b[..., i, j]) for i in range(2) for j in range(2)])
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-node x_i y_i, contracting the trailing axes of x and y."""
-    return _sum_of_products([(x[..., i], y[..., i]) for i in range(x.shape[-1])])
-
-
+_R2 = range(2)
 # the product of two grid scalars
-_PRODUCT = _Bilinear([[(1, None, None)]], scalar_out=True)
+_PRODUCT = _Bilinear({(): [(1, (), ())]})
+# the matrix product of 2x2 blocks, (a b)_ij = a_il b_lj
+_MAT_MUL = _Bilinear({(i, j): [(1, (i, l), (l, j)) for l in _R2] for i in _R2 for j in _R2})
+# a 2x2 block times a 2-vector, (a x)_i = a_il x_l
+_MAT_VEC = _Bilinear({(i,): [(1, (i, l), (l,)) for l in _R2] for i in _R2})
+# a 2x2 block times a (2, 2, 2) block in its first index, a_kl t_lij
+_MAT_BLOCKS = _Bilinear({(k, i, j): [(1, (k, l), (l, i, j)) for l in _R2] for k in _R2 for i in _R2 for j in _R2})
+# a covector times a (2, 2, 2) block in its first index, x_l t_lij
+_VEC_BLOCKS = _Bilinear({(i, j): [(1, (l,), (l, i, j)) for l in _R2] for i in _R2 for j in _R2})
+# the sum of a_ij b_ij over 2x2 blocks
+_FROBENIUS = _Bilinear({(): [(1, (i, j), (i, j)) for i in _R2 for j in _R2]})
+# the dot product x_i y_i of 2-vectors
+_DOT2 = _inner_form((1, 1))
 
 
+@cache
 def _times_vector(dim: int) -> _Bilinear:
     """A grid scalar times a dim-vector, one product per component."""
-    return _Bilinear([[(1, None, k)] for k in range(dim)])
+    return _Bilinear({(k,): [(1, (), (k,))] for k in range(dim)})
 
 
 def _quadric_normal_jet(signs, q: "Taylor2", ru: "Taylor2", rv: "Taylor2") -> "Taylor2":
@@ -429,11 +392,11 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
     sf = sample.sf
     # overflow is reported below, naming the scalar and the node
     with np.errstate(over="ignore", invalid="ignore"):
-        shape_op = _mat2_mul(ff.g_inv, ff.h)
+        shape_op = _MAT_MUL(ff.g_inv, ff.h)
         H = 0.5 * (shape_op[..., 0, 0] + shape_op[..., 1, 1])
         K_E = (ff.h[..., 0, 0] * ff.h[..., 1, 1] - ff.h[..., 0, 1] ** 2) / ff.dS_weight**2
         # |h|^2 = g^ik g^jl h_ij h_kl = tr(S S) with S = g^-1 h
-        h_norm_sq = _block_inner(shape_op, np.swapaxes(shape_op, -1, -2))
+        h_norm_sq = _FROBENIUS(shape_op, np.swapaxes(shape_op, -1, -2))
     for name, x in (("H", H), ("K_E", K_E), ("|h|^2", h_norm_sq)):
         node = _nonfinite_node(x)
         if node is not None:

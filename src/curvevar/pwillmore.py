@@ -39,6 +39,8 @@ def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
     S^2(r): lambda_k = k(k+1)/r^2 with multiplicity C(k+2, 2)."""
     if k < 0:
         raise ConfigError("spectrum index must be >= 0")
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(f"sphere radius must be positive and finite (got r = {r})")
     return k * (k + 1) / float(r) ** 2, math.comb(k + 2, 2)
 
 
@@ -299,6 +301,8 @@ def stability_report(setting: PWillmoreSetting, l_max: int = 5, sample: Optional
     """
     from .catalog import sample_builtin
 
+    if l_max < 1:
+        raise ConfigError(f"l_max must be at least 1 (got l_max = {l_max})")
     if sample is None:
         sample = sample_builtin("sphere", {"r": setting.r})
     p, r = setting.p, setting.r

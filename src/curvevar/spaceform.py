@@ -90,9 +90,9 @@ class SpaceForm:
     def _inner_map(self):
         """``flat_inner`` as the table of a bilinear map
         (``surface._Bilinear``): the sum of sign_k v_k w_k, left to right."""
-        from .surface import _Bilinear  # surface imports this module
+        from .surface import _inner_form  # surface imports this module
 
-        return _Bilinear([[(float(s), k, k) for k, s in enumerate(self.metric_signs)]], scalar_out=True)
+        return _inner_form(self.metric_signs)
 
     def flat_inner(self, v, w):
         """Bilinear form of the flat ambient (Minkowski for hyperbolic),

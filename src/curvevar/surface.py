@@ -206,38 +206,45 @@ def _as_planes(x: np.ndarray) -> np.ndarray:
 
 
 class _Bilinear:
-    """A bilinear map of per-node components, defined by its table.
+    """A bilinear map of per-node tensors, defined by its table.
 
-    Row c of ``rows`` lists the terms (s, a, b), s = +1 or -1 and the
-    first s = +1, of output component c: the sum, left to right, of
-    s x_a y_b, times ``scales[c]`` (+1 or -1) when given. An index None
-    stands for a scalar operand, the grid x itself. With ``scalar_out``
-    the map has one row and a grid scalar as its value; otherwise the
-    value is a vector laid out component-major.
+    Entries of the value and of the operands are addressed by index
+    tuples: () for a grid scalar (the array itself), (k,) for a vector
+    component, (i, j) for a 2x2 entry, (k, i, j) for dg or Gamma. ``rows``
+    maps every entry of the value to its terms (s, a, b), s = +1 or -1 and
+    the first s = +1: the sum, left to right, of s x[..., a] y[..., b],
+    times ``scales[entry]`` (+1 or -1) when given. Calling the map
+    evaluates it on two arrays, in their dtype, through one scratch plane,
+    into an entry-major array (a plain grid array for a scalar value);
+    ``curvature.Taylor2.bilinear`` writes its order-2 jet with ``write``."""
 
-    Calling the map evaluates it on two arrays, in their dtype, through
-    one scratch plane; ``curvature.Taylor2.bilinear`` takes its order-2
-    jet, writing each term with ``write``."""
-
-    def __init__(self, rows, scales=None, scalar_out=False):
-        self.vector = tuple(any(t[i] is not None for row in rows for t in row) for i in (1, 2))
-        self.rows = tuple(tuple((s, a or 0, b or 0) for s, a, b in row) for row in rows)
-        self.scales = (1.0,) * len(self.rows) if scales is None else tuple(scales)
-        self.scalar_out = scalar_out
+    def __init__(self, rows: dict, scales: dict | None = None):
+        self.out = tuple(rows)
+        self.shape = tuple(max(idx[d] for idx in self.out) + 1 for d in range(len(self.out[0])))
+        # the entries each operand is read at, in order; a compiled term
+        # (s, a, b) holds the positions of its two entries there
+        self.entries = tuple(tuple(sorted({t[i] for terms in rows.values() for t in terms})) for i in (1, 2))
+        self.rows = tuple(
+            tuple((s, self.entries[0].index(a), self.entries[1].index(b)) for s, a, b in terms)
+            for terms in rows.values()
+        )
+        self.negate = tuple((scales or {}).get(idx, 1.0) < 0 for idx in self.out)
 
     def planes(self, x, operand: int) -> list:
-        """The entries of operand 0 or 1: [x] for a scalar, else each x[..., k]."""
-        return [x[..., k] for k in range(x.shape[-1])] if self.vector[operand] else [x]
+        """The entries of operand 0 or 1 that the table reads, in order."""
+        return [x[(...,) + idx] if idx else x for idx in self.entries[operand]]
 
     def empty(self, lead: tuple, dtype) -> np.ndarray:
         """An uninitialised value array over the leading axes ``lead``."""
-        return np.empty(lead, dtype) if self.scalar_out else _empty_planes(lead + (len(self.rows),), dtype)
+        return _empty_planes(lead + self.shape, dtype, len(self.shape)) if self.shape else np.empty(lead, dtype)
 
     def plane(self, out: np.ndarray, c: int) -> np.ndarray:
-        return out if self.scalar_out else out[..., c]
+        """Entry c of the value array ``out``, in row order."""
+        idx = self.out[c]
+        return out[(...,) + idx] if idx else out
 
     def write(self, c: int, xp: list, yp: list, dst: np.ndarray, scratch: np.ndarray) -> None:
-        """Component c of the map of the entries xp, yp into dst."""
+        """Entry c of the map of the entries xp, yp into dst."""
         (_, a, b), *rest = self.rows[c]
         np.multiply(xp[a], yp[b], out=dst)
         for s, a, b in rest:
@@ -246,26 +253,32 @@ class _Bilinear:
                 dst += term
             else:
                 dst -= term
-        if self.scales[c] < 0:
+        if self.negate[c]:
             dst *= -1.0
 
     def __call__(self, x, y) -> np.ndarray:
         xp, yp = self.planes(x, 0), self.planes(y, 1)
-        lead, dtype = np.broadcast_shapes(xp[0].shape, yp[0].shape), np.result_type(x, y)
+        lead = xp[0].shape if xp[0].shape == yp[0].shape else np.broadcast_shapes(xp[0].shape, yp[0].shape)
+        dtype = np.result_type(x, y)
         out, scratch = self.empty(lead, dtype), np.empty(lead, dtype)
         for c in range(len(self.rows)):
             self.write(c, xp, yp, self.plane(out, c), scratch)
         return out
 
 
+def _inner_form(signs: tuple) -> _Bilinear:
+    """The scalar form sum_k sign_k x_k y_k of two vectors, left to right."""
+    return _Bilinear({(): [(s, (k,), (k,)) for k, s in enumerate(signs)]})
+
+
 # the cross product x × y of 3-vectors
-_cross = _Bilinear([((1, (i + 1) % 3, (i + 2) % 3), (-1, (i + 2) % 3, (i + 1) % 3)) for i in range(3)])
+_cross = _Bilinear({(i,): [(1, (j,), (k,)), (-1, (k,), (j,))] for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))})
 
 _PAIRS = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 
 # the six 2x2 minors m_ij = r_u^i r_v^j - r_u^j r_v^i (i < j) of two
 # 4-vectors, in the order of _PAIRS
-_minors = _Bilinear([((1, i, j), (-1, j, i)) for i, j in _PAIRS])
+_minors = _Bilinear({(c,): [(1, (i,), (j,)), (-1, (j,), (i,))] for c, (i, j) in enumerate(_PAIRS)})
 
 
 def _normal_from_minors(signs) -> _Bilinear:
@@ -274,11 +287,12 @@ def _normal_from_minors(signs) -> _Bilinear:
     direction q and the minors m of (r_u, r_v) (``_minors``)."""
     # covector w_l = det(e_l, q, r_u, r_v), expanded in the minors; raised
     # with the flat metric, n^l = G^{ll} w_l (diagonal)
-    rows = []
+    rows = {}
     for l in range(4):
         a, b, c = (i for i in range(4) if i != l)
-        rows.append(((1, a, _PAIRS.index((b, c))), (-1, b, _PAIRS.index((a, c))), (1, c, _PAIRS.index((a, b)))))
-    return _Bilinear(rows, [(-1.0) ** l * signs[l] for l in range(4)])
+        m = {p: (_PAIRS.index(p),) for p in ((b, c), (a, c), (a, b))}
+        rows[(l,)] = [(1, (a,), m[b, c]), (-1, (b,), m[a, c]), (1, (c,), m[a, b])]
+    return _Bilinear(rows, {(l,): (-1.0) ** l * signs[l] for l in range(4)})
 
 
 def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:

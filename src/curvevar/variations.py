@@ -29,7 +29,7 @@ from .calculus import (
     metric_trace,
     shape_tensor,
 )
-from .curvature import Taylor2, _mat2_mul, curvature_scalars, fundamental_forms
+from .curvature import _MAT_MUL, Taylor2, curvature_scalars, fundamental_forms
 from .densities import EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
@@ -440,7 +440,7 @@ def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarFiel
 
     formulas = {
         "g": lambda: -2.0 * uv[..., None, None] * ff.h,
-        "g_inv": lambda: 2.0 * uv[..., None, None] * _mat2_mul(_mat2_mul(ff.g_inv, ff.h), ff.g_inv),
+        "g_inv": lambda: 2.0 * uv[..., None, None] * _MAT_MUL(_MAT_MUL(ff.g_inv, ff.h), ff.g_inv),
         "dS": lambda: -2.0 * H * uv * ff.dS_weight,
         "2H": lambda: lap(u) + 2.0 * uv * (2.0 * H**2 - K + 2.0 * k0),
         "K": lambda: 2.0 * H * lap(u) - contract(h_t(), hess(u), s).values + 2.0 * H * K * uv,

@@ -202,6 +202,54 @@ def test_config_unknown_key(tmp_path, capsys):
     assert run(capsys, "energy", "--config", str(conf))[0] == 1
 
 
+def _config(tmp_path, conf: dict) -> str:
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    return str(path)
+
+
+def test_config_sets_a_flag_that_has_a_default(tmp_path, capsys):
+    """--r defaults to 1.0, and a config value still sets it; a typed flag wins."""
+    conf = _config(tmp_path, {"r": 2.0})
+    code, out, _ = run(capsys, "spectrum", "--k", "1", "--config", conf)
+    assert code == 0 and json.loads(out)["lambda"] == 0.5
+    code, out, _ = run(capsys, "spectrum", "--k", "1", "--config", conf, "--r", "4")
+    assert code == 0 and json.loads(out)["lambda"] == 0.125
+
+
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
+    conf = _config(tmp_path, {"surface": "sphere", "density": "willmore", "nu": "abc"})
+    code, out, err = run(capsys, "energy", "--config", conf)
+    assert code == 1 and out == ""
+    assert "argument --nu: invalid int value: 'abc'" in err and "Traceback" not in err
+
+
+def test_config_value_outside_the_choices_exits_1(tmp_path, capsys):
+    code, out, err = run(capsys, "spectrum", "--k", "1", "--config", _config(tmp_path, {"format": "xml"}))
+    assert code == 1 and out == ""
+    assert "argument --format: invalid choice: 'xml'" in err
+
+
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_spectrum_refuses_a_radius_that_is_not_positive(r, capsys):
+    code, out, err = run(capsys, "spectrum", "--k", "1", "--r", r)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: sphere radius must be positive") and "Traceback" not in err
+
+
+def test_sphere_stability_refuses_lmax_below_1(capsys):
+    code, out, err = run(capsys, "sphere-stability", "--p", "2", "--lmax", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: ") and "l_max" in err
+
+
+def test_output_that_cannot_be_opened_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "energy", "--surface", "sphere", "--density", "willmore", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: ") and str(target) in err and "Traceback" not in err
+
+
 def test_csv_output(capsys):
     code, out, _ = run(capsys, "spectrum", "--k", "1", "--format", "csv")
     assert code == 0

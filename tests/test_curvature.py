@@ -180,6 +180,24 @@ def test_taylor2_arithmetic():
         jet(f).partial(2, 1)
 
 
+def test_taylor2_difference_is_the_sum_of_the_negation_bit_for_bit():
+    """x - y, subtracted part by part, is x + (-y) to the bit, signed zeros
+    included, for a jet and for a grid array or number on the right."""
+    from curvevar.curvature import Taylor2
+
+    rng = np.random.default_rng(12)
+
+    def draw():
+        return np.where(rng.random((6, 5)) < 0.3, 0.0, rng.standard_normal((6, 5)))
+
+    x, y = Taylor2([draw() for _ in range(6)]), Taylor2([draw() for _ in range(6)])
+    x.parts[0][0, 0], y.parts[0][0, 0] = 0.0, 0.0  # +0 - +0 and +0 + -0 are +0
+    for other in (y, y.value, 0.0, -1.5):
+        negated = -other
+        got, want = x - other, x + negated
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.parts, want.parts))
+
+
 def _leibniz_every_ordered_pair(fn, *args):
     """The Leibniz expansion of a multilinear fn with the product of two
     first-order partials evaluated once per ordered pair (i, j): 17 calls

@@ -693,7 +693,7 @@ def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
     symmetric tensors and gradients keep each entry in one contiguous grid
     plane on catalog, spectral, stencil and deformed samples."""
     from curvevar.calculus import grad_lower, gradient, h_squared, hessian, shape_tensor
-    from curvevar.curvature import _mat2_mul, fundamental_forms
+    from curvevar.curvature import _MAT_MUL, fundamental_forms
 
     if case == "catalog_E3":
         s = torus
@@ -713,7 +713,7 @@ def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
         "h": (ff.h, 2),
         "dg": (ff.dg, 3),
         "gamma": (ff.gamma, 3),
-        "g_inv h": (_mat2_mul(ff.g_inv, ff.h), 2),
+        "g_inv h": (_MAT_MUL(ff.g_inv, ff.h), 2),
         "hessian": (hessian(f, s).comps, 2),
         "shape_tensor": (shape_tensor(s).comps, 2),
         "h_squared": (h_squared(s).comps, 2),

@@ -1,10 +1,10 @@
 """Per-node tensor algebra: parity with einsum references, the per-node
-kernels on their own, and the rule that keeps numpy's per-node loops out
-of the per-node code.
+bilinear tables on their own, and the rule that keeps numpy's per-node
+loops out of the per-node code.
 
-The modules combine per-node tensors with the kernels of ``curvature``
-and ``surface``, which write every entry out with whole-grid ufuncs. The
-references below spell each contraction out as the index expression it
+The modules combine per-node tensors with bilinear tables
+(``surface._Bilinear``), which write every entry out with whole-grid
+ufuncs. The references below spell each contraction out as the index expression it
 encodes, with ``np.einsum`` (or ``np.cross``), so the two routes share no
 code past the immersion jets.
 """
@@ -32,18 +32,26 @@ from curvevar.calculus import (
 )
 from curvevar.catalog import CATALOG_NAMES
 from curvevar.curvature import (
+    _FROBENIUS,
+    _MAT_BLOCKS,
+    _MAT_MUL,
+    _MAT_VEC,
+    _PRODUCT,
+    _VEC_BLOCKS,
     Taylor2,
-    _block_inner,
-    _dot,
-    _mat2_mul,
-    _mat2_vec,
-    _sum_of_products,
-    _times_blocks,
     curvature_scalars,
     fundamental_forms,
     intrinsic_gauss_curvature,
 )
-from curvevar.surface import _cross, _nonfinite_node, _quadric_normal, check_immersion, induced_metric, numeric_jets
+from curvevar.surface import (
+    _cross,
+    _inner_form,
+    _nonfinite_node,
+    _quadric_normal,
+    check_immersion,
+    induced_metric,
+    numeric_jets,
+)
 
 # Worst differences measured over the cases below (all six catalog charts,
 # a deformed torus and the numeric-jet H^3 sphere, at 64x32), relative to
@@ -232,26 +240,26 @@ def _operands(dtype, seed):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_per_node_kernels_match_einsum_reference(dtype):
-    """Each kernel equals the index expression it writes out, on operands
-    whose leading axes broadcast against each other, including hessian's
-    (..., 1, 2) covector row against a (..., 2, 2, 2) Gamma block. The
-    result takes the operands' dtype, so complex operands (a complex-step
+    """Each bilinear table equals the index expression it writes out, on
+    operands whose leading axes broadcast against each other, including
+    hessian's covector against a (..., 2, 2, 2) Gamma block. The result
+    takes the operands' dtype, so complex operands (a complex-step
     derivative) keep their imaginary part."""
     draw = _operands(dtype, 3)
     a, b, t = draw(5, 4, 2, 2), draw(4, 2, 2), draw(5, 4, 2, 2, 2)
     row, vec = draw(4, 1, 2), draw(5, 1, 2)
     cases = [
-        ("_mat2_mul", _mat2_mul(a, b), np.einsum("...ik,...kj->...ij", a, b)),
-        ("_mat2_mul", _mat2_mul(b, a), np.einsum("...ik,...kj->...ij", b, a)),
-        ("_mat2_vec", _mat2_vec(a, vec), np.einsum("...ij,...j->...i", a, vec)),
-        ("_times_blocks", _times_blocks(b, t), np.einsum("...kl,...lij->...kij", b, t)),
-        ("_times_blocks", _times_blocks(row, t), np.einsum("...kl,...lij->...kij", row, t)),
-        ("_block_inner", _block_inner(a, b), np.einsum("...ij,...ij->...", a, b)),
-        ("_sum_of_products", _sum_of_products([(a, b), (b, t[..., 0])]), a * b + b * t[..., 0]),
+        ("_MAT_MUL", _MAT_MUL(a, b), np.einsum("...ik,...kj->...ij", a, b)),
+        ("_MAT_MUL", _MAT_MUL(b, a), np.einsum("...ik,...kj->...ij", b, a)),
+        ("_MAT_VEC", _MAT_VEC(a, vec), np.einsum("...ij,...j->...i", a, vec)),
+        ("_MAT_BLOCKS", _MAT_BLOCKS(b, t), np.einsum("...kl,...lij->...kij", b, t)),
+        ("_VEC_BLOCKS", _VEC_BLOCKS(row[..., 0, :], t), np.einsum("...kl,...lij->...kij", row, t)[..., 0, :, :]),
+        ("_FROBENIUS", _FROBENIUS(a, b), np.einsum("...ij,...ij->...", a, b)),
+        ("_PRODUCT", _PRODUCT(a, b), a * b),
     ]
     for n in (2, 3, 4):
         x, y = draw(5, 4, n), draw(4, n)
-        cases.append((f"_dot ({n})", _dot(x, y), np.einsum("...i,...i->...", x, y)))
+        cases.append((f"_inner_form ({n})", _inner_form((1,) * n)(x, y), np.einsum("...i,...i->...", x, y)))
     x, y = draw(5, 4, 3), draw(4, 3)
     cases += [("_cross", _cross(x, y), np.cross(x, y)), ("_cross", _cross(y, x), np.cross(y, x))]
     for name, got, want in cases:
@@ -506,6 +514,12 @@ def _written_out(name, signs):
         "cross": lambda x, y: np.stack([x[..., j] * y[..., k] - x[..., k] * y[..., j] for j, k in ((1, 2), (2, 0), (0, 1))], -1),
         "minors": lambda x, y: np.stack([x[..., i] * y[..., j] - x[..., j] * y[..., i] for i, j in pairs], -1),
         "normal_from_minors": normal_from_minors,
+        "mat_mul": lambda x, y: np.stack(
+            [np.stack([x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j] for j in range(2)], -1) for i in range(2)], -2
+        ),
+        "vec_blocks": lambda x, t: np.stack(
+            [np.stack([x[..., 0] * t[..., 0, i, j] + x[..., 1] * t[..., 1, i, j] for j in range(2)], -1) for i in range(2)], -2
+        ),
     }[name]
 
 
@@ -515,8 +529,9 @@ def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
     """Each bilinear table's jet (Taylor2.bilinear) equals, bit for bit and
     in every slot, Taylor2.multilinear of its map written out in plain
     numpy, and its value path equals that map; one in four operand entries
-    is exactly zero, so signed zeros are compared too."""
-    from curvevar.curvature import _PRODUCT, _times_vector
+    is exactly zero, so signed zeros are compared too. The tables span
+    scalar, vector and 2x2 values and operands up to (2, 2, 2) blocks."""
+    from curvevar.curvature import _times_vector
     from curvevar.surface import _minors, _normal_from_minors
 
     dim, signs = sf.ambient_dim, sf.metric_signs
@@ -527,6 +542,7 @@ def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
 
     tables = [("product", _PRODUCT, (), ()), ("times_vector", _times_vector(dim), (), (dim,))]
     tables.append(("flat_inner", sf._inner_map, (dim,), (dim,)))
+    tables += [("mat_mul", _MAT_MUL, (2, 2), (2, 2)), ("vec_blocks", _VEC_BLOCKS, (2,), (2, 2, 2))]
     if dim == 3:
         tables.append(("cross", _cross, (3,), (3,)))
     else:
