@@ -10,26 +10,23 @@ vector is.
 
 Every per-node bilinear map is one table of +-x_a y_b terms per entry of
 its value (``surface._Bilinear``): the 2x2 algebra below and in
-``calculus`` (g^-1 h, |h|^2, Gamma, the operators), the product, a scalar
-times a vector, ``SpaceForm.flat_inner``, the cross product, the 2x2
-minors and the 4-d normal from them. A table writes each entry with
-whole-grid ufuncs; numpy runs batched ``@``, ``np.sum`` over the trailing
-(2, 2) axes or ``np.cross`` as a short loop per node. At 128x64 nodes on
-a 2-core machine g^-1 h takes 0.44-0.53 ms by batched ``@``, 83 us
-written out on node-major blocks and 66 us entry-major.
-``Taylor2.bilinear`` writes the order-2 jet of a table in place, bit for
-bit the jet ``Taylor2.multilinear`` builds: a scalar times a 4-vector
-takes 0.70 ms against 1.67 ms, the minors 1.66 ms against 3.31 ms.
+``calculus`` (g^-1 h, |h|^2, Gamma, the Codazzi terms, the operators),
+the product, a scalar times a vector, ``SpaceForm.flat_inner``, the
+cross product, the 2x2 minors and the 4-d normal from them, and the
+quadratic form of an ``AmbientPolyField``. A table writes each entry
+with whole-grid ufuncs, where batched ``@``, ``np.sum`` over the
+trailing (2, 2) axes or ``np.cross`` run a short loop per node;
+``Taylor2.bilinear`` writes the order-2 jet of a table in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError, GuardViolation
+from .errors import ConfigError, DegenerateMetricError, GuardViolation, _first_node
 from .surface import (
     SurfaceSample,
     _Bilinear,
@@ -92,36 +89,12 @@ class Taylor2:
         return self.parts[TAYLOR_INDICES.index((a, b))]
 
     @staticmethod
-    def multilinear(fn, *args: "Taylor2") -> "Taylor2":
-        """Jet of fn(x1, ..., xn) for fn linear in each argument (Leibniz rule).
-
-        A product of two first-order partials enters d_uu and d_vv once per
-        ordered pair (i, j), i != j; the picks of (i, j) and (j, i) are the
-        same, so each unordered pair is evaluated once and doubled (15 calls
-        of fn for n = 2, 28 for n = 3)."""
-        n = len(args)
-
-        def term(picks):
-            return fn(*(x.parts[picks.get(i, 0)] for i, x in enumerate(args)))
-
-        out = [term({})] + [reduce(np.add, [term({i: d}) for i in range(n)]) for d in (1, 2)]
-        for slot, d1, d2 in _SECOND:
-            own = reduce(np.add, [term({i: slot}) for i in range(n)])
-            if n == 1:
-                out.append(own)
-            elif d1 == d2:
-                pairs = [term({i: d1, j: d1}) for i in range(n) for j in range(i + 1, n)]
-                out.append(own + 2.0 * reduce(np.add, pairs))
-            else:
-                out.append(own + reduce(np.add, [term({i: d1, j: d2}) for i in range(n) for j in range(n) if i != j]))
-        return Taylor2(out)
-
-    @staticmethod
     def bilinear(fn: _Bilinear, x: "Taylor2", y: "Taylor2") -> "Taylor2":
-        """``multilinear(fn, x, y)`` bit for bit, for a bilinear map given
-        as its table, written in place: the six parts go into one array,
-        each Leibniz term is formed whole in a scratch plane and the terms
-        are summed in the order ``multilinear`` sums them."""
+        """Jet of fn(x, y) for a bilinear map given as its table, by the
+        Leibniz rule, written in place: the six parts go into one array and
+        each Leibniz term is formed whole in a scratch plane. A part sums
+        its terms with x's partial of the higher slot first; a product of
+        two first-order partials enters d_uu and d_vv once, doubled."""
         xp, yp = [fn.planes(p, 0) for p in x.parts], [fn.planes(p, 1) for p in y.parts]
         lead = np.broadcast_shapes(*(p[0].shape for p in xp + yp))
         dtype = np.result_type(*x.parts, *y.parts)
@@ -290,6 +263,16 @@ _VEC_BLOCKS = _Bilinear({(i, j): [(1, (l,), (l, i, j)) for l in _R2] for i in _R
 _FROBENIUS = _Bilinear({(): [(1, (i, j), (i, j)) for i in _R2 for j in _R2]})
 # the dot product x_i y_i of 2-vectors
 _DOT2 = _inner_form((1, 1))
+# the Christoffel terms of the covariant derivative nabla_k h_ab,
+# sum over m of Gamma^m_ak h_mb + Gamma^m_bk h_am
+_CODAZZI = _Bilinear(
+    {
+        (k, a, b): [(1, (m, a, k), (m, b)) for m in _R2] + [(1, (m, b, k), (a, m)) for m in _R2]
+        for k in _R2
+        for a in _R2
+        for b in _R2
+    }
+)
 
 
 @cache
@@ -366,7 +349,7 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     bad = det <= 1e-12 * (np.max(np.abs(g)) ** 2 + 1e-300)
     if np.any(bad):
-        node = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        node = _first_node(bad)
         raise DegenerateMetricError(f"degenerate metric at node {node} in {sample.name}", node=node)
     g_inv = np.empty_like(g)
     g_inv[..., 0, 0] = g[..., 1, 1] / det
@@ -443,16 +426,7 @@ def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
     equation, so the residual of any genuine immersion is numerically zero.
     """
     ff = fundamental_forms(sample)
-    dh = shape_operator_derivatives(sample)
-    grad = np.empty_like(dh)  # grad[..., k, i, j] = nabla_k h_ij
-    for k in range(2):
-        for a in range(2):
-            for b in range(2):
-                corr = sum(
-                    ff.gamma[..., m, a, k] * ff.h[..., m, b] + ff.gamma[..., m, b, k] * ff.h[..., a, m]
-                    for m in range(2)
-                )
-                grad[..., k, a, b] = dh[..., k, a, b] - corr
+    grad = shape_operator_derivatives(sample) - _CODAZZI(ff.gamma, ff.h)  # grad[..., k, i, j] = nabla_k h_ij
     return np.max(np.abs(grad - np.swapaxes(grad, -3, -1)), axis=(-3, -2, -1))
 
 

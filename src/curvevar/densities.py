@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, GuardViolation
+from .errors import ConfigError, GuardViolation, _first_node, _require_exponent
 
 # the stored partials as (order in H, order in K)
 _PARTIALS = {"eval": (0, 0), "E_H": (1, 0), "E_K": (0, 1), "E_HH": (2, 0), "E_HK": (1, 1), "E_KK": (0, 2)}
@@ -43,7 +43,7 @@ class EnergyDensity:
             return
         ok = np.asarray(self.domain_guard(np.asarray(H), np.asarray(K)))
         if not np.all(ok):
-            node = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+            node = _first_node(np.logical_not(ok))
             raise GuardViolation(
                 f"density '{self.name}' is outside its domain at node {node} "
                 f"(H={np.asarray(H)[node]:.6g})",
@@ -59,7 +59,7 @@ class EnergyDensity:
             out = tuple((self.third[name] if name in _THIRD else getattr(self, name))(H, K) for name in names)
         for name, x in zip(names, out):
             if not np.all(np.isfinite(x)):
-                node = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(x)), x.shape))
+                node = _first_node(~np.isfinite(x))
                 raise GuardViolation(
                     f"density '{self.name}' is not finite at node {node}: {name} = {x[node]} at "
                     f"H={np.asarray(H)[node]:.6g}, K={np.asarray(K)[node]:.6g}",
@@ -77,23 +77,29 @@ def _scalarize(fn):
     return f
 
 
-def density_from_expr(expr, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
-    """Build a density from a sympy expression in the symbols H and K."""
+def _sympy_partials(expr, names: tuple, orders, what: str) -> dict:
+    """The partials of a user's sympy expression (or string) in the
+    symbols ``names`` as numpy functions of those symbols, {order: fn} with
+    order[i] the derivative order in names[i]. Free symbols are rebound by
+    name to real symbols; any other free symbol is refused, naming it.
+    Sympy is imported here, on first use."""
     import sympy as sp
 
-    H, K = sp.symbols("H K", real=True)
+    syms = sp.symbols(names, real=True)
     expr = sp.sympify(expr)
-    expr = expr.xreplace({s: (H if s.name == "H" else K) for s in expr.free_symbols if s.name in ("H", "K")})
-    extra = [s for s in expr.free_symbols if s not in (H, K)]
+    expr = expr.xreplace({s: syms[names.index(s.name)] for s in expr.free_symbols if s.name in names})
+    extra = [s for s in expr.free_symbols if s not in syms]
     if extra:
-        raise ConfigError(f"density expression has unknown symbols: {extra}")
+        raise ConfigError(f"{what} has unknown symbols: {extra}")
+    return {order: sp.lambdify(syms, sp.diff(expr, *zip(syms, order)), modules="numpy") for order in orders}
 
-    def fn(i, j):
-        return _scalarize(sp.lambdify((H, K), sp.diff(expr, H, i, K, j), modules="numpy"))
 
-    fns = {key: fn(*ij) for key, ij in _PARTIALS.items()}
-    third = {key: fn(*ij) for key, ij in _THIRD.items()}
-    return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **fns)
+def density_from_expr(expr, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
+    """Build a density from a sympy expression in the symbols H and K."""
+    fns = _sympy_partials(expr, ("H", "K"), (*_PARTIALS.values(), *_THIRD.values()), "density expression")
+    partials = {key: _scalarize(fns[ij]) for key, ij in _PARTIALS.items()}
+    third = {key: _scalarize(fns[ij]) for key, ij in _THIRD.items()}
+    return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **partials)
 
 
 def _falling(x: float, n: int) -> float:
@@ -151,8 +157,7 @@ def helfrich(kc: float = 1.0, c0: float = 0.0, kbar: float = 0.0) -> EnergyDensi
 
 def pwillmore(p: float) -> EnergyDensity:
     """H^p; exact integer powers for integer p, guard H > 0 otherwise."""
-    if p < 1:
-        raise ConfigError("pwillmore exponent must be >= 1")
+    _require_exponent(p)
     if float(p).is_integer():
         power = int(p)
         guard = None

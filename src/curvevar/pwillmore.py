@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import ScalarField, curvature_field, grad_inner, integrate, laplace_beltrami
 from .curvature import Taylor2, curvature_scalars
-from .errors import ConfigError, GuardViolation
+from .errors import ConfigError, GuardViolation, _require_exponent, _require_positive_finite
 from .surface import SurfaceSample
 
 
@@ -28,10 +28,8 @@ class PWillmoreSetting:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError("exponent p must be >= 1")
-        if self.r <= 0:
-            raise ConfigError("sphere radius must be positive")
+        _require_exponent(self.p)
+        _require_positive_finite(self.r, "sphere radius", "r")
 
 
 def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
@@ -39,8 +37,7 @@ def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
     S^2(r): lambda_k = k(k+1)/r^2 with multiplicity C(k+2, 2)."""
     if k < 0:
         raise ConfigError("spectrum index must be >= 0")
-    if not (math.isfinite(r) and r > 0):
-        raise ConfigError(f"sphere radius must be positive and finite (got r = {r})")
+    _require_positive_finite(r, "sphere radius", "r")
     return k * (k + 1) / float(r) ** 2, math.comb(k + 2, 2)
 
 
@@ -201,8 +198,7 @@ def pwillmore_el_residual(s: SurfaceSample, p: float) -> ScalarField:
 
     with k0 the curvature of the sample's space form.
     """
-    if p < 1:
-        raise ConfigError("exponent p must be >= 1")
+    _require_exponent(p)
     k0 = s.sf.k0
     cs = curvature_scalars(s)
     w = _h_power_field(s, p - 1)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NotTangentError
+from .errors import ConfigError, NotTangentError, _require_positive_finite
 
 TANGENCY_RTOL = 1e-8
 
@@ -38,18 +38,18 @@ class SpaceForm:
 
     @staticmethod
     def sphere(radius: float = 1.0) -> "SpaceForm":
-        if radius <= 0:
-            raise ConfigError("sphere model radius must be positive")
+        _require_positive_finite(radius, "sphere model radius", "radius")
         return SpaceForm(1.0 / radius**2, Model.SPHERE, radius)
 
     @staticmethod
     def hyperbolic(radius: float = 1.0) -> "SpaceForm":
-        if radius <= 0:
-            raise ConfigError("hyperboloid model radius must be positive")
+        _require_positive_finite(radius, "hyperboloid model radius", "radius")
         return SpaceForm(-1.0 / radius**2, Model.HYPERBOLOID, radius)
 
     @staticmethod
     def from_k0(k0: float) -> "SpaceForm":
+        if not np.isfinite(k0):
+            raise ConfigError(f"space form curvature must be finite (got k0 = {k0})")
         if k0 == 0:
             return SpaceForm.euclidean()
         if k0 > 0:
@@ -60,16 +60,18 @@ class SpaceForm:
     def from_config(cfg: dict) -> "SpaceForm":
         """Parse ``{"k0": float}`` with optional ``{"model_radius": float}``."""
         k0 = float(cfg.get("k0", 0.0))
+        sf = SpaceForm.from_k0(k0)
         if "model_radius" in cfg:
             rho = float(cfg["model_radius"])
-            expected = 0.0 if k0 == 0 else np.sign(k0) / rho**2
             if k0 == 0:
                 raise ConfigError("model_radius given but k0 = 0 is Euclidean")
+            _require_positive_finite(rho, "space form model_radius", "model_radius")
+            expected = np.sign(k0) / rho**2
             if abs(expected - k0) > 1e-10 * max(abs(k0), 1.0):
                 raise ConfigError(
                     f"inconsistent space form: k0={k0} but radius {rho} implies {expected}"
                 )
-        return SpaceForm.from_k0(k0)
+        return sf
 
     @property
     def ambient_dim(self) -> int:

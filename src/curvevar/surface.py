@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError
+from .errors import ConfigError, DegenerateMetricError, _first_node
 from .gridops import ChartDerivatives, fd_weights
 from .spaceform import Model, SpaceForm
 
@@ -184,10 +184,7 @@ def _nonfinite_node(x: np.ndarray):
         if np.isfinite(x.sum()):
             return None
     bad = ~np.all(np.isfinite(x), axis=tuple(range(2, x.ndim)))
-    if not np.any(bad):
-        return None
-    i, j = np.unravel_index(np.argmax(bad), bad.shape)
-    return int(i), int(j)
+    return _first_node(bad) if np.any(bad) else None
 
 
 def _empty_planes(shape: tuple, dtype, entry_axes: int = 1) -> np.ndarray:

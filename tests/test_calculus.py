@@ -161,6 +161,28 @@ def test_open_patch_integration_guard():
     assert integrate(np.ones(s.shape), s, allow_open=True) > 0
 
 
+def test_expressions_with_unknown_symbols_are_refused(torus):
+    """A field or window expression in a symbol other than u, v (or v) is
+    refused naming it, as a density expression in a symbol other than H, K
+    is; both used to fail in lambdify with a raw TypeError."""
+    from curvevar.densities import density_from_expr
+    from curvevar.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=r"field expression has unknown symbols: \[a\]"):
+        ScalarField.from_expr("sin(u) + a", torus)
+    with pytest.raises(ConfigError, match=r"window expression has unknown symbols: \[u\]"):
+        AmbientPolyField(torus, 0.0, np.zeros(3), np.eye(3), window_expr="cos(v)**2 + u")
+    with pytest.raises(ConfigError, match=r"window expression has unknown symbols: \[b\]"):
+        AmbientPolyField(torus, 0.0, np.zeros(3), np.eye(3), window_expr="cos(v)**2 + b")
+    with pytest.raises(ConfigError, match=r"density expression has unknown symbols: \[u\]"):
+        density_from_expr("H**2 + u", "bad")
+    # symbols are matched by name, whatever their assumptions
+    u, v = sp.symbols("u v", positive=True)
+    f = ScalarField.from_expr(sp.cos(u) * sp.sin(v), torus)
+    UU, VV = torus.domain.meshes()
+    assert np.array_equal(f.values, np.cos(UU) * np.sin(VV))
+
+
 def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, clifford):
     """The torus and the sphere share a 128 x 64 grid but not a chart: the
     operators, the quadrature and the variation formulas refuse a torus

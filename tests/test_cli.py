@@ -237,6 +237,18 @@ def test_spectrum_refuses_a_radius_that_is_not_positive(r, capsys):
     assert err.startswith("curvevar: sphere radius must be positive") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_sphere_stability_refuses_a_non_finite_exponent(p, capsys):
+    """--p nan and --p inf used to exit 0 with the verdict "stable on all
+    tested eigenspaces" and bare NaN in the JSON."""
+    code, out, err = run(capsys, "sphere-stability", "--p", p, "--lmax", "2")
+    assert code == 1 and out == ""
+    assert err == f"curvevar: exponent p must be >= 1 and finite (got p = {p})\n"
+    code, out, err = run(capsys, "energy", "--surface", "sphere", "--density", "pwillmore", "--p", p)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: exponent p must be >= 1 and finite")
+
+
 def test_sphere_stability_refuses_lmax_below_1(capsys):
     code, out, err = run(capsys, "sphere-stability", "--p", "2", "--lmax", "0")
     assert code == 1 and out == ""

@@ -75,6 +75,23 @@ def test_pwillmore_fractional_guard():
         assert exc.node == (0, 1)
 
 
+def test_guards_name_the_first_bad_node_in_any_ndim():
+    """The guard and the finiteness check name the first bad entry, as a
+    tuple of ints, for grid arrays and for 1-d and 0-d arrays alike."""
+    E = pwillmore(2.5)
+    for H, node in (
+        (np.array([1.0, 2.0, -0.1, -0.2]), (2,)),
+        (np.array([[1.0, 2.0], [-0.1, -0.2]]), (1, 0)),
+        (np.array(-0.5), ()),
+    ):
+        with pytest.raises(GuardViolation) as guard:
+            E.check_guard(H, np.zeros_like(H))
+        assert guard.value.node == node and all(type(i) is int for i in node)
+    with pytest.raises(GuardViolation, match=r"not finite at node \(1,\): E_H = inf") as bad:
+        willmore().guarded(np.array([1.0, np.inf, np.inf]), np.zeros(3), "E_H", "eval")
+    assert bad.value.node == (1,)
+
+
 def test_pwillmore_validation():
     with pytest.raises(ConfigError):
         pwillmore(0.5)

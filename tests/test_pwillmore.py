@@ -193,6 +193,26 @@ def test_setting_validation():
         PWillmoreSetting(2.0, r=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_and_radius_are_refused(bad, sphere):
+    """A NaN passes a bare p < 1 test, and inf passes it too: the setting,
+    the H^p density and the specialised EL residual each refuse both, and
+    the setting's radius must be positive and finite as in sphere_spectrum."""
+    from curvevar.densities import builtin_density, pwillmore
+
+    for build in (
+        lambda: PWillmoreSetting(bad),
+        lambda: pwillmore(bad),
+        lambda: builtin_density("pwillmore", p=bad),
+        lambda: pwillmore_el_residual(sphere, bad),
+    ):
+        with pytest.raises(ConfigError, match=r"exponent p must be >= 1 and finite \(got p = "):
+            build()
+    for r in (bad, 0.0):
+        with pytest.raises(ConfigError, match=r"sphere radius must be positive and finite \(got r = "):
+            PWillmoreSetting(2.0, r=r)
+
+
 def test_spectrum_math_consistency():
     for k in range(6):
         lam, mult = sphere_spectrum(k)

@@ -125,3 +125,22 @@ def test_hyperbolic_signature():
     assert sf.flat_inner(np.array([0, 0, 0, 1.0]), np.array([0, 0, 0, 1.0])) == -1.0
     p = np.array([0.0, 0.0, 0.0, 1.0])
     assert sf.quadric_residual(p) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_space_forms_are_refused(bad):
+    """A NaN or infinite curvature or model radius is refused: k0 = NaN
+    used to build a hyperbolic form with k0 = radius = NaN, a NaN
+    model_radius skipped the consistency check, and sphere(inf) built a
+    "curved" form with k0 = 0."""
+    for build in (
+        lambda: SpaceForm.from_config({"k0": bad}),
+        lambda: SpaceForm.from_config({"k0": -bad}),
+        lambda: SpaceForm.from_config({"k0": -1.0, "model_radius": bad}),
+        lambda: SpaceForm.from_config({"k0": 1.0, "model_radius": bad}),
+        lambda: SpaceForm.from_k0(bad),
+        lambda: SpaceForm.sphere(bad),
+        lambda: SpaceForm.hyperbolic(bad),
+    ):
+        with pytest.raises(ConfigError, match="must be (positive and )?finite"):
+            build()

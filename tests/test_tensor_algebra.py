@@ -52,6 +52,7 @@ from curvevar.surface import (
     induced_metric,
     numeric_jets,
 )
+from jet_reference import multilinear
 
 # Worst differences measured over the cases below (all six catalog charts,
 # a deformed torus and the numeric-jet H^3 sphere, at 64x32), relative to
@@ -219,11 +220,40 @@ def test_ambient_quadratic_form_matches_einsum_reference(torus):
     x = Taylor2.from_jets(torus.jets)
     want = (
         f.c0
-        + Taylor2.multilinear(lambda y: y @ f.cvec, x)
-        + Taylor2.multilinear(lambda y, z: np.einsum("...i,ij,...j->...", y, f.mat, z), x, x)
+        + multilinear(lambda y: y @ f.cvec, x)
+        + multilinear(lambda y, z: np.einsum("...i,ij,...j->...", y, f.mat, z), x, x)
     )
     for got, ref in zip(f.jet.parts, want.parts):
         assert _rel(got, ref) <= PARITY_BOUND
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_ambient_poly_field_jet_matches_multilinear_reference_bit_for_bit(name):
+    """The jet of an ambient quadratic polynomial field, c0 + c.x through
+    x^T M x as the dot-product table of (M x, x), equals the reference
+    Leibniz expansion of the linear and quadratic maps bit for bit."""
+    s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
+    x = Taylor2.from_jets(s.jets)
+    dot = _inner_form((1,) * s.ambient_dim)
+    for seed in range(3):
+        f = random_smooth_field(s, seed)
+        want = f.c0 + multilinear(lambda y: y @ f.cvec, x) + multilinear(lambda y, z: dot(y @ f.mat, z), x, x)
+        for slot, (got, ref) in enumerate(zip(f.jet.parts, want.parts)):
+            assert got.dtype == ref.dtype == np.dtype(float)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (seed, slot)
+
+
+def test_no_second_jet_product_route_in_src():
+    """``Taylor2.bilinear`` on a table is the one route for per-node jet
+    products in the package; the Leibniz expansion through the map itself
+    (``multilinear``) lives in the tests as their reference only."""
+    hits = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "curvevar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(name, str) and name.rsplit(".", 1)[-1] == "multilinear":
+                hits.append((path.name, node.lineno))
+    assert not hits, f"multilinear defined or used in src/curvevar: {hits}"
 
 
 def _operands(dtype, seed):
@@ -459,7 +489,7 @@ def test_minors_jet_normal_matches_trilinear_expansion(signs, dtype):
     draw = _operands(dtype, 5)
     q, ru, rv = (Taylor2([draw(5, 4, 4) for _ in range(6)]) for _ in range(3))
     got = _quadric_normal_jet(np.array(signs), q, ru, rv)
-    want = Taylor2.multilinear(partial(_trilinear_quadric_normal, np.array(signs)), q, ru, rv)
+    want = multilinear(partial(_trilinear_quadric_normal, np.array(signs)), q, ru, rv)
     for x, y in zip(got.parts, want.parts):
         assert x.dtype == y.dtype
         assert _rel(x, y) <= PARITY_BOUND
@@ -527,10 +557,10 @@ def _written_out(name, signs):
 @pytest.mark.parametrize("sf", [SpaceForm.euclidean(), SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)], ids=lambda sf: sf.model.name)
 def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
     """Each bilinear table's jet (Taylor2.bilinear) equals, bit for bit and
-    in every slot, Taylor2.multilinear of its map written out in plain
-    numpy, and its value path equals that map; one in four operand entries
-    is exactly zero, so signed zeros are compared too. The tables span
-    scalar, vector and 2x2 values and operands up to (2, 2, 2) blocks."""
+    in every slot, the reference ``multilinear`` of its map written out in
+    plain numpy, and its value path equals that map; one in four operand
+    entries is exactly zero, so signed zeros are compared too. The tables
+    span scalar, vector and 2x2 values and operands up to (2, 2, 2) blocks."""
     from curvevar.curvature import _times_vector
     from curvevar.surface import _minors, _normal_from_minors
 
@@ -550,7 +580,7 @@ def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
     for name, table, x_axes, y_axes in tables:
         x, y = jet(5, 4, *x_axes), jet(5, 4, *y_axes)
         ref = _written_out(name, signs)
-        got, want = Taylor2.bilinear(table, x, y), Taylor2.multilinear(ref, x, y)
+        got, want = Taylor2.bilinear(table, x, y), multilinear(ref, x, y)
         for slot, (a, b) in enumerate(zip(got.parts, want.parts)):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (name, slot)
         value = table(x.value, y.value)
