@@ -8,21 +8,28 @@ entry-major: each entry x[..., i, j] is one contiguous grid plane
 (``surface._empty_planes``), as each component x[..., k] of an ambient
 vector is.
 
+The surface geometry is one set of formulas: g from (r_u, r_v), the raw
+normal n and 1/|n|, h_ab = <n, r_ab> (+-1/|n|), and (H, K_E) from the
+entries of g and h. Each is written once and evaluated either on grid
+values (``fundamental_forms``, ``curvature_scalars``) or on order-2
+``Taylor2`` jets (``_metric_jets``, ``normal_jet``, ``curvature_jets``),
+so the value part of every jet equals the grid value bit for bit.
+
 Every per-node bilinear map is one table of +-x_a y_b terms per entry of
 its value (``surface._Bilinear``): the 2x2 algebra below and in
-``calculus`` (g^-1 h, |h|^2, Gamma, the Codazzi terms, the operators),
-the product, a scalar times a vector, ``SpaceForm.flat_inner``, the
-cross product, the 2x2 minors and the 4-d normal from them, and the
-quadratic form of an ``AmbientPolyField``. A table writes each entry
-with whole-grid ufuncs, where batched ``@``, ``np.sum`` over the
-trailing (2, 2) axes or ``np.cross`` run a short loop per node;
-``Taylor2.bilinear`` writes the order-2 jet of a table in place.
+``calculus`` (Gamma, the Codazzi terms, the operators), the product, a
+scalar times a vector, ``SpaceForm.flat_inner``, the cross product, the
+2x2 minors and the 4-d normal from them, and the quadratic form of an
+``AmbientPolyField``. A table writes each entry with whole-grid ufuncs,
+where batched ``@``, ``np.sum`` over the trailing (2, 2) axes or
+``np.cross`` run a short loop per node; called on arrays it gives the
+value, and ``Taylor2.bilinear`` writes its order-2 jet in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -32,13 +39,11 @@ from .surface import (
     _Bilinear,
     _cross,
     _empty_planes,
-    _eps_normal,
     _inner_form,
     _minors,
     _nonfinite_node,
     _normal_from_minors,
     _require_jets,
-    induced_metric,
 )
 
 _E = [(1, 0), (0, 1)]
@@ -281,20 +286,80 @@ def _times_vector(dim: int) -> _Bilinear:
     return _Bilinear({(k,): [(1, (), (k,))] for k in range(dim)})
 
 
-def _quadric_normal_jet(signs, q: "Taylor2", ru: "Taylor2", rv: "Taylor2") -> "Taylor2":
-    """Order-2 jet of ``surface._quadric_normal``: a bilinear jet of the
-    minors of (r_u, r_v), then a bilinear map of (q, minors), 15 + 15
-    Leibniz terms where the trilinear expansion takes 28 that each rebuild
-    the minors."""
-    return Taylor2.bilinear(_normal_from_minors(signs), q, Taylor2.bilinear(_minors, ru, rv))
+# -- the geometry pipeline -----------------------------------------------------
+# Each formula below takes grid arrays or order-2 Taylor jets alike: its
+# bilinear tables go through ``_apply``, the rest is arithmetic both carry.
+
+
+def _apply(table: _Bilinear, x, y):
+    """The bilinear map ``table`` of two grid arrays, or its order-2 jet of
+    two Taylor2 jets."""
+    return Taylor2.bilinear(table, x, y) if isinstance(x, Taylor2) else table(x, y)
+
+
+def _reciprocal(x):
+    return x.reciprocal() if isinstance(x, Taylor2) else 1.0 / x
+
+
+def _metric(sf, ru, rv) -> tuple:
+    """g_00, g_01, g_11 = <r_u, r_u>, <r_u, r_v>, <r_v, r_v>."""
+    inner = sf._inner_map
+    return _apply(inner, ru, ru), _apply(inner, ru, rv), _apply(inner, rv, rv)
+
+
+def _det(g00, g01, g11):
+    """det g from the entries of g."""
+    return g00 * g11 - g01 * g01
+
+
+def _raw_normal(sf, p, ru, rv):
+    """The unnormalised normal n: r_u x r_v in E^3; in a 4-d model the
+    cofactor expansion det(e_l, p, r_u, r_v), raised with the flat metric,
+    in the 2x2 minors of (r_u, r_v) (p is the quadric direction there)."""
+    if sf.ambient_dim == 3:
+        return _apply(_cross, ru, rv)
+    return _apply(_normal_from_minors(sf.metric_signs), p, _apply(_minors, ru, rv))
+
+
+def _inverse_norm(sf, n, name: str):
+    """1/|n| = <n, n>^(-1/2), with no modulus under the root. <n, n> (its
+    real part, on complex jets) is positive wherever the metric passed its
+    guard and the points lie on the model quadric; the first node where it
+    is not is refused, naming it."""
+    nn = _apply(sf._inner_map, n, n)
+    bad = np.real(nn.value if isinstance(nn, Taylor2) else nn) <= 0
+    if np.any(bad):
+        raise ConfigError(f"{name}: the normal has <n, n> <= 0 at node {_first_node(bad)}, off the model quadric")
+    return _reciprocal(nn.sqrt() if isinstance(nn, Taylor2) else np.sqrt(nn))
+
+
+def _second_form(sf, n, scale, r_uu, r_uv, r_vv) -> tuple:
+    """h_00, h_01, h_11 = <n, r_ab> * scale, with scale = +-1/|n| in the
+    sample's orientation."""
+    return tuple(_apply(sf._inner_map, n, r) * scale for r in (r_uu, r_uv, r_vv))
+
+
+def _mean_and_gauss(g: tuple, h: tuple) -> tuple:
+    """(H, K_E) from the entries (g_00, g_01, g_11) and (h_00, h_01, h_11):
+    H = (g_11 h_00 - 2 g_01 h_01 + g_00 h_11) / (2 det g) and
+    K_E = det h / det g."""
+    (g00, g01, g11), (h00, h01, h11) = g, h
+    inv_det = _reciprocal(_det(g00, g01, g11))
+    return 0.5 * (g11 * h00 - 2.0 * (g01 * h01) + g00 * h11) * inv_det, _det(h00, h01, h11) * inv_det
+
+
+def _symmetric_block(a00, a01, a11) -> np.ndarray:
+    """The symmetric (..., 2, 2) array of three grid entries, entry-major."""
+    out = _empty_planes(np.shape(a00) + (2, 2), np.result_type(a00, a01, a11), 2)
+    out[..., 0, 0], out[..., 1, 1] = a00, a11
+    out[..., 0, 1] = out[..., 1, 0] = a01
+    return out
 
 
 def _metric_jets(sample: SurfaceSample) -> tuple:
     """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
     if "metric_jets" not in sample._cache:
-        inner = partial(Taylor2.bilinear, sample.sf._inner_map)
-        ru, rv = (Taylor2.from_jets(sample.jets, e) for e in _E)
-        sample._cache["metric_jets"] = (inner(ru, ru), inner(ru, rv), inner(rv, rv))
+        sample._cache["metric_jets"] = _metric(sample.sf, *(Taylor2.from_jets(sample.jets, e) for e in _E))
     return sample._cache["metric_jets"]
 
 
@@ -304,13 +369,8 @@ def _normal_jets(sample: SurfaceSample) -> tuple:
     ``normal_jet`` and ``curvature_jets`` both read them."""
     if "normal_jets" not in sample._cache:
         sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.bilinear, sf._inner_map)
-        ru, rv = (Taylor2.from_jets(jets, e) for e in _E)
-        if sf.ambient_dim == 3:
-            n = Taylor2.bilinear(_cross, ru, rv)
-        else:
-            n = _quadric_normal_jet(sf.metric_signs, Taylor2.from_jets(jets), ru, rv)
-        sample._cache["normal_jets"] = (n, inner(n, n).sqrt().reciprocal())
+        n = _raw_normal(sf, *(Taylor2.from_jets(jets, ab) for ab in ((0, 0),) + tuple(_E)))
+        sample._cache["normal_jets"] = (n, _inverse_norm(sf, n, sample.name))
     return sample._cache["normal_jets"]
 
 
@@ -318,7 +378,7 @@ def normal_jet(sample: SurfaceSample) -> Taylor2:
     """Order-2 jet of the unit normal in the sample's orientation."""
     _require_jets(sample, 3, "normal_jet")
     n, inv_norm = _normal_jets(sample)
-    return sample.orientation_sign * inv_norm.times_vector(n)
+    return (sample.orientation_sign * inv_norm).times_vector(n)
 
 
 def curvature_jets(sample: SurfaceSample) -> tuple:
@@ -327,14 +387,11 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
     first read and cached like the forms."""
     _require_jets(sample, 4, "curvature_jets")
     if "curvature_jets" not in sample._cache:
-        sf, jets = sample.sf, sample.jets
-        inner = partial(Taylor2.bilinear, sf._inner_map)
+        fundamental_forms(sample)  # the degeneracy guard, before anything divides by det g
         n, inv_norm = _normal_jets(sample)
-        h00, h01, h11 = (inner(n, Taylor2.from_jets(jets, e)) * inv_norm for e in ((2, 0), (1, 1), (0, 2)))
-        g00, g01, g11 = _metric_jets(sample)
-        inv_det = (g00 * g11 - g01 * g01).reciprocal()
-        H = 0.5 * sample.orientation_sign * (g11 * h00 - 2.0 * (g01 * h01) + g00 * h11) * inv_det
-        sample._cache["curvature_jets"] = (H, (h00 * h11 - h01 * h01) * inv_det)
+        r2 = (Taylor2.from_jets(sample.jets, ab) for ab in ((2, 0), (1, 1), (0, 2)))
+        h = _second_form(sample.sf, n, sample.orientation_sign * inv_norm, *r2)
+        sample._cache["curvature_jets"] = _mean_and_gauss(_metric_jets(sample), h)
     return sample._cache["curvature_jets"]
 
 
@@ -343,27 +400,21 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
     the one degeneracy guard, det g <= 1e-12 max|g|^2, names the node."""
     if "forms" in sample._cache:
         return sample._cache["forms"]
-    inner = sample.sf.flat_inner
-    j = sample.jets
-    g = induced_metric(sample)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    sf, j = sample.sf, sample.jets
+    g00, g01, g11 = _metric(sf, j[(1, 0)], j[(0, 1)])
+    g, det = _symmetric_block(g00, g01, g11), _det(g00, g01, g11)
     bad = det <= 1e-12 * (np.max(np.abs(g)) ** 2 + 1e-300)
     if np.any(bad):
         node = _first_node(bad)
         raise DegenerateMetricError(f"degenerate metric at node {node} in {sample.name}", node=node)
-    g_inv = np.empty_like(g)
-    g_inv[..., 0, 0] = g[..., 1, 1] / det
-    g_inv[..., 1, 1] = g[..., 0, 0] / det
-    g_inv[..., 0, 1] = g_inv[..., 1, 0] = -g[..., 0, 1] / det
+    g_inv = _symmetric_block(g11 / det, -g01 / det, g00 / det)
 
-    N = _eps_normal(sample.sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
-    N *= sample.orientation_sign
-    h = np.empty_like(g)
-    h[..., 0, 0] = inner(N, j[(2, 0)])
-    h[..., 0, 1] = h[..., 1, 0] = inner(N, j[(1, 1)])
-    h[..., 1, 1] = inner(N, j[(0, 2)])
+    n = _raw_normal(sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
+    scale = sample.orientation_sign * _inverse_norm(sf, n, sample.name)
+    N = _apply(_times_vector(sf.ambient_dim), scale, n)
+    h = _symmetric_block(*_second_form(sf, n, scale, j[(2, 0)], j[(1, 1)], j[(0, 2)]))
 
-    ff = FundamentalForms(g, g_inv, h, N, np.sqrt(det), j, inner)
+    ff = FundamentalForms(g, g_inv, h, N, np.sqrt(det), j, sf.flat_inner)
     sample._cache["forms"] = ff
     return ff
 
@@ -372,14 +423,10 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
     if "scalars" in sample._cache:
         return sample._cache["scalars"]
     ff = fundamental_forms(sample)
-    sf = sample.sf
     # overflow is reported below, naming the scalar and the node
     with np.errstate(over="ignore", invalid="ignore"):
-        shape_op = _MAT_MUL(ff.g_inv, ff.h)
-        H = 0.5 * (shape_op[..., 0, 0] + shape_op[..., 1, 1])
-        K_E = (ff.h[..., 0, 0] * ff.h[..., 1, 1] - ff.h[..., 0, 1] ** 2) / ff.dS_weight**2
-        # |h|^2 = g^ik g^jl h_ij h_kl = tr(S S) with S = g^-1 h
-        h_norm_sq = _FROBENIUS(shape_op, np.swapaxes(shape_op, -1, -2))
+        H, K_E = _mean_and_gauss(*((x[..., 0, 0], x[..., 0, 1], x[..., 1, 1]) for x in (ff.g, ff.h)))
+        h_norm_sq = 4.0 * H**2 - 2.0 * K_E  # kappa_1^2 + kappa_2^2
     for name, x in (("H", H), ("K_E", K_E), ("|h|^2", h_norm_sq)):
         node = _nonfinite_node(x)
         if node is not None:
@@ -387,7 +434,7 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
                 f"{sample.name}: curvature scalar {name} = {x[node]} is not finite at node {node}",
                 node=node,
             )
-    K = K_E + sf.k0
+    K = K_E + sample.sf.k0
     disc = np.sqrt(np.maximum(H**2 - K_E, 0.0))
     cs = CurvatureScalars(H=H, K_E=K_E, K=K, h_norm_sq=h_norm_sq, kappa1=H + disc, kappa2=H - disc)
     sample._cache["scalars"] = cs
@@ -441,7 +488,7 @@ def intrinsic_gauss_curvature(sample: SurfaceSample) -> np.ndarray:
     a = -0.5 * E_vv + F_uv - 0.5 * G_uu
     b, c = 0.5 * E_u, F_u - 0.5 * E_v
     d, e = F_v - 0.5 * G_u, 0.5 * G_v
-    det_g = E * G - F * F
+    det_g = _det(E, F, G)
     # det [[a, b, c], [d, E, F], [e, F, G]] - det [[0, p, q], [p, E, F], [q, F, G]]
     det_a = a * det_g - b * (d * G - F * e) + c * (d * F - E * e)
     p, q = 0.5 * E_v, 0.5 * G_u

@@ -175,22 +175,28 @@ def area_density() -> EnergyDensity:
     return _monomial_density([(1.0, 0, 0)], "area")
 
 
-BUILTIN_DENSITIES = ("willmore", "bending", "helfrich", "pwillmore", "ksquared", "area")
+# name -> (constructor, the parameters it takes); the defaults are the
+# constructors' own
+_BUILTINS = {
+    "willmore": (willmore, ("k0",)),
+    "bending": (bending, ("k0",)),
+    "helfrich": (helfrich, ("kc", "c0", "kbar")),
+    "pwillmore": (pwillmore, ("p",)),
+    "ksquared": (ksquared, ()),
+    "area": (area_density, ()),
+}
+BUILTIN_DENSITIES = tuple(_BUILTINS)
 
 
 def builtin_density(name: str, **params) -> EnergyDensity:
-    if name == "willmore":
-        return willmore(params.get("k0", 0.0))
-    if name == "bending":
-        return bending(params.get("k0", 0.0))
-    if name == "helfrich":
-        return helfrich(params.get("kc", 1.0), params.get("c0", 0.0), params.get("kbar", 0.0))
-    if name == "pwillmore":
-        if "p" not in params:
-            raise ConfigError("pwillmore requires the exponent p")
-        return pwillmore(params["p"])
-    if name == "ksquared":
-        return ksquared()
-    if name == "area":
-        return area_density()
-    raise ConfigError(f"unknown density '{name}' (have: {', '.join(BUILTIN_DENSITIES)})")
+    """The built-in density ``name`` with the given parameters; a key the
+    density does not take is refused, naming it."""
+    if name not in _BUILTINS:
+        raise ConfigError(f"unknown density '{name}' (have: {', '.join(BUILTIN_DENSITIES)})")
+    make, takes = _BUILTINS[name]
+    extra = ", ".join(map(repr, sorted(set(params) - set(takes))))
+    if extra:
+        raise ConfigError(f"density '{name}' does not take {extra} (it takes: {', '.join(takes) or 'nothing'})")
+    if name == "pwillmore" and "p" not in params:
+        raise ConfigError("pwillmore requires the exponent p")
+    return make(**params)

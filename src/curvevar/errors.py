@@ -44,10 +44,15 @@ def _first_node(mask) -> tuple:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), np.shape(mask)))
 
 
-def _require_positive_finite(x, what: str, name: str) -> None:
-    """Refuse x unless it is positive and finite (NaN and inf included)."""
-    if not (math.isfinite(x) and x > 0):
-        raise ConfigError(f"{what} must be positive and finite (got {name} = {x})")
+def _require_radius(r, what: str, name: str) -> None:
+    """Refuse a radius r unless it is positive and finite (NaN and inf
+    included) and r^2 and 1/r^2 are finite and nonzero floats, so that
+    neither an area scale nor a curvature 1/r^2 overflows or vanishes."""
+    if not (math.isfinite(r) and r > 0):
+        raise ConfigError(f"{what} must be positive and finite (got {name} = {r})")
+    sq = float(r) * float(r)
+    if not (0.0 < sq < math.inf and 1.0 / sq < math.inf):
+        raise ConfigError(f"{what} must have {name}^2 and 1/{name}^2 finite and nonzero (got {name} = {r})")
 
 
 def _require_exponent(p) -> None:

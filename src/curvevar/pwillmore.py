@@ -16,7 +16,7 @@ import numpy as np
 
 from .calculus import ScalarField, curvature_field, grad_inner, integrate, laplace_beltrami
 from .curvature import Taylor2, curvature_scalars
-from .errors import ConfigError, GuardViolation, _require_exponent, _require_positive_finite
+from .errors import ConfigError, GuardViolation, _first_node, _require_exponent, _require_radius
 from .surface import SurfaceSample
 
 
@@ -29,7 +29,7 @@ class PWillmoreSetting:
 
     def __post_init__(self):
         _require_exponent(self.p)
-        _require_positive_finite(self.r, "sphere radius", "r")
+        _require_radius(self.r, "sphere radius", "r")
 
 
 def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
@@ -37,7 +37,7 @@ def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
     S^2(r): lambda_k = k(k+1)/r^2 with multiplicity C(k+2, 2)."""
     if k < 0:
         raise ConfigError("spectrum index must be >= 0")
-    _require_positive_finite(r, "sphere radius", "r")
+    _require_radius(r, "sphere radius", "r")
     return k * (k + 1) / float(r) ** 2, math.comb(k + 2, 2)
 
 
@@ -178,7 +178,7 @@ def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
     cs = curvature_scalars(s)
     is_int = float(q).is_integer()
     if not is_int and np.any(cs.H <= 0):
-        node = tuple(int(i) for i in np.unravel_index(np.argmin(cs.H), cs.H.shape))
+        node = _first_node(cs.H <= 0)
         raise GuardViolation(f"H^q with non-integer q requires H > 0; violated at node {node}", node=node)
     qi = int(q) if is_int else q
     if is_int and qi == 0:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NotTangentError, _require_positive_finite
+from .errors import ConfigError, NotTangentError, _require_radius
 
 TANGENCY_RTOL = 1e-8
 
@@ -38,12 +38,12 @@ class SpaceForm:
 
     @staticmethod
     def sphere(radius: float = 1.0) -> "SpaceForm":
-        _require_positive_finite(radius, "sphere model radius", "radius")
+        _require_radius(radius, "sphere model radius", "radius")
         return SpaceForm(1.0 / radius**2, Model.SPHERE, radius)
 
     @staticmethod
     def hyperbolic(radius: float = 1.0) -> "SpaceForm":
-        _require_positive_finite(radius, "hyperboloid model radius", "radius")
+        _require_radius(radius, "hyperboloid model radius", "radius")
         return SpaceForm(-1.0 / radius**2, Model.HYPERBOLOID, radius)
 
     @staticmethod
@@ -65,7 +65,7 @@ class SpaceForm:
             rho = float(cfg["model_radius"])
             if k0 == 0:
                 raise ConfigError("model_radius given but k0 = 0 is Euclidean")
-            _require_positive_finite(rho, "space form model_radius", "model_radius")
+            _require_radius(rho, "space form model_radius", "model_radius")
             expected = np.sign(k0) / rho**2
             if abs(expected - k0) > 1e-10 * max(abs(k0), 1.0):
                 raise ConfigError(

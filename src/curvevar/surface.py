@@ -292,35 +292,6 @@ def _normal_from_minors(signs) -> _Bilinear:
     return _Bilinear(rows, {(l,): (-1.0) ** l * signs[l] for l in range(4)})
 
 
-def _eps_normal(sf: SpaceForm, p, ru, rv) -> np.ndarray:
-    """Unit normal tangent to the model quadric, via generalized cross product."""
-    if sf.ambient_dim == 3:
-        n = _cross(ru, rv)
-    else:
-        n = _quadric_normal(sf.metric_signs, p, ru, rv)  # p is the quadric direction in both 4-d models
-    n /= np.sqrt(np.abs(sf.flat_inner(n, n)))[..., None]
-    return n
-
-
-def _quadric_normal(signs, q, ru, rv) -> np.ndarray:
-    """Unnormalised normal of a surface in a 4-dimensional model quadric,
-    linear in each of the quadric direction q, r_u and r_v."""
-    return _normal_from_minors(signs)(q, _minors(ru, rv))
-
-
-def induced_metric(sample: SurfaceSample) -> np.ndarray:
-    """g_ij = <r_i, r_j> over the grid, shape (nu, nv, 2, 2) laid out
-    entry-major."""
-    inner = sample.sf.flat_inner
-    r_u, r_v = sample.jets[(1, 0)], sample.jets[(0, 1)]
-    g_uu, g_uv, g_vv = inner(r_u, r_u), inner(r_u, r_v), inner(r_v, r_v)
-    g = _empty_planes(sample.shape + (2, 2), np.result_type(g_uu, g_uv, g_vv), 2)
-    g[..., 0, 0] = g_uu
-    g[..., 0, 1] = g[..., 1, 0] = g_uv
-    g[..., 1, 1] = g_vv
-    return g
-
-
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
     """Refuse non-finite jets (a map undefined at a node or, on an open
     chart, at a stencil offset) and a degenerate metric, naming the node.

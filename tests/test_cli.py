@@ -408,3 +408,16 @@ def test_verify_evolution(quantity, capsys):
     payload = json.loads(out)
     assert payload["quantity"] == quantity and payload["surface"] == "torus"
     assert payload["rel_error"] < 1e-6 and payload["convergence_order"] >= 1.9
+
+
+@pytest.mark.parametrize("r", ["1e200", "1e-200"])
+def test_spectrum_refuses_a_radius_whose_square_overflows_or_vanishes(r, capsys):
+    code, out, err = run(capsys, "spectrum", "--k", "2", "--r", r)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: sphere radius must have r^2 and 1/r^2 finite and nonzero") and "Traceback" not in err
+
+
+def test_density_flags_the_density_does_not_take_exit_1(capsys):
+    code, out, err = run(capsys, "energy", "--surface", "sphere:r=1", "--density", "willmore", "--p", "3", "--kc", "5")
+    assert code == 1 and out == ""
+    assert err == "curvevar: density 'willmore' does not take 'kc', 'p' (it takes: k0)\n"

@@ -233,8 +233,7 @@ def test_multilinear_evaluates_each_pair_product_once(torus, clifford):
     trilinear one, whose map is not symmetric, equals it to round-off."""
     from functools import partial
 
-    from curvevar.curvature import Taylor2
-    from curvevar.surface import _quadric_normal
+    from curvevar.curvature import Taylor2, _raw_normal
 
     ru, rv = (Taylor2.from_jets(torus.jets, e) for e in ((1, 0), (0, 1)))
     calls = []
@@ -243,7 +242,7 @@ def test_multilinear_evaluates_each_pair_product_once(torus, clifford):
     for x, y in zip(got.parts, _leibniz_every_ordered_pair(torus.sf.flat_inner, ru, rv).parts):
         assert np.array_equal(x, y)
 
-    fn = partial(_quadric_normal, clifford.sf.metric_signs)
+    fn = partial(_raw_normal, clifford.sf)
     p, ru, rv = (Taylor2.from_jets(clifford.jets, e) for e in ((0, 0), (1, 0), (0, 1)))
     calls = []
     got = multilinear(_counted(fn, calls), p, ru, rv)

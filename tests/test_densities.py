@@ -133,3 +133,15 @@ def test_pwillmore_symmetry_property(H, K, p):
     assert E.E_K(H, K) == 0.0
     assert E.E_HK(H, K) == 0.0
     assert E.E_KK(H, K) == 0.0
+
+
+def test_builtin_density_refuses_keys_it_does_not_take():
+    """Each built-in takes its own parameters only; any other key used to
+    be dropped without a word."""
+    with pytest.raises(ConfigError, match=r"density 'helfrich' does not take 'k0', 'p' \(it takes: kc, c0, kbar\)"):
+        builtin_density("helfrich", p=2, k0=1)
+    with pytest.raises(ConfigError, match=r"density 'area' does not take 'k0' \(it takes: nothing\)"):
+        builtin_density("area", k0=0.0)
+    with pytest.raises(ConfigError, match="pwillmore requires the exponent p"):
+        builtin_density("pwillmore")
+    assert builtin_density("helfrich", kc=2.0).params == {"kc": 2.0, "c0": 0.0, "kbar": 0.0}

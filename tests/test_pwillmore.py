@@ -218,3 +218,31 @@ def test_spectrum_math_consistency():
         lam, mult = sphere_spectrum(k)
         assert lam == k * (k + 1)
         assert mult == math.comb(k + 2, 2)
+
+
+@pytest.mark.parametrize("r", [1e200, 1e-200])
+def test_radius_whose_square_overflows_or_vanishes_is_refused(r):
+    """sphere_spectrum raised a raw OverflowError at r = 1e200 and a
+    ZeroDivisionError at r = 1e-200; the setting took both radii."""
+    for build in (lambda: sphere_spectrum(2, r), lambda: PWillmoreSetting(2.0, r)):
+        with pytest.raises(ConfigError, match=r"sphere radius must have r\^2 and 1/r\^2 finite and nonzero"):
+            build()
+
+
+def test_specialised_and_general_residuals_name_the_same_guard_node():
+    """Both Euler-Lagrange routes of H^2.5 refuse the minimal catenoid at
+    the first node where H <= 0 (the specialised one used to name the
+    node of the smallest H)."""
+    from curvevar import el_residual
+    from curvevar.densities import pwillmore
+    from curvevar.errors import GuardViolation
+
+    s = sample_builtin("catenoid", {})
+    nodes = []
+    for build in (lambda: pwillmore_el_residual(s, 2.5), lambda: el_residual(s, pwillmore(2.5))):
+        with pytest.raises(GuardViolation) as err:
+            build()
+        nodes.append(err.value.node)
+    H = s._cache["scalars"].H
+    assert nodes[0] == nodes[1] and H[nodes[0]] <= 0
+    assert not np.any(H.ravel()[: np.ravel_multi_index(nodes[0], H.shape)] <= 0)

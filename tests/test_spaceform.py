@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,3 +146,21 @@ def test_non_finite_space_forms_are_refused(bad):
     ):
         with pytest.raises(ConfigError, match="must be (positive and )?finite"):
             build()
+
+
+def test_radii_whose_square_overflows_or_vanishes_are_refused():
+    """A radius is refused unless r^2 and 1/r^2 are finite and nonzero:
+    sphere(1e200) used to raise a raw OverflowError, hyperbolic(1e-170) a
+    raw ZeroDivisionError, and from_k0(1e-320) built a sphere model with
+    k0 = 0.0 after an overflow warning."""
+    for build, r in (
+        (lambda: SpaceForm.sphere(1e200), "radius = 1e+200"),
+        (lambda: SpaceForm.hyperbolic(1e-170), "radius = 1e-170"),
+        (lambda: SpaceForm.from_k0(1e-320), "radius = 1.0"),
+        (lambda: SpaceForm.from_k0(-1e-320), "radius = 1.0"),
+        (lambda: SpaceForm.from_config({"k0": 1.0, "model_radius": 1e200}), "model_radius = 1e+200"),
+    ):
+        with pytest.raises(ConfigError, match=r"radius must have .*\^2 finite and nonzero \(got " + re.escape(r)):
+            build()
+    assert SpaceForm.sphere(1e150).k0 == pytest.approx(1e-300)
+    assert SpaceForm.from_k0(1e300).radius == pytest.approx(1e-150)

@@ -14,8 +14,9 @@ from curvevar import (
     sample_callable,
 )
 from curvevar.calculus import ScalarField, random_smooth_field
+from curvevar.catalog import CATALOG_NAMES
 from curvevar.errors import ConfigError, DegenerateMetricError
-from curvevar.surface import induced_metric, numeric_jets, spectral_tail
+from curvevar.surface import numeric_jets, spectral_tail
 
 
 def _torus_map(R=2.0, a=1.0):
@@ -154,8 +155,8 @@ def test_deformed_metric_perturbation(torus):
 
     u = random_smooth_field(torus, 3)
     t = 1e-5
-    gp = induced_metric(deform_normal(torus, u, t))
-    gm = induced_metric(deform_normal(torus, u, -t))
+    gp = fundamental_forms(deform_normal(torus, u, t)).g
+    gm = fundamental_forms(deform_normal(torus, u, -t)).g
     dg = (gp - gm) / (2 * t)
     ff = fundamental_forms(torus)
     expected = -2.0 * u.values[..., None, None] * ff.h
@@ -231,7 +232,7 @@ def test_deformed_jets_match_composed_map_jets(name):
     charts (the torus periodic in u only, latitude bands in S^3 and H^3)
     take stencil jets of that map, closed charts spectral jets."""
     from curvevar.catalog import ChartBundle
-    from curvevar.surface import _eps_normal
+    from curvevar.curvature import _inverse_norm, _raw_normal
 
     if name == "h3_sphere":
         s = sample_callable(_h3_sphere_map(), _OPEN_BAND, sf=SpaceForm.hyperbolic(1.0))
@@ -257,7 +258,8 @@ def test_deformed_jets_match_composed_map_jets(name):
 
         def moved(U, V):
             p = position(U, V)
-            n = s.orientation_sign * _eps_normal(s.sf, p, *tangents(U, V))
+            n = _raw_normal(s.sf, p, *tangents(U, V))
+            n = s.orientation_sign * _inverse_norm(s.sf, n, s.name)[..., None] * n
             return s.sf.geodesic_step(p, n, t * field(U, V))
 
         want = numeric_jets(moved, s.domain)
@@ -569,19 +571,18 @@ def test_deformed_sample_builds_its_metric_once(torus, monkeypatch):
     """Checking a deformed sample builds its fundamental forms, which stay
     cached: reading its curvature afterwards computes g no second time."""
     import curvevar.curvature
-    import curvevar.surface
 
     calls = []
+    metric = curvevar.curvature._metric
 
-    def counting(sample):
-        calls.append(sample.name)
-        return induced_metric(sample)
+    def counting(sf, ru, rv):
+        calls.append("jet" if isinstance(ru, curvevar.curvature.Taylor2) else "grid")
+        return metric(sf, ru, rv)
 
-    monkeypatch.setattr(curvevar.surface, "induced_metric", counting)
-    monkeypatch.setattr(curvevar.curvature, "induced_metric", counting)
+    monkeypatch.setattr(curvevar.curvature, "_metric", counting)
     d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
     curvature_scalars(d)
-    assert calls == ["torus+deform"]
+    assert calls == ["grid"]
 
 
 def test_catalog_samples_build_no_curvature_jets():
@@ -628,20 +629,19 @@ def test_flipped_catalog_sample_keeps_its_orientation_free_forms(monkeypatch):
     import dataclasses
 
     import curvevar.curvature
-    import curvevar.surface
     from curvevar.curvature import fundamental_forms, normal_jet
 
     calls = []
+    metric = curvevar.curvature._metric
 
-    def counting(sample):
-        calls.append(sample.name)
-        return induced_metric(sample)
+    def counting(sf, ru, rv):
+        calls.append("jet" if isinstance(ru, curvevar.curvature.Taylor2) else "grid")
+        return metric(sf, ru, rv)
 
-    monkeypatch.setattr(curvevar.surface, "induced_metric", counting)
-    monkeypatch.setattr(curvevar.curvature, "induced_metric", counting)
+    monkeypatch.setattr(curvevar.curvature, "_metric", counting)
     s = sample_builtin("torus", {}, domain=default_domain("torus", {}, 32, 16))
     ff = fundamental_forms(s)
-    assert s.orientation_sign == -1.0 and calls == ["torus"]
+    assert s.orientation_sign == -1.0 and calls == ["grid"]
     fresh = dataclasses.replace(s, _cache={})
     want = fundamental_forms(fresh)
     for name in ("g", "g_inv", "h", "N", "dS_weight", "gamma"):
@@ -722,3 +722,34 @@ def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
     }
     bad = [name for name, (x, n) in arrays.items() if not _entries_contiguous(x, n)]
     assert not bad
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3_sphere"])
+def test_jet_values_equal_the_grid_values(name):
+    """g, N, H and K_E have one formula each, run on grid values by the
+    forms and scalars and on Taylor jets by the metric, normal and
+    curvature jets: the value part of every jet equals its grid value bit
+    for bit, on the six catalog charts at their default grids and on the
+    numeric-jet H^3 sphere (flipped to H > 0)."""
+    from curvevar.curvature import _metric_jets, curvature_jets, fundamental_forms, normal_jet
+
+    s = _h3_sphere() if name == "h3_sphere" else sample_builtin(name)
+    ff, cs = fundamental_forms(s), curvature_scalars(s)
+    for (i, j), x in zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)):
+        assert np.array_equal(x.value, ff.g[..., i, j]), (i, j)
+    assert np.array_equal(normal_jet(s).value, ff.N)
+    H, K_E = curvature_jets(s)
+    assert np.array_equal(H.value, cs.H) and np.array_equal(K_E.value, cs.K_E)
+
+
+def test_positions_off_the_model_quadric_are_refused():
+    """The unit sphere in the t = 0 slice of Minkowski R^4 is no surface of
+    the hyperboloid: its normal has <n, n> < 0. It is refused naming the
+    node, where a modulus under the root used to accept it with H = 0."""
+    domain = default_domain("sphere", None, 32, 16)
+
+    def f(U, V):
+        return np.stack([np.sin(V) * np.cos(U), np.sin(V) * np.sin(U), np.cos(V), np.zeros(np.shape(U))], axis=-1)
+
+    with pytest.raises(ConfigError, match=r"slice: the normal has <n, n> <= 0 at node \(0, 0\)"):
+        sample_callable(f, domain, sf=SpaceForm.hyperbolic(1.0), name="slice")

@@ -39,6 +39,9 @@ from curvevar.curvature import (
     _PRODUCT,
     _VEC_BLOCKS,
     Taylor2,
+    _metric,
+    _raw_normal,
+    _symmetric_block,
     curvature_scalars,
     fundamental_forms,
     intrinsic_gauss_curvature,
@@ -47,9 +50,7 @@ from curvevar.surface import (
     _cross,
     _inner_form,
     _nonfinite_node,
-    _quadric_normal,
     check_immersion,
-    induced_metric,
     numeric_jets,
 )
 from jet_reference import multilinear
@@ -157,6 +158,17 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0))
 
 
+def _metric_block(s):
+    """g of a sample as a symmetric (..., 2, 2) array, from the metric
+    formula of the forms and the metric jets."""
+    return _symmetric_block(*_metric(s.sf, s.jets[(1, 0)], s.jets[(0, 1)]))
+
+
+def _quadric_model(signs):
+    """The 4-d space form whose flat metric has the signs ``signs``."""
+    return SpaceForm.sphere(1.0) if signs[-1] > 0 else SpaceForm.hyperbolic(1.0)
+
+
 def _operator_pairs(s, ref):
     """(name, value, einsum reference) for the operators in ``calculus``."""
     f1, f2 = random_smooth_field(s, 1), random_smooth_field(s, 2)
@@ -176,7 +188,7 @@ def _operator_pairs(s, ref):
     grad2 = np.einsum("...ij,...j->...i", g_inv, d1(f2))
     h2 = np.einsum("...kl,...li,...kj->...ij", g_inv, h, h)
     return [
-        ("induced_metric", induced_metric(s), ref["g"]),
+        ("_metric", _metric_block(s), ref["g"]),
         ("hessian", hess1.comps, hess_ref(f1)),
         ("gradient", gradient(f1, s), grad1),
         ("laplace_beltrami", laplace_beltrami(f1, s).values, np.einsum("...ij,...ij->...", g_inv, hess_ref(f1))),
@@ -313,7 +325,7 @@ def test_quadric_normal_matches_determinant_reference(signs, dtype):
         ],
         axis=-1,
     )
-    got = _quadric_normal(np.array(signs), q, ru, rv)
+    got = _raw_normal(_quadric_model(signs), q, ru, rv)
     assert got.dtype == want.dtype
     assert _rel(got, want) <= PARITY_BOUND
 
@@ -484,11 +496,9 @@ def test_minors_jet_normal_matches_trilinear_expansion(signs, dtype):
     applied to the trilinear map, in the operands' dtype."""
     from functools import partial
 
-    from curvevar.curvature import _quadric_normal_jet
-
     draw = _operands(dtype, 5)
     q, ru, rv = (Taylor2([draw(5, 4, 4) for _ in range(6)]) for _ in range(3))
-    got = _quadric_normal_jet(np.array(signs), q, ru, rv)
+    got = _raw_normal(_quadric_model(signs), q, ru, rv)
     want = multilinear(partial(_trilinear_quadric_normal, np.array(signs)), q, ru, rv)
     for x, y in zip(got.parts, want.parts):
         assert x.dtype == y.dtype
@@ -511,7 +521,7 @@ def test_flat_inner_and_induced_metric_keep_the_operands_dtype(sf, dtype):
     assert got.dtype == np.dtype(dtype)
     assert _rel(got, _inner(signs, x, y)) <= PARITY_BOUND
     jets = {(0, 0): draw(8, 8, dim), (1, 0): x, (0, 1): y}
-    g = induced_metric(SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets))
+    g = _metric_block(SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets))
     want = np.einsum("...ai,i,...bi->...ab", np.stack([x, y], -2), signs, np.stack([x, y], -2))
     assert g.dtype == np.dtype(dtype)
     assert _rel(g, want) <= PARITY_BOUND
@@ -599,7 +609,7 @@ def test_metric_derivatives_keep_the_jets_dtype(sf):
     draw, signs = _operands(complex, 10), sf.metric_signs
     jets = {ab: draw(8, 8, sf.ambient_dim) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     s = SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets)
-    g = induced_metric(s)
+    g = _metric_block(s)
     g_inv = np.linalg.inv(g)
     ff = FundamentalForms(g, g_inv, g, jets[(0, 0)], np.ones(s.shape), jets, sf.flat_inner)
 
