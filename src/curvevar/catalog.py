@@ -19,7 +19,7 @@ import numpy as np
 from .curvature import curvature_scalars
 from .errors import ConfigError
 from .spaceform import Model, SpaceForm
-from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, check_immersion
+from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _empty_planes, check_immersion
 
 # the catalog charts and the parameters each takes
 _CHART_PARAMS = {
@@ -148,12 +148,15 @@ class ChartBundle:
     def evaluate(self, U, V, indices) -> list:
         """The jets d^a_u d^b_v r for (a, b) in ``indices`` at the chart
         points (U, V), shape (..., dim) laid out component-major (each
-        component one contiguous array). Each distinct factor is evaluated
-        once per call, and factors equal to 1 not at all."""
+        component one contiguous array, ``_empty_planes``). Each distinct
+        factor is evaluated once per call, and factors equal to 1 not at
+        all. Each term is formed in its component's plane, or in one scratch
+        plane and added there, left to right."""
         U = np.asarray(U, dtype=float)
         V = np.asarray(V, dtype=float)
         shape = np.broadcast(U, V).shape
         values = {}
+        scratch = np.empty(shape)
 
         def factor(f, X, axis):
             if (axis, f) not in values:
@@ -162,18 +165,24 @@ class ChartBundle:
 
         out = []
         for ab in indices:
-            comps = [None] * self.dim
+            jet = _empty_planes(shape + (self.dim,), float)
+            started = [False] * self.dim
             for comp, fu, fv, coef in self.plans[ab]:
+                dst = scratch if started[comp] else jet[..., comp]
                 arrays = ([factor(fu, U, 0)] if fu else []) + ([factor(fv, V, 1)] if fv else [])
                 if not arrays:
-                    term = np.full(shape, coef)
+                    dst[...] = coef
                 else:
-                    term = arrays[0] if coef == 1.0 else coef * arrays[0]
+                    np.multiply(coef, arrays[0], out=dst)  # exact when coef is 1
                     for x in arrays[1:]:
-                        term = term * x
-                comps[comp] = term if comps[comp] is None else comps[comp] + term
-            planes = np.stack([np.zeros(shape) if x is None else np.broadcast_to(x, shape) for x in comps])
-            out.append(np.moveaxis(planes, 0, -1))
+                        dst *= x
+                if started[comp]:
+                    jet[..., comp] += scratch
+                started[comp] = True
+            for comp in range(self.dim):
+                if not started[comp]:
+                    jet[..., comp] = 0.0
+            out.append(jet)
         return out
 
     def position_map(self, U, V) -> np.ndarray:

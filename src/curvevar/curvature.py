@@ -42,7 +42,6 @@ from .surface import (
     _inner_form,
     _minors,
     _nonfinite_node,
-    _normal_from_minors,
     _require_jets,
 )
 
@@ -318,7 +317,7 @@ def _raw_normal(sf, p, ru, rv):
     in the 2x2 minors of (r_u, r_v) (p is the quadric direction there)."""
     if sf.ambient_dim == 3:
         return _apply(_cross, ru, rv)
-    return _apply(_normal_from_minors(sf.metric_signs), p, _apply(_minors, ru, rv))
+    return _apply(sf._normal_map, p, _apply(_minors, ru, rv))
 
 
 def _inverse_norm(sf, n, name: str):
@@ -396,14 +395,26 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
 
 
 def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
-    """First and second fundamental forms with the sample's orientation;
-    the one degeneracy guard, det g <= 1e-12 max|g|^2, names the node."""
+    """First and second fundamental forms with the sample's orientation.
+    The one metric guard names the node: it refuses a metric whose entries
+    or det g overflow (``ConfigError``), then a degenerate one,
+    det g / max|g|^2 <= 1e-12 (``DegenerateMetricError``)."""
     if "forms" in sample._cache:
         return sample._cache["forms"]
     sf, j = sample.sf, sample.jets
-    g00, g01, g11 = _metric(sf, j[(1, 0)], j[(0, 1)])
-    g, det = _symmetric_block(g00, g01, g11), _det(g00, g01, g11)
-    bad = det <= 1e-12 * (np.max(np.abs(g)) ** 2 + 1e-300)
+    # overflow is refused below, naming the node
+    with np.errstate(over="ignore", invalid="ignore"):
+        g00, g01, g11 = _metric(sf, j[(1, 0)], j[(0, 1)])
+        det = _det(g00, g01, g11)
+    # a non-finite entry of g leaves det g non-finite too
+    node = _nonfinite_node(det)
+    if node is not None:
+        raise ConfigError(
+            f"non-finite metric at node {node} in {sample.name}: g or det g overflows; rescale the surface"
+        )
+    g = _symmetric_block(g00, g01, g11)
+    scale = max(float(np.max(np.abs(g))), np.finfo(float).tiny)
+    bad = det / scale / scale <= 1e-12
     if np.any(bad):
         node = _first_node(bad)
         raise DegenerateMetricError(f"degenerate metric at node {node} in {sample.name}", node=node)

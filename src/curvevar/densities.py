@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,8 +82,9 @@ def _sympy_partials(expr, names: tuple, orders, what: str) -> dict:
     """The partials of a user's sympy expression (or string) in the
     symbols ``names`` as numpy functions of those symbols, {order: fn} with
     order[i] the derivative order in names[i]. Free symbols are rebound by
-    name to real symbols; any other free symbol is refused, naming it.
-    Sympy is imported here, on first use."""
+    name to real symbols; any other free symbol is refused, naming it, on
+    every call. The partials of a rebound expression are lambdified once
+    and kept (``_lambdified``). Sympy is imported here, on first use."""
     import sympy as sp
 
     syms = sp.symbols(names, real=True)
@@ -91,6 +93,16 @@ def _sympy_partials(expr, names: tuple, orders, what: str) -> dict:
     extra = [s for s in expr.free_symbols if s not in syms]
     if extra:
         raise ConfigError(f"{what} has unknown symbols: {extra}")
+    return dict(_lambdified(expr, tuple(names), tuple(map(tuple, orders))))
+
+
+@lru_cache(maxsize=32)
+def _lambdified(expr, names: tuple, orders: tuple) -> dict:
+    """The partials ``_sympy_partials`` returns, for an expression whose
+    free symbols are among the real symbols ``names``."""
+    import sympy as sp
+
+    syms = sp.symbols(names, real=True)
     return {order: sp.lambdify(syms, sp.diff(expr, *zip(syms, order)), modules="numpy") for order in orders}
 
 

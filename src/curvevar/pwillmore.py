@@ -38,7 +38,13 @@ def sphere_spectrum(k: int, r: float = 1.0) -> Tuple[float, int]:
     if k < 0:
         raise ConfigError("spectrum index must be >= 0")
     _require_radius(r, "sphere radius", "r")
-    return k * (k + 1) / float(r) ** 2, math.comb(k + 2, 2)
+    try:
+        lam = k * (k + 1) / float(r) ** 2
+    except OverflowError:  # k (k + 1) is an int too large for a float
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise ConfigError(f"spectrum index k is too large: lambda_k = k(k+1)/r^2 is not a finite float (r = {r})")
+    return lam, math.comb(k + 2, 2)
 
 
 # -- spherical harmonics -----------------------------------------------------

@@ -96,6 +96,16 @@ class SpaceForm:
 
         return _inner_form(self.metric_signs)
 
+    @cached_property
+    def _normal_map(self):
+        """The unnormalised normal of a surface in a 4-d model, as the table
+        of a bilinear map of the quadric direction and the 2x2 minors of
+        (r_u, r_v) (``surface._normal_from_minors``); built once per space
+        form."""
+        from .surface import _normal_from_minors
+
+        return _normal_from_minors(self.metric_signs)
+
     def flat_inner(self, v, w):
         """Bilinear form of the flat ambient (Minkowski for hyperbolic),
         contracted over the trailing axis of v and w. It is written out

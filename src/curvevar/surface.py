@@ -522,13 +522,24 @@ def _deformed_samples(s: SurfaceSample, u, ts):
     p, n = Taylor2.from_jets(s.jets), normal_jet(s)
     sf.check_unit_tangent(p.value, n.value)
     uj = u.taylor()
-    # the Euclidean step is linear in t: u N is pushed forward once
-    un = uj.times_vector(n) if sf.model is Model.EUCLIDEAN else None
+    un = None
+    if sf.model is Model.EUCLIDEAN:
+        # the step is linear in t: u N is pushed forward once, and N is
+        # not kept beside it through the steps
+        un, n = uj.times_vector(n), None
     name = f"{s.name}+deform"
 
     def moved(t: float) -> Taylor2:
+        # each step builds its jets once, fresh (``deform_normal_many`` keeps
+        # every step), and scales and adds its other term into them in
+        # place: the same rounded operations as the whole-jet sums
+        # p + t u N and cos_t p + rho sin_t N, so the jets are theirs bit
+        # for bit
         if un is not None:
-            return p + t * un
+            out = t * un
+            for x, z in zip(out.parts, p.parts):
+                x += z
+            return out
         theta = (t / sf.radius) * uj
         th = theta.value
         if sf.model is Model.SPHERE:
@@ -538,7 +549,15 @@ def _deformed_samples(s: SurfaceSample, u, ts):
         # (cos, sin)' = (-sin, cos) and (cosh, sinh)' = (sinh, cosh)
         cos_t = theta.compose(c, sign * sn, sign * c)
         sin_t = theta.compose(sn, c, sign * sn)
-        return cos_t.times_vector(p) + sf.radius * sin_t.times_vector(n)
+        out = cos_t.times_vector(p)
+        # sin_t N one component at a time, so no whole vector jet of it is
+        # formed: component k of the product is the scalar product with N_k
+        for k in range(out.value.shape[-1]):
+            step = sin_t * Taylor2(x[..., k] for x in n.parts)
+            for x, y in zip(out.parts, step.parts):
+                y *= sf.radius
+                x[..., k] += y
+        return out
 
     for t in ts:
         d = SurfaceSample(

@@ -290,23 +290,26 @@ def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float
     Deforms once to t = +-h1, +-h2 with h2 = h1/2 (h1 = h, or the default
     step), measures each deformed sample once and drops it before the next
     is built, so one is alive at a time, and for order 2
-    measures s itself as the centre. Returns h1, the differences at h1 and
-    at h2, and their Richardson value.
+    measures s itself as the centre, first. Each pair +-t is differenced
+    as soon as both are measured, and its measures are dropped. Returns
+    h1, the differences at h1 and at h2, and their Richardson value.
     """
     h1 = _default_step(s, u, order) if h is None else float(h)
     h2 = 0.5 * h1
-    m = {}
+    centre = measure(s) if order == 2 else None
+
+    def difference(plus, minus, t):
+        if order == 1:
+            return [(a - b) / (2.0 * t) for a, b in zip(plus, minus)]
+        return [(a - 2.0 * c + b) / t**2 for a, c, b in zip(plus, centre, minus)]
+
+    m, d = {}, []
     for t, st in _deformed_samples(s, u, (h1, -h1, h2, -h2)):
         m[t] = measure(st)
         del st  # before the next sample is built
-    centre = measure(s) if order == 2 else None
-
-    def difference(t):
-        if order == 1:
-            return [(a - b) / (2.0 * t) for a, b in zip(m[t], m[-t])]
-        return [(a - 2.0 * c + b) / t**2 for a, c, b in zip(m[t], centre, m[-t])]
-
-    d1, d2 = difference(h1), difference(h2)
+        if -t in m:  # the pair's first step -t is h1 or h2
+            d.append(difference(m.pop(-t), m.pop(t), -t))
+    d1, d2 = d
     # h1 / h2 = 2 exactly, so the h^2 error terms cancel in (4 d2 - d1) / 3
     best = [(4.0 * b - a) / 3.0 for a, b in zip(d1, d2)]
     return h1, d1, d2, best
@@ -404,10 +407,10 @@ _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f
 _NEEDS_F = ("laplacian_f", "h_hess_f")  # the quantities that need the auxiliary field f
 
 
-def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantities) -> list:
-    """The closed-form deformation derivatives of ``quantities``, in order.
-    Every operator they share is built once: Hess u, for one, serves Lap u,
-    <h, Hess u> and <Hess u, Hess f>."""
+def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantities):
+    """The closed-form deformation derivatives of ``quantities``, yielded in
+    order. Every operator they share is built once: Hess u, for one, serves
+    Lap u, <h, Hess u> and <Hess u, Hess f>."""
     ff = fundamental_forms(s)
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
@@ -447,7 +450,8 @@ def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarFiel
         "laplacian_f": laplacian_f,
         "h_hess_f": h_hess_f,
     }
-    return [formulas[q]() for q in quantities]
+    for q in quantities:
+        yield formulas[q]()
 
 
 def _evolution_measures(st: SurfaceSample, f: Optional[ScalarField], quantities) -> list:
@@ -484,20 +488,28 @@ def evolution_check_many(
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
     h1, d1s, d2s, oracles = _differences(s, u, 1, h, lambda st: _evolution_measures(st, f, quantities))
     out = {}
-    for q, formula, d1, d2, oracle in zip(quantities, _evolution_formulas(s, u, f, quantities), d1s, d2s, oracles):
-        scale = float(np.max(np.abs(formula))) + float(np.max(np.abs(oracle))) + 1e-12
-        e1 = float(np.max(np.abs(d1 - formula)))
-        e2 = float(np.max(np.abs(d2 - formula)))
-        err = float(np.max(np.abs(oracle - formula)))
-        out[q] = VariationReport(
-            formula_value=float(np.max(np.abs(formula))),
-            oracle_value=float(np.max(np.abs(oracle))),
-            abs_error=err,
-            rel_error=err / scale,
-            fd_step=h1,
-            convergence_order=_observed_order(e1, e2, 1e-10 * scale),
-        )
+    # each quantity's differences are dropped once it is reported, before
+    # the formulas of the quantities after it are built
+    for q, formula in zip(quantities, _evolution_formulas(s, u, f, quantities)):
+        out[q] = _evolution_report(formula, d1s.pop(0), d2s.pop(0), oracles.pop(0), h1)
     return out
+
+
+def _evolution_report(formula, d1, d2, oracle, h1: float) -> VariationReport:
+    """Sup-norm report of one evolution check from its closed form and its
+    differences at h1, h1/2 and their Richardson value."""
+    scale = float(np.max(np.abs(formula))) + float(np.max(np.abs(oracle))) + 1e-12
+    e1 = float(np.max(np.abs(d1 - formula)))
+    e2 = float(np.max(np.abs(d2 - formula)))
+    err = float(np.max(np.abs(oracle - formula)))
+    return VariationReport(
+        formula_value=float(np.max(np.abs(formula))),
+        oracle_value=float(np.max(np.abs(oracle))),
+        abs_error=err,
+        rel_error=err / scale,
+        fd_step=h1,
+        convergence_order=_observed_order(e1, e2, 1e-10 * scale),
+    )
 
 
 def evolution_check(

@@ -183,6 +183,36 @@ def test_expressions_with_unknown_symbols_are_refused(torus):
     assert np.array_equal(f.values, np.cos(UU) * np.sin(VV))
 
 
+def test_a_repeated_expression_is_lambdified_once(torus, monkeypatch):
+    """The partials of a field expression are lambdified on its first use
+    and kept: a second ``from_expr`` of the same expression, whatever the
+    assumptions on its symbols, calls ``sympy.lambdify`` no more and gives
+    the same jet. An unknown symbol is refused on every call."""
+    from curvevar.densities import _lambdified
+    from curvevar.errors import ConfigError
+
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    _lambdified.cache_clear()
+    first = ScalarField.from_expr("cos(u) * sin(2*v)", torus)
+    assert len(calls) == 6
+    u, v = sp.symbols("u v")
+    again = ScalarField.from_expr(sp.cos(u) * sp.sin(2 * v), torus)
+    assert len(calls) == 6
+    for x, y in zip(first.jet.parts, again.jet.parts):
+        assert np.array_equal(x, y)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=r"field expression has unknown symbols: \[w\]"):
+            ScalarField.from_expr("cos(u) * w", torus)
+    assert len(calls) == 6
+
+
 def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, clifford):
     """The torus and the sphere share a 128 x 64 grid but not a chart: the
     operators, the quadrature and the variation formulas refuse a torus

@@ -421,3 +421,21 @@ def test_density_flags_the_density_does_not_take_exit_1(capsys):
     code, out, err = run(capsys, "energy", "--surface", "sphere:r=1", "--density", "willmore", "--p", "3", "--kc", "5")
     assert code == 1 and out == ""
     assert err == "curvevar: density 'willmore' does not take 'kc', 'p' (it takes: k0)\n"
+
+
+@pytest.mark.parametrize("r", ["1e100", "1e200"])
+def test_energy_refuses_a_metric_that_overflows_naming_the_node(r, capsys):
+    """On a sphere of radius 1e100 det g overflows, and at 1e200 g itself:
+    both exit 1 naming the node, with no RuntimeWarning (an error under
+    the suite's filter), where det g = inf used to read as a degenerate
+    metric and an infinite g as H = nan."""
+    code, out, err = run(capsys, "energy", "--surface", f"sphere:r={r}", "--density", "willmore")
+    assert code == 1 and out == ""
+    assert err == "curvevar: non-finite metric at node (0, 0) in sphere: g or det g overflows; rescale the surface\n"
+
+
+def test_spectrum_refuses_an_index_whose_eigenvalue_overflows(capsys):
+    code, out, err = run(capsys, "spectrum", "--k", "1" + "0" * 300)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: spectrum index k is too large: lambda_k = k(k+1)/r^2 is not a finite float")
+    assert "Traceback" not in err

@@ -421,6 +421,34 @@ def test_evolution_check_builds_each_hessian_once(torus, monkeypatch):
     assert sorted(calls) == sorted([("u", True), ("f", True)] + [("f", False)] * 4)
 
 
+# peak traced memory of one evolution check of all seven quantities at
+# 64x32, the surface's caches warm. Measured with each pair of steps
+# differenced as soon as it is measured and each quantity's differences
+# dropped once it is reported: 1.98e6 B on the torus and 2.20e6 B on
+# geodesic_sphere_S3; 2.49e6 B and 2.59e6 B when the measures of all four
+# steps and the differences of all seven quantities were kept to the end
+EVOLUTION_PEAK_BOUND = {"torus": 2.2e6, "geodesic_sphere_S3": 2.4e6}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLUTION_PEAK_BOUND))
+def test_evolution_check_peak_memory(name):
+    import tracemalloc
+
+    from curvevar import default_domain
+
+    s = sample_builtin(name, {}, domain=default_domain(name, {}, 64, 32))
+    u, f = random_smooth_field(s, 3), random_smooth_field(s, 4)
+    first = evolution_check_many(s, u, f=f)  # fills the surface's caches
+    tracemalloc.start()
+    try:
+        again = evolution_check_many(s, u, f=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < EVOLUTION_PEAK_BOUND[name], peak
+
+
 @pytest.mark.parametrize("which, hessians", [("first_variation", 1), ("el_residual", 2), ("second_variation", 1)])
 def test_variations_build_each_hessian_once(torus, monkeypatch, which, hessians):
     """first_variation and the second-variation integral build Hess u once,
