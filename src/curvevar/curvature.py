@@ -8,12 +8,14 @@ entry-major: each entry x[..., i, j] is one contiguous grid plane
 (``surface._empty_planes``), as each component x[..., k] of an ambient
 vector is.
 
-The surface geometry is one set of formulas: g from (r_u, r_v), the raw
-normal n and 1/|n|, h_ab = <n, r_ab> (+-1/|n|), and (H, K_E) from the
-entries of g and h. Each is written once and evaluated either on grid
-values (``fundamental_forms``, ``curvature_scalars``) or on order-2
-``Taylor2`` jets (``_metric_jets``, ``normal_jet``, ``curvature_jets``),
-so the value part of every jet equals the grid value bit for bit.
+The surface geometry is one set of formulas: g from (r_u, r_v), the
+oriented unit normal N = +-n/|n| from the raw normal n, h_ab = <N, r_ab>,
+and (H, K_E) from the entries of g and h. Each is written once and
+evaluated either on grid values (``fundamental_forms``,
+``curvature_scalars``) or on order-2 ``Taylor2`` jets (``_metric_jets``,
+``normal_jet``, ``curvature_jets``), so the value part of every jet equals
+the grid value bit for bit. A sample caches one normal jet, the oriented
+N, which the deformation and the curvature jets share.
 
 Every per-node bilinear map is one table of +-x_a y_b terms per entry of
 its value (``surface._Bilinear``): the 2x2 algebra below and in
@@ -332,10 +334,15 @@ def _inverse_norm(sf, n, name: str):
     return _reciprocal(nn.sqrt() if isinstance(nn, Taylor2) else np.sqrt(nn))
 
 
-def _second_form(sf, n, scale, r_uu, r_uv, r_vv) -> tuple:
-    """h_00, h_01, h_11 = <n, r_ab> * scale, with scale = +-1/|n| in the
-    sample's orientation."""
-    return tuple(_apply(sf._inner_map, n, r) * scale for r in (r_uu, r_uv, r_vv))
+def _unit_normal(sf, sign, p, ru, rv, name: str):
+    """The unit normal N = sign n/|n| in the orientation ``sign``."""
+    n = _raw_normal(sf, p, ru, rv)
+    return _apply(_times_vector(sf.ambient_dim), sign * _inverse_norm(sf, n, name), n)
+
+
+def _second_form(sf, N, r_uu, r_uv, r_vv) -> tuple:
+    """h_00, h_01, h_11 = <N, r_ab>."""
+    return tuple(_apply(sf._inner_map, N, r) for r in (r_uu, r_uv, r_vv))
 
 
 def _mean_and_gauss(g: tuple, h: tuple) -> tuple:
@@ -362,22 +369,15 @@ def _metric_jets(sample: SurfaceSample) -> tuple:
     return sample._cache["metric_jets"]
 
 
-def _normal_jets(sample: SurfaceSample) -> tuple:
-    """Order-2 jets (n, 1/|n|) of the unnormalised normal n, in the raw
-    orientation, and of its inverse norm, from the order-3 immersion jets.
-    ``normal_jet`` and ``curvature_jets`` both read them."""
-    if "normal_jets" not in sample._cache:
-        sf, jets = sample.sf, sample.jets
-        n = _raw_normal(sf, *(Taylor2.from_jets(jets, ab) for ab in ((0, 0),) + tuple(_E)))
-        sample._cache["normal_jets"] = (n, _inverse_norm(sf, n, sample.name))
-    return sample._cache["normal_jets"]
-
-
 def normal_jet(sample: SurfaceSample) -> Taylor2:
-    """Order-2 jet of the unit normal in the sample's orientation."""
+    """Order-2 jet of the unit normal in the sample's orientation, from the
+    order-3 immersion jets; built on first read and cached, for the
+    deformation and ``curvature_jets`` alike."""
     _require_jets(sample, 3, "normal_jet")
-    n, inv_norm = _normal_jets(sample)
-    return (sample.orientation_sign * inv_norm).times_vector(n)
+    if "normal_jet" not in sample._cache:
+        r = (Taylor2.from_jets(sample.jets, ab) for ab in ((0, 0),) + tuple(_E))
+        sample._cache["normal_jet"] = _unit_normal(sample.sf, sample.orientation_sign, *r, sample.name)
+    return sample._cache["normal_jet"]
 
 
 def curvature_jets(sample: SurfaceSample) -> tuple:
@@ -387,9 +387,8 @@ def curvature_jets(sample: SurfaceSample) -> tuple:
     _require_jets(sample, 4, "curvature_jets")
     if "curvature_jets" not in sample._cache:
         fundamental_forms(sample)  # the degeneracy guard, before anything divides by det g
-        n, inv_norm = _normal_jets(sample)
         r2 = (Taylor2.from_jets(sample.jets, ab) for ab in ((2, 0), (1, 1), (0, 2)))
-        h = _second_form(sample.sf, n, sample.orientation_sign * inv_norm, *r2)
+        h = _second_form(sample.sf, normal_jet(sample), *r2)
         sample._cache["curvature_jets"] = _mean_and_gauss(_metric_jets(sample), h)
     return sample._cache["curvature_jets"]
 
@@ -420,10 +419,8 @@ def fundamental_forms(sample: SurfaceSample) -> FundamentalForms:
         raise DegenerateMetricError(f"degenerate metric at node {node} in {sample.name}", node=node)
     g_inv = _symmetric_block(g11 / det, -g01 / det, g00 / det)
 
-    n = _raw_normal(sf, j[(0, 0)], j[(1, 0)], j[(0, 1)])
-    scale = sample.orientation_sign * _inverse_norm(sf, n, sample.name)
-    N = _apply(_times_vector(sf.ambient_dim), scale, n)
-    h = _symmetric_block(*_second_form(sf, n, scale, j[(2, 0)], j[(1, 1)], j[(0, 2)]))
+    N = _unit_normal(sf, sample.orientation_sign, j[(0, 0)], j[(1, 0)], j[(0, 1)], sample.name)
+    h = _symmetric_block(*_second_form(sf, N, j[(2, 0)], j[(1, 1)], j[(0, 2)]))
 
     ff = FundamentalForms(g, g_inv, h, N, np.sqrt(det), j, sf.flat_inner)
     sample._cache["forms"] = ff

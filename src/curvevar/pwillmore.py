@@ -76,21 +76,26 @@ class _Harmonic:
     norm: float
 
     def jet(self, U, V) -> Taylor2:
-        """Order-2 Taylor jet at the chart points (U, V)."""
+        """Order-2 Taylor jet at the chart points (U, V) of an ij-indexed
+        chart mesh: the polar factor is built on one row of V and the
+        azimuthal one on one column of U, and their product broadcasts."""
         am = abs(self.m)
-        zero = np.zeros(np.shape(U))
-        c, s = np.cos(V), np.sin(V)
+        v = V[:1, :]
+        zero = np.zeros(v.shape)
+        c, s = np.cos(v), np.sin(v)
         x = Taylor2((c, zero, -s, zero, zero, -c))
         sv = Taylor2((s, zero, c, zero, zero, -s))
         y = self.norm * _legendre(self.l, am, x, sv)
-        if self.m != 0:
-            ca, sa = math.sqrt(2.0) * np.cos(am * U), math.sqrt(2.0) * np.sin(am * U)
-            if self.m > 0:
-                az = Taylor2((ca, -am * sa, zero, -(am**2) * ca, zero, zero))
-            else:
-                az = Taylor2((sa, am * ca, zero, -(am**2) * sa, zero, zero))
-            y = y * az
-        return y
+        if self.m == 0:
+            return Taylor2(np.ascontiguousarray(np.broadcast_to(part, np.shape(U))) for part in y.parts)
+        u = U[:, :1]
+        zero = np.zeros(u.shape)
+        ca, sa = math.sqrt(2.0) * np.cos(am * u), math.sqrt(2.0) * np.sin(am * u)
+        if self.m > 0:
+            az = Taylor2((ca, -am * sa, zero, -(am**2) * ca, zero, zero))
+        else:
+            az = Taylor2((sa, am * ca, zero, -(am**2) * sa, zero, zero))
+        return y * az
 
 
 @lru_cache(maxsize=None)

@@ -106,8 +106,8 @@ MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER +
 
 
 # the cache entries of a sample that do not depend on its orientation: the
-# chart operators, and the order-2 jets of g and of the raw normal
-_ORIENTATION_FREE = ("chart_ops", "metric_jets", "normal_jets")
+# chart operators and the order-2 jets of g
+_ORIENTATION_FREE = ("chart_ops", "metric_jets")
 
 
 @dataclass
@@ -524,9 +524,8 @@ def _deformed_samples(s: SurfaceSample, u, ts):
     uj = u.taylor()
     un = None
     if sf.model is Model.EUCLIDEAN:
-        # the step is linear in t: u N is pushed forward once, and N is
-        # not kept beside it through the steps
-        un, n = uj.times_vector(n), None
+        # the step is linear in t: u N is pushed forward once
+        un = uj.times_vector(n)
     name = f"{s.name}+deform"
 
     def moved(t: float) -> Taylor2:

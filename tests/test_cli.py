@@ -97,6 +97,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         ("sphere:q=2", (), "sphere takes no parameter 'q'"),
         ("torus:r=2", (), "torus takes no parameter 'r'"),
         ("sphere:r=1", ("--nu", "33", "--nv", "16"), "even nu"),
+        ("sphere:r=1", ("--nu", "0"), "grid counts must be at least 8"),
+        ("sphere:r=1", ("--nv", "0"), "grid counts must be at least 8"),
+        ("torus", ("--nu", "0", "--nv", "0"), "grid counts must be at least 8"),
     ],
 )
 def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys):
@@ -331,6 +334,25 @@ def test_field_csv_formats_special_values_like_python_floats(capsys):
     assert capsys.readouterr().out.splitlines()[1] == want
 
 
+def test_field_csv_rows_are_byte_identical_to_savetxt(tmp_path):
+    """The CSV rows are written in one formatting pass; their bytes are
+    those np.savetxt(fmt="%.17g", delimiter=",") writes."""
+    import io
+    from types import SimpleNamespace
+
+    from curvevar.cli import _emit
+
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-300, 300, size=(300, 5))
+    data[:9, 0] = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1e22, 123456789.0]
+    target = tmp_path / "rows.csv"
+    _emit(SimpleNamespace(format="csv", output=str(target)), {}, rows=(["a", "b", "c", "d", "e"], data))
+    want = io.StringIO()
+    want.write("a,b,c,d,e\n")
+    np.savetxt(want, data, fmt="%.17g", delimiter=",")
+    assert target.read_bytes() == want.getvalue().encode()
+
+
 COLD_COMMANDS = [
     [],  # import only
     ["energy", "--surface", "torus:R=2,a=1", "--density", "bending"],
@@ -361,7 +383,8 @@ def _graph_field_csv(path) -> str:
 @pytest.mark.parametrize("argv", COLD_COMMANDS, ids=lambda a: " ".join(a[:2]) or "import")
 def test_cold_path_never_imports_sympy(argv, tmp_path):
     """Built-in surfaces, densities and fields need no symbolic algebra,
-    and nothing needs scipy (a field read from a CSV included)."""
+    nothing needs scipy (a field read from a CSV included), and only
+    verify-all imports the acceptance battery."""
     import os
     import subprocess
     import sys
@@ -380,6 +403,7 @@ def test_cold_path_never_imports_sympy(argv, tmp_path):
         "assert rc == 0, rc\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "assert 'curvevar.acceptance' not in sys.modules, 'curvevar.acceptance was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)

@@ -51,6 +51,39 @@ def test_harmonics_orthonormal(sphere2):
         assert integrate(y1.values * y2.values, sphere2) == pytest.approx(expected, abs=1e-10)
 
 
+def _harmonic_jet_on_grid(y, U, V):
+    """Y_{l,m}'s jet with both factors built on the whole grid."""
+    from curvevar.curvature import Taylor2
+    from curvevar.pwillmore import _legendre
+
+    am, zero = abs(y.m), np.zeros(np.shape(U))
+    c, s = np.cos(V), np.sin(V)
+    out = y.norm * _legendre(y.l, am, Taylor2((c, zero, -s, zero, zero, -c)), Taylor2((s, zero, c, zero, zero, -s)))
+    if y.m == 0:
+        return out
+    ca, sa = math.sqrt(2.0) * np.cos(am * U), math.sqrt(2.0) * np.sin(am * U)
+    if y.m > 0:
+        return out * Taylor2((ca, -am * sa, zero, -(am**2) * ca, zero, zero))
+    return out * Taylor2((sa, am * ca, zero, -(am**2) * sa, zero, zero))
+
+
+@pytest.mark.parametrize("grid", [(128, 64), (32, 16)])
+def test_harmonic_jets_match_the_whole_grid_route_byte_for_byte(grid):
+    """Y_{l,m}'s jet takes its polar factor on one row of the chart and its
+    azimuthal factor on one column; for l <= 6 every part equals the jet
+    built on the whole grid byte for byte, -0 included."""
+    from curvevar.catalog import default_domain
+    from curvevar.pwillmore import _harmonic_expr
+
+    U, V = default_domain("sphere", None, *grid).meshes()
+    for l in range(7):
+        for m in range(-l, l + 1):
+            y = _harmonic_expr(l, m)
+            for i, (x, want) in enumerate(zip(y.jet(U, V).parts, _harmonic_jet_on_grid(y, U, V).parts)):
+                assert x.shape == want.shape and x.dtype == want.dtype, (l, m, i)
+                assert x.tobytes() == want.tobytes(), (l, m, i)
+
+
 def test_harmonic_projection_parseval(sphere):
     u = random_span_field(sphere, 21)
     dec = harmonic_project(u, l_max=8)

@@ -726,20 +726,68 @@ def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
 
 @pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3_sphere"])
 def test_jet_values_equal_the_grid_values(name):
-    """g, N, H and K_E have one formula each, run on grid values by the
+    """g, N, h, H and K_E have one formula each, run on grid values by the
     forms and scalars and on Taylor jets by the metric, normal and
     curvature jets: the value part of every jet equals its grid value bit
     for bit, on the six catalog charts at their default grids and on the
-    numeric-jet H^3 sphere (flipped to H > 0)."""
-    from curvevar.curvature import _metric_jets, curvature_jets, fundamental_forms, normal_jet
+    numeric-jet H^3 sphere (flipped to H > 0). h is <N, r_ab> on both
+    routes, the jets' from the cached unit-normal jet."""
+    from curvevar.curvature import Taylor2, _metric_jets, _second_form, curvature_jets, fundamental_forms, normal_jet
 
     s = _h3_sphere() if name == "h3_sphere" else sample_builtin(name)
     ff, cs = fundamental_forms(s), curvature_scalars(s)
-    for (i, j), x in zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)):
+    entries = ((0, 0), (0, 1), (1, 1))
+    for (i, j), x in zip(entries, _metric_jets(s)):
         assert np.array_equal(x.value, ff.g[..., i, j]), (i, j)
     assert np.array_equal(normal_jet(s).value, ff.N)
+    r2 = (Taylor2.from_jets(s.jets, ab) for ab in ((2, 0), (1, 1), (0, 2)))
+    for (i, j), x in zip(entries, _second_form(s.sf, normal_jet(s), *r2)):
+        assert np.array_equal(x.value, ff.h[..., i, j]), (i, j)
     H, K_E = curvature_jets(s)
     assert np.array_equal(H.value, cs.H) and np.array_equal(K_E.value, cs.K_E)
+
+
+def test_normal_jet_is_built_once_per_orientation(geo_sphere):
+    """A sample caches one unit-normal jet, which every reader shares. A
+    flipped sample builds its own on first read, and its N, jet and grid
+    value alike, is the negation of the original bit for bit."""
+    import dataclasses
+
+    from curvevar.curvature import fundamental_forms, normal_jet
+
+    N = normal_jet(geo_sphere)
+    assert normal_jet(geo_sphere) is N
+    flipped = geo_sphere.flipped()
+    assert normal_jet(flipped) is not N
+    for x, y in zip(normal_jet(flipped).parts, N.parts):
+        assert np.array_equal(x, -y)
+    fresh = dataclasses.replace(flipped, _cache={})
+    assert np.array_equal(fundamental_forms(fresh).N, -fundamental_forms(geo_sphere).N)
+
+
+# peak traced memory of normal_jet, then curvature_jets, on
+# geodesic_sphere_S3 at 64x32 with the forms built and the normal jet held.
+# Measured: 1.49e6 B with one cached unit-normal jet; 1.98e6 B when the
+# sample cached the raw normal n and 1/|n| and normal_jet built N on each call
+NORMAL_AND_CURVATURE_JETS_PEAK_BOUND = 1.6e6
+
+
+def test_normal_and_curvature_jets_peak_memory():
+    import tracemalloc
+
+    from curvevar.curvature import curvature_jets, fundamental_forms, normal_jet
+
+    s = sample_builtin("geodesic_sphere_S3", {}, domain=default_domain("geodesic_sphere_S3", {}, 64, 32))
+    fundamental_forms(s)
+    tracemalloc.start()
+    try:
+        N = normal_jet(s)
+        H, K_E = curvature_jets(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert N.value.shape == (64, 32, 4) and H.value.shape == K_E.value.shape == (64, 32)
+    assert peak < NORMAL_AND_CURVATURE_JETS_PEAK_BOUND, peak
 
 
 def test_positions_off_the_model_quadric_are_refused():
@@ -800,10 +848,12 @@ def test_deformed_jets_are_byte_identical_to_whole_jet_arithmetic(name, request)
 
 
 # peak traced memory of one deform_normal step at 64x32, the base sample's
-# normal jets already cached. Measured with each step's jets built in place:
-# 1.34e6 B on geodesic_sphere_S3 and 1.02e6 B on the torus; 1.94e6 B and
-# 1.32e6 B when the S^3 step summed whole temporary jets (cos_t p, sin_t N,
-# rho sin_t N and their sum) and the E^3 step kept N beside u N
+# normal jet already cached. Measured with each step's jets built in place:
+# 0.94e6 B on geodesic_sphere_S3 and 0.96e6 B on the torus with the unit-normal
+# jet cached; 1.34e6 B and 1.02e6 B when each step built N from cached n and
+# 1/|n|; 1.94e6 B and 1.32e6 B when, besides, the S^3 step summed whole
+# temporary jets (cos_t p, sin_t N, rho sin_t N and their sum) and the E^3
+# step kept N beside u N
 DEFORM_STEP_PEAK_BOUND = {"geodesic_sphere_S3": 1.5e6, "torus": 1.15e6}
 
 
@@ -813,7 +863,7 @@ def test_deform_normal_step_peak_memory(name):
 
     s = sample_builtin(name, {}, domain=default_domain(name, {}, 64, 32))
     u = random_smooth_field(s, 3)
-    deform_normal(s, u, 0.01)  # builds the base sample's normal jets, which it keeps
+    deform_normal(s, u, 0.01)  # builds the base sample's normal jet, which it keeps
     tracemalloc.start()
     try:
         d = deform_normal(s, u, 0.01)
