@@ -26,6 +26,7 @@ from .pwillmore import (
 from .variations import (
     _EVOLUTION_QUANTITIES,
     _NEEDS_F,
+    _area_mean,
     _oracle_core,
     el_residual,
     evolution_check,
@@ -214,7 +215,7 @@ def _cmd_el_residual(args):
         "surface": args.surface,
         "density": E.name,
         "sup_norm": float(np.max(np.abs(res.values))),
-        "mean": float(np.mean(res.values)),
+        "mean": _area_mean(res),
     }
     _emit(args, payload, rows=_field_rows(s, {"residual": res.values}))
     return 0
@@ -256,7 +257,7 @@ def _cmd_spectrum(args):
 def _cmd_poincare(args):
     s = sample_builtin("sphere", {"r": args.r})
     u = _make_field(args.u, s)
-    rep = poincare_check(u, args.r)
+    rep = poincare_check(u)
     payload = {
         "norm_sq": rep.norm_sq,
         "grad_quantity": rep.grad_quantity,

@@ -256,11 +256,11 @@ class PoincareReport:
     ratios: Tuple[float, float]
 
 
-def poincare_check(u: ScalarField, r: Optional[float] = None) -> PoincareReport:
-    """Checks norm^2 <= (r^2/6)|grad u|^2 <= (r^4/36)(Lap u)^2 for fields
-    orthogonal to constants and to the first Laplacian eigenspace."""
+def poincare_check(u: ScalarField) -> PoincareReport:
+    """Checks norm^2 <= (r^2/6)|grad u|^2 <= (r^4/36)(Lap u)^2 on the sampled sphere
+    of radius r, for fields orthogonal to constants and to the first Laplacian eigenspace."""
     s = u.sample
-    r = _sphere_radius(s) if r is None else float(r)
+    r = _sphere_radius(s)
     dec = harmonic_project(u, l_max=2)
     scale = math.sqrt(max(dec.norm_sq, 1e-300))
     if abs(dec.coefficients[(0, 0)]) > 1e-6 * scale or not dec.is_orthogonal_to_first_eigenspace():

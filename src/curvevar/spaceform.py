@@ -56,23 +56,6 @@ class SpaceForm:
             return SpaceForm.sphere(1.0 / np.sqrt(k0))
         return SpaceForm.hyperbolic(1.0 / np.sqrt(-k0))
 
-    @staticmethod
-    def from_config(cfg: dict) -> "SpaceForm":
-        """Parse ``{"k0": float}`` with optional ``{"model_radius": float}``."""
-        k0 = float(cfg.get("k0", 0.0))
-        sf = SpaceForm.from_k0(k0)
-        if "model_radius" in cfg:
-            rho = float(cfg["model_radius"])
-            if k0 == 0:
-                raise ConfigError("model_radius given but k0 = 0 is Euclidean")
-            _require_radius(rho, "space form model_radius", "model_radius")
-            expected = np.sign(k0) / rho**2
-            if abs(expected - k0) > 1e-10 * max(abs(k0), 1.0):
-                raise ConfigError(
-                    f"inconsistent space form: k0={k0} but radius {rho} implies {expected}"
-                )
-        return sf
-
     @property
     def ambient_dim(self) -> int:
         return 3 if self.model is Model.EUCLIDEAN else 4
@@ -159,9 +142,3 @@ class SpaceForm:
         if self.model is Model.SPHERE:
             return np.cos(t) * p + rho * np.sin(t) * n
         return np.cosh(t) * p + rho * np.sinh(t) * n
-
-    def to_config(self) -> dict:
-        cfg = {"k0": self.k0}
-        if self.model is not Model.EUCLIDEAN:
-            cfg["model_radius"] = self.radius
-        return cfg

@@ -1,9 +1,20 @@
 """Functional values, first/second variations, Euler-Lagrange residuals,
 and finite-difference deformation oracles.
 
-The closed-form variation expressions are assembled from curvature scalars
-and intrinsic derivatives of the variation field; the oracles recompute
-the same quantities on actually-deformed surfaces and difference them, so
+Every closed form is built from the derivatives of H and K along a normal
+deformation with speed f, each written once:
+
+    H'[f] = Lap f / 2 + (2H^2 - K + 2 k0) f,
+    K'[f] = 2H Lap f - <h, Hess f> + 2HK f,
+
+with dS' = -2Hu dS. The first variation is the integral of
+E_H H'[u] + E_K K'[u] - 2H E u; both operators are self-adjoint (2Hg - h
+is divergence-free by Codazzi), so the Euler-Lagrange residual is
+H'[E_H] + K'[E_K] - 2H E. The second variation differentiates once more
+along u: H'' and K'' take the derivatives Lap'[u, f] and <h, Hess>'[u, f]
+of the operators themselves, the same formulas the "laplacian_f" and
+"h_hess_f" evolution checks test node by node. The oracles recompute the
+same quantities on actually-deformed surfaces and difference them, so
 every formula is validated against the definition it encodes.
 """
 
@@ -12,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +37,6 @@ from .calculus import (
     h_squared,
     hessian,
     integrate,
-    laplace_beltrami,
     metric_trace,
     shape_tensor,
 )
@@ -68,24 +79,73 @@ def functional_value(s: SurfaceSample, E: EnergyDensity, allow_open: bool = Fals
     return integrate(Ev, s, allow_open=allow_open)
 
 
+def _operators(s: SurfaceSample) -> SimpleNamespace:
+    """The curvature scalars of s and the operators the variation formulas
+    read, each built once per argument: Hess f serves Lap f, <h, Hess f>
+    and <Hess u, Hess f>."""
+    cs = curvature_scalars(s)
+    hess = cache(lambda x: hessian(x, s))
+    h_t = cache(lambda: shape_tensor(s))
+    return SimpleNamespace(
+        s=s,
+        H=cs.H,
+        K=cs.K,
+        k0=s.sf.k0,
+        h_norm_sq=cs.h_norm_sq,
+        hess=hess,
+        lap=cache(lambda x: metric_trace(hess(x), s).values),
+        h_hess=cache(lambda x: contract(h_t(), hess(x), s).values),
+        grad=cache(lambda x, y: grad_inner(x, y, s)),
+        h=h_t,
+        h2=cache(lambda: h_squared(s)),
+        Hf=cache(lambda: curvature_field(s, "H")),
+        Kf=cache(lambda: curvature_field(s, "K")),
+    )
+
+
+def _dH(ops: SimpleNamespace, f: ScalarField) -> np.ndarray:
+    """H'[f] = Lap f / 2 + (2H^2 - K + 2 k0) f."""
+    return 0.5 * ops.lap(f) + (2.0 * ops.H**2 - ops.K + 2.0 * ops.k0) * f.values
+
+
+def _dK(ops: SimpleNamespace, f: ScalarField, plus=0.0) -> np.ndarray:
+    """plus + K'[f], K'[f] = 2H Lap f - <h, Hess f> + 2HK f: with plus = H'[E_H],
+    el_residual sums its six terms in one left-to-right chain, as the expanded form does."""
+    return plus + 2.0 * ops.H * ops.lap(f) - ops.h_hess(f) + 2.0 * ops.H * ops.K * f.values
+
+
+def _laplacian_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndarray:
+    """Lap'[u, f]: the derivative of Lap f along u, f held fixed on the chart."""
+    uv = u.values
+    return (
+        2.0 * uv * ops.h_hess(f)
+        + 2.0 * uv * ops.grad(ops.Hf(), f)
+        + 2.0 * bilinear(ops.h(), u, f, ops.s)
+        - 2.0 * ops.H * ops.grad(u, f)
+    )
+
+
+def _h_hess_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndarray:
+    """<h, Hess>'[u, f]: the derivative of <h, Hess f> along u, f held fixed on the chart."""
+    uv, s = u.values, ops.s
+    # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
+    grad_h2_f = 8.0 * ops.H * ops.grad(ops.Hf(), f) - 2.0 * ops.grad(ops.Kf(), f)
+    return (
+        contract(ops.hess(u), ops.hess(f), s).values
+        + 3.0 * uv * contract(ops.h2(), ops.hess(f), s).values
+        + uv * ops.k0 * ops.lap(f)
+        + 2.0 * bilinear(ops.h2(), u, f, s)
+        + 0.5 * uv * grad_h2_f
+        - ops.h_norm_sq * ops.grad(u, f)
+    )
+
+
 def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool = False) -> float:
     """Normal-deformation derivative of F in direction u, in closed form:
-
-    integral of (E_H/2 + 2H E_K) Lap u
-      + ((2H^2 - K + 2 k0) E_H + 2HK E_K - 2H E) u
-      - E_K <h, Hess u> dS.
-    """
-    cs = curvature_scalars(s)
-    H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
-    hess_u = hessian(u, s)
-    lap_u = metric_trace(hess_u, s).values
-    h_hess_u = contract(shape_tensor(s), hess_u, s).values
-    integrand = (
-        (0.5 * EH + 2.0 * H * EK) * lap_u
-        + ((2.0 * H**2 - K + 2.0 * k0) * EH + 2.0 * H * K * EK - 2.0 * H * Ev) * u.values
-        - EK * h_hess_u
-    )
+    integral of E_H H'[u] + E_K K'[u] - 2H E u dS."""
+    ops = _operators(s)
+    Ev, EH, EK = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K")
+    integrand = EH * _dH(ops, u) + EK * _dK(ops, u) - 2.0 * ops.H * Ev * u.values
     return integrate(integrand, s, allow_open=allow_open)
 
 
@@ -101,39 +161,29 @@ def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: Optional[tuple])
 
 
 def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
-    """Pointwise Euler-Lagrange residual of F:
-
-    (Lap/2 + (2H^2 - K + 2 k0)) E_H + (div-tilde-grad + 2HK) E_K - 2H E,
-
-    where the self-adjoint operator acts as 2H Lap w - <h, Hess w>. The
-    residual vanishes identically exactly when the surface is critical
-    among closed surfaces.
+    """Pointwise Euler-Lagrange residual of F, the adjoint of the first
+    variation: H'[E_H] + K'[E_K] - 2H E. It vanishes identically exactly
+    when the surface is critical among closed surfaces.
     """
-    cs = curvature_scalars(s)
-    H, K, k0 = cs.H, cs.K, s.sf.k0
+    ops = _operators(s)
+    H, K = ops.H, ops.K
     Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
     analytic = E.third is not None
     EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK") if analytic else None)
     EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK") if analytic else None)
-    hess_EK = hessian(EK_field, s)
-    lap_EH = laplace_beltrami(EH_field, s).values
-    lap_EK = metric_trace(hess_EK, s).values
-    h_hess_EK = contract(shape_tensor(s), hess_EK, s).values
-    vals = (
-        0.5 * lap_EH
-        + (2.0 * H**2 - K + 2.0 * k0) * EH_field.values
-        + 2.0 * H * lap_EK
-        - h_hess_EK
-        + 2.0 * H * K * EK_field.values
-        - 2.0 * H * Ev
-    )
-    return ScalarField(vals, s)
+    return ScalarField(_dK(ops, EK_field, plus=_dH(ops, EH_field)) - 2.0 * H * Ev, s)
 
 
 # relative size of the Euler-Lagrange residual below which an immersion
 # counts as critical (or, for a constant residual, volume-constrained
 # critical)
 CRITICALITY_TOL = 1e-5
+
+
+def _area_mean(f: ScalarField) -> float:
+    """Area-weighted mean of f over its sample's grid."""
+    w = fundamental_forms(f.sample).dS_weight
+    return float(np.sum(f.values * w) / np.sum(w))
 
 
 def _criticality(s: SurfaceSample, E: EnergyDensity):
@@ -146,8 +196,7 @@ def _criticality(s: SurfaceSample, E: EnergyDensity):
     cs = curvature_scalars(s)
     scale = 1.0 + np.max(np.abs(E.eval(cs.H, cs.K))) * (1.0 + 2.0 * np.max(np.abs(cs.H)))
     bound = CRITICALITY_TOL * scale
-    w = fundamental_forms(s).dS_weight
-    mean = float(np.sum(res.values * w) / np.sum(w))
+    mean = _area_mean(res)
     sup = float(np.max(np.abs(res.values)))
     sizes = f"sup |EL residual| = {sup:.3e}, bound {bound:.3e}, mean residual {mean:.6g}"
     if sup <= bound:
@@ -199,55 +248,21 @@ def second_variation(
 
 
 def _second_variation_integral(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
-    cs = curvature_scalars(s)
-    H, K, k0 = cs.H, cs.K, s.sf.k0
+    """The second t-derivative of F along u: the integral of
+    d^2E(H', K') + E_H (H'' - 4Hu H') + E_K (K'' - 4Hu K') + E (4H^2 u^2 - 2u H') dS."""
+    ops = _operators(s)
+    H, K, uv = ops.H, ops.K, u.values
     Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
-
-    h_t = shape_tensor(s)
-    h2_t = h_squared(s)
-    hess_u = hessian(u, s)
-    lap_u = metric_trace(hess_u, s).values
-    h_hess_u = contract(h_t, hess_u, s).values
-    h2_hess_u = contract(h2_t, hess_u, s).values
-    hess_u_sq = contract(hess_u, hess_u, s).values
-    h_gu_gu = bilinear(h_t, u, u, s)
-    h2_gu_gu = bilinear(h2_t, u, u, s)
-    grad_u_sq = grad_inner(u, u, s)
-    Hf = curvature_field(s, "H")
-    Kf = curvature_field(s, "K")
-    gradH_gu = grad_inner(Hf, u, s)
-    gradK_gu = grad_inner(Kf, u, s)
-    uv = u.values
-
-    w = 2.0 * H**2 - K + 2.0 * k0
+    dH, dK, lap_dot = _dH(ops, u), _dK(ops, u), _laplacian_dot(ops, u, u)
+    ddH = 0.5 * lap_dot + (4.0 * H * dH - dK) * uv
+    ddK = 2.0 * dH * ops.lap(u) + 2.0 * H * lap_dot - _h_hess_dot(ops, u, u) + 2.0 * (dH * K + H * dK) * uv
     integrand = (
-        (0.25 * EHH + 2.0 * H * EHK + 4.0 * H**2 * EKK + EK) * lap_u**2
-        + EKK * h_hess_u**2
-        - (EHK + 4.0 * H * EKK) * lap_u * h_hess_u
-        + EK * (uv * gradK_gu - 3.0 * uv * h2_hess_u - 2.0 * h2_gu_gu - hess_u_sq)
-        + (
-            w * EHH
-            + 2.0 * H * (4.0 * H**2 - K + 4.0 * k0) * EHK
-            + 8.0 * H**2 * K * EKK
-            - 2.0 * H * EH
-            + (3.0 * k0 - K) * EK
-            - Ev
-        )
-        * uv
-        * lap_u
-        + (
-            w**2 * EHH
-            + 4.0 * H * K * w * EHK
-            + 4.0 * H**2 * K**2 * EKK
-            - 2.0 * K * (K - 2.0 * k0) * EK
-            - 2.0 * H * K * EH
-            + 2.0 * (K - 2.0 * k0) * Ev
-        )
-        * uv**2
-        + (2.0 * EH + 6.0 * H * EK - 2.0 * w * EHK - 4.0 * H * K * EKK) * uv * h_hess_u
-        + (EH + 4.0 * H * EK) * h_gu_gu
-        + EH * uv * gradH_gu
-        - (2.0 * (K - k0) * EK + H * EH) * grad_u_sq
+        EHH * dH**2
+        + 2.0 * EHK * dH * dK
+        + EKK * dK**2
+        + EH * (ddH - 4.0 * H * uv * dH)
+        + EK * (ddK - 4.0 * H * uv * dK)
+        + Ev * (4.0 * H**2 * uv**2 - 2.0 * uv * dH)
     )
     return integrate(integrand, s, allow_open=allow_open)
 
@@ -409,46 +424,18 @@ _NEEDS_F = ("laplacian_f", "h_hess_f")  # the quantities that need the auxiliary
 
 def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantities):
     """The closed-form deformation derivatives of ``quantities``, yielded in
-    order. Every operator they share is built once: Hess u, for one, serves
-    Lap u, <h, Hess u> and <Hess u, Hess f>."""
+    order, over one cache of operators."""
     ff = fundamental_forms(s)
-    cs = curvature_scalars(s)
-    H, K, k0 = cs.H, cs.K, s.sf.k0
+    ops = _operators(s)
     uv = u.values
-    hess = cache(lambda x: hessian(x, s))
-    lap = cache(lambda x: metric_trace(hess(x), s).values)
-    grad = cache(lambda x, y: grad_inner(x, y, s))
-    h_t, h2_t = cache(lambda: shape_tensor(s)), cache(lambda: h_squared(s))
-    Hf, Kf = cache(lambda: curvature_field(s, "H")), cache(lambda: curvature_field(s, "K"))
-
-    def laplacian_f():
-        return (
-            2.0 * uv * contract(h_t(), hess(f), s).values
-            + 2.0 * uv * grad(Hf(), f)
-            + 2.0 * bilinear(h_t(), u, f, s)
-            - 2.0 * H * grad(u, f)
-        )
-
-    def h_hess_f():
-        # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
-        grad_h2_f = 8.0 * H * grad(Hf(), f) - 2.0 * grad(Kf(), f)
-        return (
-            contract(hess(u), hess(f), s).values
-            + 3.0 * uv * contract(h2_t(), hess(f), s).values
-            + uv * k0 * lap(f)
-            + 2.0 * bilinear(h2_t(), u, f, s)
-            + 0.5 * uv * grad_h2_f
-            - cs.h_norm_sq * grad(u, f)
-        )
-
     formulas = {
         "g": lambda: -2.0 * uv[..., None, None] * ff.h,
         "g_inv": lambda: 2.0 * uv[..., None, None] * _MAT_MUL(_MAT_MUL(ff.g_inv, ff.h), ff.g_inv),
-        "dS": lambda: -2.0 * H * uv * ff.dS_weight,
-        "2H": lambda: lap(u) + 2.0 * uv * (2.0 * H**2 - K + 2.0 * k0),
-        "K": lambda: 2.0 * H * lap(u) - contract(h_t(), hess(u), s).values + 2.0 * H * K * uv,
-        "laplacian_f": laplacian_f,
-        "h_hess_f": h_hess_f,
+        "dS": lambda: -2.0 * ops.H * uv * ff.dS_weight,
+        "2H": lambda: 2.0 * _dH(ops, u),
+        "K": lambda: _dK(ops, u),
+        "laplacian_f": lambda: _laplacian_dot(ops, u, f),
+        "h_hess_f": lambda: _h_hess_dot(ops, u, f),
     }
     for q in quantities:
         yield formulas[q]()

@@ -148,6 +148,23 @@ def test_not_critical_reports_how_far_off(capsys):
     assert re.search(rf"sup \|EL residual\| = {number}, bound {number}, mean residual -?[\d.e+-]+\)", err), err
 
 
+def test_el_residual_mean_is_the_area_weighted_mean(capsys):
+    """el-residual prints the area-weighted mean residual, the one the
+    criticality check reports; on this torus the mean over grid nodes
+    read 0.2887 against 0.19245."""
+    from curvevar import area, el_residual, integrate, sample_builtin
+    from curvevar.densities import willmore
+
+    surface = ("--surface", "torus:R=2,a=1", "--density", "willmore")
+    code, out, _ = run(capsys, "el-residual", *surface)
+    assert code == 0
+    mean = json.loads(out)["mean"]
+    s = sample_builtin("torus", {"R": 2.0, "a": 1.0})
+    assert mean == pytest.approx(integrate(el_residual(s, willmore()), s) / area(s), rel=1e-13)
+    code, _, err = run(capsys, "second-variation", *surface, "--u", "random:seed=1")
+    assert code == 2 and f"mean residual {mean:.6g})" in err, err
+
+
 def test_second_variation_force(capsys):
     code, out, _ = run(
         capsys,
@@ -293,6 +310,10 @@ def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0")
     assert code == 0
     assert json.loads(out)["passes"] is True
+    # the ratios are scale-free: the check reads the radius off the sample
+    code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0", "--r", "1.3")
+    assert code == 0
+    assert json.loads(out)["ratios"] == pytest.approx([2.0, 4.0], abs=1e-8)
 
 
 def _former_csv(sample, columns: dict) -> str:

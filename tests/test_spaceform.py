@@ -82,7 +82,6 @@ def test_geodesic_unit_speed():
 def test_from_k0_round_trip(k0):
     sf = SpaceForm.from_k0(k0)
     assert sf.k0 == pytest.approx(k0, abs=1e-12)
-    assert SpaceForm.from_config(sf.to_config()).k0 == pytest.approx(k0, abs=1e-12)
 
 
 def test_euclidean_degeneration():
@@ -115,11 +114,6 @@ def test_tangency_enforced():
 def test_config_validation():
     with pytest.raises(ConfigError):
         SpaceForm.sphere(-1.0)
-    with pytest.raises(ConfigError):
-        SpaceForm.from_config({"k0": 1.0, "model_radius": 2.0})
-    with pytest.raises(ConfigError):
-        SpaceForm.from_config({"k0": 0.0, "model_radius": 1.0})
-    assert SpaceForm.from_config({"k0": 0.25, "model_radius": 2.0}).radius == pytest.approx(2.0)
 
 
 def test_hyperbolic_signature():
@@ -132,15 +126,11 @@ def test_hyperbolic_signature():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_space_forms_are_refused(bad):
     """A NaN or infinite curvature or model radius is refused: k0 = NaN
-    used to build a hyperbolic form with k0 = radius = NaN, a NaN
-    model_radius skipped the consistency check, and sphere(inf) built a
-    "curved" form with k0 = 0."""
+    used to build a hyperbolic form with k0 = radius = NaN, and
+    sphere(inf) built a "curved" form with k0 = 0."""
     for build in (
-        lambda: SpaceForm.from_config({"k0": bad}),
-        lambda: SpaceForm.from_config({"k0": -bad}),
-        lambda: SpaceForm.from_config({"k0": -1.0, "model_radius": bad}),
-        lambda: SpaceForm.from_config({"k0": 1.0, "model_radius": bad}),
         lambda: SpaceForm.from_k0(bad),
+        lambda: SpaceForm.from_k0(-bad),
         lambda: SpaceForm.sphere(bad),
         lambda: SpaceForm.hyperbolic(bad),
     ):
@@ -158,7 +148,6 @@ def test_radii_whose_square_overflows_or_vanishes_are_refused():
         (lambda: SpaceForm.hyperbolic(1e-170), "radius = 1e-170"),
         (lambda: SpaceForm.from_k0(1e-320), "radius = 1.0"),
         (lambda: SpaceForm.from_k0(-1e-320), "radius = 1.0"),
-        (lambda: SpaceForm.from_config({"k0": 1.0, "model_radius": 1e200}), "model_radius = 1e+200"),
     ):
         with pytest.raises(ConfigError, match=r"radius must have .*\^2 finite and nonzero \(got " + re.escape(r)):
             build()
