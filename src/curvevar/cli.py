@@ -171,35 +171,21 @@ def _cmd_energy(args):
     return 0
 
 
-def _cmd_first_variation(args):
+def _cmd_variation(args, order: int):
     s = _make_sample(args)
     E = _make_density(args)
     u = _make_field(args.u, s)
     allow = not s.domain.closed
+    force = order == 2 and args.force
     if args.oracle:
-        # one pass gives the formula value and the report, evaluating the formula once
-        (val,), (rep,) = _oracle_core(s, (E,), u, 1, None, allow, False)
-    else:
+        # one pass classifies the immersion (order 2) and evaluates the formula once
+        (val,), (rep,) = _oracle_core(s, (E,), u, order, allow, force)
+    elif order == 1:
         val = first_variation(s, E, u, allow_open=allow)
-    payload = {"surface": args.surface, "density": E.name, "value": val}
-    if args.oracle:
-        payload["oracle"] = vars(rep)
-    _emit(args, payload)
-    return 0
-
-
-def _cmd_second_variation(args):
-    s = _make_sample(args)
-    E = _make_density(args)
-    u = _make_field(args.u, s)
-    allow = not s.domain.closed
-    if args.oracle:
-        # one pass classifies the immersion and evaluates the formula once
-        (val,), (rep,) = _oracle_core(s, (E,), u, 2, None, allow, args.force)
     else:
-        val = second_variation(s, E, u, allow_open=allow, force=args.force)
+        val = second_variation(s, E, u, allow_open=allow, force=force)
     payload = {"surface": args.surface, "density": E.name, "value": val}
-    if args.force:
+    if force:
         payload["note"] = "formula outside stated validity (forced)"
     if args.oracle:
         payload["oracle"] = vars(rep)
@@ -324,13 +310,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("first-variation", help="closed-form first variation")
     common(p, density=True, u=True)
     p.add_argument("--oracle", action="store_true", help="also run the deformation oracle")
-    p.set_defaults(fn=_cmd_first_variation)
+    p.set_defaults(fn=lambda args: _cmd_variation(args, 1))
 
     p = sub.add_parser("second-variation", help="closed-form second variation at a critical immersion")
     common(p, density=True, u=True)
     p.add_argument("--oracle", action="store_true", help="also run the deformation oracle")
     p.add_argument("--force", action="store_true", help="evaluate even if the surface is not critical")
-    p.set_defaults(fn=_cmd_second_variation)
+    p.set_defaults(fn=lambda args: _cmd_variation(args, 2))
 
     p = sub.add_parser("el-residual", help="pointwise Euler-Lagrange residual")
     common(p, density=True)

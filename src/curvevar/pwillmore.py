@@ -1,8 +1,9 @@
 """Stability analysis of round spheres for the H^p energies.
 
-Contains the specialized Euler-Lagrange residual, the sphere index form,
-real orthonormal spherical harmonics with their projections, the Poincare
-inequality check, and the stability report over Laplacian eigenspaces.
+Contains the sphere index form, real orthonormal spherical harmonics with
+their projections, the Poincare inequality check, and the stability report
+over Laplacian eigenspaces. The H^p Euler-Lagrange residual is the general
+one, ``el_residual(s, pwillmore(p))``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .calculus import ScalarField, curvature_field, grad_inner, integrate, laplace_beltrami
-from .curvature import Taylor2, curvature_scalars
-from .errors import ConfigError, GuardViolation, _first_node, _require_exponent, _require_radius
+from .calculus import ScalarField, grad_inner, integrate, laplace_beltrami
+from .curvature import Taylor2
+from .errors import ConfigError, _require_exponent, _require_radius
 from .surface import SurfaceSample
 
 
@@ -180,46 +181,7 @@ def harmonic_project(u: ScalarField, l_max: int = 8) -> HarmonicDecomposition:
     return HarmonicDecomposition(coefficients=coeffs, residual=residual, l_max=l_max, norm_sq=norm_sq)
 
 
-# -- the index form and residual ---------------------------------------------
-
-
-def _h_power_field(s: SurfaceSample, q: float) -> ScalarField:
-    """H^q as a field whose chart partials compose those of H by the
-    order-2 chain rule."""
-    cs = curvature_scalars(s)
-    is_int = float(q).is_integer()
-    if not is_int and np.any(cs.H <= 0):
-        node = _first_node(cs.H <= 0)
-        raise GuardViolation(f"H^q with non-integer q requires H > 0; violated at node {node}", node=node)
-    qi = int(q) if is_int else q
-    if is_int and qi == 0:
-        return ScalarField.constant(1.0, s)
-    Hf = curvature_field(s, "H")
-    if is_int and qi == 1:
-        return Hf  # no negative power of H is ever formed at H = 0
-    H = cs.H
-    jet = Hf.taylor().compose(H**qi, qi * H ** (qi - 1), qi * (qi - 1) * H ** (qi - 2))
-    return ScalarField(jet.value, s, jet=jet)
-
-
-def pwillmore_el_residual(s: SurfaceSample, p: float) -> ScalarField:
-    """Pointwise H^p Euler-Lagrange residual:
-
-    (p/2) Lap(H^{p-1}) + p (2H^2 - K + 2 k0) H^{p-1} - 2 H^{p+1},
-
-    with k0 the curvature of the sample's space form.
-    """
-    _require_exponent(p)
-    k0 = s.sf.k0
-    cs = curvature_scalars(s)
-    w = _h_power_field(s, p - 1)
-    lap_w = laplace_beltrami(w, s).values
-    if float(p).is_integer():
-        h_p1 = cs.H ** (int(p) + 1)
-    else:
-        h_p1 = cs.H ** (p + 1.0)
-    vals = 0.5 * p * lap_w + p * (2.0 * cs.H**2 - cs.K + 2.0 * k0) * w.values - 2.0 * h_p1
-    return ScalarField(vals, s)
+# -- the index form ----------------------------------------------------------
 
 
 def sphere_index_form(setting: PWillmoreSetting, u: ScalarField) -> float:

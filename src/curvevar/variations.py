@@ -30,6 +30,7 @@ import numpy as np
 
 from .calculus import (
     ScalarField,
+    area,
     bilinear,
     contract,
     curvature_field,
@@ -160,18 +161,27 @@ def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: Optional[tuple])
     return ScalarField(vals, s, jet=Taylor2.compose2(H, K, vals, *derivs))
 
 
+def _el_residual(s: SurfaceSample, E: EnergyDensity) -> tuple[ScalarField, np.ndarray]:
+    """``el_residual`` and the values of E, from one guarded evaluation of E
+    and every partial the residual reads: with E's third partials, the jets
+    of E_H and E_K compose those of H and K; without, their partials are
+    grid-differentiated."""
+    ops = _operators(s)
+    jets = E.third is not None
+    more = ("E_HH", "E_HK", "E_KK", "HHH", "HHK", "HKK", "KKK") if jets else ()
+    Ev, EH, EK, *d = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K", *more)
+    EHH, EHK, EKK, HHH, HHK, HKK, KKK = d or (None,) * 7
+    EH_field = _composed_field(s, EH, (EHH, EHK, HHH, HHK, HKK) if jets else None)
+    EK_field = _composed_field(s, EK, (EHK, EKK, HHK, HKK, KKK) if jets else None)
+    return ScalarField(_dK(ops, EK_field, plus=_dH(ops, EH_field)) - 2.0 * ops.H * Ev, s), Ev
+
+
 def el_residual(s: SurfaceSample, E: EnergyDensity) -> ScalarField:
     """Pointwise Euler-Lagrange residual of F, the adjoint of the first
     variation: H'[E_H] + K'[E_K] - 2H E. It vanishes identically exactly
     when the surface is critical among closed surfaces.
     """
-    ops = _operators(s)
-    H, K = ops.H, ops.K
-    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
-    analytic = E.third is not None
-    EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK") if analytic else None)
-    EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK") if analytic else None)
-    return ScalarField(_dK(ops, EK_field, plus=_dH(ops, EH_field)) - 2.0 * H * Ev, s)
+    return _el_residual(s, E)[0]
 
 
 # relative size of the Euler-Lagrange residual below which an immersion
@@ -181,20 +191,19 @@ CRITICALITY_TOL = 1e-5
 
 
 def _area_mean(f: ScalarField) -> float:
-    """Area-weighted mean of f over its sample's grid."""
-    w = fundamental_forms(f.sample).dS_weight
-    return float(np.sum(f.values * w) / np.sum(w))
+    """Mean of f over its sample: the integral of f dS, with ``integrate``'s
+    quadrature, over the area."""
+    return integrate(f, f.sample, allow_open=True) / area(f.sample)
 
 
 def _criticality(s: SurfaceSample, E: EnergyDensity):
     """Classify the immersion: returns (kind, multiplier, sizes) with kind
     one of 'critical', 'constrained', 'not_critical'. The multiplier is the
-    area-weighted mean EL residual, or zero at a critical immersion;
+    mean EL residual (``_area_mean``), or zero at a critical immersion;
     ``sizes`` states the measured residual against the bound, for messages.
     This is the one place either is decided."""
-    res = el_residual(s, E)
-    cs = curvature_scalars(s)
-    scale = 1.0 + np.max(np.abs(E.eval(cs.H, cs.K))) * (1.0 + 2.0 * np.max(np.abs(cs.H)))
+    res, Ev = _el_residual(s, E)
+    scale = 1.0 + np.max(np.abs(Ev)) * (1.0 + 2.0 * np.max(np.abs(curvature_scalars(s).H)))
     bound = CRITICALITY_TOL * scale
     mean = _area_mean(res)
     sup = float(np.max(np.abs(res.values)))
@@ -206,7 +215,7 @@ def _criticality(s: SurfaceSample, E: EnergyDensity):
     return "not_critical", mean, sizes
 
 
-def _second_variation_multiplier(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
+def _second_variation_multiplier(s: SurfaceSample, E: EnergyDensity, u: ScalarField) -> float:
     """The multiplier of ``_criticality`` where the second-variation
     formula holds: at a critical immersion, or on a zero-mean field at a
     volume-constrained critical one. Raises NotCriticalError elsewhere."""
@@ -217,7 +226,7 @@ def _second_variation_multiplier(s: SurfaceSample, E: EnergyDensity, u: ScalarFi
             "formula only holds there (pass force=True to evaluate anyway)"
         )
     if kind == "constrained":
-        mean_u = integrate(u, s, allow_open=allow_open) / integrate(np.ones(s.shape), s, allow_open=allow_open)
+        mean_u = _area_mean(u)
         bound = 1e-8 * (1.0 + float(np.max(np.abs(u.values))))
         if abs(mean_u) > bound:
             raise NotCriticalError(
@@ -243,7 +252,7 @@ def second_variation(
     regardless, outside its stated validity.
     """
     if not force:
-        _second_variation_multiplier(s, E, u, allow_open)
+        _second_variation_multiplier(s, E, u)
     return _second_variation_integral(s, E, u, allow_open)
 
 
@@ -298,18 +307,18 @@ def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
     return (1e-2 if order == 1 else 5e-3) * (1.0 / (kappa * umax))
 
 
-def _differences(s: SurfaceSample, u: ScalarField, order: int, h: Optional[float], measure):
+def _differences(s: SurfaceSample, u: ScalarField, order: int, measure):
     """Centered differences of the values ``measure(sample)`` returns (a
     list of numbers or arrays) along the geodesic normal deformation of u.
 
-    Deforms once to t = +-h1, +-h2 with h2 = h1/2 (h1 = h, or the default
-    step), measures each deformed sample once and drops it before the next
-    is built, so one is alive at a time, and for order 2
-    measures s itself as the centre, first. Each pair +-t is differenced
+    Deforms once to t = +-h1, +-h2 with h1 the default step and h2 = h1/2,
+    measures each deformed sample once and drops it before the next is
+    built, so one is alive at a time, and for order 2 measures s itself as
+    the centre, first. Each pair +-t is differenced
     as soon as both are measured, and its measures are dropped. Returns
     h1, the differences at h1 and at h2, and their Richardson value.
     """
-    h1 = _default_step(s, u, order) if h is None else float(h)
+    h1 = _default_step(s, u, order)
     h2 = 0.5 * h1
     centre = measure(s) if order == 2 else None
 
@@ -341,7 +350,6 @@ def fd_variation_oracle_many(
     Es: Sequence[EnergyDensity],
     u: ScalarField,
     order: int = 1,
-    h: Optional[float] = None,
     allow_open: bool = False,
     force: bool = False,
 ) -> list[VariationReport]:
@@ -352,7 +360,7 @@ def fd_variation_oracle_many(
     For order 2 the differenced functional is the augmented F - lambda * V,
     with each density's multiplier lambda from the classification that
     ``second_variation`` checks: zero at a critical immersion, the
-    (area-weighted) mean Euler-Lagrange residual at a constrained-critical
+    mean Euler-Lagrange residual (``_area_mean``) at a constrained-critical
     one, where the field must have zero mean unless ``force`` is set. The
     formula side is augmented identically: lambda times the second
     variation of the volume (``volume_variations``) is subtracted, so both
@@ -362,7 +370,7 @@ def fd_variation_oracle_many(
     available, their difference being exactly lambda times the volume
     term.)
     """
-    return _oracle_core(s, Es, u, order, h, allow_open, force)[1]
+    return _oracle_core(s, Es, u, order, allow_open, force)[1]
 
 
 def _oracle_core(
@@ -370,7 +378,6 @@ def _oracle_core(
     Es: Sequence[EnergyDensity],
     u: ScalarField,
     order: int,
-    h: Optional[float],
     allow_open: bool,
     force: bool,
 ) -> tuple[list, list]:
@@ -385,7 +392,7 @@ def _oracle_core(
         if order == 1:
             lam, value = 0.0, first_variation(s, E, u, allow_open=allow_open)
         else:
-            lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u, allow_open)
+            lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u)
             value = _second_variation_integral(s, E, u, allow_open)
         lams.append(lam)
         values.append(value)
@@ -395,7 +402,7 @@ def _oracle_core(
         vol = volume_functional(st) if any(lams) else 0.0
         return [functional_value(st, E, allow_open=True) - lam * vol for E, lam in zip(Es, lams)]
 
-    h1, d1, d2, oracles = _differences(s, u, order, h, measure)
+    h1, d1, d2, oracles = _differences(s, u, order, measure)
     reports = []
     for formula, a, b, oracle in zip(formulas, d1, d2, oracles):
         conv = _observed_order(abs(a - formula), abs(b - formula), 1e-11 * (1.0 + abs(formula)))
@@ -408,14 +415,13 @@ def fd_variation_oracle(
     E: EnergyDensity,
     u: ScalarField,
     order: int = 1,
-    h: Optional[float] = None,
     allow_open: bool = False,
     force: bool = False,
 ) -> VariationReport:
     """Difference quotient of F along the geodesic normal deformation of u,
     compared against the closed-form variation of the same order: the
     one-density case of ``fd_variation_oracle_many``."""
-    return fd_variation_oracle_many(s, (E,), u, order, h, allow_open, force)[0]
+    return fd_variation_oracle_many(s, (E,), u, order, allow_open, force)[0]
 
 
 _EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f")
@@ -464,7 +470,6 @@ def evolution_check_many(
     u: ScalarField,
     f: Optional[ScalarField] = None,
     quantities: tuple = _EVOLUTION_QUANTITIES,
-    h: Optional[float] = None,
 ) -> dict:
     """Evolution-equation checks for several quantities sharing the same
     four deformed samples; returns {quantity: VariationReport}."""
@@ -473,7 +478,7 @@ def evolution_check_many(
             raise ConfigError(f"quantity '{q}' needs the auxiliary field f")
         if q not in _EVOLUTION_QUANTITIES:
             raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
-    h1, d1s, d2s, oracles = _differences(s, u, 1, h, lambda st: _evolution_measures(st, f, quantities))
+    h1, d1s, d2s, oracles = _differences(s, u, 1, lambda st: _evolution_measures(st, f, quantities))
     out = {}
     # each quantity's differences are dropped once it is reported, before
     # the formulas of the quantities after it are built
@@ -504,10 +509,9 @@ def evolution_check(
     u: ScalarField,
     f: Optional[ScalarField] = None,
     quantity: str = "2H",
-    h: Optional[float] = None,
 ) -> VariationReport:
     """Per-node check of one evolution equation: centered finite difference
     of the quantity along the geodesic normal deformation versus its
     closed-form deformation derivative. Reports sup-norm errors.
     """
-    return evolution_check_many(s, u, f, (quantity,), h)[quantity]
+    return evolution_check_many(s, u, f, (quantity,))[quantity]

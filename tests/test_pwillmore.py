@@ -6,11 +6,11 @@ import pytest
 from curvevar import (
     PWillmoreSetting,
     coercivity_bound,
+    el_residual,
     harmonic_field,
     harmonic_project,
     integrate,
     poincare_check,
-    pwillmore_el_residual,
     random_span_field,
     sample_builtin,
     second_variation,
@@ -20,6 +20,7 @@ from curvevar import (
     volume_variations,
 )
 from curvevar.calculus import ScalarField
+from curvevar.densities import pwillmore
 from curvevar.errors import ConfigError
 
 
@@ -123,8 +124,6 @@ def test_index_form_closed_expression(sphere2):
 def test_index_form_matches_general_second_variation(sphere):
     """The sphere-specialized index form agrees with the general
     second-variation machinery for the H^p density."""
-    from curvevar.densities import pwillmore
-
     for p in (2, 3):
         setting = PWillmoreSetting(float(p))
         for l, m in ((1, 0), (2, 0), (2, 2), (3, -1)):
@@ -146,12 +145,12 @@ def test_index_form_rejects_nonzero_mean(sphere):
 
 
 def test_el_residual_specialization(sphere2):
-    """Dedicated H^p residual against the general Euler-Lagrange residual."""
-    from curvevar import el_residual
-    from curvevar.densities import pwillmore
+    """The specialised H^p residual of variation_reference against the
+    general Euler-Lagrange residual."""
+    import variation_reference as reference
 
     for p in (2.0, 3.0):
-        special = pwillmore_el_residual(sphere2, p)
+        special = reference.pwillmore_el_residual(sphere2, p)
         general = el_residual(sphere2, pwillmore(p))
         assert np.max(np.abs(special.values - general.values)) < 1e-8
 
@@ -160,11 +159,11 @@ def test_minimal_surface_solves_pwillmore_flow():
     """Minimal surfaces are p-Willmore critical for p >= 2 (every term of
     the residual carries a factor of H)."""
     s = sample_builtin("catenoid", {})
-    assert np.max(np.abs(pwillmore_el_residual(s, 3.0).values)) < 1e-10
+    assert np.max(np.abs(el_residual(s, pwillmore(3.0)).values)) < 1e-10
 
 
 def test_sphere_residual_is_constant(sphere2):
-    res = pwillmore_el_residual(sphere2, 3.0).values
+    res = el_residual(sphere2, pwillmore(3.0)).values
     assert np.max(res) - np.min(res) < 1e-9
     # value: p(2H^2 - K) H^{p-1} - 2 H^{p+1} = (p - 2) / r^{p+1} at H = K^(1/2) = 1/r
     assert np.mean(res) == pytest.approx(1.0 / 2.0**4, abs=1e-9)
@@ -228,16 +227,15 @@ def test_setting_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_exponent_and_radius_are_refused(bad, sphere):
-    """A NaN passes a bare p < 1 test, and inf passes it too: the setting,
-    the H^p density and the specialised EL residual each refuse both, and
-    the setting's radius must be positive and finite as in sphere_spectrum."""
-    from curvevar.densities import builtin_density, pwillmore
+    """A NaN passes a bare p < 1 test, and inf passes it too: the setting
+    and the H^p density each refuse both, and the setting's radius must be
+    positive and finite as in sphere_spectrum."""
+    from curvevar.densities import builtin_density
 
     for build in (
         lambda: PWillmoreSetting(bad),
         lambda: pwillmore(bad),
         lambda: builtin_density("pwillmore", p=bad),
-        lambda: pwillmore_el_residual(sphere, bad),
     ):
         with pytest.raises(ConfigError, match=r"exponent p must be >= 1 and finite \(got p = "):
             build()
@@ -262,20 +260,15 @@ def test_radius_whose_square_overflows_or_vanishes_is_refused(r):
             build()
 
 
-def test_specialised_and_general_residuals_name_the_same_guard_node():
-    """Both Euler-Lagrange routes of H^2.5 refuse the minimal catenoid at
-    the first node where H <= 0 (the specialised one used to name the
-    node of the smallest H)."""
-    from curvevar import el_residual
-    from curvevar.densities import pwillmore
+def test_el_residual_names_the_first_guard_node():
+    """The Euler-Lagrange residual of H^2.5 refuses the minimal catenoid at
+    the first node where H <= 0 (a second, specialised H^p route used to
+    name the node of the smallest H)."""
     from curvevar.errors import GuardViolation
 
     s = sample_builtin("catenoid", {})
-    nodes = []
-    for build in (lambda: pwillmore_el_residual(s, 2.5), lambda: el_residual(s, pwillmore(2.5))):
-        with pytest.raises(GuardViolation) as err:
-            build()
-        nodes.append(err.value.node)
-    H = s._cache["scalars"].H
-    assert nodes[0] == nodes[1] and H[nodes[0]] <= 0
-    assert not np.any(H.ravel()[: np.ravel_multi_index(nodes[0], H.shape)] <= 0)
+    with pytest.raises(GuardViolation) as err:
+        el_residual(s, pwillmore(2.5))
+    node, H = err.value.node, s._cache["scalars"].H
+    assert H[node] <= 0
+    assert not np.any(H.ravel()[: np.ravel_multi_index(node, H.shape)] <= 0)

@@ -1,6 +1,7 @@
 """Reference variation formulas for the tests: the first variation, the
 Euler-Lagrange residual and the second-variation integrand expanded term
-by term in the curvature scalars and the field's operators.
+by term in the curvature scalars and the field's operators, and the
+specialised H^p Euler-Lagrange residual.
 
 ``curvevar.variations`` composes the same quantities from H'[f], K'[f]
 and the derivatives of Lap and <h, Hess> along the deformation; the tests
@@ -62,6 +63,16 @@ def el_residual(s, E):
         - 2.0 * H * Ev
     )
     return ScalarField(vals, s)
+
+
+def pwillmore_el_residual(s, p):
+    """(p/2) Lap(H^{p-1}) + p (2H^2 - K + 2 k0) H^{p-1} - 2 H^{p+1}, the jet
+    of H^{p-1} composing that of H; for H > 0."""
+    cs = curvature_scalars(s)
+    H, K, k0, q = cs.H, cs.K, s.sf.k0, p - 1
+    jet = curvature_field(s, "H").taylor().compose(H**q, q * H ** (q - 1), q * (q - 1) * H ** (q - 2))
+    lap_w = laplace_beltrami(ScalarField(jet.value, s, jet=jet), s).values
+    return ScalarField(0.5 * p * lap_w + p * (2.0 * H**2 - K + 2.0 * k0) * jet.value - 2.0 * H ** (p + 1), s)
 
 
 def second_variation_integral(s, E, u, allow_open=False):
