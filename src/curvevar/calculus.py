@@ -31,7 +31,9 @@ from .curvature import (
     _FROBENIUS,
     _MAT_MUL,
     _MAT_VEC,
+    _SYM_MAT_MUL,
     _VEC_BLOCKS,
+    _symmetric_block,
     curvature_jets,
     curvature_scalars,
     fundamental_forms,
@@ -197,18 +199,14 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
 
 
 class TensorField02:
-    """Symmetric (0,2)-tensor with components on the grid."""
+    """Symmetric (0,2)-tensor on the grid; ``comps`` is the array given, uncopied, so nothing writes into it."""
 
     def __init__(self, comps, sample: SurfaceSample):
-        comps = np.asarray(comps, dtype=float)
-        if comps.shape != sample.shape + (2, 2):
+        self.comps = np.asarray(comps, dtype=float)
+        if self.comps.shape != sample.shape + (2, 2):
             raise ConfigError("tensor grid does not match the sample grid")
-        # 0.5 (c + c^T), entry by entry
-        self.comps = _empty_planes(comps.shape, float, 2)
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            c_ij = np.add(comps[..., i, j], comps[..., j, i], out=self.comps[..., i, j])
-            c_ij *= 0.5
-        self.comps[..., 1, 0] = self.comps[..., 0, 1]
+        if not np.array_equal(self.comps[..., 0, 1], self.comps[..., 1, 0], equal_nan=True):
+            raise ConfigError("tensor components are not symmetric: comps[..., 0, 1] differs from comps[..., 1, 0]")
         self.sample = sample
 
 
@@ -253,13 +251,9 @@ def grad_inner(f1: ScalarField, f2: ScalarField, s: SurfaceSample) -> np.ndarray
 
 
 def hessian(f: ScalarField, s: SurfaceSample) -> TensorField02:
-    """Covariant Hessian f_{;ij} = f_ij - Gamma^k_ij f_k."""
-    fk = grad_lower(f, s)
-    comps = _empty_planes(s.shape + (2, 2), float, 2)
-    comps[..., 0, 0] = f.partial(2, 0)
-    comps[..., 1, 1] = f.partial(0, 2)
-    comps[..., 0, 1] = comps[..., 1, 0] = f.partial(1, 1)
-    comps -= _VEC_BLOCKS(fk, fundamental_forms(s).gamma)
+    """Covariant Hessian f_{;ij} = f_ij - Gamma_l,ij grad^l f (first-kind symbols, raised gradient)."""
+    comps = _symmetric_block(f.partial(2, 0), f.partial(1, 1), f.partial(0, 2))
+    comps -= _VEC_BLOCKS(gradient(f, s), fundamental_forms(s).christoffel)
     return TensorField02(comps, s)
 
 
@@ -300,7 +294,7 @@ def metric_tensor(s: SurfaceSample) -> TensorField02:
 def h_squared(s: SurfaceSample) -> TensorField02:
     """(h^2)_ij = g^{kl} h_li h_kj."""
     ff = fundamental_forms(s)
-    return TensorField02(_MAT_MUL(_MAT_MUL(ff.h, ff.g_inv), ff.h), s)
+    return TensorField02(_SYM_MAT_MUL(_MAT_MUL(ff.h, ff.g_inv), ff.h), s)
 
 
 # -- quadrature --------------------------------------------------------------
@@ -374,7 +368,8 @@ def export_field_csv(f: ScalarField, path) -> None:
 
 def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
     """Field from a CSV of u, v, value rows in grid order (as written by
-    ``export_field_csv``); every value must be finite."""
+    ``export_field_csv``); every (u, v) must be its grid node, to 1e-9 of
+    the chart's extent, and every value finite."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -383,6 +378,15 @@ def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
         raise ConfigError("CSV row count does not match the sample grid")
     if data.shape[1] < 3:
         raise ConfigError(f"field CSV '{path}' has no value column (expected u,v,value)")
+    nodes = np.column_stack([x.ravel() for x in sample.domain.meshes()])
+    extent = [hi - lo for lo, hi in (sample.domain.u_range, sample.domain.v_range)]
+    off = ~np.all(np.abs(data[:, :2] - nodes) <= 1e-9 * np.array(extent), axis=1)  # NaN is off too
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConfigError(
+            f"field CSV '{path}' row {k + 1} has (u, v) = ({data[k, 0]}, {data[k, 1]}), "
+            f"not its grid node ({nodes[k, 0]}, {nodes[k, 1]})"
+        )
     values = data[:, 2].reshape(sample.shape)
     bad = ~np.isfinite(values)
     if np.any(bad):

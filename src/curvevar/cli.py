@@ -54,6 +54,8 @@ def _parse_surface(spec: str):
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
+            if key in params:
+                raise ConfigError(f"surface parameter '{key}' is given twice in '{spec}'")
             try:
                 params[key] = float(val)
             except ValueError:

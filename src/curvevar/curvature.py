@@ -3,15 +3,16 @@
 Everything is computed per node from the immersion jets, vectorized over
 the whole grid; arrays carry the grid shape in their leading two axes.
 Per-node tensors keep their index axes trailing in shape, (..., 2, 2) for
-g, g^-1 and h and (..., 2, 2, 2) for Gamma and dg, but are laid out
-entry-major: each entry x[..., i, j] is one contiguous grid plane
+g, g^-1 and h and (..., 2, 2, 2) for the Christoffel symbols, but are laid
+out entry-major: each entry x[..., i, j] is one contiguous grid plane
 (``surface._empty_planes``), as each component x[..., k] of an ambient
 vector is.
 
 The surface geometry is one set of formulas: g from (r_u, r_v), the
 oriented unit normal N = +-n/|n| from the raw normal n, h_ab = <N, r_ab>,
-and (H, K_E) from the entries of g and h. Each is written once and
-evaluated either on grid values (``fundamental_forms``,
+the first-kind Christoffel symbols Gamma_l,ab = <r_ab, r_l> (the ambient
+inner product is flat), and (H, K_E) from the entries of g and h. Each is
+written once and evaluated either on grid values (``fundamental_forms``,
 ``curvature_scalars``) or on order-2 ``Taylor2`` jets (``_metric_jets``,
 ``normal_jet``, ``curvature_jets``), so the value part of every jet equals
 the grid value bit for bit. A sample caches one normal jet, the oriented
@@ -19,9 +20,9 @@ N, which the deformation and the curvature jets share.
 
 Every per-node bilinear map is one table of +-x_a y_b terms per entry of
 its value (``surface._Bilinear``): the 2x2 algebra below and in
-``calculus`` (Gamma, the Codazzi terms, the operators), the product, a
-scalar times a vector, ``SpaceForm.flat_inner``, the cross product, the
-2x2 minors and the 4-d normal from them, and the quadratic form of an
+``calculus`` (the Codazzi terms, the operators), the product, a scalar
+times a vector, ``SpaceForm.flat_inner``, the cross product, the 2x2
+minors and the 4-d normal from them, and the quadratic form of an
 ``AmbientPolyField``. A table writes each entry with whole-grid ufuncs,
 where batched ``@``, ``np.sum`` over the trailing (2, 2) axes or
 ``np.cross`` run a short loop per node; called on arrays it gives the
@@ -190,11 +191,11 @@ class Taylor2:
 
 class FundamentalForms:
     """g, g^-1, shape operator components h, unit normal N and the area
-    weight sqrt(det g) of a sample. The metric derivatives dg and the
-    Christoffel symbols gamma are computed on first read, in the dtype of
-    the immersion jets, and then kept: only the covariant Hessian and the
-    Codazzi check read them. g, g^-1, h, dg and gamma are laid out
-    entry-major, each entry one contiguous grid plane; N component-major."""
+    weight sqrt(det g) of a sample. The first-kind Christoffel symbols are
+    computed on first read, in the dtype of the immersion jets, and then
+    kept: only the covariant Hessian and the Codazzi check read them. g,
+    g^-1, h and the symbols are laid out entry-major, each entry one
+    contiguous grid plane; N component-major."""
 
     def __init__(self, g, g_inv, h, N, dS_weight, jets: dict, inner):
         self.g = g                  # (nu, nv, 2, 2)
@@ -202,42 +203,28 @@ class FundamentalForms:
         self.h = h                  # (nu, nv, 2, 2)
         self.N = N                  # (nu, nv, dim)
         self.dS_weight = dS_weight  # (nu, nv)
-        # the order <= 2 immersion jets and the ambient inner product dg is
-        # built from (not the sample, which caches this object)
+        # the order <= 2 immersion jets and the ambient inner product the
+        # symbols are built from (not the sample, which caches this object)
         self._jets, self._inner = jets, inner
 
     def flipped(self) -> "FundamentalForms":
         """The forms in the opposite orientation: N and h negated, the rest
-        (dg and gamma too, once read) shared."""
+        (the Christoffel symbols too, once read) shared."""
         out = FundamentalForms(self.g, self.g_inv, -self.h, -self.N, self.dS_weight, self._jets, self._inner)
-        out.__dict__.update((k, v) for k, v in vars(self).items() if k in ("dg", "gamma"))
+        out.__dict__.update((k, v) for k, v in vars(self).items() if k == "christoffel")
         return out
 
     @cached_property
-    def dg(self) -> np.ndarray:
-        """(nu, nv, 2, 2, 2): dg[..., k, i, j] = d_k g_ij, in the jets' dtype."""
+    def christoffel(self) -> np.ndarray:
+        """(nu, nv, 2, 2, 2): christoffel[..., l, a, b] = Gamma_l,ab = <r_ab, r_l>,
+        exactly 1/2 (d_a g_bl + d_b g_al - d_l g_ab) since the ambient inner
+        product is flat; six inner products of the order-2 jets, in their dtype."""
         j, inner = self._jets, self._inner
-        r = [j[e] for e in _E]
-        dg = _empty_planes(self.g.shape[:-2] + (2, 2, 2), np.result_type(*(j[ab] for ab in TAYLOR_INDICES[1:])), 3)
-        for a in range(2):
-            for b in range(a, 2):
-                for k in range(2):
-                    # d_k <r_a, r_b> = <r_ak, r_b> + <r_a, r_bk>: order-2 jets suffice
-                    r_ak, r_bk = j[_add(_E[a], _E[k])], j[_add(_E[b], _E[k])]
-                    dg[..., k, a, b] = dg[..., k, b, a] = inner(r_ak, r[b]) + inner(r[a], r_bk)
-        return dg
-
-    @cached_property
-    def gamma(self) -> np.ndarray:
-        """(nu, nv, 2, 2, 2): gamma[..., k, i, j] = Gamma^k_ij."""
-        dg = self.dg
-        c = np.empty_like(dg)  # c[..., l, a, b] = C_l,ab = d_a g_bl + d_b g_al - d_l g_ab
+        out = _empty_planes(self.g.shape[:-2] + (2, 2, 2), np.result_type(*(j[ab] for ab in TAYLOR_INDICES[1:])), 3)
         for l in range(2):
             for a, b in ((0, 0), (0, 1), (1, 1)):
-                c[..., l, a, b] = c[..., l, b, a] = dg[..., a, b, l] + dg[..., b, a, l] - dg[..., l, a, b]
-        gamma = _MAT_BLOCKS(self.g_inv, c)
-        gamma *= 0.5
-        return gamma
+                out[..., l, a, b] = out[..., l, b, a] = inner(j[_add(_E[a], _E[b])], j[_E[l]])
+        return out
 
 
 @dataclass
@@ -246,8 +233,6 @@ class CurvatureScalars:
     K_E: np.ndarray
     K: np.ndarray
     h_norm_sq: np.ndarray
-    kappa1: np.ndarray
-    kappa2: np.ndarray
 
 
 # -- per-node tables -----------------------------------------------------------
@@ -259,21 +244,22 @@ _R2 = range(2)
 _PRODUCT = _Bilinear({(): [(1, (), ())]})
 # the matrix product of 2x2 blocks, (a b)_ij = a_il b_lj
 _MAT_MUL = _Bilinear({(i, j): [(1, (i, l), (l, j)) for l in _R2] for i in _R2 for j in _R2})
+# a matrix product known to be symmetric, its (1, 0) entry the (0, 1) one
+_SYM_MAT_MUL = _Bilinear({(i, j): [(1, (min(i, j), l), (l, max(i, j))) for l in _R2] for i in _R2 for j in _R2})
 # a 2x2 block times a 2-vector, (a x)_i = a_il x_l
 _MAT_VEC = _Bilinear({(i,): [(1, (i, l), (l,)) for l in _R2] for i in _R2})
-# a 2x2 block times a (2, 2, 2) block in its first index, a_kl t_lij
-_MAT_BLOCKS = _Bilinear({(k, i, j): [(1, (k, l), (l, i, j)) for l in _R2] for k in _R2 for i in _R2 for j in _R2})
 # a covector times a (2, 2, 2) block in its first index, x_l t_lij
 _VEC_BLOCKS = _Bilinear({(i, j): [(1, (l,), (l, i, j)) for l in _R2] for i in _R2 for j in _R2})
 # the sum of a_ij b_ij over 2x2 blocks
 _FROBENIUS = _Bilinear({(): [(1, (i, j), (i, j)) for i in _R2 for j in _R2]})
 # the dot product x_i y_i of 2-vectors
 _DOT2 = _inner_form((1, 1))
-# the Christoffel terms of the covariant derivative nabla_k h_ab,
-# sum over m of Gamma^m_ak h_mb + Gamma^m_bk h_am
+# the Christoffel terms of the covariant derivative nabla_k h_ab in the
+# first-kind symbols and the shape operator S = g^-1 h,
+# sum over l of Gamma_l,ak S^l_b + Gamma_l,bk S^l_a
 _CODAZZI = _Bilinear(
     {
-        (k, a, b): [(1, (m, a, k), (m, b)) for m in _R2] + [(1, (m, b, k), (a, m)) for m in _R2]
+        (k, a, b): [(1, (l, a, k), (l, b)) for l in _R2] + [(1, (l, b, k), (l, a)) for l in _R2]
         for k in _R2
         for a in _R2
         for b in _R2
@@ -442,9 +428,7 @@ def curvature_scalars(sample: SurfaceSample) -> CurvatureScalars:
                 f"{sample.name}: curvature scalar {name} = {x[node]} is not finite at node {node}",
                 node=node,
             )
-    K = K_E + sample.sf.k0
-    disc = np.sqrt(np.maximum(H**2 - K_E, 0.0))
-    cs = CurvatureScalars(H=H, K_E=K_E, K=K, h_norm_sq=h_norm_sq, kappa1=H + disc, kappa2=H - disc)
+    cs = CurvatureScalars(H=H, K_E=K_E, K=K_E + sample.sf.k0, h_norm_sq=h_norm_sq)
     sample._cache["scalars"] = cs
     return cs
 
@@ -481,7 +465,8 @@ def codazzi_residual(sample: SurfaceSample) -> np.ndarray:
     equation, so the residual of any genuine immersion is numerically zero.
     """
     ff = fundamental_forms(sample)
-    grad = shape_operator_derivatives(sample) - _CODAZZI(ff.gamma, ff.h)  # grad[..., k, i, j] = nabla_k h_ij
+    # grad[..., k, i, j] = nabla_k h_ij, with the shape operator S = g^-1 h
+    grad = shape_operator_derivatives(sample) - _CODAZZI(ff.christoffel, _MAT_MUL(ff.g_inv, ff.h))
     return np.max(np.abs(grad - np.swapaxes(grad, -3, -1)), axis=(-3, -2, -1))
 
 

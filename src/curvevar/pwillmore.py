@@ -69,12 +69,12 @@ def _legendre(l: int, am: int, x, s):
 @dataclass(frozen=True)
 class _Harmonic:
     """Real orthonormal spherical harmonic Y_{l,m} on the unit sphere in the
-    chart (u = azimuth, v = polar angle): norm * P^|m|_l(cos v) times 1,
+    chart (u = azimuth, v = polar angle): scale * P^|m|_l(cos v) times 1,
     sqrt(2) cos(m u) (m > 0) or sqrt(2) sin(|m| u) (m < 0)."""
 
     l: int
     m: int
-    norm: float
+    scale: float
 
     def jet(self, U, V) -> Taylor2:
         """Order-2 Taylor jet at the chart points (U, V) of an ij-indexed
@@ -86,7 +86,7 @@ class _Harmonic:
         c, s = np.cos(v), np.sin(v)
         x = Taylor2((c, zero, -s, zero, zero, -c))
         sv = Taylor2((s, zero, c, zero, zero, -s))
-        y = self.norm * _legendre(self.l, am, x, sv)
+        y = self.scale * _legendre(self.l, am, x, sv)
         if self.m == 0:
             return Taylor2(np.ascontiguousarray(np.broadcast_to(part, np.shape(U))) for part in y.parts)
         u = U[:, :1]
@@ -106,16 +106,19 @@ def _harmonic_expr(l: int, m: int) -> _Harmonic:
     if not 0 <= abs(m) <= l:
         raise ConfigError("harmonic needs |m| <= l")
     am = abs(m)
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am))
-    return _Harmonic(l, m, norm)
+    scale = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am))
+    return _Harmonic(l, m, scale)
 
 
 def _sphere_radius(sample: SurfaceSample) -> float:
-    norms = np.linalg.norm(sample.positions, axis=-1)
-    r = float(np.mean(norms))
-    if sample.sf.k0 != 0.0 or np.max(np.abs(norms - r)) > 1e-8 * (1.0 + r):
-        raise ConfigError("operation requires a round-sphere sample in Euclidean space")
-    return r
+    """The mean |p| of a round-sphere sample in E^3, kept on the sample."""
+    if "sphere_radius" not in sample._cache:
+        radii = np.sqrt(sample.sf.flat_inner(sample.positions, sample.positions))
+        r = float(np.mean(radii))
+        if sample.sf.k0 != 0.0 or np.max(np.abs(radii - r)) > 1e-8 * (1.0 + r):
+            raise ConfigError("operation requires a round-sphere sample in Euclidean space")
+        sample._cache["sphere_radius"] = r
+    return sample._cache["sphere_radius"]
 
 
 def harmonic_field(sample: SurfaceSample, l: int, m: int) -> ScalarField:
@@ -142,9 +145,9 @@ def random_span_field(sample: SurfaceSample, seed: int) -> ScalarField:
     for l in range(2, 7):
         for m in range(-l, l + 1):
             coeffs.append((l, m, rng.normal()))
-    norm = math.sqrt(sum(c**2 for _, _, c in coeffs))
+    length = math.sqrt(sum(c**2 for _, _, c in coeffs))
     for l, m, c in coeffs:
-        term = harmonic_field(sample, l, m) * (c / norm)
+        term = harmonic_field(sample, l, m) * (c / length)
         total = term if total is None else total + term
     return total
 

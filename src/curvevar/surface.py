@@ -207,7 +207,7 @@ class _Bilinear:
 
     Entries of the value and of the operands are addressed by index
     tuples: () for a grid scalar (the array itself), (k,) for a vector
-    component, (i, j) for a 2x2 entry, (k, i, j) for dg or Gamma. ``rows``
+    component, (i, j) for a 2x2 entry, (l, i, j) for Gamma_l,ij. ``rows``
     maps every entry of the value to its terms (s, a, b), s = +1 or -1 and
     the first s = +1: the sum, left to right, of s x[..., a] y[..., b],
     times ``scales[entry]`` (+1 or -1) when given. Calling the map

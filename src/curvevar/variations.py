@@ -144,10 +144,14 @@ def _h_hess_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndar
 def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool = False) -> float:
     """Normal-deformation derivative of F in direction u, in closed form:
     integral of E_H H'[u] + E_K K'[u] - 2H E u dS."""
-    ops = _operators(s)
+    return _first_variation(_operators(s), E, u, allow_open)
+
+
+def _first_variation(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
+    """``first_variation`` over the operator cache ``ops`` of its sample."""
     Ev, EH, EK = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K")
     integrand = EH * _dH(ops, u) + EK * _dK(ops, u) - 2.0 * ops.H * Ev * u.values
-    return integrate(integrand, s, allow_open=allow_open)
+    return integrate(integrand, ops.s, allow_open=allow_open)
 
 
 def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: Optional[tuple]) -> ScalarField:
@@ -253,13 +257,12 @@ def second_variation(
     """
     if not force:
         _second_variation_multiplier(s, E, u)
-    return _second_variation_integral(s, E, u, allow_open)
+    return _second_variation_integral(_operators(s), E, u, allow_open)
 
 
-def _second_variation_integral(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
-    """The second t-derivative of F along u: the integral of
+def _second_variation_integral(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
+    """The second t-derivative of F along u, over the operators ``ops``: the integral of
     d^2E(H', K') + E_H (H'' - 4Hu H') + E_K (K'' - 4Hu K') + E (4H^2 u^2 - 2u H') dS."""
-    ops = _operators(s)
     H, K, uv = ops.H, ops.K, u.values
     Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
     dH, dK, lap_dot = _dH(ops, u), _dK(ops, u), _laplacian_dot(ops, u, u)
@@ -273,7 +276,7 @@ def _second_variation_integral(s: SurfaceSample, E: EnergyDensity, u: ScalarFiel
         + EK * (ddK - 4.0 * H * uv * dK)
         + Ev * (4.0 * H**2 * uv**2 - 2.0 * uv * dH)
     )
-    return integrate(integrand, s, allow_open=allow_open)
+    return integrate(integrand, ops.s, allow_open=allow_open)
 
 
 def volume_functional(s: SurfaceSample) -> float:
@@ -298,11 +301,11 @@ def volume_variations(s: SurfaceSample, u: ScalarField) -> tuple[float, float]:
 
 
 def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
-    # step relative to the smallest curvature radius and the field size;
-    # the second difference divides by h^2, so it gets a smaller base step
-    # to keep truncation below the target tolerances
+    # step relative to the smallest curvature radius, 1 / max(|H| + d) over the
+    # principal curvatures H +- d, and the field size; the second difference divides
+    # by h^2, so it gets a smaller base step to keep truncation below the target tolerances
     cs = curvature_scalars(s)
-    kappa = max(np.max(np.abs(cs.kappa1)), np.max(np.abs(cs.kappa2)), 1e-12)
+    kappa = max(np.max(np.abs(cs.H) + np.sqrt(np.maximum(cs.H**2 - cs.K_E, 0.0))), 1e-12)
     umax = max(float(np.max(np.abs(u.values))), 1e-12)
     return (1e-2 if order == 1 else 5e-3) * (1.0 / (kappa * umax))
 
@@ -384,19 +387,22 @@ def _oracle_core(
     """``fd_variation_oracle_many``, returning with its reports the closed-form
     variation of F itself for each density: the value ``first_variation``
     or ``second_variation`` gives, before the multiplier term. A caller
-    that reports both pays for each classification and integral once."""
+    that reports both pays for each classification and integral once, and
+    for the operators of u, which are dropped before any deformed sample."""
     if order not in (1, 2):
         raise ConfigError("oracle order must be 1 or 2")
     lams, values, formulas = [], [], []
+    ops = _operators(s)
     for E in Es:
         if order == 1:
-            lam, value = 0.0, first_variation(s, E, u, allow_open=allow_open)
+            lam, value = 0.0, _first_variation(ops, E, u, allow_open)
         else:
             lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u)
-            value = _second_variation_integral(s, E, u, allow_open)
+            value = _second_variation_integral(ops, E, u, allow_open)
         lams.append(lam)
         values.append(value)
         formulas.append(value - lam * volume_variations(s, u)[1] if lam != 0.0 else value)
+    del ops
 
     def measure(st: SurfaceSample) -> list:
         vol = volume_functional(st) if any(lams) else 0.0

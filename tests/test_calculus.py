@@ -134,6 +134,21 @@ def test_shape_tensor_bilinear_symmetry(torus):
     assert np.max(np.abs(bilinear(h, f1, f2, torus) - bilinear(h, f2, f1, torus))) < 1e-12
 
 
+def test_tensor_field_wraps_a_symmetric_array_and_refuses_others(torus):
+    """TensorField02 keeps the symmetric array it is given, uncopied, and
+    refuses one whose (0, 1) and (1, 0) entries differ anywhere."""
+    from curvevar.calculus import TensorField02
+    from curvevar.curvature import fundamental_forms
+    from curvevar.errors import ConfigError
+
+    h = fundamental_forms(torus).h
+    assert shape_tensor(torus).comps is h
+    skew = h.copy()
+    skew[3, 5, 0, 1] += 1e-12
+    with pytest.raises(ConfigError, match="not symmetric"):
+        TensorField02(skew, torus)
+
+
 def test_field_arithmetic(sphere):
     f = random_smooth_field(sphere, 8)
     g = random_smooth_field(sphere, 9)

@@ -61,8 +61,13 @@ def test_first_variation_oracle_with_csv_field(tmp_path, capsys):
     assert oracle["convergence_order"] >= 1.9
 
 
-def _grid_csv(path, rows):
-    path.write_text("u,v,value\n" + "".join(rows))
+def _grid_csv(path, values, name="sphere", nu=16, nv=16):
+    """A field CSV whose rows are the nodes of the nu x nv default grid of
+    the catalog chart ``name``, with the value column as given."""
+    from curvevar import default_domain
+
+    UU, VV = default_domain(name, None, nu, nv).meshes()
+    path.write_text("u,v,value\n" + "".join(f"{u:.17g},{v:.17g},{x}\n" for u, v, x in zip(UU.ravel(), VV.ravel(), values)))
     return str(path)
 
 
@@ -80,7 +85,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         ("energy", "--surface", "sphere:r=abc", "--density", "willmore"),
         (*fv, "random:seed=x"),
         (*fv, str(tmp_path / "missing.csv")),
-        (*fv, _grid_csv(tmp_path / "letters.csv", ["0,0,abc\n"] * 256)),
+        (*fv, _grid_csv(tmp_path / "letters.csv", ["abc"] * 256)),
         (*fv, str(no_value)),
     ]
     for argv in cases:
@@ -100,6 +105,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         ("sphere:r=1", ("--nu", "0"), "grid counts must be at least 8"),
         ("sphere:r=1", ("--nv", "0"), "grid counts must be at least 8"),
         ("torus", ("--nu", "0", "--nv", "0"), "grid counts must be at least 8"),
+        ("sphere:r=1,r=2", (), "surface parameter 'r' is given twice"),
     ],
 )
 def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys):
@@ -109,16 +115,39 @@ def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys)
 
 
 def test_non_finite_field_csv_names_the_node(tmp_path, capsys):
-    rows = ["0,0,1.5\n"] * 256
-    rows[16 * 3 + 5] = "0,0,nan\n"
+    rows = ["1.5"] * 256
+    rows[16 * 3 + 5] = "nan"
     fv = ("first-variation", "--surface", "sphere", "--density", "willmore", "--nu", "16", "--nv", "16", "--u")
     code, out, err = run(capsys, *fv, _grid_csv(tmp_path / "u.csv", rows))
     assert code == 1 and out == ""
     assert "node (3, 5)" in err
     # the same grid with finite values is accepted
-    rows[16 * 3 + 5] = "0,0,1.5\n"
+    rows[16 * 3 + 5] = "1.5"
     code, out, _ = run(capsys, *fv, _grid_csv(tmp_path / "ok.csv", rows))
     assert code == 0 and np.isfinite(json.loads(out)["value"])
+
+
+def test_field_csv_from_another_grid_exits_1(tmp_path, capsys):
+    """A CSV exported from a 64 x 32 torus has the row count of a 32 x 64
+    torus and of a 64 x 32 sphere, but its (u, v) are other nodes there:
+    both are refused naming the row and its coordinates. Read back on its
+    own grid it gives the value of the field it was exported from."""
+    from curvevar import ScalarField, default_domain, export_field_csv, first_variation, random_smooth_field, sample_builtin
+    from curvevar.densities import willmore
+
+    torus = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=default_domain("torus", {"R": 2.0, "a": 1.0}, 64, 32))
+    u = random_smooth_field(torus, 3)
+    path = tmp_path / "f.csv"
+    export_field_csv(u, path)
+    fv = ("first-variation", "--density", "willmore", "--u", str(path))
+    for surface, grid in (("torus:R=2,a=1", ("32", "64")), ("sphere:r=1", ("64", "32"))):
+        code, out, err = run(capsys, *fv, "--surface", surface, "--nu", grid[0], "--nv", grid[1])
+        assert code == 1 and out == "", surface
+        assert re.search(r"row \d+ has \(u, v\) = \(\S+, \S+\), not its grid node", err), err
+    code, out, _ = run(capsys, *fv, "--surface", "torus:R=2,a=1", "--nu", "64", "--nv", "32")
+    assert code == 0
+    want = first_variation(torus, willmore(), ScalarField(u.values, torus))
+    assert json.loads(out)["value"] == want
 
 
 def test_not_critical_exits_2(capsys):
@@ -436,7 +465,7 @@ def test_small_open_grid_field_exits_1(tmp_path, capsys):
     finite differences, which need 9 nodes per direction: an 8 x 8 graph
     grid is refused with a message naming the direction and the count."""
     argv = ("first-variation", "--surface", "graph", "--nu", "8", "--nv", "8", "--density", "bending", "--u")
-    code, out, err = run(capsys, *argv, _grid_csv(tmp_path / "u.csv", ["0,0,1.0\n"] * 64))
+    code, out, err = run(capsys, *argv, _grid_csv(tmp_path / "u.csv", ["1.0"] * 64, "graph", 8, 8))
     assert code == 1 and out == ""
     assert err.startswith("curvevar: ") and "along u need at least 9 grid nodes (got nu = 8)" in err
 

@@ -252,16 +252,22 @@ def test_multilinear_evaluates_each_pair_product_once(torus, clifford):
 
 
 def test_christoffel_symbols_are_built_when_first_read(torus):
-    """Measuring a functional on a deformed sample builds g, h and N but
-    neither dg nor Gamma; the first read of gamma builds both and keeps them."""
-    from curvevar import builtin_density, deform_normal, functional_value, random_smooth_field
+    """Measuring a functional on a deformed sample builds g, h and N but no
+    Christoffel symbols; a Hessian there builds the first-kind symbols,
+    which the forms keep, and nothing else: no metric derivatives and no
+    second-kind symbols."""
+    from curvevar import builtin_density, deform_normal, functional_value, hessian, random_smooth_field
 
-    d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
+    u = random_smooth_field(torus, 4)
+    d = deform_normal(torus, u, 0.01)
     functional_value(d, builtin_density("willmore"))
     ff = fundamental_forms(d)
-    assert "dg" not in vars(ff) and "gamma" not in vars(ff)
-    gamma = ff.gamma
-    assert "dg" in vars(ff) and fundamental_forms(d).gamma is gamma
+    before = set(vars(ff))
+    assert "christoffel" not in before
+    hessian(u.with_sample(d), d)
+    assert set(vars(ff)) - before == {"christoffel"}
+    assert fundamental_forms(d).christoffel is ff.christoffel
+    assert not hasattr(ff, "dg") and not hasattr(ff, "gamma")
 
 
 def test_nearly_degenerate_metric_is_refused():

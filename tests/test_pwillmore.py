@@ -59,7 +59,7 @@ def _harmonic_jet_on_grid(y, U, V):
 
     am, zero = abs(y.m), np.zeros(np.shape(U))
     c, s = np.cos(V), np.sin(V)
-    out = y.norm * _legendre(y.l, am, Taylor2((c, zero, -s, zero, zero, -c)), Taylor2((s, zero, c, zero, zero, -s)))
+    out = y.scale * _legendre(y.l, am, Taylor2((c, zero, -s, zero, zero, -c)), Taylor2((s, zero, c, zero, zero, -s)))
     if y.m == 0:
         return out
     ca, sa = math.sqrt(2.0) * np.cos(am * U), math.sqrt(2.0) * np.sin(am * U)

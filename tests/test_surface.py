@@ -513,22 +513,46 @@ def test_order3_consumers_refuse_deformed_samples(torus):
             consumer(d)
     with pytest.raises(ConfigError, match=r"deform_normal needs .* torus\+deform"):
         deform_normal(d, u.with_sample(d), 0.01)
-    assert np.all(np.isfinite(curvature_scalars(d).H)) and np.all(np.isfinite(fundamental_forms(d).gamma))
+    assert np.all(np.isfinite(curvature_scalars(d).H)) and np.all(np.isfinite(fundamental_forms(d).christoffel))
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus", "catenoid", "graph", "geodesic_sphere_S3", "clifford_torus_S3"])
 def test_fundamental_forms_read_order2_jets_only(name):
-    """g and its first partials come from the order <= 2 jets; they equal
-    the order-2 Taylor jets of the metric bit for bit."""
+    """g and the first-kind Christoffel symbols come from the order <= 2
+    jets: g equals the order-2 Taylor jets of the metric bit for bit, and
+    Gamma_l,ab is the inner product <r_ab, r_l> of two of those jets."""
     from curvevar.curvature import _metric_jets, fundamental_forms
 
     s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
-    ff = fundamental_forms(s)
-    for (i, j), x in zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)):
-        for a, b in ((i, j), (j, i)):
+    ff, j = fundamental_forms(s), s.jets
+    for (i, k), x in zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)):
+        for a, b in ((i, k), (k, i)):
             assert np.array_equal(ff.g[..., a, b], x.value)
-            assert np.array_equal(ff.dg[..., 0, a, b], x.partial(1, 0))
-            assert np.array_equal(ff.dg[..., 1, a, b], x.partial(0, 1))
+            r_ab = j[(2 - a - b, a + b)]  # r_uu, r_uv or r_vv
+            for l, e in enumerate(((1, 0), (0, 1))):
+                assert np.array_equal(ff.christoffel[..., l, a, b], s.sf.flat_inner(r_ab, j[e]))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "h3_sphere"])
+def test_christoffel_symbols_are_half_the_metric_derivative_combination(name):
+    """Gamma_l,ab = <r_ab, r_l> equals 1/2 (d_a g_bl + d_b g_al - d_l g_ab)
+    with the metric derivatives read from the order-2 metric jets, to
+    1e-14 of max(|Gamma|, 1), on the six catalog charts and the numeric-jet
+    H^3 sphere: the identity is exact for a flat ambient inner product."""
+    from curvevar.curvature import _metric_jets, fundamental_forms
+
+    s = _h3_sphere(nu=32, nv=16) if name == "h3_sphere" else sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
+    jets = dict(zip(((0, 0), (0, 1), (1, 1)), _metric_jets(s)))
+
+    def dg(k, a, b):  # d_k g_ab
+        return jets[(min(a, b), max(a, b))].partial(*((1, 0), (0, 1))[k])
+
+    got = fundamental_forms(s).christoffel
+    for l in range(2):
+        for a in range(2):
+            for b in range(2):
+                want = 0.5 * (dg(a, b, l) + dg(b, a, l) - dg(l, a, b))
+                assert np.max(np.abs(got[..., l, a, b] - want)) <= 1e-14 * max(np.max(np.abs(want)), 1.0), (l, a, b)
 
 
 def test_catalog_pole_offset_domain_must_end_at_poles():
@@ -644,7 +668,7 @@ def test_flipped_catalog_sample_keeps_its_orientation_free_forms(monkeypatch):
     assert s.orientation_sign == -1.0 and calls == ["grid"]
     fresh = dataclasses.replace(s, _cache={})
     want = fundamental_forms(fresh)
-    for name in ("g", "g_inv", "h", "N", "dS_weight", "gamma"):
+    for name in ("g", "g_inv", "h", "N", "dS_weight", "christoffel"):
         assert np.array_equal(getattr(ff, name), getattr(want, name)), name
     for x, y in zip(normal_jet(s).parts, normal_jet(fresh).parts):
         assert np.array_equal(x, y)
@@ -711,8 +735,7 @@ def test_per_node_tensors_are_laid_out_entry_major(case, torus, clifford):
         "g": (ff.g, 2),
         "g_inv": (ff.g_inv, 2),
         "h": (ff.h, 2),
-        "dg": (ff.dg, 3),
-        "gamma": (ff.gamma, 3),
+        "christoffel": (ff.christoffel, 3),
         "g_inv h": (_MAT_MUL(ff.g_inv, ff.h), 2),
         "hessian": (hessian(f, s).comps, 2),
         "shape_tensor": (shape_tensor(s).comps, 2),

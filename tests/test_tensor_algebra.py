@@ -33,10 +33,10 @@ from curvevar.calculus import (
 from curvevar.catalog import CATALOG_NAMES
 from curvevar.curvature import (
     _FROBENIUS,
-    _MAT_BLOCKS,
     _MAT_MUL,
     _MAT_VEC,
     _PRODUCT,
+    _SYM_MAT_MUL,
     _VEC_BLOCKS,
     Taylor2,
     _metric,
@@ -97,8 +97,9 @@ CASES = CATALOG_NAMES + ("torus+deform", "h3_sphere")
 
 
 def _reference(s):
-    """g, g^-1, h, dg, Gamma, the curvature scalars and, with order-3 jets,
-    the intrinsic Gauss curvature, by einsum from the jets."""
+    """g, g^-1, h, the Christoffel symbols of the first and second kind
+    (from the metric derivatives dg), the curvature scalars and, with
+    order-3 jets, the intrinsic Gauss curvature, by einsum from the jets."""
     signs, j = s.sf.metric_signs, s.jets
 
     def r(*ab):  # the immersion partial d_(sum of ab) r
@@ -110,13 +111,14 @@ def _reference(s):
     g_inv = ref["g_inv"] = np.linalg.inv(g)
     N = fundamental_forms(s).N
     ref["h"] = np.stack([np.stack([_inner(signs, N, r(ea, eb)) for eb in _E], axis=-1) for ea in _E], axis=-2)
-    dg = ref["dg"] = np.empty(s.shape + (2, 2, 2))  # d_k g_ij = <r_ik, r_j> + <r_i, r_jk>
+    dg = np.empty(s.shape + (2, 2, 2))  # d_k g_ij = <r_ik, r_j> + <r_i, r_jk>
     for k, ek in enumerate(_E):
         for a, ea in enumerate(_E):
             for b, eb in enumerate(_E):
                 dg[..., k, a, b] = _inner(signs, r(ea, ek), r(eb)) + _inner(signs, r(ea), r(eb, ek))
     c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg  # C_l,ij
-    gamma = ref["gamma"] = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, c)
+    ref["christoffel"] = 0.5 * c  # Gamma_l,ij
+    gamma = ref["gamma"] = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, c)  # Gamma^k_ij
 
     shape_op = np.einsum("...ik,...kj->...ij", g_inv, ref["h"])
     ref["H"] = 0.5 * np.einsum("...ii->...", shape_op)
@@ -153,8 +155,8 @@ def _reference(s):
 
 def _rel(got, want):
     """Largest difference relative to the reference's size, floored at 1
-    (the charts have unit size; H vanishes on the catenoid, and dg, Gamma
-    and K on the Clifford torus)."""
+    (the charts have unit size; H vanishes on the catenoid, and the
+    Christoffel symbols and K on the Clifford torus)."""
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0))
 
 
@@ -206,7 +208,7 @@ def _operator_pairs(s, ref):
 def _worst(s):
     ref = _reference(s)
     ff, cs = fundamental_forms(s), curvature_scalars(s)
-    pairs = [(k, getattr(ff, k), ref[k]) for k in ("g", "g_inv", "h", "dg", "gamma")]
+    pairs = [(k, getattr(ff, k), ref[k]) for k in ("g", "g_inv", "h", "christoffel")]
     pairs += [(k, getattr(cs, k), ref[k]) for k in ("H", "K_E", "h_norm_sq")]
     if "K_intrinsic" in ref:
         pairs.append(("intrinsic_gauss_curvature", intrinsic_gauss_curvature(s), ref["K_intrinsic"]))
@@ -284,17 +286,18 @@ def _operands(dtype, seed):
 def test_per_node_kernels_match_einsum_reference(dtype):
     """Each bilinear table equals the index expression it writes out, on
     operands whose leading axes broadcast against each other, including
-    hessian's covector against a (..., 2, 2, 2) Gamma block. The result
+    hessian's covector against a (..., 2, 2, 2) Christoffel block. The result
     takes the operands' dtype, so complex operands (a complex-step
     derivative) keep their imaginary part."""
     draw = _operands(dtype, 3)
     a, b, t = draw(5, 4, 2, 2), draw(4, 2, 2), draw(5, 4, 2, 2, 2)
+    sym = b + np.swapaxes(b, -2, -1)  # a sym a^T is symmetric
     row, vec = draw(4, 1, 2), draw(5, 1, 2)
     cases = [
         ("_MAT_MUL", _MAT_MUL(a, b), np.einsum("...ik,...kj->...ij", a, b)),
         ("_MAT_MUL", _MAT_MUL(b, a), np.einsum("...ik,...kj->...ij", b, a)),
         ("_MAT_VEC", _MAT_VEC(a, vec), np.einsum("...ij,...j->...i", a, vec)),
-        ("_MAT_BLOCKS", _MAT_BLOCKS(b, t), np.einsum("...kl,...lij->...kij", b, t)),
+        ("_SYM_MAT_MUL", _SYM_MAT_MUL(_MAT_MUL(a, sym), np.swapaxes(a, -2, -1)), np.einsum("...ik,...kl,...jl->...ij", a, sym, a)),
         ("_VEC_BLOCKS", _VEC_BLOCKS(row[..., 0, :], t), np.einsum("...kl,...lij->...kij", row, t)[..., 0, :, :]),
         ("_FROBENIUS", _FROBENIUS(a, b), np.einsum("...ij,...ij->...", a, b)),
         ("_PRODUCT", _PRODUCT(a, b), a * b),
@@ -366,7 +369,7 @@ def test_finite_values_whose_sum_overflows_are_accepted(torus):
     check_immersion(_with_jet(torus, (4, 0), np.full(torus.shape + (3,), 1e308)))
 
 
-PER_NODE_MODULES = ("curvature", "calculus", "surface", "spaceform", "variations")
+PER_NODE_MODULES = ("curvature", "calculus", "surface", "spaceform", "variations", "pwillmore")
 
 # numpy runs each of these on the trailing axes of per-node arrays as a
 # short loop per node, whatever name the code reaches it by
@@ -599,9 +602,10 @@ def test_bilinear_tables_match_multilinear_bit_for_bit(sf, dtype):
 
 @pytest.mark.parametrize("sf", [SpaceForm.euclidean(), SpaceForm.sphere(1.0), SpaceForm.hyperbolic(1.0)], ids=lambda sf: sf.model.name)
 def test_metric_derivatives_keep_the_jets_dtype(sf):
-    """dg, and Gamma from it, take the dtype of the immersion jets: on
-    complex jets (a complex-step derivative) they keep their imaginary
-    part, against the einsum reference with the metric signs."""
+    """The first-kind Christoffel symbols <r_ab, r_l> take the dtype of the
+    immersion jets: on complex jets (a complex-step derivative) they keep
+    their imaginary part, against half the combination of the metric
+    derivatives dg by einsum, with the metric signs."""
     from curvevar import PatchDomain
     from curvevar.curvature import FundamentalForms
     from curvevar.surface import SurfaceSample
@@ -610,8 +614,7 @@ def test_metric_derivatives_keep_the_jets_dtype(sf):
     jets = {ab: draw(8, 8, sf.ambient_dim) for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
     s = SurfaceSample(PatchDomain((0, 1), (0, 1), 8, 8), sf, jets)
     g = _metric_block(s)
-    g_inv = np.linalg.inv(g)
-    ff = FundamentalForms(g, g_inv, g, jets[(0, 0)], np.ones(s.shape), jets, sf.flat_inner)
+    ff = FundamentalForms(g, np.linalg.inv(g), g, jets[(0, 0)], np.ones(s.shape), jets, sf.flat_inner)
 
     def r(*ab):
         return jets[tuple(map(sum, zip((0, 0), *ab)))]
@@ -621,9 +624,8 @@ def test_metric_derivatives_keep_the_jets_dtype(sf):
         for a, ea in enumerate(_E):
             for b, eb in enumerate(_E):
                 dg[..., k, a, b] = _inner(signs, r(ea, ek), r(eb)) + _inner(signs, r(ea), r(eb, ek))
-    c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, c)
-    for got, want in ((ff.dg, dg), (ff.gamma, gamma)):
-        assert got.dtype == np.dtype(complex)
-        assert _rel(got, want) <= PARITY_BOUND
-        assert np.max(np.abs(got.imag)) > 0.1
+    want = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+    got = ff.christoffel
+    assert got.dtype == np.dtype(complex)
+    assert _rel(got, want) <= PARITY_BOUND
+    assert np.max(np.abs(got.imag)) > 0.1

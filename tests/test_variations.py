@@ -26,7 +26,7 @@ from curvevar import (
 from curvevar.calculus import ScalarField, curvature_field
 from curvevar.densities import area_density, bending, density_from_expr, helfrich, ksquared, pwillmore, willmore
 from curvevar.surface import deform_normal_many
-from curvevar.variations import _EVOLUTION_QUANTITIES, _evolution_formulas, _second_variation_integral
+from curvevar.variations import _EVOLUTION_QUANTITIES, _evolution_formulas
 
 import variation_reference as reference
 from test_surface import _h3_sphere
@@ -496,6 +496,54 @@ def test_evolution_check_peak_memory(name):
     assert peak < EVOLUTION_PEAK_BOUND[name], peak
 
 
+# peak traced memory of the first evolution check of all seven quantities
+# on a fresh geodesic_sphere_S3 sample at 64x32, its forms, scalars and
+# jets built inside the check. Measured: 1.99e6 B with the first-kind
+# Christoffel symbols <r_ab, r_l> and tensors wrapped uncopied; 2.20e6 B
+# when the forms cached dg and Gamma^k_ab and TensorField02 copied and
+# re-symmetrised each tensor
+COLD_EVOLUTION_PEAK_BOUND = 2.1e6
+
+
+def test_cold_evolution_check_peak_memory():
+    import tracemalloc
+
+    from curvevar import default_domain
+
+    s = sample_builtin("geodesic_sphere_S3", {}, domain=default_domain("geodesic_sphere_S3", {}, 64, 32))
+    u, f = random_smooth_field(s, 3), random_smooth_field(s, 4)
+    tracemalloc.start()
+    try:
+        reps = evolution_check_many(s, u, f=f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(reps) == sorted(_EVOLUTION_QUANTITIES)
+    assert peak < COLD_EVOLUTION_PEAK_BOUND, peak
+
+
+def test_oracle_builds_the_operators_of_u_once(torus, monkeypatch):
+    """An order-1 oracle over five densities builds Hess u once for all of
+    them, and each formula value is the one ``first_variation`` gives."""
+    import curvevar.variations as variations
+
+    calls = []
+    real = variations.hessian
+
+    def counted(f, s):
+        calls.append(f)
+        return real(f, s)
+
+    u = random_smooth_field(torus, 4)
+    Es = (willmore(), bending(), ksquared(), area_density(), helfrich(1.0, 0.3, 0.5))
+    monkeypatch.setattr(variations, "hessian", counted)
+    reports = fd_variation_oracle_many(torus, Es, u)
+    assert calls == [u]
+    monkeypatch.undo()
+    for E, rep in zip(Es, reports):
+        assert rep.formula_value == first_variation(torus, E, u), E.name
+
+
 # operator calls of each formula on the torus besides its Hessians, as
 # many as when each formula was written out in full; the shape tensor and
 # h^2 are built at most once
@@ -577,7 +625,7 @@ def test_composed_variations_match_the_expanded_reference(name):
         assert np.array_equal(el_residual(s, E).values, reference.el_residual(s, E).values), E.name
         for formula, want in (
             (first_variation, reference.first_variation),
-            (_second_variation_integral, reference.second_variation_integral),
+            (lambda *args: second_variation(*args, force=True), reference.second_variation_integral),
         ):
             value, expected = formula(s, E, u, open_chart), want(s, E, u, open_chart)
-            assert abs(value - expected) <= 1e-14 * max(abs(expected), 1.0), (E.name, formula.__name__, value, expected)
+            assert abs(value - expected) <= 1e-14 * max(abs(expected), 1.0), (E.name, want.__name__, value, expected)
