@@ -45,8 +45,8 @@ class ScalarField:
     """Grid-sampled scalar bound to a surface sample.
 
     ``jet``, an optional order-2 ``Taylor2``, carries the chart partials
-    d^a_u d^b_v on the grid; without one they are grid-differentiated on
-    first use and cached. A field lives on the grid only.
+    d^a_u d^b_v on the grid; without one, all five come from one grid jet
+    on first use and are cached. A field lives on the grid only.
     """
 
     def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None):
@@ -62,10 +62,11 @@ class ScalarField:
             return self.values
         if self.jet is not None:
             return self.jet.partial(a, b)
-        key = (a, b)
-        if key not in self._cache:
-            self._cache[key] = self.sample.chart_ops().partial(self.values, a, b)
-        return self._cache[key]
+        if a + b > 2:
+            raise ConfigError("Taylor jets carry chart partials to order 2 only")
+        if not self._cache:
+            self._cache = self.sample.chart_ops().jet(self.values, 2)
+        return self._cache[(a, b)]
 
     @property
     def _partial_impl(self):  # the provider tag perfbench/bench_trace.py reads
@@ -74,13 +75,6 @@ class ScalarField:
     def taylor(self) -> Taylor2:
         """The field's order-2 jet: its own, or one read from the grid partials."""
         return self.jet if self.jet is not None else Taylor2.from_partials(self.partial)
-
-    def with_sample(self, sample: SurfaceSample) -> "ScalarField":
-        """Rebind to another sample on the same chart grid (values and chart
-        partials are unchanged; only the geometry differs)."""
-        if sample.domain != self.sample.domain:
-            raise ConfigError("cannot rebind a field across different chart grids")
-        return ScalarField(self.values, sample, jet=self.jet)
 
     # -- constructors -------------------------------------------------------
 
@@ -211,20 +205,22 @@ class TensorField02:
 
 
 def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
-    """H, K, or K_E as a ScalarField.
+    """H, K, or K_E as a ScalarField, built once per sample and cached in
+    its orientation.
 
     On exact-jet samples the chart partials are the Taylor jets of
     ``curvature_jets``; on numeric-jet samples they come from grid
     differentiation, since the order-3/4 stencil jets of open charts are
     too inexact to push through.
     """
-    cs = curvature_scalars(sample)
-    vals = {"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which]
-    if sample.provenance is not Provenance.ANALYTIC:
-        return ScalarField(vals, sample)
-    H, K_E = curvature_jets(sample)
-    jet = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
-    return ScalarField(vals, sample, jet=jet)
+    key = ("curvature_field", which)
+    if key not in sample._cache:
+        cs, jet = curvature_scalars(sample), None
+        if sample.provenance is Provenance.ANALYTIC:
+            H, K_E = curvature_jets(sample)
+            jet = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
+        sample._cache[key] = ScalarField({"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which], sample, jet=jet)
+    return sample._cache[key]
 
 
 # -- differential operators -------------------------------------------------
@@ -287,10 +283,6 @@ def shape_tensor(s: SurfaceSample) -> TensorField02:
     return TensorField02(fundamental_forms(s).h, s)
 
 
-def metric_tensor(s: SurfaceSample) -> TensorField02:
-    return TensorField02(fundamental_forms(s).g, s)
-
-
 def h_squared(s: SurfaceSample) -> TensorField02:
     """(h^2)_ij = g^{kl} h_li h_kj."""
     ff = fundamental_forms(s)
@@ -348,8 +340,8 @@ def integrate(f, s: SurfaceSample, allow_open: bool = False) -> float:
     return float(np.sum(vals * w * wu[:, None] * wv[None, :]))
 
 
-def area(s: SurfaceSample, allow_open: bool = True) -> float:
-    return integrate(np.ones(s.shape), s, allow_open=allow_open)
+def area(s: SurfaceSample) -> float:
+    return integrate(np.ones(s.shape), s, allow_open=True)
 
 
 # -- CSV helpers --------------------------------------------------------------

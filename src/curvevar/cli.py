@@ -6,6 +6,7 @@ verification battery, emitting machine-readable JSON or CSV.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -115,9 +116,9 @@ def _emit(args, payload: dict, rows=None) -> None:
                 line = ",".join(["%.17g"] * data.shape[1]) + "\n"
                 out.write(",".join(header) + "\n" + (line * len(data)) % tuple(data.ravel().tolist()))
             else:
-                out.write("key,value\n")
-                for key, val in sorted(_flatten(payload).items()):
-                    out.write(f"{key},{val}\n")
+                writer = csv.writer(out, lineterminator="\n")
+                writer.writerow(("key", "value"))
+                writer.writerows((key, f"{val}") for key, val in sorted(_flatten(payload).items()))
         else:
             payload = {"schema": SCHEMA, **payload}
             out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -126,17 +127,17 @@ def _emit(args, payload: dict, rows=None) -> None:
             out.close()
 
 
-def _flatten(d, prefix=""):
+def _flatten(val, name=""):
+    """The leaves of nested dicts and lists, keyed like a.b[0].c."""
+    if isinstance(val, dict):
+        items = ((f"{name}.{key}" if name else f"{key}", item) for key, item in val.items())
+    elif isinstance(val, (list, tuple)):
+        items = ((f"{name}[{i}]", item) for i, item in enumerate(val))
+    else:
+        return {name: val}
     flat = {}
-    for key, val in d.items():
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            flat.update(_flatten(val, name + "."))
-        elif isinstance(val, (list, tuple)):
-            for i, item in enumerate(val):
-                flat[f"{name}[{i}]"] = item
-        else:
-            flat[name] = val
+    for key, item in items:
+        flat.update(_flatten(item, key))
     return flat
 
 
@@ -159,7 +160,7 @@ def _cmd_curvature(args):
         "H": {"min": float(cs.H.min()), "max": float(cs.H.max())},
         "K": {"min": float(cs.K.min()), "max": float(cs.K.max())},
         "K_E": {"min": float(cs.K_E.min()), "max": float(cs.K_E.max())},
-        "area": float(area(s, allow_open=not s.domain.closed)),
+        "area": float(area(s)),
     }
     _emit(args, payload, rows=_field_rows(s, {"H": cs.H, "K": cs.K, "K_E": cs.K_E}))
     return 0
@@ -222,7 +223,7 @@ def _cmd_verify_evolution(args):
 
 
 def _cmd_sphere_stability(args):
-    rep = stability_report(PWillmoreSetting(args.p if args.p is not None else 2.0, args.r), l_max=args.lmax)
+    rep = stability_report(PWillmoreSetting(args.p, args.r), l_max=args.lmax)
     payload = {
         "p": rep.p,
         "r": rep.r,
@@ -283,7 +284,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, surface=True, density=False, u=False):
-        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file with values for any flag (explicit flags win)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -351,25 +351,33 @@ def _build_parser() -> _Parser:
     common(p, surface=False)
     p.set_defaults(fn=_cmd_verify_all)
 
+    parser.commands = sub.choices
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """The command line, with the values of a --config file parsed as flags
-    placed before the typed ones: argparse checks their types and choices,
-    and a typed flag wins."""
+    """The command line, with the values of a --config file, found by a first
+    pass, parsed as flags placed before the typed ones: argparse checks
+    their types and choices, a typed flag wins, and any flag can come from
+    the file, a required one too."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    if args.config:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:  # argv[0] is the subcommand: the top-level parser has no options but -h
+        config = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # a --config with no value: the full parse reports it
+        config = None
+    if config and argv[0] in parser.commands:
         try:
-            with open(args.config) as fh:
+            with open(config) as fh:
                 conf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read --config file: {exc}")
         if not isinstance(conf, dict):
             raise ConfigError("--config must contain a JSON object")
-        actions = {a.dest: a for a in args.parser._actions if a.option_strings and a.dest not in ("help", "config")}
+        sub = parser.commands[argv[0]]
+        actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
         flags = []
         for key, val in conf.items():
             action = actions.get(key.replace("-", "_"))
@@ -381,9 +389,8 @@ def _parse_args(argv) -> argparse.Namespace:
                 flags += [action.option_strings[0]] if val else []
             else:
                 raise ConfigError(f"config key '{key}' takes true or false (got {val!r})")
-        # argv[0] is the subcommand: the top-level parser has no options but -h
-        args = parser.parse_args(argv[:1] + flags + argv[1:])
-    return args
+        argv = argv[:1] + flags + argv[1:]
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -446,15 +446,14 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     inner = sample.sf.flat_inner
     ff = fundamental_forms(sample)
     j = sample.jets
-    ops = sample.chart_ops()
-    dN = [ops.partial(ff.N, 1, 0), ops.partial(ff.N, 0, 1)]
+    dN = sample.chart_ops().jet(ff.N, 1)
     out = _empty_planes(sample.shape + (2, 2, 2), float, 3)
     for k in range(2):
         for a in range(2):
             for b in range(2):
                 rab = j[_add(_E[a], _E[b])]
                 rabk = j[_add(_add(_E[a], _E[b]), _E[k])]
-                out[..., k, a, b] = inner(dN[k], rab) + inner(ff.N, rabk)
+                out[..., k, a, b] = inner(dN[_E[k]], rab) + inner(ff.N, rabk)
     return out
 
 

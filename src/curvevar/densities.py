@@ -35,9 +35,9 @@ class EnergyDensity:
     E_KK: Callable
     domain_guard: Optional[Callable] = None
     params: dict = field(default_factory=dict)
-    # optional third partials ("HHH", "HHK", "HKK", "KKK"); when present the
-    # Euler-Lagrange residual can differentiate composed fields analytically
-    third: Optional[dict] = None
+    # the third partials ("HHH", "HHK", "HKK", "KKK"), by which the
+    # Euler-Lagrange residual composes the jets of E_H(H, K) and E_K(H, K)
+    third: dict = field(kw_only=True)
 
     def check_guard(self, H, K) -> None:
         if self.domain_guard is None:

@@ -1,7 +1,7 @@
 """Grid differentiation helpers.
 
-Structured-grid partial derivatives used by fields, and by the numeric
-jets of closed charts:
+``ChartDerivatives.jet`` takes all partials of grid values up to a total
+order in one pass, for fields without a jet and for closed-chart jets:
 
 - FFT differentiation along periodic directions.
 - FFT differentiation along a pole-offset latitude direction, using the
@@ -103,10 +103,8 @@ class ChartDerivatives:
         lv = domain.v_range[1] - domain.v_range[0]
         self._lu, self._lv = lu, lv
         self._du = lu / domain.nu if domain.periodic_u else lu / (domain.nu - 1)
-        self._dv = lv / domain.nv if domain.periodic_v else lv / (domain.nv - 1)
-        if domain.pole_offset:
-            # offset samples: spacing L/n in the open interval
-            self._dv = lv / domain.nv
+        # pole-offset samples have spacing L/n in the open interval
+        self._dv = lv / domain.nv if domain.periodic_v or domain.pole_offset else lv / (domain.nv - 1)
         self._mats: dict[tuple[str, int], np.ndarray] = {}
 
     def _fd_matrix(self, direction: str, order: int) -> np.ndarray:
@@ -138,39 +136,38 @@ class ChartDerivatives:
             vals = _pole_extend(vals, axis_u=0, axis_v=1)
         return np.fft.rfft(vals, axis=axis)
 
-    def derivatives(self, vals: np.ndarray, axis: int, orders) -> list:
-        """The derivatives of the given orders along axis 0 (u) or 1 (v),
-        in the order given; order 0 is ``vals`` itself. Along a spectral
-        direction one forward FFT serves all the orders."""
-        todo = [m for m in orders if m]
-        if not todo:
-            return [vals] * len(orders)
-        if self.spectral(axis):
-            return self.derivatives_from(self.transform(vals, axis), vals, axis, orders)
-        if axis == 0:
-            ders = [np.einsum("ij,j...->i...", self._fd_matrix("u", m), vals) for m in todo]
-        else:
-            ders = [np.einsum("ij,kj...->ki...", self._fd_matrix("v", m), vals) for m in todo]
-        out = {0: vals, **dict(zip(todo, ders))}
-        return [out[m] for m in orders]
+    def _along(self, vals: np.ndarray, axis: int, orders, fk: np.ndarray | None = None) -> list:
+        """The derivatives of the given orders (each >= 1) along axis 0 (u)
+        or 1 (v); along a spectral direction all from one forward FFT, fk =
+        ``transform(vals, axis)``, taken here unless given."""
+        if not orders:
+            return []
+        if not self.spectral(axis):
+            spec = "ij,j...->i..." if axis == 0 else "ij,kj...->ki..."
+            return [np.einsum(spec, self._fd_matrix("uv"[axis], m), vals) for m in orders]
+        fk = self.transform(vals, axis) if fk is None else fk
+        period = self._lu if axis == 0 else (self._lv if self.domain.periodic_v else 2.0 * self._lv)
+        ders = spectral_derivatives(fk, self.transform_size(axis), orders, period, axis)
+        if axis == 0 or self.domain.periodic_v:
+            return ders
+        # the first half of the pole extension, copied so it keeps the memory layout of vals
+        return [der[:, : self.domain.nv].copy(order="K") for der in ders]
 
-    def derivatives_from(self, fk: np.ndarray, vals: np.ndarray, axis: int, orders) -> list:
-        """``derivatives(vals, axis, orders)`` along a spectral direction,
-        from fk = ``transform(vals, axis)``."""
-        todo = [m for m in orders if m]
-        n = self.transform_size(axis)
-        if axis == 0:
-            ders = spectral_derivatives(fk, n, todo, self._lu, 0)
-        elif self.domain.periodic_v:
-            ders = spectral_derivatives(fk, n, todo, self._lv, 1)
-        else:  # over the pole extension, of twice the length of v_range
-            ders = spectral_derivatives(fk, n, todo, 2.0 * self._lv, 1)
-            # the first half, copied so it keeps the memory layout of vals
-            ders = [der[:, : self.domain.nv].copy(order="K") for der in ders]
-        out = {0: vals, **dict(zip(todo, ders))}
-        return [out[m] for m in orders]
+    def jet(self, vals: np.ndarray, order: int, spectra: dict | None = None) -> dict:
+        """{(a, b): d^a_u d^b_v vals} for a + b <= order, (0, 0) being vals:
+        the u-derivatives, then the v-derivatives of each, one forward FFT
+        per spectral pass; ``spectra`` = {axis: transform(vals, axis)} saves
+        the first two, when already taken."""
+        spectra = spectra or {}
+        out = {}
+        du = [vals, *self._along(vals, 0, range(1, order + 1), spectra.get(0))]
+        for a, x in enumerate(du):
+            dv = [x, *self._along(x, 1, range(1, order - a + 1), None if a else spectra.get(1))]
+            out.update(((a, b), y) for b, y in enumerate(dv))
+        return out
 
     def partial(self, vals: np.ndarray, a: int, b: int) -> np.ndarray:
-        """a-th u-derivative and b-th v-derivative of grid values."""
-        du = self.derivatives(np.asarray(vals, dtype=float), 0, (a,))[0]
-        return self.derivatives(du, 1, (b,))[0]
+        """The (a, b) entry of ``jet``, taken alone."""
+        x = np.asarray(vals, dtype=float)
+        x = self._along(x, 0, (a,))[0] if a else x
+        return self._along(x, 1, (b,))[0] if b else x

@@ -360,8 +360,7 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
     node = _nonfinite_node(x)
     if node is not None:
         raise ConfigError(f"{name}: non-finite position at node {node}")
-    # one forward transform along u, then one along v per u-order; the
-    # first two also give the spectral tail
+    # the forward transforms along u and v serve the tail guard, then the jet
     spectra = {axis: ops.transform(x, axis) for axis in (0, 1)}
     for direction, share in _tail_shares(spectra, ops).items():
         if share > SPECTRAL_TAIL_BOUND:
@@ -373,10 +372,7 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
                 f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
                 f"{nu}x{nv} grid does not resolve it and its jets would be aliased; {fix}"
             )
-    du = ops.derivatives_from(spectra[0], x, 0, range(JET_ORDER + 1))
-    dv = [ops.derivatives_from(spectra[1], x, 1, range(JET_ORDER + 1))]
-    dv += [ops.derivatives(du[a], 1, range(JET_ORDER + 1 - a)) for a in range(1, JET_ORDER + 1)]
-    return {(a, b): dv[a][b] for a, b in MULTI_INDICES}
+    return ops.jet(x, JET_ORDER, spectra)
 
 
 def _stencil_tables(h: float):

@@ -99,8 +99,6 @@ def _operators(s: SurfaceSample) -> SimpleNamespace:
         grad=cache(lambda x, y: grad_inner(x, y, s)),
         h=h_t,
         h2=cache(lambda: h_squared(s)),
-        Hf=cache(lambda: curvature_field(s, "H")),
-        Kf=cache(lambda: curvature_field(s, "K")),
     )
 
 
@@ -120,7 +118,7 @@ def _laplacian_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.n
     uv = u.values
     return (
         2.0 * uv * ops.h_hess(f)
-        + 2.0 * uv * ops.grad(ops.Hf(), f)
+        + 2.0 * uv * ops.grad(curvature_field(ops.s, "H"), f)
         + 2.0 * bilinear(ops.h(), u, f, ops.s)
         - 2.0 * ops.H * ops.grad(u, f)
     )
@@ -130,7 +128,7 @@ def _h_hess_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndar
     """<h, Hess>'[u, f]: the derivative of <h, Hess f> along u, f held fixed on the chart."""
     uv, s = u.values, ops.s
     # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
-    grad_h2_f = 8.0 * ops.H * ops.grad(ops.Hf(), f) - 2.0 * ops.grad(ops.Kf(), f)
+    grad_h2_f = 8.0 * ops.H * ops.grad(curvature_field(s, "H"), f) - 2.0 * ops.grad(curvature_field(s, "K"), f)
     return (
         contract(ops.hess(u), ops.hess(f), s).values
         + 3.0 * uv * contract(ops.h2(), ops.hess(f), s).values
@@ -154,29 +152,24 @@ def _first_variation(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField, all
     return integrate(integrand, ops.s, allow_open=allow_open)
 
 
-def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: Optional[tuple]) -> ScalarField:
-    """Field G(H, K) on the surface from its values. With ``derivs``, the
-    values of (G_H, G_K, G_HH, G_HK, G_KK), its jet composes the jets of H
-    and K by the order-2 chain rule; without, its partials are
-    grid-differentiated."""
-    if derivs is None:
-        return ScalarField(vals, s)
+def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: tuple) -> ScalarField:
+    """Field G(H, K) on the surface from its values and those of (G_H, G_K,
+    G_HH, G_HK, G_KK): its jet composes the jets of H and K by the order-2
+    chain rule."""
     H, K = (curvature_field(s, which).taylor() for which in ("H", "K"))
     return ScalarField(vals, s, jet=Taylor2.compose2(H, K, vals, *derivs))
 
 
 def _el_residual(s: SurfaceSample, E: EnergyDensity) -> tuple[ScalarField, np.ndarray]:
     """``el_residual`` and the values of E, from one guarded evaluation of E
-    and every partial the residual reads: with E's third partials, the jets
-    of E_H and E_K compose those of H and K; without, their partials are
-    grid-differentiated."""
+    and all ten partials the residual reads: the jets of E_H and E_K
+    compose those of H and K."""
     ops = _operators(s)
-    jets = E.third is not None
-    more = ("E_HH", "E_HK", "E_KK", "HHH", "HHK", "HKK", "KKK") if jets else ()
-    Ev, EH, EK, *d = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K", *more)
-    EHH, EHK, EKK, HHH, HHK, HKK, KKK = d or (None,) * 7
-    EH_field = _composed_field(s, EH, (EHH, EHK, HHH, HHK, HKK) if jets else None)
-    EK_field = _composed_field(s, EK, (EHK, EKK, HHK, HKK, KKK) if jets else None)
+    Ev, EH, EK, EHH, EHK, EKK, HHH, HHK, HKK, KKK = E.guarded(
+        ops.H, ops.K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK", "HHH", "HHK", "HKK", "KKK"
+    )
+    EH_field = _composed_field(s, EH, (EHH, EHK, HHH, HHK, HKK))
+    EK_field = _composed_field(s, EK, (EHK, EKK, HHK, HKK, KKK))
     return ScalarField(_dK(ops, EK_field, plus=_dH(ops, EH_field)) - 2.0 * ops.H * Ev, s), Ev
 
 
@@ -454,19 +447,18 @@ def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarFiel
 
 
 def _evolution_measures(st: SurfaceSample, f: Optional[ScalarField], quantities) -> list:
-    """``quantities`` measured on the sample st, in order; Hess f is built
-    once for both quantities that read it."""
+    """``quantities`` measured on the sample st, in order, over one operator
+    cache: one Hess f, from the chart partials f keeps across samples."""
     ff = fundamental_forms(st)
-    cs = curvature_scalars(st)
-    hess_f = cache(lambda: hessian(f.with_sample(st), st))
+    ops = _operators(st)
     measures = {
         "g": lambda: ff.g,
         "g_inv": lambda: ff.g_inv,
         "dS": lambda: ff.dS_weight,
-        "2H": lambda: 2.0 * cs.H,
-        "K": lambda: cs.K,
-        "laplacian_f": lambda: metric_trace(hess_f(), st).values,
-        "h_hess_f": lambda: contract(shape_tensor(st), hess_f(), st).values,
+        "2H": lambda: 2.0 * ops.H,
+        "K": lambda: ops.K,
+        "laplacian_f": lambda: ops.lap(f),
+        "h_hess_f": lambda: ops.h_hess(f),
     }
     return [measures[q]() for q in quantities]
 

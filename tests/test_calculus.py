@@ -21,7 +21,6 @@ from curvevar.calculus import (
     grad_inner,
     hessian,
     import_field_csv,
-    metric_tensor,
     shape_tensor,
 )
 from curvevar.catalog import CATALOG_NAMES
@@ -53,8 +52,11 @@ def test_integration_by_parts(torus):
 
 
 def test_hessian_trace_is_laplacian(torus):
+    from curvevar.calculus import TensorField02
+    from curvevar.curvature import fundamental_forms
+
     f = random_smooth_field(torus, 4)
-    tr = contract(metric_tensor(torus), hessian(f, torus), torus)
+    tr = contract(TensorField02(fundamental_forms(torus).g, torus), hessian(f, torus), torus)
     lap = laplace_beltrami(f, torus)
     assert np.max(np.abs(tr.values - lap.values)) < 1e-8
 
@@ -232,7 +234,8 @@ def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, cliffor
     """The torus and the sphere share a 128 x 64 grid but not a chart: the
     operators, the quadrature and the variation formulas refuse a torus
     field on the sphere (they used to return numbers, e.g. a Laplacian
-    with sup 6263). A field rebound within one chart grid stays accepted."""
+    with sup 6263). A torus field stays accepted on another sample of the
+    torus's chart grid."""
     from curvevar import first_variation
     from curvevar.calculus import gradient
     from curvevar.densities import willmore
@@ -253,5 +256,34 @@ def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, cliffor
         with pytest.raises(ConfigError, match="the field lives on the chart grid of torus, not on that of sphere"):
             call()
     assert clifford.domain == torus.domain
-    w = u.with_sample(clifford)
-    assert np.isfinite(integrate(laplace_beltrami(w, clifford), clifford))
+    assert np.isfinite(integrate(laplace_beltrami(u, clifford), clifford))
+
+
+def test_value_only_field_takes_one_grid_jet(sphere, fft_counts):
+    """A field without a jet takes its five partials from one order-2 grid
+    jet on first use, 3 forward and 5 inverse FFTs on the lat-long sphere
+    (one partial at a time took 6/6), each bit for bit the partial taken
+    alone; it refuses partials above order 2 as a Taylor2 jet does."""
+    from curvevar.curvature import TAYLOR_INDICES
+    from curvevar.errors import ConfigError
+
+    f = ScalarField(random_smooth_field(sphere, 3).values, sphere)
+    fft_counts[:] = [0, 0]
+    jet = f.taylor()
+    assert f.taylor().parts[1] is jet.parts[1]
+    assert fft_counts == [3, 5]
+    for (a, b), x in zip(TAYLOR_INDICES, jet.parts):
+        assert np.array_equal(x, sphere.chart_ops().partial(f.values, a, b)), (a, b)
+    with pytest.raises(ConfigError, match="Taylor jets carry chart partials to order 2 only"):
+        f.partial(3, 0)
+
+
+def test_curvature_fields_are_built_once_per_orientation(torus):
+    """A sample keeps one H field and one K field; a flipped sample builds
+    its own, with H negated."""
+    H = curvature_field(torus, "H")
+    assert curvature_field(torus, "H") is H and curvature_field(torus, "K") is curvature_field(torus, "K")
+    flipped = torus.flipped()
+    H_flipped = curvature_field(flipped, "H")
+    assert H_flipped is not H and curvature_field(flipped, "H") is H_flipped
+    assert np.array_equal(H_flipped.values, -H.values)

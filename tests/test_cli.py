@@ -513,3 +513,69 @@ def test_spectrum_refuses_an_index_whose_eigenvalue_overflows(capsys):
     assert code == 1 and out == ""
     assert err.startswith("curvevar: spectrum index k is too large: lambda_k = k(k+1)/r^2 is not a finite float")
     assert "Traceback" not in err
+
+
+def _csv_rows(text: str) -> list:
+    import csv
+    import io
+
+    return list(csv.reader(io.StringIO(text)))
+
+
+def test_key_value_csv_reads_back_as_two_fields(capsys):
+    """A value holding a comma is quoted, so every key/value row reads back
+    as two fields; the rows without a comma keep their plain bytes."""
+    code, out, _ = run(capsys, "energy", "--surface", "torus:R=2,a=1", "--density", "bending", "--format", "csv")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [len(row) for row in rows] == [2, 2, 2, 2]
+    assert rows[0] == ["key", "value"] and ["surface", "torus:R=2,a=1"] in rows
+    assert out.startswith("key,value\ndensity,bending\n") and '\nsurface,"torus:R=2,a=1"\n' in out
+
+
+def test_verify_all_csv_flattens_the_criteria(capsys, monkeypatch):
+    """verify-all --format csv writes one row per leaf of each criterion,
+    keyed like criteria[0].details.value, a title with a comma quoted
+    (the battery is stubbed by two small criteria)."""
+    from curvevar import acceptance
+
+    criteria = [
+        {"id": 1, "title": "plain", "passed": True, "details": {"value": 1.5, "ratios": [0.25, 0.5]}},
+        {"id": 2, "title": "totals, and a gap", "passed": True, "details": {"value": None}},
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: criteria)
+    code, out, _ = run(capsys, "verify-all", "--format", "csv")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert all(len(row) == 2 for row in rows)
+    got = dict(rows[1:])
+    assert got["criteria[0].details.value"] == "1.5" and got["criteria[0].details.ratios[1]"] == "0.5"
+    assert got["criteria[1].title"] == "totals, and a gap" and got["criteria[1].details.value"] == "None"
+    assert got["n_passed"] == "2" and got["passed"] == "True"
+
+
+@pytest.mark.parametrize(
+    "conf,typed",
+    [
+        ({"p": 3, "lmax": 2}, ["sphere-stability", "--p", "3", "--lmax", "2"]),
+        ({"k": 2}, ["spectrum", "--k", "2"]),
+    ],
+)
+def test_config_supplies_a_required_flag(conf, typed, tmp_path, capsys):
+    """A --config file can give a required flag: the output is the bytes
+    of the typed-flag form."""
+    code, want, _ = run(capsys, *typed)
+    assert code == 0
+    code, got, err = run(capsys, typed[0], "--config", _config(tmp_path, conf))
+    assert code == 0 and got == want, err
+
+
+def test_config_required_flag_loses_to_a_typed_one(tmp_path, capsys):
+    code, out, _ = run(capsys, "spectrum", "--config", _config(tmp_path, {"k": 2}), "--k", "1")
+    assert code == 0 and json.loads(out)["k"] == 1
+
+
+def test_config_without_a_value_is_reported_by_the_subcommand(capsys):
+    code, out, err = run(capsys, "spectrum", "--config")
+    assert code == 1 and out == ""
+    assert err.startswith("usage: curvevar spectrum") and "argument --config: expected one argument" in err

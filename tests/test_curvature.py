@@ -264,7 +264,7 @@ def test_christoffel_symbols_are_built_when_first_read(torus):
     ff = fundamental_forms(d)
     before = set(vars(ff))
     assert "christoffel" not in before
-    hessian(u.with_sample(d), d)
+    hessian(u, d)
     assert set(vars(ff)) - before == {"christoffel"}
     assert fundamental_forms(d).christoffel is ff.christoffel
     assert not hasattr(ff, "dg") and not hasattr(ff, "gamma")

@@ -272,25 +272,6 @@ def test_el_residual_refuses_non_finite_third_partials():
         el_residual(s, E)
 
 
-# largest |difference| measured between the two routes: 2.3e-12 on the
-# torus, 5.6e-9 on the unit sphere (whose lat-long chart's pole rows
-# amplify grid-differentiation round-off)
-_FALLBACK_BOUND = {"torus": 1e-11, "sphere": 2e-8}
-
-
-@pytest.mark.parametrize("name", ["torus", "sphere"])
-def test_el_residual_grid_partial_fallback(name, request):
-    """Without third partials, the composed fields E_H(H, K) and E_K(H, K)
-    of the residual take grid partials of their values instead of
-    chain-rule jets; both routes agree to the measured bound."""
-    s = request.getfixturevalue(name)
-    for E in (willmore(), bending(), pwillmore(3), ksquared()):
-        assert E.third is not None
-        jet_route = el_residual(s, E).values
-        grid_route = el_residual(s, dataclasses.replace(E, third=None)).values
-        assert np.max(np.abs(grid_route - jet_route)) < _FALLBACK_BOUND[name], E.name
-
-
 @pytest.mark.parametrize("name,seed", [("graph", 3), ("graph", 11), ("catenoid", 3), ("catenoid", 11)])
 def test_value_only_field_oracle_on_open_charts(name, seed):
     """A field given only by its grid values (as read from a CSV) deforms
@@ -629,3 +610,36 @@ def test_composed_variations_match_the_expanded_reference(name):
         ):
             value, expected = formula(s, E, u, open_chart), want(s, E, u, open_chart)
             assert abs(value - expected) <= 1e-14 * max(abs(expected), 1.0), (E.name, want.__name__, value, expected)
+
+
+def test_el_residual_takes_each_grid_partial_once(fft_counts):
+    """On a numeric-jet ellipsoid at 128 x 64, an EL residual takes one
+    order-2 grid jet of H and one of K, 3 forward and 5 inverse FFTs each
+    (one partial at a time, and each field twice, took 24/24); the same
+    residual again and a forced second variation after it take none."""
+    from curvevar import default_domain, sample_callable
+
+    def ellipsoid(U, V):
+        return np.stack([np.sin(V) * np.cos(U), 1.5 * np.sin(V) * np.sin(U), 0.8 * np.cos(V)], axis=-1)
+
+    s = sample_callable(ellipsoid, default_domain("sphere"))
+    assert s.shape == (128, 64)
+    u = random_smooth_field(s, 3)
+    fft_counts[:] = [0, 0]
+    el_residual(s, willmore())
+    assert fft_counts == [6, 10]
+    el_residual(s, willmore())
+    assert fft_counts == [6, 10]
+    second_variation(s, willmore(), u, force=True)
+    assert fft_counts == [6, 10]
+
+
+def test_evolution_check_keeps_the_grid_jet_of_f(torus, fft_counts):
+    """A field without a jet keeps its one grid jet (3 forward, 5 inverse
+    FFTs) across the four deformed samples of an evolution check and the
+    closed forms (a jet per sample, one partial at a time, took 30/30)."""
+    u = random_smooth_field(torus, 4)
+    f = ScalarField(random_smooth_field(torus, 202).values, torus)
+    fft_counts[:] = [0, 0]
+    evolution_check_many(torus, u, f)
+    assert fft_counts == [3, 5]

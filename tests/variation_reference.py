@@ -47,9 +47,8 @@ def el_residual(s, E):
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
     Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
-    analytic = E.third is not None
-    EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK") if analytic else None)
-    EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK") if analytic else None)
+    EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK"))
+    EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK"))
     hess_EK = hessian(EK_field, s)
     lap_EH = laplace_beltrami(EH_field, s).values
     lap_EK = metric_trace(hess_EK, s).values
