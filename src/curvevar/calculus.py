@@ -46,7 +46,8 @@ class ScalarField:
 
     ``jet``, an optional order-2 ``Taylor2``, carries the chart partials
     d^a_u d^b_v on the grid; without one, all five come from one grid jet
-    on first use and are cached. A field lives on the grid only.
+    on first use into ``_cache``, a dict a sample may share with the
+    fields it hands out. A field lives on the grid only.
     """
 
     def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None):
@@ -65,7 +66,7 @@ class ScalarField:
         if a + b > 2:
             raise ConfigError("Taylor jets carry chart partials to order 2 only")
         if not self._cache:
-            self._cache = self.sample.chart_ops().jet(self.values, 2)
+            self._cache.update(self.sample.chart_ops().jet(self.values, 2))
         return self._cache[(a, b)]
 
     @property
@@ -97,8 +98,7 @@ class ScalarField:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        if self.sample is not other.sample:
-            raise ConfigError("fields bound to different samples")
+        _require_same_grid(other.sample, self.sample)
         jet = None if self.jet is None or other.jet is None else self.jet + other.jet
         return ScalarField(self.values + other.values, self.sample, jet=jet)
 
@@ -205,22 +205,28 @@ class TensorField02:
 
 
 def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
-    """H, K, or K_E as a ScalarField, built once per sample and cached in
-    its orientation.
-
-    On exact-jet samples the chart partials are the Taylor jets of
-    ``curvature_jets``; on numeric-jet samples they come from grid
-    differentiation, since the order-3/4 stencil jets of open charts are
-    too inexact to push through.
+    """H, K, or K_E as a new ScalarField on each call, over chart partials
+    the sample keeps, built once per sample: on exact-jet samples one
+    Taylor jet from ``curvature_jets``; on numeric-jet samples one dict of
+    grid partials, taken on first read, since the order-3/4 stencil jets
+    of open charts are too inexact to push through. Two calls give two
+    fields over the same data; compare them by ``.jet`` or values.
     """
+    cs = curvature_scalars(sample)
+    values = {"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which]
     key = ("curvature_field", which)
     if key not in sample._cache:
-        cs, jet = curvature_scalars(sample), None
         if sample.provenance is Provenance.ANALYTIC:
             H, K_E = curvature_jets(sample)
-            jet = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
-        sample._cache[key] = ScalarField({"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which], sample, jet=jet)
-    return sample._cache[key]
+            sample._cache[key] = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
+        else:
+            sample._cache[key] = {}
+    data = sample._cache[key]
+    if isinstance(data, Taylor2):
+        return ScalarField(values, sample, jet=data)
+    f = ScalarField(values, sample)
+    f._cache = data
+    return f
 
 
 # -- differential operators -------------------------------------------------

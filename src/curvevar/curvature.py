@@ -16,7 +16,8 @@ written once and evaluated either on grid values (``fundamental_forms``,
 ``curvature_scalars``) or on order-2 ``Taylor2`` jets (``_metric_jets``,
 ``normal_jet``, ``curvature_jets``), so the value part of every jet equals
 the grid value bit for bit. A sample caches one normal jet, the oriented
-N, which the deformation and the curvature jets share.
+N, which the deformation and the curvature jets share; a flipped sample
+builds its own.
 
 Every per-node bilinear map is one table of +-x_a y_b terms per entry of
 its value (``surface._Bilinear``): the 2x2 algebra below and in
@@ -207,13 +208,6 @@ class FundamentalForms:
         # symbols are built from (not the sample, which caches this object)
         self._jets, self._inner = jets, inner
 
-    def flipped(self) -> "FundamentalForms":
-        """The forms in the opposite orientation: N and h negated, the rest
-        (the Christoffel symbols too, once read) shared."""
-        out = FundamentalForms(self.g, self.g_inv, -self.h, -self.N, self.dS_weight, self._jets, self._inner)
-        out.__dict__.update((k, v) for k, v in vars(self).items() if k == "christoffel")
-        return out
-
     @cached_property
     def christoffel(self) -> np.ndarray:
         """(nu, nv, 2, 2, 2): christoffel[..., l, a, b] = Gamma_l,ab = <r_ab, r_l>,
@@ -349,10 +343,9 @@ def _symmetric_block(a00, a01, a11) -> np.ndarray:
 
 
 def _metric_jets(sample: SurfaceSample) -> tuple:
-    """Order-2 jets of g_00, g_01, g_11; order-3 immersion jets suffice."""
-    if "metric_jets" not in sample._cache:
-        sample._cache["metric_jets"] = _metric(sample.sf, *(Taylor2.from_jets(sample.jets, e) for e in _E))
-    return sample._cache["metric_jets"]
+    """Order-2 jets of g_00, g_01, g_11, not cached (``curvature_jets`` and
+    Brioschi read them once each); order-3 immersion jets suffice."""
+    return _metric(sample.sf, *(Taylor2.from_jets(sample.jets, e) for e in _E))
 
 
 def normal_jet(sample: SurfaceSample) -> Taylor2:

@@ -123,18 +123,16 @@ def _sphere_radius(sample: SurfaceSample) -> float:
 
 def harmonic_field(sample: SurfaceSample, l: int, m: int) -> ScalarField:
     """Y_{l,m} scaled to be L2-orthonormal on the sampled sphere, with its
-    closed-form jet. ``ScalarField(harmonic_field(s, l, m).values, s)``
-    keeps the values only, so its derivatives go through the grid
+    closed-form jet: the sample keeps one jet per (l, m), and each call
+    wraps it in a new field. ``ScalarField(harmonic_field(s, l, m).values,
+    s)`` keeps the values only, so its derivatives go through the grid
     operators (as the spectrum checks want)."""
     key = ("harmonic", l, m)
-    if key in sample._cache:
-        return sample._cache[key]
-    r = _sphere_radius(sample)
-    y = _harmonic_expr(l, m)
-    jet = y.jet(*sample.domain.meshes()) * (1.0 / r)
-    f = ScalarField(jet.value, sample, jet=jet)
-    sample._cache[key] = f
-    return f
+    if key not in sample._cache:
+        r = _sphere_radius(sample)
+        sample._cache[key] = _harmonic_expr(l, m).jet(*sample.domain.meshes()) * (1.0 / r)
+    jet = sample._cache[key]
+    return ScalarField(jet.value, sample, jet=jet)
 
 
 def random_span_field(sample: SurfaceSample, seed: int) -> ScalarField:

@@ -105,14 +105,11 @@ class Provenance(Enum):
 MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER + 1) if a + b <= JET_ORDER]
 
 
-# the cache entries of a sample that do not depend on its orientation: the
-# chart operators and the order-2 jets of g
-_ORIENTATION_FREE = ("chart_ops", "metric_jets")
-
-
 @dataclass
 class SurfaceSample:
-    """Grid of immersion jets: {(a, b): d^a_u d^b_v r} at every node."""
+    """Grid of immersion jets: {(a, b): d^a_u d^b_v r} at every node. Its
+    ``_cache`` holds what is built from it (arrays, jets, forms), never an
+    object that refers back to a sample, so a dropped sample is freed."""
 
     domain: PatchDomain
     sf: SpaceForm
@@ -144,13 +141,10 @@ class SurfaceSample:
         return self._cache["chart_ops"]
 
     def flipped(self) -> "SurfaceSample":
-        """The sample in the opposite orientation. Its cache keeps what the
-        orientation leaves alone, and the fundamental forms with N and h
-        negated; what is built from N or h is built again on first read."""
-        cache = {k: v for k, v in self._cache.items() if k in _ORIENTATION_FREE}
-        if "forms" in self._cache:
-            cache["forms"] = self._cache["forms"].flipped()
-        return replace(self, orientation_sign=-self.orientation_sign, _cache=cache)
+        """The sample in the opposite orientation: the same jets and an
+        empty cache. Every sign flip is exact, so its N and h, built again
+        on first read, are the negations of this sample's bit for bit."""
+        return replace(self, orientation_sign=-self.orientation_sign, _cache={})
 
     @property
     def jet_order(self) -> int:

@@ -83,7 +83,8 @@ def functional_value(s: SurfaceSample, E: EnergyDensity, allow_open: bool = Fals
 def _operators(s: SurfaceSample) -> SimpleNamespace:
     """The curvature scalars of s and the operators the variation formulas
     read, each built once per argument: Hess f serves Lap f, <h, Hess f>
-    and <Hess u, Hess f>."""
+    and <Hess u, Hess f>, and ``field`` holds one H and one K field, so
+    ``grad`` finds them again."""
     cs = curvature_scalars(s)
     hess = cache(lambda x: hessian(x, s))
     h_t = cache(lambda: shape_tensor(s))
@@ -99,6 +100,7 @@ def _operators(s: SurfaceSample) -> SimpleNamespace:
         grad=cache(lambda x, y: grad_inner(x, y, s)),
         h=h_t,
         h2=cache(lambda: h_squared(s)),
+        field=cache(lambda which: curvature_field(s, which)),
     )
 
 
@@ -118,7 +120,7 @@ def _laplacian_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.n
     uv = u.values
     return (
         2.0 * uv * ops.h_hess(f)
-        + 2.0 * uv * ops.grad(curvature_field(ops.s, "H"), f)
+        + 2.0 * uv * ops.grad(ops.field("H"), f)
         + 2.0 * bilinear(ops.h(), u, f, ops.s)
         - 2.0 * ops.H * ops.grad(u, f)
     )
@@ -128,7 +130,7 @@ def _h_hess_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndar
     """<h, Hess>'[u, f]: the derivative of <h, Hess f> along u, f held fixed on the chart."""
     uv, s = u.values, ops.s
     # <grad |h|^2, grad f> via |h|^2 = 4H^2 - 2(K - k0)
-    grad_h2_f = 8.0 * ops.H * ops.grad(curvature_field(s, "H"), f) - 2.0 * ops.grad(curvature_field(s, "K"), f)
+    grad_h2_f = 8.0 * ops.H * ops.grad(ops.field("H"), f) - 2.0 * ops.grad(ops.field("K"), f)
     return (
         contract(ops.hess(u), ops.hess(f), s).values
         + 3.0 * uv * contract(ops.h2(), ops.hess(f), s).values

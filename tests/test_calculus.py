@@ -232,11 +232,11 @@ def test_a_repeated_expression_is_lambdified_once(torus, monkeypatch):
 
 def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, clifford):
     """The torus and the sphere share a 128 x 64 grid but not a chart: the
-    operators, the quadrature and the variation formulas refuse a torus
-    field on the sphere (they used to return numbers, e.g. a Laplacian
-    with sup 6263). A torus field stays accepted on another sample of the
-    torus's chart grid."""
-    from curvevar import first_variation
+    operators, the quadrature, field addition and the variation formulas
+    refuse a torus field on the sphere (they used to return numbers, e.g. a
+    Laplacian with sup 6263). A torus field stays accepted on another
+    sample of the torus's chart grid, and adds to a field there."""
+    from curvevar import deform_normal, first_variation
     from curvevar.calculus import gradient
     from curvevar.densities import willmore
     from curvevar.errors import ConfigError
@@ -251,12 +251,16 @@ def test_operators_refuse_a_field_from_another_chart_grid(torus, sphere, cliffor
         lambda: contract(hessian(u, torus), shape_tensor(sphere), sphere),
         lambda: contract(shape_tensor(sphere), shape_tensor(torus), sphere),
         lambda: integrate(u, sphere),
+        lambda: random_smooth_field(sphere, 3) + u,
     )
     for call in refused:
         with pytest.raises(ConfigError, match="the field lives on the chart grid of torus, not on that of sphere"):
             call()
     assert clifford.domain == torus.domain
     assert np.isfinite(integrate(laplace_beltrami(u, clifford), clifford))
+    H = curvature_field(deform_normal(torus, u, 0.01), "H")
+    total = H + u
+    assert total.sample is H.sample and np.array_equal(total.values, H.values + u.values)
 
 
 def test_value_only_field_takes_one_grid_jet(sphere, fft_counts):
@@ -279,11 +283,22 @@ def test_value_only_field_takes_one_grid_jet(sphere, fft_counts):
 
 
 def test_curvature_fields_are_built_once_per_orientation(torus):
-    """A sample keeps one H field and one K field; a flipped sample builds
-    its own, with H negated."""
+    """A sample keeps one H jet and one K jet, and every call wraps them in
+    a new field; a flipped sample builds its own, with H negated. A
+    numeric-jet sample keeps one dict of grid partials per scalar instead,
+    which every field it hands out fills and reads."""
+    from curvevar import deform_normal
+
     H = curvature_field(torus, "H")
-    assert curvature_field(torus, "H") is H and curvature_field(torus, "K") is curvature_field(torus, "K")
+    assert curvature_field(torus, "H").jet is H.jet and curvature_field(torus, "K").jet is curvature_field(torus, "K").jet
     flipped = torus.flipped()
     H_flipped = curvature_field(flipped, "H")
-    assert H_flipped is not H and curvature_field(flipped, "H") is H_flipped
+    assert H_flipped.jet is not H.jet and curvature_field(flipped, "H").jet is H_flipped.jet
     assert np.array_equal(H_flipped.values, -H.values)
+    d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
+    H_d = curvature_field(d, "H")
+    H_d.partial(1, 0)
+    again = curvature_field(d, "H")
+    assert again is not H_d and again.jet is None and again._cache is H_d._cache and len(H_d._cache) == 6
+    assert curvature_field(d, "K")._cache is not H_d._cache
+

@@ -213,8 +213,9 @@ def test_harmonic_field_matches_sympy(l, small_sphere):
                 assert err <= 1e-14 * np.max(np.abs(want)), (m, a, b)
         with pytest.raises(ConfigError):
             y.partial(3, 0)
-        # one cached field per (l, m)
-        assert harmonic_field(s, l, m) is y
+        # one cached jet per (l, m), in a new field on each call
+        again = harmonic_field(s, l, m)
+        assert again is not y and again.jet is y.jet
 
 
 def test_harmonic_field_degree_zero_and_bad_order(small_sphere):

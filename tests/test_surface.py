@@ -644,32 +644,29 @@ def test_catalog_orientation(name, params, sign):
     assert H.flat[np.argmax(np.abs(H))] >= -1e-9
 
 
-def test_flipped_catalog_sample_keeps_its_orientation_free_forms(monkeypatch):
-    """A catalog sample flipped to H > 0 (the torus) carries g, g^-1 and dS
-    over from the check and negates N and h: g is built once, and the
-    forms equal a fresh build in the flipped orientation bit for bit."""
-    import dataclasses
+def test_flipped_catalog_sample_keeps_its_orientation_free_forms():
+    """A flipped sample starts with an empty cache and builds its forms
+    again; every sign flip is exact, so on the six catalog charts and the
+    numeric-jet H^3 sphere its g, g^-1, dS, Christoffel symbols, K_E and K
+    equal the original's bit for bit, and its N, h, H, normal jet and H jet
+    are their negations."""
+    from curvevar.curvature import curvature_jets, fundamental_forms, normal_jet
 
-    import curvevar.curvature
-    from curvevar.curvature import fundamental_forms, normal_jet
-
-    calls = []
-    metric = curvevar.curvature._metric
-
-    def counting(sf, ru, rv):
-        calls.append("jet" if isinstance(ru, curvevar.curvature.Taylor2) else "grid")
-        return metric(sf, ru, rv)
-
-    monkeypatch.setattr(curvevar.curvature, "_metric", counting)
-    s = sample_builtin("torus", {}, domain=default_domain("torus", {}, 32, 16))
-    ff = fundamental_forms(s)
-    assert s.orientation_sign == -1.0 and calls == ["grid"]
-    fresh = dataclasses.replace(s, _cache={})
-    want = fundamental_forms(fresh)
-    for name in ("g", "g_inv", "h", "N", "dS_weight", "christoffel"):
-        assert np.array_equal(getattr(ff, name), getattr(want, name)), name
-    for x, y in zip(normal_jet(s).parts, normal_jet(fresh).parts):
-        assert np.array_equal(x, y)
+    for name in (*CATALOG_NAMES, "h3_sphere"):
+        s = _h3_sphere(nu=32, nv=16) if name == "h3_sphere" else sample_builtin(name)
+        flipped = s.flipped()
+        assert flipped.orientation_sign == -s.orientation_sign and flipped.jets is s.jets and not flipped._cache
+        ff, ff_flipped = fundamental_forms(s), fundamental_forms(flipped)
+        cs, cs_flipped = curvature_scalars(s), curvature_scalars(flipped)
+        for attr in ("g", "g_inv", "dS_weight", "christoffel"):
+            assert np.array_equal(getattr(ff, attr), getattr(ff_flipped, attr)), (name, attr)
+        for attr in ("K_E", "K"):
+            assert np.array_equal(getattr(cs, attr), getattr(cs_flipped, attr)), (name, attr)
+        pairs = [(ff.N, ff_flipped.N), (ff.h, ff_flipped.h), (cs.H, cs_flipped.H)]
+        pairs += zip(normal_jet(s).parts, normal_jet(flipped).parts)
+        pairs += zip(curvature_jets(s)[0].parts, curvature_jets(flipped)[0].parts)
+        for x, y in pairs:
+            assert np.array_equal(x, -y), name
 
 
 def _planes_contiguous(x) -> bool:

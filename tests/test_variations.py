@@ -643,3 +643,41 @@ def test_evolution_check_keeps_the_grid_jet_of_f(torus, fft_counts):
     fft_counts[:] = [0, 0]
     evolution_check_many(torus, u, f)
     assert fft_counts == [3, 5]
+
+
+def test_samples_are_freed_by_reference_counting():
+    """No cache entry of a sample refers back to a sample, so with the
+    cyclic collector off a sample is freed as soon as its last reference
+    goes, after an EL residual, both variations, the evolution checks and,
+    on the round sphere, harmonic fields and a stability report: on the
+    (flipped) catalog torus, the sphere, geodesic_sphere_S3 and the
+    numeric-jet H^3 sphere."""
+    import gc
+    import weakref
+
+    from curvevar import PWillmoreSetting, default_domain, stability_report
+
+    def exercise(name):
+        if name == "h3_sphere":
+            s = _h3_sphere(nu=32, nv=16)
+        else:
+            s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
+        assert name != "torus" or s.orientation_sign == -1.0
+        E, u, f = willmore(s.sf.k0), random_smooth_field(s, 1), random_smooth_field(s, 2)
+        el_residual(s, E)
+        first_variation(s, E, u)
+        second_variation(s, E, u, force=True)
+        evolution_check_many(s, u, f)
+        if name == "sphere":
+            harmonic_field(s, 2, 1)
+            stability_report(PWillmoreSetting(3.0), l_max=2, sample=s)
+        return weakref.ref(s)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("torus", "sphere", "geodesic_sphere_S3", "h3_sphere"):
+            assert exercise(name)() is None, name
+    finally:
+        if enabled:
+            gc.enable()
