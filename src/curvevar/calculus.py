@@ -329,14 +329,9 @@ def _direction_weights(domain: PatchDomain) -> tuple[np.ndarray, np.ndarray]:
     return wu, wv
 
 
-def integrate(f, s: SurfaceSample, allow_open: bool = False) -> float:
-    """Surface integral of f dS; f may be a ScalarField or a grid array.
-
-    Open (non-closed) patches require ``allow_open=True`` -- variation
-    values are then meaningful only for compactly supported fields.
-    """
-    if not s.domain.closed and not allow_open:
-        raise ConfigError("integrating over a non-closed patch requires allow_open=True")
+def integrate(f, s: SurfaceSample) -> float:
+    """Surface integral of f dS over the chart, open or closed; f may be a
+    ScalarField or a grid array."""
     if isinstance(f, ScalarField):
         _require_same_grid(f.sample, s)
         f = f.values
@@ -347,7 +342,7 @@ def integrate(f, s: SurfaceSample, allow_open: bool = False) -> float:
 
 
 def area(s: SurfaceSample) -> float:
-    return integrate(np.ones(s.shape), s, allow_open=True)
+    return integrate(np.ones(s.shape), s)
 
 
 # -- CSV helpers --------------------------------------------------------------

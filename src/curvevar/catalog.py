@@ -18,7 +18,7 @@ import numpy as np
 
 from .curvature import curvature_scalars
 from .errors import ConfigError
-from .spaceform import Model, SpaceForm
+from .spaceform import SpaceForm
 from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _empty_planes, check_immersion
 
 # the catalog charts and the parameters each takes
@@ -114,18 +114,6 @@ def _factor_values(f, X) -> np.ndarray:
     return getattr(np, kind)(X if w == 1.0 else w * X)
 
 
-def _space_form_for(name: str, params: dict, sf: SpaceForm | None) -> SpaceForm:
-    if name.endswith("_S3"):
-        rho = float(params.get("rho", sf.radius if sf is not None and sf.model is Model.SPHERE else 1.0))
-        want = SpaceForm.sphere(rho)
-        if sf is not None and (sf.model is not Model.SPHERE or abs(sf.radius - rho) > 1e-12):
-            raise ConfigError(f"{name} requires the spherical ambient of radius {rho}")
-        return want
-    if sf is not None and sf.model is not Model.EUCLIDEAN:
-        raise ConfigError(f"catalog surface '{name}' lives in Euclidean space")
-    return SpaceForm.euclidean()
-
-
 class ChartBundle:
     """Closed-form jets and position map of one catalog chart."""
 
@@ -212,10 +200,8 @@ def _check_params(name: str, params: dict) -> None:
 
 
 @lru_cache(maxsize=32)
-def _bundle(name: str, params_key: tuple, k0: float) -> ChartBundle:
-    params = dict(params_key)
-    sf = SpaceForm.from_k0(k0)
-    return ChartBundle(name, params, sf)
+def _bundle(name: str, params_key: tuple, sf: SpaceForm) -> ChartBundle:
+    return ChartBundle(name, dict(params_key), sf)
 
 
 def _check_poles(name: str, bundle: ChartBundle, domain: PatchDomain) -> None:
@@ -231,24 +217,20 @@ def _check_poles(name: str, bundle: ChartBundle, domain: PatchDomain) -> None:
             )
 
 
-def sample_builtin(
-    name: str,
-    params: dict | None = None,
-    domain: PatchDomain | None = None,
-    sf: SpaceForm | None = None,
-) -> SurfaceSample:
+def sample_builtin(name: str, params: dict | None = None, domain: PatchDomain | None = None) -> SurfaceSample:
     """Exact-jet sample of a catalog surface, checked and oriented as the
-    module docstring says. A pole-offset domain must end at poles of the
+    module docstring says, in Euclidean space or, for the S^3 charts, the
+    sphere of radius ``rho``. A pole-offset domain must end at poles of the
     chart in v (``ConfigError`` naming v_range otherwise)."""
     if name not in CATALOG_NAMES:
         raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
     params = dict(params or {})
     _check_params(name, params)
-    sf = _space_form_for(name, params, sf)
+    sf = SpaceForm.sphere(float(params.get("rho", 1.0))) if name.endswith("_S3") else SpaceForm.euclidean()
     if domain is None:
         domain = default_domain(name, params)
     key = tuple(sorted((k, float(v) if not isinstance(v, dict) else tuple(sorted(v.items()))) for k, v in params.items()))
-    bundle = _bundle(name, key, sf.k0)
+    bundle = _bundle(name, key, sf)
     if domain.pole_offset:
         _check_poles(name, bundle, domain)
 

@@ -169,8 +169,7 @@ def _cmd_curvature(args):
 def _cmd_energy(args):
     s = _make_sample(args)
     E = _make_density(args)
-    val = functional_value(s, E, allow_open=not s.domain.closed)
-    _emit(args, {"surface": args.surface, "density": E.name, "value": val})
+    _emit(args, {"surface": args.surface, "density": E.name, "value": functional_value(s, E)})
     return 0
 
 
@@ -178,21 +177,24 @@ def _cmd_variation(args, order: int):
     s = _make_sample(args)
     E = _make_density(args)
     u = _make_field(args.u, s)
-    allow = not s.domain.closed
     force = order == 2 and args.force
     if args.oracle:
         # one pass classifies the immersion (order 2) and evaluates the formula once
-        (val,), (rep,) = _oracle_core(s, (E,), u, order, allow, force)
+        (val,), (rep,) = _oracle_core(s, (E,), u, order, True, force)
     elif order == 1:
-        val = first_variation(s, E, u, allow_open=allow)
+        val = first_variation(s, E, u)
     else:
-        val = second_variation(s, E, u, allow_open=allow, force=force)
+        val = second_variation(s, E, u, force=force)
     payload = {"surface": args.surface, "density": E.name, "value": val}
     if force:
         payload["note"] = "formula outside stated validity (forced)"
     if args.oracle:
         payload["oracle"] = vars(rep)
     _emit(args, payload)
+    # verify-all's bounds: criterion 3's for order 1, criterion 6's for order 2
+    if args.oracle and (rep.rel_error > 1e-5 or rep.convergence_order < 1.9 if order == 1 else rep.rel_error > 1e-4):
+        print(f"curvevar: oracle check failed (rel_error {rep.rel_error:.3e}, order {rep.convergence_order:.3f})", file=sys.stderr)
+        return 2
     return 0
 
 

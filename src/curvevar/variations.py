@@ -13,9 +13,11 @@ is divergence-free by Codazzi), so the Euler-Lagrange residual is
 H'[E_H] + K'[E_K] - 2H E. The second variation differentiates once more
 along u: H'' and K'' take the derivatives Lap'[u, f] and <h, Hess>'[u, f]
 of the operators themselves, the same formulas the "laplacian_f" and
-"h_hess_f" evolution checks test node by node. The oracles recompute the
-same quantities on actually-deformed surfaces and difference them, so
-every formula is validated against the definition it encodes.
+"h_hess_f" evolution checks test node by node; at a fixed chart node H
+and K also move by u <grad H, grad u> and u <grad K, grad u>, so F'' holds
+on open charts too. The oracles recompute the same quantities on
+actually-deformed surfaces and difference them, so every formula is
+validated against the definition it encodes.
 """
 
 from __future__ import annotations
@@ -73,11 +75,11 @@ def _report(formula: float, oracle: float, step: float, order: float) -> Variati
     )
 
 
-def functional_value(s: SurfaceSample, E: EnergyDensity, allow_open: bool = False) -> float:
+def functional_value(s: SurfaceSample, E: EnergyDensity) -> float:
     """F = integral of E(H, K) dS."""
     cs = curvature_scalars(s)
     (Ev,) = E.guarded(cs.H, cs.K, "eval")
-    return integrate(Ev, s, allow_open=allow_open)
+    return integrate(Ev, s)
 
 
 def _operators(s: SurfaceSample) -> SimpleNamespace:
@@ -141,17 +143,17 @@ def _h_hess_dot(ops: SimpleNamespace, u: ScalarField, f: ScalarField) -> np.ndar
     )
 
 
-def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, allow_open: bool = False) -> float:
+def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField) -> float:
     """Normal-deformation derivative of F in direction u, in closed form:
     integral of E_H H'[u] + E_K K'[u] - 2H E u dS."""
-    return _first_variation(_operators(s), E, u, allow_open)
+    return _first_variation(_operators(s), E, u)
 
 
-def _first_variation(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
+def _first_variation(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField) -> float:
     """``first_variation`` over the operator cache ``ops`` of its sample."""
     Ev, EH, EK = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K")
     integrand = EH * _dH(ops, u) + EK * _dK(ops, u) - 2.0 * ops.H * Ev * u.values
-    return integrate(integrand, ops.s, allow_open=allow_open)
+    return integrate(integrand, ops.s)
 
 
 def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: tuple) -> ScalarField:
@@ -192,7 +194,7 @@ CRITICALITY_TOL = 1e-5
 def _area_mean(f: ScalarField) -> float:
     """Mean of f over its sample: the integral of f dS, with ``integrate``'s
     quadrature, over the area."""
-    return integrate(f, f.sample, allow_open=True) / area(f.sample)
+    return integrate(f, f.sample) / area(f.sample)
 
 
 def _criticality(s: SurfaceSample, E: EnergyDensity):
@@ -236,14 +238,10 @@ def _second_variation_multiplier(s: SurfaceSample, E: EnergyDensity, u: ScalarFi
     return lam
 
 
-def second_variation(
-    s: SurfaceSample,
-    E: EnergyDensity,
-    u: ScalarField,
-    allow_open: bool = False,
-    force: bool = False,
-) -> float:
-    """Second normal-deformation derivative of F at a critical immersion.
+def second_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField, force: bool = False) -> float:
+    """F''(0) along the geodesic normal deformation of u at fixed chart
+    nodes, on any chart, at an immersion the pointwise EL residual finds
+    critical.
 
     At a volume-constrained critical immersion (pointwise EL residual equal
     to a nonzero constant) the expression is valid on variation fields with
@@ -252,26 +250,38 @@ def second_variation(
     """
     if not force:
         _second_variation_multiplier(s, E, u)
-    return _second_variation_integral(_operators(s), E, u, allow_open)
+    return _second_variation_integral(_operators(s), E, u)
 
 
-def _second_variation_integral(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField, allow_open: bool) -> float:
-    """The second t-derivative of F along u, over the operators ``ops``: the integral of
-    d^2E(H', K') + E_H (H'' - 4Hu H') + E_K (K'' - 4Hu K') + E (4H^2 u^2 - 2u H') dS."""
+def _second_derivatives(ops: SimpleNamespace, u: ScalarField) -> tuple:
+    """H', K' and the second t-derivatives along u at a fixed chart node:
+    H_tt = H'' + u <grad H, grad u>, K_tt = K'' + u <grad K, grad u> and
+    (dS)_tt / dS = 2(K - 2 k0) u^2 + |grad u|^2, with H'' and K'' through the
+    operators' derivatives; the three gradients are ``ops.grad`` cache hits."""
     H, K, uv = ops.H, ops.K, u.values
-    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
     dH, dK, lap_dot = _dH(ops, u), _dK(ops, u), _laplacian_dot(ops, u, u)
-    ddH = 0.5 * lap_dot + (4.0 * H * dH - dK) * uv
+    ddH = 0.5 * lap_dot + (4.0 * H * dH - dK) * uv + uv * ops.grad(ops.field("H"), u)
     ddK = 2.0 * dH * ops.lap(u) + 2.0 * H * lap_dot - _h_hess_dot(ops, u, u) + 2.0 * (dH * K + H * dK) * uv
+    ddK += uv * ops.grad(ops.field("K"), u)
+    return dH, dK, ddH, ddK, 2.0 * (K - 2.0 * ops.k0) * uv**2 + ops.grad(u, u)
+
+
+def _second_variation_integral(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField) -> float:
+    """F''(0) over the operators ``ops``: the integral of the second
+    t-derivative of E(H, K) dS at each chart node, d^2E(H', K')
+    + E_H (H_tt - 4Hu H') + E_K (K_tt - 4Hu K') + E (dS)_tt / dS."""
+    H, uv = ops.H, u.values
+    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, ops.K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
+    dH, dK, ddH, ddK, ddS = _second_derivatives(ops, u)
     integrand = (
         EHH * dH**2
         + 2.0 * EHK * dH * dK
         + EKK * dK**2
         + EH * (ddH - 4.0 * H * uv * dH)
         + EK * (ddK - 4.0 * H * uv * dK)
-        + Ev * (4.0 * H**2 * uv**2 - 2.0 * uv * dH)
+        + Ev * ddS
     )
-    return integrate(integrand, ops.s, allow_open=allow_open)
+    return integrate(integrand, ops.s)
 
 
 def volume_functional(s: SurfaceSample) -> float:
@@ -283,16 +293,15 @@ def volume_functional(s: SurfaceSample) -> float:
     if s.sf.model is not Model.EUCLIDEAN:
         raise ConfigError("the flux volume functional is defined in the Euclidean model")
     flux = s.sf.flat_inner(s.positions, fundamental_forms(s).N)
-    return integrate(flux, s, allow_open=True) / 3.0
+    return integrate(flux, s) / 3.0
 
 
 def volume_variations(s: SurfaceSample, u: ScalarField) -> tuple[float, float]:
     """(first, second) deformation derivatives of the enclosed volume:
-    integral of u dS and integral of -2 H u^2 dS. Like ``volume_functional``
-    they integrate over open patches too, where they are meaningful for
-    compactly supported u."""
+    integral of u dS and integral of -2 H u^2 dS; on an open patch, for
+    compactly supported u only (edge terms are left out)."""
     cs = curvature_scalars(s)
-    return integrate(u, s, allow_open=True), integrate(-2.0 * cs.H * u.values**2, s, allow_open=True)
+    return integrate(u, s), integrate(-2.0 * cs.H * u.values**2, s)
 
 
 def _default_step(s: SurfaceSample, u: ScalarField, order: int = 1) -> float:
@@ -366,7 +375,8 @@ def fd_variation_oracle_many(
     symmetry direction such as a translation of the sphere the augmented
     value is zero while the plain closed-form expression is not; both are
     available, their difference being exactly lambda times the volume
-    term.)
+    term.) An open chart needs ``allow_open=True``: there a nonzero lambda
+    needs compactly supported u, as ``volume_variations`` does.
     """
     return _oracle_core(s, Es, u, order, allow_open, force)[1]
 
@@ -386,14 +396,16 @@ def _oracle_core(
     for the operators of u, which are dropped before any deformed sample."""
     if order not in (1, 2):
         raise ConfigError("oracle order must be 1 or 2")
+    if not s.domain.closed and not allow_open:
+        raise ConfigError("an oracle on a non-closed patch requires allow_open=True")
     lams, values, formulas = [], [], []
     ops = _operators(s)
     for E in Es:
         if order == 1:
-            lam, value = 0.0, _first_variation(ops, E, u, allow_open)
+            lam, value = 0.0, _first_variation(ops, E, u)
         else:
             lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u)
-            value = _second_variation_integral(ops, E, u, allow_open)
+            value = _second_variation_integral(ops, E, u)
         lams.append(lam)
         values.append(value)
         formulas.append(value - lam * volume_variations(s, u)[1] if lam != 0.0 else value)
@@ -401,7 +413,7 @@ def _oracle_core(
 
     def measure(st: SurfaceSample) -> list:
         vol = volume_functional(st) if any(lams) else 0.0
-        return [functional_value(st, E, allow_open=True) - lam * vol for E, lam in zip(Es, lams)]
+        return [functional_value(st, E) - lam * vol for E, lam in zip(Es, lams)]
 
     h1, d1, d2, oracles = _differences(s, u, order, measure)
     reports = []

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import curvevar
 
 # the public API; a change here is a deliberate API change and needs a reason
@@ -67,3 +70,38 @@ def test_public_api_is_pinned():
     assert curvevar.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(curvevar, name), name
+
+
+# the only functions that take allow_open; it stays while perfbench passes
+# it (ROADMAP item 8)
+OPEN_CHART_OPTION = {
+    ("variations", "fd_variation_oracle"),
+    ("variations", "fd_variation_oracle_many"),
+    ("variations", "_oracle_core"),
+}
+
+
+def _parameters(source: str):
+    """(function name, parameter name) for every def and lambda in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if arg is not None:
+                    yield getattr(node, "name", "<lambda>"), arg.arg
+
+
+def test_open_charts_need_no_option():
+    """Integrals, energies and both variations hold on open charts without
+    an option: in src/curvevar only the three oracle functions take
+    allow_open, one check reads it, and sample_builtin takes no sf (its
+    space form is the one its parameters give)."""
+    takes, checks = set(), 0
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "curvevar").glob("*.py")):
+        source = path.read_text()
+        takes |= {(path.stem, fn) for fn, arg in _parameters(source) if arg == "allow_open"}
+        assert ("sample_builtin", "sf") not in set(_parameters(source)), path.stem
+        ifs = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.If))
+        checks += sum("allow_open" in ast.unparse(node.test) for node in ifs)
+    assert takes == OPEN_CHART_OPTION
+    assert checks == 1

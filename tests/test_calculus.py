@@ -170,12 +170,19 @@ def test_csv_round_trip(tmp_path, torus):
 
 
 def test_open_patch_integration_guard():
+    """integrate takes an open patch as it is; only the oracles, whose
+    order-2 rows with a multiplier need compactly supported fields there,
+    refuse one without allow_open."""
+    from curvevar import fd_variation_oracle, fd_variation_oracle_many
+    from curvevar.densities import bending
     from curvevar.errors import ConfigError
 
     s = sample_builtin("graph", {})
-    with pytest.raises(ConfigError):
-        integrate(np.ones(s.shape), s)
-    assert integrate(np.ones(s.shape), s, allow_open=True) > 0
+    assert integrate(np.ones(s.shape), s) > 0
+    u = random_smooth_field(s, 1)
+    for oracle in (fd_variation_oracle, lambda s, E, u: fd_variation_oracle_many(s, (E,), u)):
+        with pytest.raises(ConfigError, match="non-closed patch requires allow_open=True"):
+            oracle(s, bending(), u)
 
 
 def test_expressions_with_unknown_symbols_are_refused(torus):

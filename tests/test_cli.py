@@ -234,6 +234,31 @@ def test_second_variation_oracle_classifies_and_integrates_once(capsys, monkeypa
     assert code == 0 and json.loads(plain)["value"] == payload["value"]
 
 
+def test_oracle_that_disagrees_exits_2(tmp_path, capsys):
+    """--oracle gates on verify-all's bounds (criterion 6's for order 2):
+    stdout keeps the report and stderr gets one line. On the catenoid with
+    u = 1 + 0.3 cos u v + 0.2 v^2, not compactly supported, bending
+    (lambda = 0) agrees to 3.5e-11 and prints F'' = 22.77181; forced
+    ksquared differences F - lambda V with lambda = -0.096, the mean EL
+    residual, and V'' = integral -2Hu^2 dS leaves out its edge term, so it
+    is off by 4.9e-2."""
+    from curvevar import ScalarField, export_field_csv, sample_builtin
+
+    s = sample_builtin("catenoid", {})
+    U, V = s.domain.meshes()
+    path = tmp_path / "cat_u.csv"
+    export_field_csv(ScalarField(1.0 + 0.3 * np.cos(U) * V + 0.2 * V**2, s), path)
+    argv = ("second-variation", "--surface", "catenoid", "--u", str(path), "--oracle", "--density")
+    code, out, err = run(capsys, *argv, "bending")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert round(payload["value"], 5) == 22.77181 and payload["oracle"]["rel_error"] <= 1e-10
+    code, out, err = run(capsys, *argv, "ksquared", "--force")
+    assert code == 2
+    assert json.loads(out)["oracle"]["rel_error"] > 1e-4
+    assert err.startswith("curvevar: oracle check failed (rel_error ") and err.count("\n") == 1
+
+
 def test_config_file_merge(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"surface": "sphere:r=2", "density": "willmore"}))

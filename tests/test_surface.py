@@ -925,12 +925,23 @@ def test_catalog_jets_are_byte_identical_to_whole_array_sums(name):
     from curvevar.surface import MULTI_INDICES
 
     s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
-    bundle = _bundle(name, (), s.sf.k0)
+    bundle = _bundle(name, (), s.sf)
     U, V = s.domain.meshes()
     for ab in MULTI_INDICES:
         assert _same_bytes(s.jets[ab], _catalog_reference(bundle, U, V, ab)), ab
     u, v = s.domain.u_nodes[:, None], s.domain.v_nodes[None, :5]
     assert _same_bytes(bundle.position_map(u, v), _catalog_reference(bundle, u, v, (0, 0)))
+
+
+def test_catalog_s3_charts_lie_on_the_sphere_of_radius_rho():
+    """The sample's space form is built from rho itself and keys the chart,
+    so the chart lies on the sphere of radius rho exactly; keyed by k0 and
+    rebuilt from it, rho = 0.7 gave radius 0.6999999999999998."""
+    import math
+
+    s = sample_builtin("clifford_torus_S3", {"rho": 0.7})
+    assert s.sf.radius == 0.7
+    assert s.positions[0, 0, 0] == 0.7 / math.sqrt(2.0)
 
 
 def test_s3_normal_table_is_built_once_per_space_form(monkeypatch):

@@ -25,7 +25,7 @@ from curvevar.curvature import curvature_scalars
 from curvevar.variations import _composed_field
 
 
-def first_variation(s, E, u, allow_open=False):
+def first_variation(s, E, u):
     """integral of (E_H/2 + 2H E_K) Lap u + ((2H^2 - K + 2 k0) E_H + 2HK E_K
     - 2H E) u - E_K <h, Hess u> dS."""
     cs = curvature_scalars(s)
@@ -39,7 +39,7 @@ def first_variation(s, E, u, allow_open=False):
         + ((2.0 * H**2 - K + 2.0 * k0) * EH + 2.0 * H * K * EK - 2.0 * H * Ev) * u.values
         - EK * h_hess_u
     )
-    return integrate(integrand, s, allow_open=allow_open)
+    return integrate(integrand, s)
 
 
 def el_residual(s, E):
@@ -74,9 +74,10 @@ def pwillmore_el_residual(s, p):
     return ScalarField(0.5 * p * lap_w + p * (2.0 * H**2 - K + 2.0 * k0) * jet.value - 2.0 * H ** (p + 1), s)
 
 
-def second_variation_integral(s, E, u, allow_open=False):
-    """The second-variation integral with every product of a surface
-    coefficient and a field feature written out."""
+def second_variation_integral(s, E, u):
+    """The second-variation integral, the second t-derivative of E(H, K) dS
+    at each fixed chart node, with every product of a surface coefficient
+    and a field feature written out."""
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
     Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
@@ -100,14 +101,13 @@ def second_variation_integral(s, E, u, allow_open=False):
         (0.25 * EHH + 2.0 * H * EHK + 4.0 * H**2 * EKK + EK) * lap_u**2
         + EKK * h_hess_u**2
         - (EHK + 4.0 * H * EKK) * lap_u * h_hess_u
-        + EK * (uv * gradK_gu - 3.0 * uv * h2_hess_u - 2.0 * h2_gu_gu - hess_u_sq)
+        + EK * (2.0 * uv * gradK_gu - 3.0 * uv * h2_hess_u - 2.0 * h2_gu_gu - hess_u_sq)
         + (
             w * EHH
             + 2.0 * H * (4.0 * H**2 - K + 4.0 * k0) * EHK
             + 8.0 * H**2 * K * EKK
             - 2.0 * H * EH
             + (3.0 * k0 - K) * EK
-            - Ev
         )
         * uv
         * lap_u
@@ -122,7 +122,7 @@ def second_variation_integral(s, E, u, allow_open=False):
         * uv**2
         + (2.0 * EH + 6.0 * H * EK - 2.0 * w * EHK - 4.0 * H * K * EKK) * uv * h_hess_u
         + (EH + 4.0 * H * EK) * h_gu_gu
-        + EH * uv * gradH_gu
-        - (2.0 * (K - k0) * EK + H * EH) * grad_u_sq
+        + 2.0 * EH * uv * gradH_gu
+        + (Ev - 2.0 * (K - k0) * EK - H * EH) * grad_u_sq
     )
-    return integrate(integrand, s, allow_open=allow_open)
+    return integrate(integrand, s)
