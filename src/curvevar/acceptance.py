@@ -22,9 +22,9 @@ from .pwillmore import (
     poincare_check,
     random_span_field,
     sphere_index_form,
-    sphere_spectrum,
     stability_report,
 )
+from .spectrum import sphere_spectrum
 from .variations import (
     el_residual,
     evolution_check_many,

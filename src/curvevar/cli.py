@@ -10,31 +10,11 @@ import csv
 import json
 import sys
 
-import numpy as np
-
-from .calculus import ScalarField, area, import_field_csv, random_smooth_field
-from .catalog import CATALOG_NAMES, default_domain, sample_builtin
-from .curvature import curvature_scalars
-from .densities import BUILTIN_DENSITIES, builtin_density
 from .errors import CurveVarError, ConfigError, NotCriticalError
-from .pwillmore import (
-    PWillmoreSetting,
-    harmonic_field,
-    poincare_check,
-    sphere_spectrum,
-    stability_report,
-)
-from .variations import (
-    _EVOLUTION_QUANTITIES,
-    _NEEDS_F,
-    _area_mean,
-    _oracle_core,
-    el_residual,
-    evolution_check,
-    first_variation,
-    functional_value,
-    second_variation,
-)
+from .spectrum import sphere_spectrum
+
+# numpy and the numeric layers are imported in the subcommand bodies that
+# use them, so parsing, --help, usage errors and spectrum import none
 
 SCHEMA = "curvevar/1"
 
@@ -46,6 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_surface(spec: str):
+    from .catalog import CATALOG_NAMES
+
     if spec is None:
         raise ConfigError("missing --surface (expected e.g. sphere:r=1 or torus:R=2,a=1)")
     name, _, rest = spec.partition(":")
@@ -65,6 +47,8 @@ def _parse_surface(spec: str):
 
 
 def _make_sample(args):
+    from .catalog import default_domain, sample_builtin
+
     name, params = _parse_surface(args.surface)
     grid = {key: val for key in ("nu", "nv") if (val := getattr(args, key)) is not None}
     domain = default_domain(name, params, **grid) if grid else None
@@ -72,6 +56,8 @@ def _make_sample(args):
 
 
 def _make_density(args):
+    from .densities import BUILTIN_DENSITIES, builtin_density
+
     if args.density is None:
         raise ConfigError(f"missing --density (have: {', '.join(BUILTIN_DENSITIES)})")
     params = {}
@@ -83,11 +69,15 @@ def _make_density(args):
 
 
 def _make_field(spec, sample):
+    from .calculus import ScalarField, import_field_csv, random_smooth_field
+
     if spec is None:
         raise ConfigError("missing --u (expected const, harmonic:l,m, random:seed=N, or a .csv path)")
     if spec == "const":
         return ScalarField.constant(1.0, sample)
     if spec.startswith("harmonic:"):
+        from .pwillmore import harmonic_field
+
         try:
             l, m = (int(x) for x in spec.split(":", 1)[1].split(","))
         except ValueError:
@@ -143,6 +133,8 @@ def _flatten(val, name=""):
 
 def _field_rows(sample, columns: dict):
     """CSV header and one row per grid node: u, v and the named columns."""
+    import numpy as np
+
     UU, VV = sample.domain.meshes()
     header = ["u", "v"] + list(columns)
     data = np.column_stack([UU.ravel(), VV.ravel()] + [np.asarray(c, dtype=float).ravel() for c in columns.values()])
@@ -153,6 +145,9 @@ def _field_rows(sample, columns: dict):
 
 
 def _cmd_curvature(args):
+    from .calculus import area
+    from .curvature import curvature_scalars
+
     s = _make_sample(args)
     cs = curvature_scalars(s)
     payload = {
@@ -167,6 +162,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_energy(args):
+    from .variations import functional_value
+
     s = _make_sample(args)
     E = _make_density(args)
     _emit(args, {"surface": args.surface, "density": E.name, "value": functional_value(s, E)})
@@ -174,6 +171,8 @@ def _cmd_energy(args):
 
 
 def _cmd_variation(args, order: int):
+    from .variations import _oracle_core, first_variation, second_variation
+
     s = _make_sample(args)
     E = _make_density(args)
     u = _make_field(args.u, s)
@@ -199,6 +198,10 @@ def _cmd_variation(args, order: int):
 
 
 def _cmd_el_residual(args):
+    import numpy as np
+
+    from .variations import _area_mean, el_residual
+
     s = _make_sample(args)
     E = _make_density(args)
     res = el_residual(s, E)
@@ -213,6 +216,9 @@ def _cmd_el_residual(args):
 
 
 def _cmd_verify_evolution(args):
+    from .calculus import random_smooth_field
+    from .variations import _NEEDS_F, evolution_check
+
     s = _make_sample(args)
     u = _make_field(args.u, s)
     f = None
@@ -225,6 +231,8 @@ def _cmd_verify_evolution(args):
 
 
 def _cmd_sphere_stability(args):
+    from .pwillmore import PWillmoreSetting, stability_report
+
     rep = stability_report(PWillmoreSetting(args.p, args.r), l_max=args.lmax)
     payload = {
         "p": rep.p,
@@ -246,6 +254,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_poincare(args):
+    from .catalog import sample_builtin
+    from .pwillmore import poincare_check
+
     s = sample_builtin("sphere", {"r": args.r})
     u = _make_field(args.u, s)
     rep = poincare_check(u)
@@ -262,7 +273,6 @@ def _cmd_poincare(args):
 
 
 def _cmd_verify_all(args):
-    # imported here: no other subcommand compiles the battery
     from . import acceptance
 
     results = acceptance.run_all()
@@ -294,7 +304,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--nu", type=int, help="grid points in u")
             p.add_argument("--nv", type=int, help="grid points in v")
         if density:
-            p.add_argument("--density", choices=BUILTIN_DENSITIES)
+            p.add_argument("--density", help="built-in density, e.g. willmore (an unknown name lists them all)")
             p.add_argument("--p", type=float, help="exponent for the H^p density")
             p.add_argument("--k0", type=float, help="ambient curvature constant in the density")
             p.add_argument("--c0", type=float, help="spontaneous curvature (helfrich)")
@@ -328,7 +338,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-evolution", help="check one evolution equation by deformation")
     common(p, u=True)
-    p.add_argument("--quantity", choices=_EVOLUTION_QUANTITIES, default="2H")
+    p.add_argument("--quantity", default="2H", help="evolving quantity, e.g. 2H (an unknown name lists them all)")
     p.set_defaults(fn=_cmd_verify_evolution)
 
     p = sub.add_parser("sphere-stability", help="H^p stability report for the round sphere")

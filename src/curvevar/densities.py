@@ -99,11 +99,13 @@ def _sympy_partials(expr, names: tuple, orders, what: str) -> dict:
 @lru_cache(maxsize=32)
 def _lambdified(expr, names: tuple, orders: tuple) -> dict:
     """The partials ``_sympy_partials`` returns, for an expression whose
-    free symbols are among the real symbols ``names``."""
+    free symbols are among the real symbols ``names``. Lambdify gets the
+    numpy module itself: the string "numpy" runs ``from numpy import *``,
+    which loads numpy.f2py, numpy.testing and more, for the same source."""
     import sympy as sp
 
     syms = sp.symbols(names, real=True)
-    return {order: sp.lambdify(syms, sp.diff(expr, *zip(syms, order)), modules="numpy") for order in orders}
+    return {order: sp.lambdify(syms, sp.diff(expr, *zip(syms, order)), modules=[np]) for order in orders}
 
 
 def density_from_expr(expr, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:

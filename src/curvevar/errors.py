@@ -3,8 +3,6 @@ more than one module makes."""
 
 import math
 
-import numpy as np
-
 
 class CurveVarError(Exception):
     """Base class for all package errors."""
@@ -41,6 +39,8 @@ class NotCriticalError(CurveVarError):
 def _first_node(mask) -> tuple:
     """The index of the first True entry of a boolean array of any ndim,
     as a tuple of ints: the node a refusal names."""
+    import numpy as np  # here: the package's numpy-free paths import this module
+
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), np.shape(mask)))
 
 

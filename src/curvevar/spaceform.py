@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NotTangentError, _require_radius
+from .errors import NotTangentError, _require_radius
 
 TANGENCY_RTOL = 1e-8
 
@@ -45,16 +45,6 @@ class SpaceForm:
     def hyperbolic(radius: float = 1.0) -> "SpaceForm":
         _require_radius(radius, "hyperboloid model radius", "radius")
         return SpaceForm(-1.0 / radius**2, Model.HYPERBOLOID, radius)
-
-    @staticmethod
-    def from_k0(k0: float) -> "SpaceForm":
-        if not np.isfinite(k0):
-            raise ConfigError(f"space form curvature must be finite (got k0 = {k0})")
-        if k0 == 0:
-            return SpaceForm.euclidean()
-        if k0 > 0:
-            return SpaceForm.sphere(1.0 / np.sqrt(k0))
-        return SpaceForm.hyperbolic(1.0 / np.sqrt(-k0))
 
     @property
     def ambient_dim(self) -> int:

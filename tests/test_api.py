@@ -1,7 +1,15 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import curvevar
+
+PACKAGE = Path(curvevar.__file__).resolve().parent
 
 # the public API; a change here is a deliberate API change and needs a reason
 PUBLIC_API = [
@@ -67,9 +75,21 @@ PUBLIC_API = [
 
 
 def test_public_api_is_pinned():
+    """The names are exported lazily: each resolves on first read to the
+    very object its defining module holds, dir() lists them, an unknown
+    name is an AttributeError, and ``import curvevar`` imports no numpy."""
     assert curvevar.__all__ == PUBLIC_API
     for name in PUBLIC_API:
-        assert hasattr(curvevar, name), name
+        module = importlib.import_module(f"curvevar.{curvevar._EXPORTS[name]}")
+        assert getattr(curvevar, name) is getattr(module, name), name
+        assert getattr(getattr(module, name), "__module__", module.__name__) == module.__name__, name
+    assert set(PUBLIC_API) <= set(dir(curvevar))
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        curvevar.not_a_name
+    code = "import sys, curvevar\nassert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # the only functions that take allow_open; it stays while perfbench passes
@@ -97,7 +117,7 @@ def test_open_charts_need_no_option():
     allow_open, one check reads it, and sample_builtin takes no sf (its
     space form is the one its parameters give)."""
     takes, checks = set(), 0
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "curvevar").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         takes |= {(path.stem, fn) for fn, arg in _parameters(source) if arg == "allow_open"}
         assert ("sample_builtin", "sf") not in set(_parameters(source)), path.stem

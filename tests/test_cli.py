@@ -95,6 +95,20 @@ def test_validation_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("energy", "--surface", "sphere:r=1", "--density", "nope"), "unknown density 'nope' (have: willmore, bending,"),
+        (("verify-evolution", "--surface", "sphere:r=1", "--nu", "16", "--nv", "16", "--u", "const", "--quantity", "H"),
+         "unknown evolution quantity 'H' (have: g, g_inv, dS, 2H,"),
+    ],
+)
+def test_unknown_density_or_quantity_exits_1_naming_the_valid_set(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: " + message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "surface,grid,message",
     [
         ("sphere:r=nan", (), "'r' must be finite"),
@@ -428,6 +442,7 @@ def test_field_csv_rows_are_byte_identical_to_savetxt(tmp_path):
     assert target.read_bytes() == want.getvalue().encode()
 
 
+USAGE_ERROR = ["spectrum", "--r", "2"]  # --k is required
 COLD_COMMANDS = [
     [],  # import only
     ["energy", "--surface", "torus:R=2,a=1", "--density", "bending"],
@@ -443,7 +458,20 @@ COLD_COMMANDS = [
     ),
     ["sphere-stability", "--p", "3"],
     ["spectrum", "--k", "2"],
+    ["--help"],
+    USAGE_ERROR,
 ]
+
+# modules a cold command leaves unimported, beyond sympy, scipy and the
+# acceptance battery: a command imports only the layers it computes with
+UNIMPORTED = {
+    "": ("numpy",),  # import only
+    "spectrum": ("numpy",),
+    "--help": ("numpy",),
+    "energy": ("curvevar.pwillmore",),
+    "el-residual": ("curvevar.pwillmore",),
+    "curvature": ("curvevar.pwillmore", "curvevar.variations"),
+}
 
 
 def _graph_field_csv(path) -> str:
@@ -459,7 +487,9 @@ def _graph_field_csv(path) -> str:
 def test_cold_path_never_imports_sympy(argv, tmp_path):
     """Built-in surfaces, densities and fields need no symbolic algebra,
     nothing needs scipy (a field read from a CSV included), and only
-    verify-all imports the acceptance battery."""
+    verify-all imports the acceptance battery. Parsing, --help, a usage
+    error and spectrum import no numpy, and each subcommand imports only
+    the layers it runs."""
     import os
     import subprocess
     import sys
@@ -473,13 +503,15 @@ def test_cold_path_never_imports_sympy(argv, tmp_path):
         "import contextlib, io, sys\n"
         "import curvevar, curvevar.cli\n"
         "argv = sys.argv[1:]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = curvevar.cli.main(argv) if argv else 0\n"
-        "assert rc == 0, rc\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-        "assert 'curvevar.acceptance' not in sys.modules, 'curvevar.acceptance was imported'\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        rc = curvevar.cli.main(argv) if argv else 0\n"
+        "except SystemExit as exc:  # --help\n"
+        "    rc = exc.code\n"
+        f"assert rc == {1 if argv == USAGE_ERROR else 0}, rc\n"
     )
+    for mod in ("sympy", "scipy", "curvevar.acceptance", *UNIMPORTED.get(argv[0] if argv else "", ())):
+        code += f"assert {mod!r} not in sys.modules, '{mod} was imported'\n"
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -106,6 +106,29 @@ def test_density_from_expr_third_partials():
     assert E.third["KKK"](2.0, 1.0) == pytest.approx(0.0)
 
 
+def test_density_from_expr_loads_no_unused_numpy_submodules():
+    """Lambdify is given the numpy module, not the string "numpy": the
+    string runs ``from numpy import *``, which loads numpy.f2py,
+    numpy.testing, unittest and more for the same generated source."""
+    import os
+    import subprocess
+    import sys
+
+    import curvevar
+
+    code = (
+        "import sys\n"
+        "from curvevar import density_from_expr\n"
+        "E = density_from_expr('H**2*sqrt(H) - K', 'custom')\n"
+        "assert E.E_H(4.0, 1.0) == 20.0, E.E_H(4.0, 1.0)\n"
+        "assert 'numpy.f2py' not in sys.modules, 'numpy.f2py was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(curvevar.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_density_from_expr_rejects_stray_symbols():
     H, x = sp.symbols("H x")
     with pytest.raises(ConfigError):

@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from curvevar import ConfigError, SpaceForm
@@ -71,19 +69,6 @@ def test_geodesic_unit_speed():
     assert abs(sf.flat_inner(vel, vel) - 1.0) < 1e-8
 
 
-@given(
-    st.one_of(
-        st.just(0.0),
-        st.floats(min_value=1e-6, max_value=4.0),
-        st.floats(min_value=-4.0, max_value=-1e-6),
-    )
-)
-@settings(max_examples=30, deadline=None)
-def test_from_k0_round_trip(k0):
-    sf = SpaceForm.from_k0(k0)
-    assert sf.k0 == pytest.approx(k0, abs=1e-12)
-
-
 def test_euclidean_degeneration():
     """Large-radius sphere geodesics converge to straight lines."""
     p3 = np.array([0.3, -0.2, 0.5])
@@ -125,12 +110,9 @@ def test_hyperbolic_signature():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_space_forms_are_refused(bad):
-    """A NaN or infinite curvature or model radius is refused: k0 = NaN
-    used to build a hyperbolic form with k0 = radius = NaN, and
-    sphere(inf) built a "curved" form with k0 = 0."""
+    """A NaN or infinite model radius is refused: sphere(inf) built a
+    "curved" form with k0 = 0."""
     for build in (
-        lambda: SpaceForm.from_k0(bad),
-        lambda: SpaceForm.from_k0(-bad),
         lambda: SpaceForm.sphere(bad),
         lambda: SpaceForm.hyperbolic(bad),
     ):
@@ -141,15 +123,12 @@ def test_non_finite_space_forms_are_refused(bad):
 def test_radii_whose_square_overflows_or_vanishes_are_refused():
     """A radius is refused unless r^2 and 1/r^2 are finite and nonzero:
     sphere(1e200) used to raise a raw OverflowError, hyperbolic(1e-170) a
-    raw ZeroDivisionError, and from_k0(1e-320) built a sphere model with
-    k0 = 0.0 after an overflow warning."""
+    raw ZeroDivisionError."""
     for build, r in (
         (lambda: SpaceForm.sphere(1e200), "radius = 1e+200"),
         (lambda: SpaceForm.hyperbolic(1e-170), "radius = 1e-170"),
-        (lambda: SpaceForm.from_k0(1e-320), "radius = 1.0"),
-        (lambda: SpaceForm.from_k0(-1e-320), "radius = 1.0"),
     ):
         with pytest.raises(ConfigError, match=r"radius must have .*\^2 finite and nonzero \(got " + re.escape(r)):
             build()
     assert SpaceForm.sphere(1e150).k0 == pytest.approx(1e-300)
-    assert SpaceForm.from_k0(1e300).radius == pytest.approx(1e-150)
+    assert SpaceForm.hyperbolic(1e-150).k0 == pytest.approx(-1e300)
