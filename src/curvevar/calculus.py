@@ -2,13 +2,13 @@
 
 Gradient, covariant Hessian, Laplace-Beltrami, tensor contractions, and
 surface quadrature. A field's chart partials come from its order-2
-Taylor jet when it has one (pushed through the immersion jets, multiplied
-by closed-form window derivatives, or read from the derivatives of a
-user's sympy chart expression); otherwise from grid differentiation,
-which is FFT-based along periodic or pole-extendable directions. Fields
-live on the grid: nothing evaluates them at other chart points (a
-deformation reads their jets). Sympy is imported only when a field is
-given as a sympy expression.
+Taylor jet: the one it is given (pushed through the immersion jets,
+multiplied by a window field's jet, or read from the derivatives of a
+user's sympy chart expression), or one taken once by grid
+differentiation, which is FFT-based along periodic or pole-extendable
+directions. Fields live on the grid: nothing evaluates them at other
+chart points (a deformation reads their jets). Sympy is imported only
+when a field is given as a sympy expression.
 
 Per-node tensors keep their index axes trailing, as ``curvature`` lays
 them out: a covector is (..., 2), a (0,2)-tensor or g^-1 is (..., 2, 2),
@@ -45,9 +45,8 @@ class ScalarField:
     """Grid-sampled scalar bound to a surface sample.
 
     ``jet``, an optional order-2 ``Taylor2``, carries the chart partials
-    d^a_u d^b_v on the grid; without one, all five come from one grid jet
-    on first use into ``_cache``, a dict a sample may share with the
-    fields it hands out. A field lives on the grid only.
+    d^a_u d^b_v on the grid; without one, ``taylor`` takes one grid jet
+    on first use and keeps it in ``_cache``. A field lives on the grid only.
     """
 
     def __init__(self, values, sample: SurfaceSample, jet: Taylor2 | None = None):
@@ -56,26 +55,23 @@ class ScalarField:
             raise ConfigError("field grid does not match the sample grid")
         self.sample = sample
         self.jet = jet
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cache: dict = {}
 
     def partial(self, a: int, b: int) -> np.ndarray:
-        if (a, b) == (0, 0):
-            return self.values
-        if self.jet is not None:
-            return self.jet.partial(a, b)
-        if a + b > 2:
-            raise ConfigError("Taylor jets carry chart partials to order 2 only")
-        if not self._cache:
-            self._cache.update(self.sample.chart_ops().jet(self.values, 2))
-        return self._cache[(a, b)]
+        return self.values if (a, b) == (0, 0) else self.taylor().partial(a, b)
 
     @property
     def _partial_impl(self):  # the provider tag perfbench/bench_trace.py reads
         return None if self.jet is None else self.jet.partial
 
     def taylor(self) -> Taylor2:
-        """The field's order-2 jet: its own, or one read from the grid partials."""
-        return self.jet if self.jet is not None else Taylor2.from_partials(self.partial)
+        """The field's order-2 jet: its own, or one taken once from the grid."""
+        if self.jet is not None:
+            return self.jet
+        if "jet" not in self._cache:
+            partials = self.sample.chart_ops().jet(self.values, 2)
+            self._cache["jet"] = Taylor2(partials[ab] for ab in TAYLOR_INDICES)
+        return self._cache["jet"]
 
     # -- constructors -------------------------------------------------------
 
@@ -117,23 +113,12 @@ class AmbientPolyField(ScalarField):
     """Restriction of an ambient quadratic polynomial, optionally windowed.
 
     u(x) = c0 + c.x + x^T M x, with chart partials pushed exactly through
-    the immersion jets as Taylor jets; a smooth window w(v), given as a
-    sympy expression in v, can be multiplied in for compact support in a
-    non-periodic direction.
+    the immersion jets as Taylor jets; a ``window`` field on the same chart
+    grid (e.g. ``ScalarField.from_expr``) multiplies its jet in, for
+    compact support in the non-periodic directions.
     """
 
-    def __init__(self, sample: SurfaceSample, c0: float, cvec, mat, window_expr=None):
-        self._build(sample, c0, cvec, mat, None if window_expr is None else _sympy_window(window_expr))
-
-    @classmethod
-    def _windowed(cls, sample: SurfaceSample, c0: float, cvec, mat, window) -> "AmbientPolyField":
-        """The field with a window given as ``window(V, k)`` = d^k w / dv^k
-        at V, for k = 0, 1, 2."""
-        f = cls.__new__(cls)
-        f._build(sample, c0, cvec, mat, window)
-        return f
-
-    def _build(self, sample, c0, cvec, mat, window):
+    def __init__(self, sample: SurfaceSample, c0: float, cvec, mat, window: ScalarField | None = None):
         self.c0 = float(c0)
         self.cvec = np.asarray(cvec, dtype=float)
         self.mat = 0.5 * (np.asarray(mat, dtype=float) + np.asarray(mat, dtype=float).T)
@@ -145,41 +130,30 @@ class AmbientPolyField(ScalarField):
             + Taylor2.bilinear(dot, Taylor2(p @ self.mat for p in x.parts), x)
         )
         if window is not None:
-            _, VV = sample.domain.meshes()
-            w = [np.broadcast_to(np.asarray(window(VV, k), dtype=float), sample.shape) for k in range(3)]
-            zero = np.zeros(sample.shape)
-            jet = jet * Taylor2((w[0], zero, w[1], zero, zero, w[2]))
+            _require_same_grid(window.sample, sample)
+            jet = jet * window.taylor()
         super().__init__(jet.value, sample, jet=jet)
 
 
-def _sympy_window(window_expr):
-    """``window(V, k)`` from a sympy expression in the symbol v."""
-    fns = _sympy_partials(window_expr, ("v",), ((0,), (1,), (2,)), "window expression")
-    return lambda V, k: fns[(k,)](V)
-
-
-def _cos10_window(v_range):
-    """``window(V, k)`` for w = cos^10(q (v - mid)), q = pi / (b - a): 1 at the
-    middle of [a, b], vanishing to order 10 at both ends."""
-    a, b = v_range
+def _cos10_window(domain: PatchDomain, axis: int) -> Taylor2:
+    """Jet of w = cos^10(q (x - mid)), q = pi / (b - a), x the chart
+    coordinate of ``axis`` (0 for u, 1 for v) over [a, b]: 1 at the middle,
+    vanishing to order 10 at both ends."""
+    a, b = (domain.u_range, domain.v_range)[axis]
     mid, q = 0.5 * (a + b), np.pi / (b - a)
-
-    def window(V, k):
-        c, s = np.cos(q * (V - mid)), np.sin(q * (V - mid))
-        if k == 0:
-            return c**10
-        if k == 1:
-            return -10.0 * q * c**9 * s
-        return 10.0 * q**2 * (9.0 * c**8 * s**2 - c**10)
-
-    return window
+    X = domain.meshes()[axis]
+    c, s = np.cos(q * (X - mid)), np.sin(q * (X - mid))
+    w0, w1, w2 = c**10, -10.0 * q * c**9 * s, 10.0 * q**2 * (9.0 * c**8 * s**2 - c**10)
+    zero = np.zeros(X.shape)
+    return Taylor2((w0, w1, zero, w2, zero, zero) if axis == 0 else (w0, zero, w1, zero, zero, w2))
 
 
 def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = False) -> ScalarField:
     """Seeded band-limited field: ambient quadratic with O(1) coefficients.
 
-    With ``compact_v`` the field is multiplied by a cos^10 window so it is
-    compactly supported away from the non-periodic v edges.
+    With ``compact_v`` the field is multiplied by a cos^10 window in v and,
+    on a chart open in u, in u too, so it is compactly supported away from
+    the non-periodic edges.
     """
     rng = np.random.default_rng(seed)
     dim = sample.ambient_dim
@@ -188,8 +162,13 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
     c0 = rng.uniform(-0.5, 0.5)
     cvec = rng.uniform(-1.0, 1.0, size=dim) * scale
     mat = rng.uniform(-1.0, 1.0, size=(dim, dim)) * scale**2
-    window = _cos10_window(sample.domain.v_range) if compact_v else None
-    return AmbientPolyField._windowed(sample, c0, cvec, mat, window)
+    window = None
+    if compact_v:
+        w = _cos10_window(sample.domain, 1)
+        if not sample.domain.periodic_u:
+            w = _cos10_window(sample.domain, 0) * w
+        window = ScalarField(w.value, sample, jet=w)
+    return AmbientPolyField(sample, c0, cvec, mat, window=window)
 
 
 class TensorField02:
@@ -205,12 +184,12 @@ class TensorField02:
 
 
 def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
-    """H, K, or K_E as a new ScalarField on each call, over chart partials
-    the sample keeps, built once per sample: on exact-jet samples one
-    Taylor jet from ``curvature_jets``; on numeric-jet samples one dict of
-    grid partials, taken on first read, since the order-3/4 stencil jets
-    of open charts are too inexact to push through. Two calls give two
-    fields over the same data; compare them by ``.jet`` or values.
+    """H, K, or K_E as a new ScalarField on each call, over one Taylor jet
+    the sample keeps per scalar, built on first call: on exact-jet samples
+    from ``curvature_jets``; on numeric-jet samples the grid jet of the
+    values, since the order-3/4 stencil jets of open charts are too inexact
+    to push through. Two calls give two fields over the same jet; compare
+    them by ``.jet`` or values.
     """
     cs = curvature_scalars(sample)
     values = {"H": cs.H, "K": cs.K, "K_E": cs.K_E}[which]
@@ -220,13 +199,8 @@ def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
             H, K_E = curvature_jets(sample)
             sample._cache[key] = {"H": H, "K": K_E + sample.sf.k0, "K_E": K_E}[which]
         else:
-            sample._cache[key] = {}
-    data = sample._cache[key]
-    if isinstance(data, Taylor2):
-        return ScalarField(values, sample, jet=data)
-    f = ScalarField(values, sample)
-    f._cache = data
-    return f
+            sample._cache[key] = ScalarField(values, sample).taylor()
+    return ScalarField(values, sample, jet=sample._cache[key])
 
 
 # -- differential operators -------------------------------------------------

@@ -32,6 +32,12 @@ _CHART_PARAMS = {
 }
 CATALOG_NAMES = tuple(_CHART_PARAMS)
 
+
+def _check_name(name: str) -> None:
+    if name not in CATALOG_NAMES:
+        raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
+
+
 # a univariate factor is (kind, w): cos/sin/cosh/sinh of w*x, or x^w for
 # kind "pow" (w a non-negative integer); _ONE = x^0 is never evaluated
 _ONE = ("pow", 0)
@@ -39,6 +45,7 @@ _COS_CYCLE = ((1.0, "cos"), (-1.0, "sin"), (-1.0, "cos"), (1.0, "sin"))  # d^k c
 
 
 def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int = 64) -> PatchDomain:
+    _check_name(name)
     params = params or {}
     two_pi = 2.0 * np.pi
     if name in ("sphere", "geodesic_sphere_S3"):
@@ -48,9 +55,7 @@ def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int
     if name == "catenoid":
         s_max = float(params.get("s_max", 1.2))
         return PatchDomain((0.0, two_pi), (-s_max, s_max), nu, nv, periodic_u=True)
-    if name == "graph":
-        return PatchDomain((-1.0, 1.0), (-1.0, 1.0), nu, nv)
-    raise ConfigError(f"unknown catalog surface '{name}'")
+    return PatchDomain((-1.0, 1.0), (-1.0, 1.0), nu, nv)  # graph
 
 
 def _chart_terms(name: str, params: dict, sf: SpaceForm) -> list:
@@ -89,10 +94,8 @@ def _chart_terms(name: str, params: dict, sf: SpaceForm) -> list:
             raise ConfigError("geodesic radius must lie in (0, pi*rho)")
         rs, rc = rho * math.sin(a / rho), rho * math.cos(a / rho)
         return [(0, rs, cos, sin), (1, rs, sin, sin), (2, rs, _ONE, cos), (3, rc, _ONE, _ONE)]
-    if name == "clifford_torus_S3":
-        f = sf.radius / math.sqrt(2.0)
-        return [(0, f, cos, _ONE), (1, f, sin, _ONE), (2, f, _ONE, cos), (3, f, _ONE, sin)]
-    raise ConfigError(f"unknown catalog surface '{name}'")
+    f = sf.radius / math.sqrt(2.0)  # clifford_torus_S3
+    return [(0, f, cos, _ONE), (1, f, sin, _ONE), (2, f, _ONE, cos), (3, f, _ONE, sin)]
 
 
 def _factor_derivative(f, k: int):
@@ -222,8 +225,7 @@ def sample_builtin(name: str, params: dict | None = None, domain: PatchDomain | 
     module docstring says, in Euclidean space or, for the S^3 charts, the
     sphere of radius ``rho``. A pole-offset domain must end at poles of the
     chart in v (``ConfigError`` naming v_range otherwise)."""
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
+    _check_name(name)
     params = dict(params or {})
     _check_params(name, params)
     sf = SpaceForm.sphere(float(params.get("rho", 1.0))) if name.endswith("_S3") else SpaceForm.euclidean()

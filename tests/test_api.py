@@ -125,3 +125,41 @@ def test_open_charts_need_no_option():
         checks += sum("allow_open" in ast.unparse(node.test) for node in ifs)
     assert takes == OPEN_CHART_OPTION
     assert checks == 1
+
+
+def _callers(tree: ast.AST, name: str) -> list:
+    """The qualified name of the def or class around each call of ``name``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_sympy_has_two_entry_points():
+    """Sympy is imported in densities alone, and the one parser of user
+    expressions, ``_sympy_partials``, serves exactly two entry points:
+    density expressions and chart-field expressions."""
+    importers, callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in modules):
+                importers.add(path.stem)
+        callers |= {(path.stem, where) for where in _callers(tree, "_sympy_partials")}
+    assert importers == {"densities"}
+    assert callers == {("densities", "density_from_expr"), ("calculus", "ScalarField.from_expr")}

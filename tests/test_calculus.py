@@ -186,18 +186,14 @@ def test_open_patch_integration_guard():
 
 
 def test_expressions_with_unknown_symbols_are_refused(torus):
-    """A field or window expression in a symbol other than u, v (or v) is
-    refused naming it, as a density expression in a symbol other than H, K
-    is; both used to fail in lambdify with a raw TypeError."""
+    """A field expression in a symbol other than u, v is refused naming it,
+    as a density expression in a symbol other than H, K is; both used to
+    fail in lambdify with a raw TypeError."""
     from curvevar.densities import density_from_expr
     from curvevar.errors import ConfigError
 
     with pytest.raises(ConfigError, match=r"field expression has unknown symbols: \[a\]"):
         ScalarField.from_expr("sin(u) + a", torus)
-    with pytest.raises(ConfigError, match=r"window expression has unknown symbols: \[u\]"):
-        AmbientPolyField(torus, 0.0, np.zeros(3), np.eye(3), window_expr="cos(v)**2 + u")
-    with pytest.raises(ConfigError, match=r"window expression has unknown symbols: \[b\]"):
-        AmbientPolyField(torus, 0.0, np.zeros(3), np.eye(3), window_expr="cos(v)**2 + b")
     with pytest.raises(ConfigError, match=r"density expression has unknown symbols: \[u\]"):
         density_from_expr("H**2 + u", "bad")
     # symbols are matched by name, whatever their assumptions
@@ -292,8 +288,7 @@ def test_value_only_field_takes_one_grid_jet(sphere, fft_counts):
 def test_curvature_fields_are_built_once_per_orientation(torus):
     """A sample keeps one H jet and one K jet, and every call wraps them in
     a new field; a flipped sample builds its own, with H negated. A
-    numeric-jet sample keeps one dict of grid partials per scalar instead,
-    which every field it hands out fills and reads."""
+    numeric-jet sample keeps the grid jet of each scalar instead."""
     from curvevar import deform_normal
 
     H = curvature_field(torus, "H")
@@ -304,8 +299,7 @@ def test_curvature_fields_are_built_once_per_orientation(torus):
     assert np.array_equal(H_flipped.values, -H.values)
     d = deform_normal(torus, random_smooth_field(torus, 4), 0.01)
     H_d = curvature_field(d, "H")
-    H_d.partial(1, 0)
     again = curvature_field(d, "H")
-    assert again is not H_d and again.jet is None and again._cache is H_d._cache and len(H_d._cache) == 6
-    assert curvature_field(d, "K")._cache is not H_d._cache
+    assert again is not H_d and again.jet is H_d.jet and again.partial(1, 0) is H_d.partial(1, 0)
+    assert curvature_field(d, "K").jet is not H_d.jet
 

@@ -100,6 +100,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         (("energy", "--surface", "sphere:r=1", "--density", "nope"), "unknown density 'nope' (have: willmore, bending,"),
         (("verify-evolution", "--surface", "sphere:r=1", "--nu", "16", "--nv", "16", "--u", "const", "--quantity", "H"),
          "unknown evolution quantity 'H' (have: g, g_inv, dS, 2H,"),
+        (("energy", "--surface", "blob", "--density", "willmore"), "unknown catalog surface 'blob' (have: sphere, torus,"),
+        (("energy", "--surface", "blob:r=1", "--density", "willmore", "--nu", "16"),
+         "unknown catalog surface 'blob' (have: sphere, torus,"),
     ],
 )
 def test_unknown_density_or_quantity_exits_1_naming_the_valid_set(argv, message, capsys):

@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 
 from curvevar import densities
-from curvevar.calculus import AmbientPolyField, random_smooth_field
+from curvevar.calculus import AmbientPolyField, ScalarField, random_smooth_field
 from curvevar.catalog import default_domain, sample_builtin
 from curvevar.errors import ConfigError
 from curvevar.pwillmore import harmonic_field
@@ -232,12 +232,19 @@ def test_harmonic_field_degree_zero_and_bad_order(small_sphere):
 
 def test_random_field_window_matches_sympy_window_expr():
     """The closed-form cos^10 window of ``random_smooth_field`` equals the
-    same window given to ``AmbientPolyField`` as a sympy expression."""
-    s = sample_builtin("catenoid", {}, domain=default_domain("catenoid", {}, 32, 16))
-    f = random_smooth_field(s, 7, compact_v=True)
-    a, b = s.domain.v_range
-    window = sp.cos(sp.pi * (V - (a + b) / 2) / (b - a)) ** 10
-    ref = AmbientPolyField(s, f.c0, f.cvec, f.mat, window_expr=window)
-    for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-        want = ref.partial(*ab)
-        assert np.max(np.abs(f.partial(*ab) - want)) <= 1e-14 * np.max(np.abs(want)), ab
+    same window given to ``AmbientPolyField`` as a sympy field: in v on the
+    catenoid (periodic in u), in u and v on the graph."""
+
+    def cos10(x, lo, hi):
+        return sp.cos(sp.pi * (x - (lo + hi) / 2) / (hi - lo)) ** 10
+
+    for name in ("catenoid", "graph"):
+        s = sample_builtin(name, {}, domain=default_domain(name, {}, 32, 16))
+        f = random_smooth_field(s, 7, compact_v=True)
+        window = cos10(V, *s.domain.v_range)
+        if name == "graph":
+            window *= cos10(U, *s.domain.u_range)
+        ref = AmbientPolyField(s, f.c0, f.cvec, f.mat, window=ScalarField.from_expr(window, s))
+        for ab in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            want = ref.partial(*ab)
+            assert np.max(np.abs(f.partial(*ab) - want)) <= 1e-14 * np.max(np.abs(want)), (name, ab)
