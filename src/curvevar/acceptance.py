@@ -32,6 +32,7 @@ from .variations import (
     fd_variation_oracle_many,
     first_variation,
     functional_value,
+    oracle_passes,
 )
 
 
@@ -83,7 +84,7 @@ def criterion_3():
             for rep in fd_variation_oracle_many(s, densities, u, order=1, allow_open=True):
                 worst_rel = max(worst_rel, rep.rel_error)
                 worst_order = min(worst_order, rep.convergence_order)
-    ok = worst_rel <= 1e-5 and worst_order >= 1.9
+    ok = oracle_passes("first_variation", worst_rel, worst_order)
     return _crit(
         3,
         "first variation matches deformation differences for all densities",
@@ -116,7 +117,7 @@ def criterion_5():
             worst_rel = max(worst_rel, rep.rel_error)
             worst_order = min(worst_order, rep.convergence_order)
             rows[f"{name}/{q}"] = [rep.rel_error, rep.convergence_order]
-    ok = worst_rel <= 1e-4 and worst_order >= 1.9
+    ok = oracle_passes("evolution", worst_rel, worst_order)
     return _crit(5, "all seven evolution equations verified on torus and S^3 geodesic sphere", ok, {"worst_rel": worst_rel, "worst_order": worst_order, **rows})
 
 
@@ -146,7 +147,8 @@ def criterion_6():
         rep = fd_variation_oracle(s, E, u, order=2, allow_open=True)
         worst = max(worst, rep.rel_error)
         rows[name] = [rep.formula_value, rep.oracle_value, rep.rel_error]
-    return _crit(6, "second variation matches augmented second differences at critical immersions", worst <= 1e-4, {"worst_rel": worst, **rows})
+    ok = oracle_passes("second_variation", worst)
+    return _crit(6, "second variation matches augmented second differences at critical immersions", ok, {"worst_rel": worst, **rows})
 
 
 def criterion_7():

@@ -139,8 +139,8 @@ def _cos10_window(domain: PatchDomain, axis: int) -> Taylor2:
     """Jet of w = cos^10(q (x - mid)), q = pi / (b - a), x the chart
     coordinate of ``axis`` (0 for u, 1 for v) over [a, b]: 1 at the middle,
     vanishing to order 10 at both ends."""
-    a, b = (domain.u_range, domain.v_range)[axis]
-    mid, q = 0.5 * (a + b), np.pi / (b - a)
+    ax = domain.axes[axis]
+    mid, q = 0.5 * (ax.lo + ax.hi), np.pi / ax.length
     X = domain.meshes()[axis]
     c, s = np.cos(q * (X - mid)), np.sin(q * (X - mid))
     w0, w1, w2 = c**10, -10.0 * q * c**9 * s, 10.0 * q**2 * (9.0 * c**8 * s**2 - c**10)
@@ -165,7 +165,7 @@ def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = Fals
     window = None
     if compact_v:
         w = _cos10_window(sample.domain, 1)
-        if not sample.domain.periodic_u:
+        if sample.domain.axes[0].kind == "open":
             w = _cos10_window(sample.domain, 0) * w
         window = ScalarField(w.value, sample, jet=w)
     return AmbientPolyField(sample, c0, cvec, mat, window=window)
@@ -272,37 +272,6 @@ def h_squared(s: SurfaceSample) -> TensorField02:
 # -- quadrature --------------------------------------------------------------
 
 
-def _fejer1_weights(n: int) -> np.ndarray:
-    """Fejer first-rule weights at x_j = cos((2j+1)pi/(2n)) for int_{-1}^{1}."""
-    theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
-    m = np.arange(1, n // 2 + 1)
-    return (2.0 / n) * (1.0 - 2.0 * np.sum(np.cos(2.0 * np.outer(theta, m)) / (4.0 * m**2 - 1.0), axis=1))
-
-
-def _direction_weights(domain: PatchDomain) -> tuple[np.ndarray, np.ndarray]:
-    lu = domain.u_range[1] - domain.u_range[0]
-    lv = domain.v_range[1] - domain.v_range[0]
-    if domain.periodic_u:
-        wu = np.full(domain.nu, lu / domain.nu)
-    else:
-        wu = np.full(domain.nu, lu / (domain.nu - 1))
-        wu[0] *= 0.5
-        wu[-1] *= 0.5
-    if domain.pole_offset:
-        # the area density vanishes like sin(theta) at both ends; weighting
-        # by Fejer-1 weights over x = cos(theta) makes the rule exact for
-        # band-limited integrands and spectrally accurate for smooth ones
-        theta = (2.0 * np.arange(domain.nv) + 1.0) * np.pi / (2.0 * domain.nv)
-        wv = (lv / np.pi) * _fejer1_weights(domain.nv) / np.sin(theta)
-    elif domain.periodic_v:
-        wv = np.full(domain.nv, lv / domain.nv)
-    else:
-        wv = np.full(domain.nv, lv / (domain.nv - 1))
-        wv[0] *= 0.5
-        wv[-1] *= 0.5
-    return wu, wv
-
-
 def integrate(f, s: SurfaceSample) -> float:
     """Surface integral of f dS over the chart, open or closed; f may be a
     ScalarField or a grid array."""
@@ -311,7 +280,7 @@ def integrate(f, s: SurfaceSample) -> float:
         f = f.values
     vals = np.asarray(f, dtype=float)
     w = fundamental_forms(s).dS_weight
-    wu, wv = _direction_weights(s.domain)
+    wu, wv = (ax.weights for ax in s.domain.axes)
     return float(np.sum(vals * w * wu[:, None] * wv[None, :]))
 
 
@@ -346,7 +315,7 @@ def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
     if data.shape[1] < 3:
         raise ConfigError(f"field CSV '{path}' has no value column (expected u,v,value)")
     nodes = np.column_stack([x.ravel() for x in sample.domain.meshes()])
-    extent = [hi - lo for lo, hi in (sample.domain.u_range, sample.domain.v_range)]
+    extent = [ax.length for ax in sample.domain.axes]
     off = ~np.all(np.abs(data[:, :2] - nodes) <= 1e-9 * np.array(extent), axis=1)  # NaN is off too
     if np.any(off):
         k = int(np.argmax(off))

@@ -233,7 +233,7 @@ def sample_builtin(name: str, params: dict | None = None, domain: PatchDomain | 
         domain = default_domain(name, params)
     key = tuple(sorted((k, float(v) if not isinstance(v, dict) else tuple(sorted(v.items()))) for k, v in params.items()))
     bundle = _bundle(name, key, sf)
-    if domain.pole_offset:
+    if domain.axes[1].kind == "pole":
         _check_poles(name, bundle, domain)
 
     jets = dict(zip(MULTI_INDICES, bundle.evaluate(*domain.meshes(), MULTI_INDICES)))

@@ -167,7 +167,7 @@ def _cmd_energy(args):
 
 
 def _cmd_variation(args, order: int):
-    from .variations import _oracle_core, first_variation, second_variation
+    from .variations import _oracle_core, first_variation, oracle_passes, second_variation
 
     s = _make_sample(args)
     E = _make_density(args)
@@ -186,8 +186,8 @@ def _cmd_variation(args, order: int):
     if args.oracle:
         payload["oracle"] = vars(rep)
     _emit(args, payload)
-    # verify-all's bounds: criterion 3's for order 1, criterion 6's for order 2
-    if args.oracle and (rep.rel_error > 1e-5 or rep.convergence_order < 1.9 if order == 1 else rep.rel_error > 1e-4):
+    check = "first_variation" if order == 1 else "second_variation"
+    if args.oracle and not oracle_passes(check, rep.rel_error, rep.convergence_order):
         print(f"curvevar: oracle check failed (rel_error {rep.rel_error:.3e}, order {rep.convergence_order:.3f})", file=sys.stderr)
         return 2
     return 0
@@ -213,7 +213,7 @@ def _cmd_el_residual(args):
 
 def _cmd_verify_evolution(args):
     from .calculus import random_smooth_field
-    from .variations import _NEEDS_F, evolution_check
+    from .variations import _NEEDS_F, evolution_check, oracle_passes
 
     s = _make_sample(args)
     u = _make_field(args.u, s)
@@ -223,7 +223,7 @@ def _cmd_verify_evolution(args):
     rep = evolution_check(s, u, f=f, quantity=args.quantity)
     payload = {"surface": args.surface, "quantity": args.quantity, **vars(rep)}
     _emit(args, payload)
-    return 0 if rep.rel_error <= 1e-4 and rep.convergence_order >= 1.9 else 2
+    return 0 if oracle_passes("evolution", rep.rel_error, rep.convergence_order) else 2
 
 
 def _cmd_sphere_stability(args):

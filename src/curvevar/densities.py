@@ -108,12 +108,14 @@ def _lambdified(expr, names: tuple, orders: tuple) -> dict:
     return {order: sp.lambdify(syms, sp.diff(expr, *zip(syms, order)), modules=[np]) for order in orders}
 
 
-def density_from_expr(expr, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
-    """Build a density from a sympy expression in the symbols H and K."""
+def density_from_expr(expr, name: str) -> EnergyDensity:
+    """Build a density from a sympy expression in the symbols H and K. It
+    has no domain guard: ``EnergyDensity.guarded`` refuses the first node at
+    which a partial is not finite."""
     fns = _sympy_partials(expr, ("H", "K"), (*_PARTIALS.values(), *_THIRD.values()), "density expression")
     partials = {key: _scalarize(fns[ij]) for key, ij in _PARTIALS.items()}
     third = {key: _scalarize(fns[ij]) for key, ij in _THIRD.items()}
-    return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **partials)
+    return EnergyDensity(name=name, third=third, **partials)
 
 
 def _falling(x: float, n: int) -> float:

@@ -9,7 +9,10 @@ order in one pass, for fields without a jet and for closed-chart jets:
   smooth function on a sphere-type chart.
 - Banded finite differences (FD_WIDTH = 9 points, one-sided near the
   edges) elsewhere; a direction needs at least FD_WIDTH grid nodes.
-- Fornberg stencil weights for the local jet stencils.
+
+Which rule a direction takes, with its spacing, FFT length and period,
+is read from the domain's ``ChartAxis``. ``fd_weights`` gives Fornberg
+stencil weights, here and for the local jet stencils.
 """
 
 from __future__ import annotations
@@ -51,89 +54,40 @@ def fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def spectral_derivatives(fk: np.ndarray, n: int, orders, period: float, axis: int) -> list:
-    """Derivatives of the given orders (each >= 1) along ``axis`` of a
-    periodic function sampled at n points, from its forward transform
-    fk = rfft(values, axis=axis); one transform serves all the orders."""
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period
-    shape = [1] * fk.ndim
-    shape[axis] = len(k)
-    out = []
-    for order in orders:
-        mult = (1j * k) ** order
-        if order % 2 == 1 and n % 2 == 0:
-            mult = mult.copy()
-            mult[-1] = 0.0
-        out.append(np.fft.irfft(fk * mult.reshape(shape), n=n, axis=axis))
-    return out
-
-
-def fd_derivative_matrix(n: int, spacing: float, order: int) -> np.ndarray:
-    """Dense differentiation matrix for a uniform non-periodic grid of
-    n >= FD_WIDTH nodes."""
-    d = np.zeros((n, n))
-    half = FD_WIDTH // 2
-    for i in range(n):
-        lo = min(max(i - half, 0), n - FD_WIDTH)
-        idx = np.arange(lo, lo + FD_WIDTH)
-        d[i, idx] = fd_weights((idx - i) * spacing, order)
-    return d
-
-
-def _pole_extend(vals: np.ndarray, axis_u: int, axis_v: int) -> np.ndarray:
-    """Extend a pole-offset chart array to the full latitude circle."""
-    nu = vals.shape[axis_u]
-    if nu % 2 != 0:
-        raise ValueError("pole extension needs an even longitude count")
-    mirrored = np.flip(vals, axis=axis_v)
-    mirrored = np.roll(mirrored, nu // 2, axis=axis_u)
-    return np.concatenate([vals, mirrored], axis=axis_v)
-
-
 class ChartDerivatives:
     """Partial-derivative operator bundle for one chart grid.
 
     Axis 0 of the value arrays is the u direction, axis 1 the v direction;
-    trailing axes (vector components) are carried along unchanged.
+    trailing axes (vector components) are carried along unchanged. Each
+    direction is differentiated by the rule of its ``ChartAxis``.
     """
 
     def __init__(self, domain):
         self.domain = domain
-        lu = domain.u_range[1] - domain.u_range[0]
-        lv = domain.v_range[1] - domain.v_range[0]
-        self._lu, self._lv = lu, lv
-        self._du = lu / domain.nu if domain.periodic_u else lu / (domain.nu - 1)
-        # pole-offset samples have spacing L/n in the open interval
-        self._dv = lv / domain.nv if domain.periodic_v or domain.pole_offset else lv / (domain.nv - 1)
-        self._mats: dict[tuple[str, int], np.ndarray] = {}
+        self.axes = domain.axes
+        self._mats: dict[tuple[int, int], np.ndarray] = {}
 
-    def _fd_matrix(self, direction: str, order: int) -> np.ndarray:
-        key = (direction, order)
+    def _fd_matrix(self, axis: int, order: int) -> np.ndarray:
+        """Dense differentiation matrix along a direction of n >= FD_WIDTH nodes."""
+        key = (axis, order)
         if key not in self._mats:
-            n, step = (self.domain.nu, self._du) if direction == "u" else (self.domain.nv, self._dv)
+            n, step = self.axes[axis].n, self.axes[axis].spacing
             if n < FD_WIDTH:
-                raise ConfigError(f"finite differences along {direction} need at least {FD_WIDTH} grid nodes (got n{direction} = {n})")
-            self._mats[key] = fd_derivative_matrix(n, step, order)
+                d = "uv"[axis]
+                raise ConfigError(f"finite differences along {d} need at least {FD_WIDTH} grid nodes (got n{d} = {n})")
+            self._mats[key] = mat = np.zeros((n, n))
+            for i in range(n):
+                lo = min(max(i - FD_WIDTH // 2, 0), n - FD_WIDTH)
+                idx = np.arange(lo, lo + FD_WIDTH)
+                mat[i, idx] = fd_weights((idx - i) * step, order)
         return self._mats[key]
-
-    def spectral(self, axis: int) -> bool:
-        """True when derivatives along axis 0 (u) or 1 (v) are taken by FFT:
-        along a periodic direction, and along a pole-offset v of a chart
-        with periodic u."""
-        d = self.domain
-        return d.periodic_u if axis == 0 else d.periodic_v or (d.pole_offset and d.periodic_u)
-
-    def transform_size(self, axis: int) -> int:
-        """Length of the values ``transform`` takes along ``axis``: the grid
-        count, doubled along a pole-offset v by the pole extension."""
-        d = self.domain
-        return d.nu if axis == 0 else (d.nv if d.periodic_v else 2 * d.nv)
 
     def transform(self, vals: np.ndarray, axis: int) -> np.ndarray:
         """Forward FFT of grid values along a spectral direction; along a
-        pole-offset v, of the values extended to the full latitude circle."""
-        if axis == 1 and not self.domain.periodic_v:
-            vals = _pole_extend(vals, axis_u=0, axis_v=1)
+        pole-offset v (the domain ensures an even nu), of the values extended
+        to the full latitude circle by f(u, -v) = f(u + period/2, v)."""
+        if self.axes[axis].kind == "pole":
+            vals = np.concatenate([vals, np.roll(np.flip(vals, axis=1), vals.shape[0] // 2, axis=0)], axis=1)
         return np.fft.rfft(vals, axis=axis)
 
     def _along(self, vals: np.ndarray, axis: int, orders, fk: np.ndarray | None = None) -> list:
@@ -142,16 +96,25 @@ class ChartDerivatives:
         ``transform(vals, axis)``, taken here unless given."""
         if not orders:
             return []
-        if not self.spectral(axis):
+        ax = self.axes[axis]
+        if not ax.spectral:
             spec = "ij,j...->i..." if axis == 0 else "ij,kj...->ki..."
-            return [np.einsum(spec, self._fd_matrix("uv"[axis], m), vals) for m in orders]
+            return [np.einsum(spec, self._fd_matrix(axis, m), vals) for m in orders]
         fk = self.transform(vals, axis) if fk is None else fk
-        period = self._lu if axis == 0 else (self._lv if self.domain.periodic_v else 2.0 * self._lv)
-        ders = spectral_derivatives(fk, self.transform_size(axis), orders, period, axis)
-        if axis == 0 or self.domain.periodic_v:
-            return ders
-        # the first half of the pole extension, copied so it keeps the memory layout of vals
-        return [der[:, : self.domain.nv].copy(order="K") for der in ders]
+        n, period = ax.fft
+        k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period
+        shape = [1] * fk.ndim
+        shape[axis] = len(k)
+        out = []
+        for order in orders:
+            mult = (1j * k) ** order
+            if order % 2 == 1 and n % 2 == 0:
+                mult[-1] = 0.0
+            der = np.fft.irfft(fk * mult.reshape(shape), n=n, axis=axis)
+            # along a pole v, the first half of the extension, copied so it
+            # keeps the memory layout of vals
+            out.append(der[:, : ax.n].copy(order="K") if ax.kind == "pole" else der)
+        return out
 
     def jet(self, vals: np.ndarray, order: int, spectra: dict | None = None) -> dict:
         """{(a, b): d^a_u d^b_v vals} for a + b <= order, (0, 0) being vals:

@@ -39,6 +39,63 @@ JET_ORDER = 4
 
 
 @dataclass(frozen=True)
+class ChartAxis:
+    """One direction of a chart grid: n nodes over [lo, hi], L = hi - lo,
+    placed, spaced, transformed and weighted by the rule of its kind.
+    Periodic: nodes lo + k L/n, FFT over n values of period L, weights
+    L/n. Pole (a lat-long v, both ends poles): nodes half a step inside,
+    lo + (k + 1/2) L/n, FFT over the 2n values of the extension across
+    the poles, f(u, -v) = f(u + period/2, v), of period 2L, and Fejer-1
+    weights over cos(theta) divided by sin(theta). Open: nodes
+    lo + k L/(n - 1), trapezoid weights. ``spectral`` marks an axis
+    differentiated by FFT (else by finite differences): a periodic one,
+    or a pole one when u is periodic, as the extension needs.
+    """
+
+    lo: float
+    hi: float
+    n: int
+    kind: str  # "periodic", "pole" or "open"
+    spectral: bool
+
+    @property
+    def length(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def nodes(self) -> np.ndarray:
+        if self.kind == "open":
+            return np.linspace(self.lo, self.hi, self.n)
+        return self.lo + self.length * (np.arange(self.n) + (0.5 if self.kind == "pole" else 0.0)) / self.n
+
+    @property
+    def spacing(self) -> float:
+        return self.length / (self.n - 1 if self.kind == "open" else self.n)
+
+    @property
+    def fft(self) -> tuple[int, float]:
+        """Length and period of the values an FFT along the axis takes."""
+        return (2 * self.n, 2.0 * self.length) if self.kind == "pole" else (self.n, self.length)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Quadrature weights of the nodes."""
+        if self.kind == "pole":
+            # the area density vanishes like sin(theta) at both ends; weighting
+            # by Fejer-1 weights over x = cos(theta) makes the rule exact for
+            # band-limited integrands and spectrally accurate for smooth ones
+            n = self.n
+            theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
+            m = np.arange(1, n // 2 + 1)
+            fejer = (2.0 / n) * (1.0 - 2.0 * np.sum(np.cos(2.0 * np.outer(theta, m)) / (4.0 * m**2 - 1.0), axis=1))
+            return (self.length / np.pi) * fejer / np.sin(theta)
+        w = np.full(self.n, self.spacing)
+        if self.kind == "open":
+            w[[0, -1]] *= 0.5
+        return w
+
+
+@dataclass(frozen=True)
 class PatchDomain:
     """Rectangular chart domain with grid counts and periodicity flags.
 
@@ -46,6 +103,7 @@ class PatchDomain:
     both ends of ``v_range``, and both ends must be poles of the chart (v
     in (0, pi) on the sphere charts), across which the chart continues as
     f(u, -v) = f(u + period/2, v). Spectral jets are refused otherwise.
+    ``axes`` turns the flags into one ``ChartAxis`` per direction.
     """
 
     u_range: tuple[float, float]
@@ -67,20 +125,20 @@ class PatchDomain:
             raise ConfigError(f"pole_offset needs an even nu (got nu = {self.nu})")
 
     @property
+    def axes(self) -> tuple[ChartAxis, ChartAxis]:
+        """The u and v directions; a pole v is spectral when u is periodic."""
+        u = ChartAxis(*self.u_range, self.nu, "periodic" if self.periodic_u else "open", self.periodic_u)
+        v_kind = "periodic" if self.periodic_v else "pole" if self.pole_offset else "open"
+        v_spectral = self.periodic_v or self.pole_offset and self.periodic_u
+        return u, ChartAxis(*self.v_range, self.nv, v_kind, v_spectral)
+
+    @property
     def u_nodes(self) -> np.ndarray:
-        a, b = self.u_range
-        if self.periodic_u:
-            return a + (b - a) * np.arange(self.nu) / self.nu
-        return np.linspace(a, b, self.nu)
+        return self.axes[0].nodes
 
     @property
     def v_nodes(self) -> np.ndarray:
-        a, b = self.v_range
-        if self.periodic_v:
-            return a + (b - a) * np.arange(self.nv) / self.nv
-        if self.pole_offset:
-            return a + (b - a) * (np.arange(self.nv) + 0.5) / self.nv
-        return np.linspace(a, b, self.nv)
+        return self.axes[1].nodes
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.u_nodes, self.v_nodes, indexing="ij")
@@ -88,13 +146,11 @@ class PatchDomain:
     @property
     def closed(self) -> bool:
         """True when quadrature over the patch covers a closed surface."""
-        u_ok = self.periodic_u
-        v_ok = self.periodic_v or self.pole_offset
-        return u_ok and v_ok
+        return all(ax.kind != "open" for ax in self.axes)
 
     @property
     def extent(self) -> float:
-        return max(self.u_range[1] - self.u_range[0], self.v_range[1] - self.v_range[0])
+        return max(ax.length for ax in self.axes)
 
 
 class Provenance(Enum):
@@ -328,21 +384,17 @@ def spectral_tail(values, domain: PatchDomain) -> dict:
     """
     ops = ChartDerivatives(domain)
     x = np.asarray(values, dtype=float)
-    return _tail_shares({axis: ops.transform(x, axis) for axis in (0, 1) if ops.spectral(axis)}, ops)
+    return {"uv"[i]: _tail_share(ops.transform(x, i), i, ax.fft[0]) for i, ax in enumerate(ops.axes) if ax.spectral}
 
 
-def _tail_shares(spectra: dict, ops: ChartDerivatives) -> dict:
-    """``spectral_tail`` from the forward transforms {axis: ops.transform(x,
-    axis)} of the values."""
-    out = {}
-    for axis, fk in spectra.items():
-        n = ops.transform_size(axis)
-        power = np.abs(fk) ** 2
-        power = np.moveaxis(power, axis, 0).reshape(power.shape[axis], -1).sum(axis=1)
-        power[1 : (n + 1) // 2] *= 2.0  # every mode but the mean and Nyquist stands for +-k
-        total = power.sum()
-        out["uv"[axis]] = float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
-    return out
+def _tail_share(fk: np.ndarray, axis: int, n: int) -> float:
+    """``spectral_tail``'s share along ``axis`` from the forward transform
+    fk of the n values there."""
+    power = np.abs(fk) ** 2
+    power = np.moveaxis(power, axis, 0).reshape(power.shape[axis], -1).sum(axis=1)
+    power[1 : (n + 1) // 2] *= 2.0  # every mode but the mean and Nyquist stands for +-k
+    total = power.sum()
+    return float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
 
 
 def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
@@ -356,15 +408,15 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
         raise ConfigError(f"{name}: non-finite position at node {node}")
     # the forward transforms along u and v serve the tail guard, then the jet
     spectra = {axis: ops.transform(x, axis) for axis in (0, 1)}
-    for direction, share in _tail_shares(spectra, ops).items():
+    for axis, ax in enumerate(ops.axes):
+        share = _tail_share(spectra[axis], axis, ax.fft[0])
         if share > SPECTRAL_TAIL_BOUND:
-            nu, nv = ops.domain.nu, ops.domain.nv
             fix = "use a finer grid"
-            if direction == "v" and ops.domain.pole_offset:
+            if ax.kind == "pole":
                 fix = f"both ends of v_range = {ops.domain.v_range} must be poles of the chart; if they are, {fix}"
             raise ConfigError(
-                f"{name}: spectral tail {share:.2e} along {direction} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
-                f"{nu}x{nv} grid does not resolve it and its jets would be aliased; {fix}"
+                f"{name}: spectral tail {share:.2e} along {'uv'[axis]} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
+                f"{ops.domain.nu}x{ops.domain.nv} grid does not resolve it and its jets would be aliased; {fix}"
             )
     return ops.jet(x, JET_ORDER, spectra)
 

@@ -75,6 +75,16 @@ def _report(formula: float, oracle: float, step: float, order: float) -> Variati
     )
 
 
+# the oracle pass bounds (largest rel_error, least convergence order or None)
+# of verify-all's criteria 3, 6 and 5, which the CLI's exit codes share
+ORACLE_BOUNDS = {"first_variation": (1e-5, 1.9), "second_variation": (1e-4, None), "evolution": (1e-4, 1.9)}
+
+
+def oracle_passes(check: str, rel_error: float, order: float | None = None) -> bool:
+    rel, least = ORACLE_BOUNDS[check]
+    return rel_error <= rel and (least is None or order >= least)
+
+
 def functional_value(s: SurfaceSample, E: EnergyDensity) -> float:
     """F = integral of E(H, K) dS."""
     cs = curvature_scalars(s)

@@ -163,3 +163,23 @@ def test_sympy_has_two_entry_points():
         callers |= {(path.stem, where) for where in _callers(tree, "_sympy_partials")}
     assert importers == {"densities"}
     assert callers == {("densities", "density_from_expr"), ("calculus", "ScalarField.from_expr")}
+
+
+def _flag_readers(package: Path) -> set:
+    """The modules that read periodic_u, periodic_v or pole_offset off an
+    object, as an attribute or by getattr with the name. Keyword
+    arguments of a PatchDomain(...) call are not reads."""
+    flags = {"periodic_u", "periodic_v", "pole_offset"}
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in flags or isinstance(node, ast.Constant) and node.value in flags:
+                readers.add(path.stem)
+    return readers
+
+
+def test_axis_kinds_are_read_in_surface_alone():
+    """``PatchDomain.axes`` alone turns the chart flags into per-axis
+    kinds; every other module reads nodes, spacing, FFT geometry and
+    quadrature weights from those axes."""
+    assert _flag_readers(PACKAGE) == {"surface"}

@@ -123,6 +123,10 @@ def test_unknown_density_or_quantity_exits_1_naming_the_valid_set(argv, message,
         ("sphere:r=1", ("--nv", "0"), "grid counts must be at least 8"),
         ("torus", ("--nu", "0", "--nv", "0"), "grid counts must be at least 8"),
         ("sphere:r=1,r=2", (), "surface parameter 'r' is given twice"),
+        ("sphere:r=-1", (), "sphere radius must be positive"),
+        ("torus:R=1,a=2", (), "torus needs R > a > 0"),
+        ("catenoid:c=0", (), "catenoid scale must be positive"),
+        ("geodesic_sphere_S3:a=4", (), "geodesic radius must lie in (0, pi*rho)"),
     ],
 )
 def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys):
@@ -633,6 +637,47 @@ def test_config_supplies_a_required_flag(conf, typed, tmp_path, capsys):
 def test_config_required_flag_loses_to_a_typed_one(tmp_path, capsys):
     code, out, _ = run(capsys, "spectrum", "--config", _config(tmp_path, {"k": 2}), "--k", "1")
     assert code == 0 and json.loads(out)["k"] == 1
+
+
+_FV16 = ("first-variation", "--surface", "sphere", "--density", "willmore", "--nu", "16", "--nv", "16")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("energy", "--density", "willmore"), "missing --surface (expected e.g. sphere:r=1 or torus:R=2,a=1)"),
+        (_FV16, "missing --u (expected const, harmonic:l,m, random:seed=N, or a .csv path)"),
+        ((*_FV16, "--u", "harmonic:2"), "malformed --u harmonic spec (expected harmonic:l,m)"),
+        (("spectrum", "--k", "-1"), "spectrum index must be >= 0"),
+    ],
+)
+def test_missing_or_malformed_inputs_exit_1(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"curvevar: {message}\n"
+
+
+def test_config_that_is_not_a_readable_json_object_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "spectrum", "--k", "1", "--config", missing)
+    assert code == 1 and out == ""
+    assert err == f"curvevar: cannot read --config file: [Errno 2] No such file or directory: '{missing}'\n"
+    code, out, err = run(capsys, "spectrum", "--k", "1", "--config", _config(tmp_path, [1, 2]))
+    assert code == 1 and out == ""
+    assert err == "curvevar: --config must contain a JSON object\n"
+
+
+def test_config_switch_takes_true_or_false(tmp_path, capsys):
+    """A switch in a --config file is the typed flag when true, no flag when
+    false, and refused otherwise."""
+    argv = ("first-variation", "--surface", "sphere", "--density", "willmore", "--u", "harmonic:2,0", "--nu", "32", "--nv", "16")
+    for on, typed in ((True, ("--oracle",)), (False, ())):
+        code, want, _ = run(capsys, *argv, *typed)
+        assert code == 0 and ("oracle" in json.loads(want)) is on
+        assert run(capsys, *argv, "--config", _config(tmp_path, {"oracle": on}))[:2] == (0, want)
+    code, out, err = run(capsys, *argv, "--config", _config(tmp_path, {"oracle": "yes"}))
+    assert code == 1 and out == ""
+    assert err == "curvevar: config key 'oracle' takes true or false (got 'yes')\n"
 
 
 def test_config_without_a_value_is_reported_by_the_subcommand(capsys):

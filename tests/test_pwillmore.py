@@ -144,6 +144,11 @@ def test_index_form_rejects_nonzero_mean(sphere):
         sphere_index_form(PWillmoreSetting(2.0), ScalarField.constant(1.0, sphere))
 
 
+def test_index_form_rejects_a_setting_of_another_radius(sphere):
+    with pytest.raises(ConfigError, match="^field lives on a sphere of radius 1, setting says 2$"):
+        sphere_index_form(PWillmoreSetting(3.0, 2.0), harmonic_field(sphere, 2, 0))
+
+
 def test_el_residual_specialization(sphere2):
     """The specialised H^p residual of variation_reference against the
     general Euler-Lagrange residual."""

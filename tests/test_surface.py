@@ -570,6 +570,11 @@ def test_catalog_pole_offset_domain_must_end_at_poles():
     assert abs(area(sample_builtin("geodesic_sphere_S3", {"a": 1.0}, domain=full)) - 4 * np.pi * np.sin(1.0) ** 2) < 1e-12
 
 
+def test_graph_coefficients_must_be_numbers():
+    with pytest.raises(ConfigError, match=r"^graph parameter 'coeffs' must be a number \(got 'x'\)$"):
+        sample_builtin("graph", {"coeffs": {(2, 0): 1.0, (0, 2): "x"}})
+
+
 def test_fields_stay_on_their_chart_grid(torus, sphere):
     """The torus and the sphere share a 128 x 64 grid but not a chart: a
     field on one does not deform the other, since its partials belong to
