@@ -1,17 +1,16 @@
 """Curvature energy densities E(H, K) with exact partial derivatives.
 
-A density carries its value and the five partials E_H, E_K, E_HH, E_HK,
-E_KK used by the variation formulas, its third partials, plus an optional
-domain guard (for example H > 0 for non-integer powers of the mean
-curvature). The built-in densities are sums of monomials c H^i K^j whose
-partials are written down directly; ``density_from_expr`` differentiates
-a user's sympy expression instead.
+A density is one table, ``partials[(i, j)]`` = d^i_H d^j_K E for every
+order i + j <= 3 (``ORDERS``), with an optional domain guard (for example
+H > 0 for non-integer powers of H). The built-in densities are sums of
+monomials c H^i K^j whose partials are written down directly;
+``density_from_expr`` differentiates a user's sympy expression instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -19,25 +18,22 @@ import numpy as np
 
 from .errors import ConfigError, GuardViolation, _first_node, _require_exponent
 
-# the stored partials as (order in H, order in K)
-_PARTIALS = {"eval": (0, 0), "E_H": (1, 0), "E_K": (0, 1), "E_HH": (2, 0), "E_HK": (1, 1), "E_KK": (0, 2)}
-_THIRD = {"HHH": (3, 0), "HHK": (2, 1), "HKK": (1, 2), "KKK": (0, 3)}
+# the orders (i, j) of the partials d^i_H d^j_K E a density carries, by
+# total order, with the names messages give them
+ORDERS = {(0, 0): "eval", (1, 0): "E_H", (0, 1): "E_K", (2, 0): "E_HH", (1, 1): "E_HK", (0, 2): "E_KK",
+          (3, 0): "HHH", (2, 1): "HHK", (1, 2): "HKK", (0, 3): "KKK"}
 
 
 @dataclass(frozen=True)
 class EnergyDensity:
     name: str
-    eval: Callable
-    E_H: Callable
-    E_K: Callable
-    E_HH: Callable
-    E_HK: Callable
-    E_KK: Callable
+    partials: dict  # (i, j) -> d^i_H d^j_K E, for every order in ORDERS
     domain_guard: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
-    # the third partials ("HHH", "HHK", "HKK", "KKK"), by which the
-    # Euler-Lagrange residual composes the jets of E_H(H, K) and E_K(H, K)
-    third: dict = field(kw_only=True)
+
+    def __post_init__(self):
+        for ij, key in ORDERS.items():
+            if ij not in self.partials:
+                raise ConfigError(f"density '{self.name}' lacks the partial {key} (order {ij})")
 
     def check_guard(self, H, K) -> None:
         if self.domain_guard is None:
@@ -51,18 +47,18 @@ class EnergyDensity:
                 node=node,
             )
 
-    def guarded(self, H, K, *names: str) -> tuple:
-        """The named partials ("eval", "E_H", ..., "HHH", ...) at (H, K) after
-        the domain guard; GuardViolation at the first node where one is not
-        finite."""
+    def guarded(self, H, K, *orders: tuple) -> tuple:
+        """The partials of the given orders ((0, 0), (1, 0), ...) at (H, K)
+        after the domain guard; GuardViolation at the first node where one
+        is not finite."""
         self.check_guard(H, K)
         with np.errstate(all="ignore"):
-            out = tuple((self.third[name] if name in _THIRD else getattr(self, name))(H, K) for name in names)
-        for name, x in zip(names, out):
+            out = tuple(self.partials[ij](H, K) for ij in orders)
+        for ij, x in zip(orders, out):
             if not np.all(np.isfinite(x)):
                 node = _first_node(~np.isfinite(x))
                 raise GuardViolation(
-                    f"density '{self.name}' is not finite at node {node}: {name} = {x[node]} at "
+                    f"density '{self.name}' is not finite at node {node}: {ORDERS[ij]} = {x[node]} at "
                     f"H={np.asarray(H)[node]:.6g}, K={np.asarray(K)[node]:.6g}",
                     node=node,
                 )
@@ -112,10 +108,8 @@ def density_from_expr(expr, name: str) -> EnergyDensity:
     """Build a density from a sympy expression in the symbols H and K. It
     has no domain guard: ``EnergyDensity.guarded`` refuses the first node at
     which a partial is not finite."""
-    fns = _sympy_partials(expr, ("H", "K"), (*_PARTIALS.values(), *_THIRD.values()), "density expression")
-    partials = {key: _scalarize(fns[ij]) for key, ij in _PARTIALS.items()}
-    third = {key: _scalarize(fns[ij]) for key, ij in _THIRD.items()}
-    return EnergyDensity(name=name, third=third, **partials)
+    fns = _sympy_partials(expr, ("H", "K"), tuple(ORDERS), "density expression")
+    return EnergyDensity(name, {ij: _scalarize(fn) for ij, fn in fns.items()})
 
 
 def _falling(x: float, n: int) -> float:
@@ -149,26 +143,24 @@ def _monomial_partial(terms, i: int, j: int):
     return f
 
 
-def _monomial_density(terms, name: str, domain_guard=None, params: dict | None = None) -> EnergyDensity:
+def _monomial_density(terms, name: str, domain_guard=None) -> EnergyDensity:
     """Density sum c H^p K^q from (c, p, q) terms: q a non-negative integer,
     p an integer or, for H^p with non-integer p, a real exponent."""
-    fns = {key: _monomial_partial(terms, *ij) for key, ij in _PARTIALS.items()}
-    third = {key: _monomial_partial(terms, *ij) for key, ij in _THIRD.items()}
-    return EnergyDensity(name=name, domain_guard=domain_guard, params=dict(params or {}), third=third, **fns)
+    return EnergyDensity(name, {ij: _monomial_partial(terms, *ij) for ij in ORDERS}, domain_guard)
 
 
 def willmore(k0: float = 0.0) -> EnergyDensity:
-    return _monomial_density([(1.0, 2, 0), (k0, 0, 0)], "willmore", params={"k0": k0})
+    return _monomial_density([(1.0, 2, 0), (k0, 0, 0)], "willmore")
 
 
 def bending(k0: float = 0.0) -> EnergyDensity:
-    return _monomial_density([(1.0, 2, 0), (-1.0, 0, 1), (k0, 0, 0)], "bending", params={"k0": k0})
+    return _monomial_density([(1.0, 2, 0), (-1.0, 0, 1), (k0, 0, 0)], "bending")
 
 
 def helfrich(kc: float = 1.0, c0: float = 0.0, kbar: float = 0.0) -> EnergyDensity:
     # kc (2H + c0)^2 + kbar K, expanded
     terms = [(4.0 * kc, 2, 0), (4.0 * kc * c0, 1, 0), (kc * c0**2, 0, 0), (kbar, 0, 1)]
-    return _monomial_density(terms, "helfrich", params={"kc": kc, "c0": c0, "kbar": kbar})
+    return _monomial_density(terms, "helfrich")
 
 
 def pwillmore(p: float) -> EnergyDensity:
@@ -180,7 +172,7 @@ def pwillmore(p: float) -> EnergyDensity:
     else:
         power = float(p)
         guard = lambda H, K: H > 0
-    return _monomial_density([(1.0, power, 0)], "pwillmore", domain_guard=guard, params={"p": float(p)})
+    return _monomial_density([(1.0, power, 0)], "pwillmore", domain_guard=guard)
 
 
 def ksquared() -> EnergyDensity:

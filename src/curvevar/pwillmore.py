@@ -209,13 +209,11 @@ def poincare_check(u: ScalarField) -> PoincareReport:
     of radius r, for fields orthogonal to constants and to the first Laplacian eigenspace."""
     s = u.sample
     r = _sphere_radius(s)
-    dec = harmonic_project(u, l_max=2)
-    scale = math.sqrt(max(dec.norm_sq, 1e-300))
+    dec = harmonic_project(u, l_max=1)
+    norm_sq = dec.norm_sq
+    scale = math.sqrt(max(norm_sq, 1e-300))
     if abs(dec.coefficients[(0, 0)]) > 1e-6 * scale or not dec.is_orthogonal_to_first_eigenspace():
-        raise ConfigError(
-            "Poincare check requires a field orthogonal to constants and to the first eigenspace"
-        )
-    norm_sq = integrate(u.values**2, s)
+        raise ConfigError("Poincare check requires a field orthogonal to constants and to the first eigenspace")
     grad_q = r**2 / 6.0 * integrate(grad_inner(u, u, s), s)
     lap_q = r**4 / 36.0 * integrate(laplace_beltrami(u, s).values ** 2, s)
     slack = 1e-8 * max(norm_sq, grad_q, lap_q)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotTangentError, _require_radius
+from .errors import NotTangentError, _first_node, _require_radius
 
 TANGENCY_RTOL = 1e-8
 
@@ -103,15 +103,18 @@ class SpaceForm:
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         scale = np.sqrt(np.abs(self.flat_inner(p, p)) * np.maximum(np.abs(self.flat_inner(v, v)), 1e-300))
-        bad = np.abs(self.flat_inner(p, v)) > TANGENCY_RTOL * np.maximum(scale, 1e-300)
-        if np.any(bad):
-            raise NotTangentError("not tangent")
+        off, bound = np.abs(self.flat_inner(p, v)), TANGENCY_RTOL * np.maximum(scale, 1e-300)
+        if np.any(off > bound):
+            node = _first_node(off > bound)
+            raise NotTangentError(f"not tangent at node {node}: |<p, v>| = {off[node]:.3e}, bound {bound[node]:.3e}")
 
     def check_unit_tangent(self, p, n) -> None:
         """Refuse a direction n at p that is not a unit vector tangent to
-        the model."""
-        if np.any(np.abs(self.flat_inner(n, n) - 1.0) > 1e-8):
-            raise NotTangentError("direction is not a unit vector")
+        the model, naming the first such node."""
+        err = np.abs(self.flat_inner(n, n) - 1.0)
+        if np.any(err > 1e-8):
+            node = _first_node(err > 1e-8)
+            raise NotTangentError(f"direction is not a unit vector at node {node}: |<n, n> - 1| = {err[node]:.3e}, bound 1e-08")
         self.check_tangent(p, n)
 
     # -- operations ---------------------------------------------------------

@@ -103,7 +103,9 @@ class PatchDomain:
     both ends of ``v_range``, and both ends must be poles of the chart (v
     in (0, pi) on the sphere charts), across which the chart continues as
     f(u, -v) = f(u + period/2, v). Spectral jets are refused otherwise.
-    ``axes`` turns the flags into one ``ChartAxis`` per direction.
+    ``axes`` turns the flags into one ``ChartAxis`` per direction. Both
+    ranges must be finite with lo < hi: a reversed one would make the
+    spacing and the weights negative.
     """
 
     u_range: tuple[float, float]
@@ -115,6 +117,9 @@ class PatchDomain:
     pole_offset: bool = False
 
     def __post_init__(self):
+        for axis, (lo, hi) in (("u", self.u_range), ("v", self.v_range)):
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ConfigError(f"chart {axis}_range must be finite with lo < hi (got {axis}_range = ({lo}, {hi}))")
         if self.nu < 8 or self.nv < 8:
             raise ConfigError("grid counts must be at least 8")
         if self.periodic_v and self.pole_offset:

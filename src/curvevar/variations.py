@@ -43,8 +43,8 @@ from .calculus import (
     metric_trace,
     shape_tensor,
 )
-from .curvature import _MAT_MUL, Taylor2, curvature_scalars, fundamental_forms
-from .densities import EnergyDensity
+from .curvature import _MAT_MUL, TAYLOR_INDICES, Taylor2, curvature_scalars, fundamental_forms
+from .densities import ORDERS, EnergyDensity
 from .errors import ConfigError, NotCriticalError
 from .spaceform import Model
 from .surface import SurfaceSample, _deformed_samples
@@ -88,7 +88,7 @@ def oracle_passes(check: str, rel_error: float, order: float | None = None) -> b
 def functional_value(s: SurfaceSample, E: EnergyDensity) -> float:
     """F = integral of E(H, K) dS."""
     cs = curvature_scalars(s)
-    (Ev,) = E.guarded(cs.H, cs.K, "eval")
+    (Ev,) = E.guarded(cs.H, cs.K, (0, 0))
     return integrate(Ev, s)
 
 
@@ -161,29 +161,28 @@ def first_variation(s: SurfaceSample, E: EnergyDensity, u: ScalarField) -> float
 
 def _first_variation(ops: SimpleNamespace, E: EnergyDensity, u: ScalarField) -> float:
     """``first_variation`` over the operator cache ``ops`` of its sample."""
-    Ev, EH, EK = E.guarded(ops.H, ops.K, "eval", "E_H", "E_K")
+    Ev, EH, EK = E.guarded(ops.H, ops.K, (0, 0), (1, 0), (0, 1))
     integrand = EH * _dH(ops, u) + EK * _dK(ops, u) - 2.0 * ops.H * Ev * u.values
     return integrate(integrand, ops.s)
 
 
-def _composed_field(s: SurfaceSample, vals: np.ndarray, derivs: tuple) -> ScalarField:
-    """Field G(H, K) on the surface from its values and those of (G_H, G_K,
-    G_HH, G_HK, G_KK): its jet composes the jets of H and K by the order-2
-    chain rule."""
+def _composed_field(s: SurfaceSample, table: dict, shift: tuple) -> ScalarField:
+    """Field G = d^a_H d^b_K E, (a, b) = shift, from the values ``table`` of
+    E's partials by order: G and its (H, K)-partials to order 2 are the table
+    shifted by (a, b), and its jet composes those of H and K by the chain rule."""
+    a, b = shift
+    G = [table[(a + i, b + j)] for i, j in TAYLOR_INDICES]
     H, K = (curvature_field(s, which).taylor() for which in ("H", "K"))
-    return ScalarField(vals, s, jet=Taylor2.compose2(H, K, vals, *derivs))
+    return ScalarField(G[0], s, jet=Taylor2.compose2(H, K, *G))
 
 
 def _el_residual(s: SurfaceSample, E: EnergyDensity) -> tuple[ScalarField, np.ndarray]:
-    """``el_residual`` and the values of E, from one guarded evaluation of E
-    and all ten partials the residual reads: the jets of E_H and E_K
-    compose those of H and K."""
+    """``el_residual`` and the values of E, from one guarded evaluation of
+    all ten partials of E: the jets of E_H and E_K compose those of H and K."""
     ops = _operators(s)
-    Ev, EH, EK, EHH, EHK, EKK, HHH, HHK, HKK, KKK = E.guarded(
-        ops.H, ops.K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK", "HHH", "HHK", "HKK", "KKK"
-    )
-    EH_field = _composed_field(s, EH, (EHH, EHK, HHH, HHK, HKK))
-    EK_field = _composed_field(s, EK, (EHK, EKK, HHK, HKK, KKK))
+    table = dict(zip(ORDERS, E.guarded(ops.H, ops.K, *ORDERS)))
+    EH_field, EK_field = (_composed_field(s, table, shift) for shift in ((1, 0), (0, 1)))
+    Ev = table[(0, 0)]
     return ScalarField(_dK(ops, EK_field, plus=_dH(ops, EH_field)) - 2.0 * ops.H * Ev, s), Ev
 
 
@@ -281,7 +280,7 @@ def _second_variation_integral(ops: SimpleNamespace, E: EnergyDensity, u: Scalar
     t-derivative of E(H, K) dS at each chart node, d^2E(H', K')
     + E_H (H_tt - 4Hu H') + E_K (K_tt - 4Hu K') + E (dS)_tt / dS."""
     H, uv = ops.H, u.values
-    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, ops.K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
+    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, ops.K, (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
     dH, dK, ddH, ddK, ddS = _second_derivatives(ops, u)
     integrand = (
         EHH * dH**2

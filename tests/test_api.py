@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import curvevar
+from curvevar.densities import EnergyDensity
 
 PACKAGE = Path(curvevar.__file__).resolve().parent
 
@@ -165,15 +167,14 @@ def test_sympy_has_two_entry_points():
     assert callers == {("densities", "density_from_expr"), ("calculus", "ScalarField.from_expr")}
 
 
-def _flag_readers(package: Path) -> set:
-    """The modules that read periodic_u, periodic_v or pole_offset off an
-    object, as an attribute or by getattr with the name. Keyword
-    arguments of a PatchDomain(...) call are not reads."""
-    flags = {"periodic_u", "periodic_v", "pole_offset"}
+def _readers(package: Path, names: set) -> set:
+    """The modules that read one of ``names`` off an object, as an
+    attribute or by getattr with the name. Keyword arguments of a call
+    (PatchDomain(periodic_u=...)) are not reads."""
     readers = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in flags or isinstance(node, ast.Constant) and node.value in flags:
+            if isinstance(node, ast.Attribute) and node.attr in names or isinstance(node, ast.Constant) and node.value in names:
                 readers.add(path.stem)
     return readers
 
@@ -182,4 +183,12 @@ def test_axis_kinds_are_read_in_surface_alone():
     """``PatchDomain.axes`` alone turns the chart flags into per-axis
     kinds; every other module reads nodes, spacing, FFT geometry and
     quadrature weights from those axes."""
-    assert _flag_readers(PACKAGE) == {"surface"}
+    assert _readers(PACKAGE, {"periodic_u", "periodic_v", "pole_offset"}) == {"surface"}
+
+
+def test_a_density_is_one_table_of_partials():
+    """A density is its name, one table of partials by order (i, j) and
+    an optional guard, and only ``densities`` reads the table: every
+    other module asks ``EnergyDensity.guarded`` for the orders it needs."""
+    assert [f.name for f in dataclasses.fields(EnergyDensity)] == ["name", "partials", "domain_guard"]
+    assert _readers(PACKAGE, {"partials"}) == {"densities"}

@@ -135,6 +135,18 @@ def test_bad_surface_parameters_and_grids_exit_1(surface, grid, message, capsys)
     assert err.startswith("curvevar: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "surface,v_range",
+    [("catenoid:s_max=-1.2", "(1.2, -1.2)"), ("catenoid:s_max=0", "(-0.0, 0.0)"), ("catenoid:c=2,s_max=-0.5", "(0.5, -0.5)")],
+)
+def test_empty_or_reversed_chart_range_exits_1(surface, v_range, capsys):
+    """A catenoid with s_max <= 0 has a reversed or empty v range; it used
+    to print a negative or zero area and exit 0."""
+    code, out, err = run(capsys, "curvature", "--surface", surface)
+    assert (code, out) == (1, "")
+    assert err == f"curvevar: chart v_range must be finite with lo < hi (got v_range = {v_range})\n"
+
+
 def test_non_finite_field_csv_names_the_node(tmp_path, capsys):
     rows = ["1.5"] * 256
     rows[16 * 3 + 5] = "nan"

@@ -20,12 +20,13 @@ from curvevar.errors import ConfigError, GuardViolation
 def _fd_check(E: EnergyDensity, H, K, tol=1e-6):
     """Finite-difference cross-check of every stored partial derivative."""
     h = 1e-5
+    P = E.partials
     pairs = [
-        (E.E_H, lambda a, b: (E.eval(a + h, b) - E.eval(a - h, b)) / (2 * h)),
-        (E.E_K, lambda a, b: (E.eval(a, b + h) - E.eval(a, b - h)) / (2 * h)),
-        (E.E_HH, lambda a, b: (E.E_H(a + h, b) - E.E_H(a - h, b)) / (2 * h)),
-        (E.E_HK, lambda a, b: (E.E_H(a, b + h) - E.E_H(a, b - h)) / (2 * h)),
-        (E.E_KK, lambda a, b: (E.E_K(a, b + h) - E.E_K(a, b - h)) / (2 * h)),
+        (P[(1, 0)], lambda a, b: (P[(0, 0)](a + h, b) - P[(0, 0)](a - h, b)) / (2 * h)),
+        (P[(0, 1)], lambda a, b: (P[(0, 0)](a, b + h) - P[(0, 0)](a, b - h)) / (2 * h)),
+        (P[(2, 0)], lambda a, b: (P[(1, 0)](a + h, b) - P[(1, 0)](a - h, b)) / (2 * h)),
+        (P[(1, 1)], lambda a, b: (P[(1, 0)](a, b + h) - P[(1, 0)](a, b - h)) / (2 * h)),
+        (P[(0, 2)], lambda a, b: (P[(0, 1)](a, b + h) - P[(0, 1)](a, b - h)) / (2 * h)),
     ]
     for exact, fd in pairs:
         err = np.max(np.abs(exact(H, K) - fd(H, K)))
@@ -35,7 +36,14 @@ def _fd_check(E: EnergyDensity, H, K, tol=1e-6):
 @pytest.mark.parametrize(
     "E",
     [willmore(0.5), bending(1.0), helfrich(1.2, 0.3, 0.5), pwillmore(3), pwillmore(2.5), ksquared()],
-    ids=lambda E: f"{E.name}-{E.params}",
+    ids=[
+        "willmore-{'k0': 0.5}",
+        "bending-{'k0': 1.0}",
+        "helfrich-{'kc': 1.2, 'c0': 0.3, 'kbar': 0.5}",
+        "pwillmore-{'p': 3.0}",
+        "pwillmore-{'p': 2.5}",
+        "ksquared-{}",
+    ],
 )
 def test_partials_against_finite_differences(E):
     rng = np.random.default_rng(0)
@@ -46,23 +54,23 @@ def test_partials_against_finite_differences(E):
 
 def test_willmore_values():
     E = willmore(0.25)
-    assert E.eval(2.0, 5.0) == pytest.approx(4.25)
-    assert E.E_H(2.0, 5.0) == pytest.approx(4.0)
-    assert E.E_K(2.0, 5.0) == pytest.approx(0.0)
-    assert E.E_HH(2.0, 5.0) == pytest.approx(2.0)
+    assert E.partials[(0, 0)](2.0, 5.0) == pytest.approx(4.25)
+    assert E.partials[(1, 0)](2.0, 5.0) == pytest.approx(4.0)
+    assert E.partials[(0, 1)](2.0, 5.0) == pytest.approx(0.0)
+    assert E.partials[(2, 0)](2.0, 5.0) == pytest.approx(2.0)
 
 
 def test_helfrich_reduces_to_willmore():
     E = helfrich(0.25, 0.0, 0.0)
     H = np.linspace(-2, 2, 9)
     K = np.linspace(-1, 1, 9)
-    assert np.max(np.abs(E.eval(H, K) - H**2)) < 1e-14
+    assert np.max(np.abs(E.partials[(0, 0)](H, K) - H**2)) < 1e-14
 
 
 def test_pwillmore_integer_allows_negative_H():
     E = pwillmore(3)
     E.check_guard(np.array([-1.0, 0.0, 1.0]), np.zeros(3))  # no guard
-    assert E.eval(-2.0, 0.0) == pytest.approx(-8.0)
+    assert E.partials[(0, 0)](-2.0, 0.0) == pytest.approx(-8.0)
 
 
 def test_pwillmore_fractional_guard():
@@ -88,7 +96,7 @@ def test_guards_name_the_first_bad_node_in_any_ndim():
             E.check_guard(H, np.zeros_like(H))
         assert guard.value.node == node and all(type(i) is int for i in node)
     with pytest.raises(GuardViolation, match=r"not finite at node \(1,\): E_H = inf") as bad:
-        willmore().guarded(np.array([1.0, np.inf, np.inf]), np.zeros(3), "E_H", "eval")
+        willmore().guarded(np.array([1.0, np.inf, np.inf]), np.zeros(3), (1, 0), (0, 0))
     assert bad.value.node == (1,)
 
 
@@ -100,10 +108,9 @@ def test_pwillmore_validation():
 def test_density_from_expr_third_partials():
     H, K = sp.symbols("H K")
     E = density_from_expr(H**4 + H * K**2, "custom")
-    assert E.third is not None
-    assert E.third["HHH"](2.0, 1.0) == pytest.approx(48.0)
-    assert E.third["HKK"](2.0, 1.0) == pytest.approx(2.0)
-    assert E.third["KKK"](2.0, 1.0) == pytest.approx(0.0)
+    assert E.partials[(3, 0)](2.0, 1.0) == pytest.approx(48.0)
+    assert E.partials[(1, 2)](2.0, 1.0) == pytest.approx(2.0)
+    assert E.partials[(0, 3)](2.0, 1.0) == pytest.approx(0.0)
 
 
 def test_density_from_expr_loads_no_unused_numpy_submodules():
@@ -120,7 +127,7 @@ def test_density_from_expr_loads_no_unused_numpy_submodules():
         "import sys\n"
         "from curvevar import density_from_expr\n"
         "E = density_from_expr('H**2*sqrt(H) - K', 'custom')\n"
-        "assert E.E_H(4.0, 1.0) == 20.0, E.E_H(4.0, 1.0)\n"
+        "assert E.partials[(1, 0)](4.0, 1.0) == 20.0, E.partials[(1, 0)](4.0, 1.0)\n"
         "assert 'numpy.f2py' not in sys.modules, 'numpy.f2py was imported'\n"
     )
     src = os.path.dirname(os.path.dirname(curvevar.__file__))
@@ -137,7 +144,8 @@ def test_density_from_expr_rejects_stray_symbols():
 
 def test_builtin_density_dispatch():
     assert builtin_density("willmore").name == "willmore"
-    assert builtin_density("pwillmore", p=2).params["p"] == 2.0
+    # p reaches the density: H^2 at H = 3 is 9
+    assert builtin_density("pwillmore", p=2).partials[(0, 0)](3.0, 0.0) == 9.0
     with pytest.raises(ConfigError):
         builtin_density("pwillmore")
     with pytest.raises(ConfigError):
@@ -153,9 +161,9 @@ def test_builtin_density_dispatch():
 def test_pwillmore_symmetry_property(H, K, p):
     """H^p density is independent of K: all K-partials vanish."""
     E = pwillmore(p)
-    assert E.E_K(H, K) == 0.0
-    assert E.E_HK(H, K) == 0.0
-    assert E.E_KK(H, K) == 0.0
+    assert E.partials[(0, 1)](H, K) == 0.0
+    assert E.partials[(1, 1)](H, K) == 0.0
+    assert E.partials[(0, 2)](H, K) == 0.0
 
 
 def test_builtin_density_refuses_keys_it_does_not_take():
@@ -167,4 +175,7 @@ def test_builtin_density_refuses_keys_it_does_not_take():
         builtin_density("area", k0=0.0)
     with pytest.raises(ConfigError, match="pwillmore requires the exponent p"):
         builtin_density("pwillmore")
-    assert builtin_density("helfrich", kc=2.0).params == {"kc": 2.0, "c0": 0.0, "kbar": 0.0}
+    # kc = 2 with the defaults c0 = 0, kbar = 0: E = 2 (2H)^2, so E = 18 and
+    # E_H = 24 at H = 1.5, and E_K = kbar = 0
+    E = builtin_density("helfrich", kc=2.0)
+    assert (E.partials[(0, 0)](1.5, 0.7), E.partials[(1, 0)](1.5, 0.7), E.partials[(0, 1)](1.5, 0.7)) == (18.0, 24.0, 0.0)

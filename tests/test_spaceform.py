@@ -96,6 +96,27 @@ def test_tangency_enforced():
         sf.geodesic_step(p, np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0]), 0.1)
 
 
+def test_tangency_guards_name_the_first_bad_node():
+    """On a 2-d grid of points of the unit S^3, one direction that is a
+    unit vector but not tangent, then one that is tangent but not a unit
+    vector: each refusal names its node and states the measured size
+    against the bound."""
+    sf = SpaceForm.sphere(1.0)
+    p = np.zeros((3, 4, 4))
+    p[..., 3] = 1.0
+    n = np.zeros((3, 4, 4))
+    n[..., 0] = 1.0
+    n[2, 1] = [0.6, 0.0, 0.0, 0.8]
+    with pytest.raises(NotTangentError) as err:
+        sf.geodesic_step(p, n, 0.1)
+    assert str(err.value) == "not tangent at node (2, 1): |<p, v>| = 8.000e-01, bound 1.000e-08"
+    n[2, 1] = [1.0, 0.0, 0.0, 0.0]
+    n[1, 3] = [1.0, 0.5, 0.0, 0.0]
+    with pytest.raises(NotTangentError) as err:
+        sf.geodesic_step(p, n, 0.1)
+    assert str(err.value) == "direction is not a unit vector at node (1, 3): |<n, n> - 1| = 2.500e-01, bound 1e-08"
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SpaceForm.sphere(-1.0)

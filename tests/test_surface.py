@@ -183,6 +183,25 @@ def test_domain_validation():
     assert not PatchDomain((0, 1), (0, 1), 16, 16).closed
 
 
+@pytest.mark.parametrize(
+    "u_range,v_range,axis,got",
+    [
+        ((0, 2 * np.pi), (np.pi, 0), "v", f"({np.pi}, 0)"),
+        ((2 * np.pi, 0), (0, np.pi), "u", f"({2 * np.pi}, 0)"),
+        ((0, 0), (0, np.pi), "u", "(0, 0)"),
+        ((0, 2 * np.pi), (0, np.nan), "v", "(0, nan)"),
+        ((-np.inf, 2 * np.pi), (0, np.pi), "u", "(-inf, 6.283185307179586)"),
+    ],
+)
+def test_domain_refuses_empty_reversed_and_non_finite_ranges(u_range, v_range, axis, got):
+    """A reversed range made the spacing and the weights negative: a sphere
+    on v in (pi, 0) had a Willmore energy of -4 pi. A NaN range used to be
+    refused only as a non-finite position partial."""
+    with pytest.raises(ConfigError) as err:
+        PatchDomain(u_range, v_range, 64, 32, periodic_u=True, pole_offset=True)
+    assert str(err.value) == f"chart {axis}_range must be finite with lo < hi (got {axis}_range = {got})"
+
+
 def test_flipped_reverses_normal(sphere):
     from curvevar.curvature import fundamental_forms, normal_jet
 

@@ -318,7 +318,7 @@ def test_non_finite_density_raises_guard_violation(surface, params, expr):
         with pytest.raises(GuardViolation, match=f"density '{re.escape(expr)}' is not finite at node") as err:
             call()
         with np.errstate(all="ignore"):
-            assert not np.isfinite(E.eval(cs.H[err.value.node], cs.K[err.value.node]))
+            assert not np.isfinite(E.partials[(0, 0)](cs.H[err.value.node], cs.K[err.value.node]))
         assert str(err.value.node) in str(err.value)
 
 
@@ -396,7 +396,7 @@ def test_criticality_evaluates_each_partial_once(sphere):
     guard three times)."""
     from collections import Counter
 
-    from curvevar.densities import _PARTIALS, _THIRD
+    from curvevar.densities import ORDERS
     from curvevar.variations import _criticality
 
     calls = Counter()
@@ -408,11 +408,10 @@ def test_criticality_evaluates_each_partial_once(sphere):
     E = dataclasses.replace(
         E,
         domain_guard=counting("guard", lambda H, K: np.ones(np.shape(H), dtype=bool)),
-        third={name: counting(name, fn) for name, fn in E.third.items()},
-        **{name: counting(name, getattr(E, name)) for name in _PARTIALS},
+        partials={ij: counting(name, E.partials[ij]) for ij, name in ORDERS.items()},
     )
     assert _criticality(sphere, E)[0] == "constrained"
-    assert calls == dict.fromkeys([*_PARTIALS, *_THIRD, "guard"], 1)
+    assert calls == dict.fromkeys([*ORDERS.values(), "guard"], 1)
 
 
 def test_area_mean_is_the_quadrature_mean():

@@ -22,6 +22,7 @@ from curvevar.calculus import (
     shape_tensor,
 )
 from curvevar.curvature import curvature_scalars
+from curvevar.densities import ORDERS
 from curvevar.variations import _composed_field
 
 
@@ -30,7 +31,7 @@ def first_variation(s, E, u):
     - 2H E) u - E_K <h, Hess u> dS."""
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
+    Ev, EH, EK = E.guarded(H, K, (0, 0), (1, 0), (0, 1))
     hess_u = hessian(u, s)
     lap_u = metric_trace(hess_u, s).values
     h_hess_u = contract(shape_tensor(s), hess_u, s).values
@@ -46,9 +47,10 @@ def el_residual(s, E):
     """(Lap/2 + (2H^2 - K + 2 k0)) E_H + (2H Lap - <h, Hess> + 2HK) E_K - 2H E."""
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev, EH, EK = E.guarded(H, K, "eval", "E_H", "E_K")
-    EH_field = _composed_field(s, EH, E.guarded(H, K, "E_HH", "E_HK", "HHH", "HHK", "HKK"))
-    EK_field = _composed_field(s, EK, E.guarded(H, K, "E_HK", "E_KK", "HHK", "HKK", "KKK"))
+    table = dict(zip(ORDERS, E.guarded(H, K, *ORDERS)))
+    Ev = table[(0, 0)]
+    EH_field = _composed_field(s, table, (1, 0))
+    EK_field = _composed_field(s, table, (0, 1))
     hess_EK = hessian(EK_field, s)
     lap_EH = laplace_beltrami(EH_field, s).values
     lap_EK = metric_trace(hess_EK, s).values
@@ -80,7 +82,7 @@ def second_variation_integral(s, E, u):
     and a field feature written out."""
     cs = curvature_scalars(s)
     H, K, k0 = cs.H, cs.K, s.sf.k0
-    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, "eval", "E_H", "E_K", "E_HH", "E_HK", "E_KK")
+    Ev, EH, EK, EHH, EHK, EKK = E.guarded(H, K, (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
     h_t = shape_tensor(s)
     h2_t = h_squared(s)
