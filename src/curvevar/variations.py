@@ -60,18 +60,26 @@ class VariationReport:
     convergence_order: float
 
 
-def _report(formula: float, oracle: float, step: float, order: float) -> VariationReport:
-    # relative to the larger of the two values, floored at unit scale so
-    # identically-zero variations report their absolute discrepancy
-    abs_err = abs(formula - oracle)
-    denom = max(abs(formula), abs(oracle), 1.0)
+def _report(formula, oracle, d1, d2, step: float) -> VariationReport:
+    """Report of one oracle check, for a number or a per-node array alike,
+    from the closed form, the Richardson value and the differences at h1
+    and h1/2. Errors are sup norms, relative to the larger sup of the two
+    values floored at unit scale, so a vanishing formula reports its
+    absolute discrepancy. The order is log2(e_h / e_{h/2}), 2 when either
+    error is at the round-off floor. An array reports the sups of the two
+    values, a number the signed values."""
+    f_sup, o_sup = float(np.max(np.abs(formula))), float(np.max(np.abs(oracle)))
+    abs_err = float(np.max(np.abs(formula - oracle)))
+    e1, e2 = float(np.max(np.abs(d1 - formula))), float(np.max(np.abs(d2 - formula)))
+    floor = 1e-11 * (1.0 + f_sup)
+    scalar = np.ndim(formula) == 0
     return VariationReport(
-        formula_value=float(formula),
-        oracle_value=float(oracle),
-        abs_error=float(abs_err),
-        rel_error=float(abs_err / denom),
+        formula_value=float(formula) if scalar else f_sup,
+        oracle_value=float(oracle) if scalar else o_sup,
+        abs_error=abs_err,
+        rel_error=abs_err / max(f_sup, o_sup, 1.0),
         fd_step=float(step),
-        convergence_order=float(order),
+        convergence_order=2.0 if (e1 <= floor or e2 <= floor) else math.log(e1 / e2) / math.log(2.0),
     )
 
 
@@ -355,12 +363,6 @@ def _differences(s: SurfaceSample, u: ScalarField, order: int, measure):
     return h1, d1, d2, best
 
 
-def _observed_order(e1: float, e2: float, floor: float) -> float:
-    """Convergence order from the errors at h1 and h1/2; 2 when either is
-    at the round-off floor."""
-    return 2.0 if (e1 <= floor or e2 <= floor) else math.log(e1 / e2) / math.log(2.0)
-
-
 def fd_variation_oracle_many(
     s: SurfaceSample,
     Es: Sequence[EnergyDensity],
@@ -425,11 +427,7 @@ def _oracle_core(
         return [functional_value(st, E) - lam * vol for E, lam in zip(Es, lams)]
 
     h1, d1, d2, oracles = _differences(s, u, order, measure)
-    reports = []
-    for formula, a, b, oracle in zip(formulas, d1, d2, oracles):
-        conv = _observed_order(abs(a - formula), abs(b - formula), 1e-11 * (1.0 + abs(formula)))
-        reports.append(_report(formula, oracle, h1, conv))
-    return values, reports
+    return values, [_report(*row, h1) for row in zip(formulas, oracles, d1, d2)]
 
 
 def fd_variation_oracle(
@@ -504,25 +502,8 @@ def evolution_check_many(
     # each quantity's differences are dropped once it is reported, before
     # the formulas of the quantities after it are built
     for q, formula in zip(quantities, _evolution_formulas(s, u, f, quantities)):
-        out[q] = _evolution_report(formula, d1s.pop(0), d2s.pop(0), oracles.pop(0), h1)
+        out[q] = _report(formula, oracles.pop(0), d1s.pop(0), d2s.pop(0), h1)
     return out
-
-
-def _evolution_report(formula, d1, d2, oracle, h1: float) -> VariationReport:
-    """Sup-norm report of one evolution check from its closed form and its
-    differences at h1, h1/2 and their Richardson value."""
-    scale = float(np.max(np.abs(formula))) + float(np.max(np.abs(oracle))) + 1e-12
-    e1 = float(np.max(np.abs(d1 - formula)))
-    e2 = float(np.max(np.abs(d2 - formula)))
-    err = float(np.max(np.abs(oracle - formula)))
-    return VariationReport(
-        formula_value=float(np.max(np.abs(formula))),
-        oracle_value=float(np.max(np.abs(oracle))),
-        abs_error=err,
-        rel_error=err / scale,
-        fd_step=h1,
-        convergence_order=_observed_order(e1, e2, 1e-10 * scale),
-    )
 
 
 def evolution_check(

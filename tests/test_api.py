@@ -192,3 +192,13 @@ def test_a_density_is_one_table_of_partials():
     other module asks ``EnergyDensity.guarded`` for the orders it needs."""
     assert [f.name for f in dataclasses.fields(EnergyDensity)] == ["name", "partials", "domain_guard"]
     assert _readers(PACKAGE, {"partials"}) == {"densities"}
+
+
+def test_one_rule_builds_every_variation_report():
+    """An integral's oracle check and a per-node evolution check are
+    reported by one rule: ``variations._report`` alone constructs a
+    ``VariationReport``."""
+    builders = set()
+    for path in PACKAGE.glob("*.py"):
+        builders |= {(path.stem, where) for where in _callers(ast.parse(path.read_text()), "VariationReport")}
+    assert builders == {("variations", "_report")}
