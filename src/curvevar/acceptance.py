@@ -24,7 +24,9 @@ from .pwillmore import (
     sphere_index_form,
     stability_report,
 )
+from .spaceform import Model, SpaceForm
 from .spectrum import sphere_spectrum
+from .surface import sample_callable
 from .variations import (
     el_residual,
     evolution_check_many,
@@ -105,11 +107,43 @@ def criterion_4():
     return _crit(4, "uniform inflation of spheres changes H^p energy at rate 4*pi*(p-2)*r^(1-p)", worst <= 1e-7, {"worst_rel": worst})
 
 
+def _torus_image_map(sf: SpaceForm):
+    """Position map, on the torus chart, of the R/a = 2 torus scaled by
+    0.25/(R + a) and shifted by (0.1, -0.05, 0.12) into the unit ball, then
+    carried into S^3 by x -> (2x, |x|^2 - 1)/(|x|^2 + 1) or into H^3 by
+    x -> (2x, 1 + |x|^2)/(1 - |x|^2), both of radius 1."""
+    R, a = 2.0, 1.0
+
+    def f(U, V):
+        r = R + a * np.cos(V)
+        x = 0.25 / (R + a) * np.stack([r * np.cos(U), r * np.sin(U), a * np.sin(V)], axis=-1) + [0.1, -0.05, 0.12]
+        q = np.sum(x * x, axis=-1, keepdims=True)
+        if sf.model is Model.SPHERE:
+            return np.concatenate([2.0 * x, q - 1.0], axis=-1) / (q + 1.0)
+        return np.concatenate([2.0 * x, 1.0 + q], axis=-1) / (1.0 - q)
+
+    return f
+
+
+def _torus_image(sf: SpaceForm):
+    """``_torus_image_map`` sampled at 128 x 64 on the torus chart. Its H
+    is not constant: it spans [-0.03, 4.22] in S^3 and [-4.00, 0.20] in H^3."""
+    return sample_callable(_torus_image_map(sf), default_domain("torus", None, 128, 64), sf=sf, name="torus image")
+
+
 def criterion_5():
+    """The seven evolution equations on the E^3 torus, the S^3 geodesic
+    sphere and the S^3 and H^3 images of a torus, whose H and K vary."""
     worst_rel, worst_order = 0.0, float("inf")
     rows = {}
-    for name, params in (("torus", {"R": 2.0, "a": 1.0}), ("geodesic_sphere_S3", {"a": math.pi / 4})):
-        s = sample_builtin(name, params)
+    cases = (
+        ("torus", lambda: sample_builtin("torus", {"R": 2.0, "a": 1.0})),
+        ("geodesic_sphere_S3", lambda: sample_builtin("geodesic_sphere_S3", {"a": math.pi / 4})),
+        ("torus_image_S3", lambda: _torus_image(SpaceForm.sphere(1.0))),
+        ("torus_image_H3", lambda: _torus_image(SpaceForm.hyperbolic(1.0))),
+    )
+    for name, make in cases:
+        s = make()
         u = random_smooth_field(s, 101)
         f = random_smooth_field(s, 202)
         reports = evolution_check_many(s, u, f=f)

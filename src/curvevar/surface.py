@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +78,9 @@ class ChartAxis:
         """Length and period of the values an FFT along the axis takes."""
         return (2 * self.n, 2.0 * self.length) if self.kind == "pole" else (self.n, self.length)
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Quadrature weights of the nodes."""
+        """Quadrature weights of the nodes, built on first read and read-only."""
         if self.kind == "pole":
             # the area density vanishes like sin(theta) at both ends; weighting
             # by Fejer-1 weights over x = cos(theta) makes the rule exact for
@@ -88,10 +89,12 @@ class ChartAxis:
             theta = (2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n)
             m = np.arange(1, n // 2 + 1)
             fejer = (2.0 / n) * (1.0 - 2.0 * np.sum(np.cos(2.0 * np.outer(theta, m)) / (4.0 * m**2 - 1.0), axis=1))
-            return (self.length / np.pi) * fejer / np.sin(theta)
-        w = np.full(self.n, self.spacing)
-        if self.kind == "open":
-            w[[0, -1]] *= 0.5
+            w = (self.length / np.pi) * fejer / np.sin(theta)
+        else:
+            w = np.full(self.n, self.spacing)
+            if self.kind == "open":
+                w[[0, -1]] *= 0.5
+        w.setflags(write=False)
         return w
 
 
@@ -129,9 +132,10 @@ class PatchDomain:
             # antipodal longitude of every node on the grid
             raise ConfigError(f"pole_offset needs an even nu (got nu = {self.nu})")
 
-    @property
+    @cached_property
     def axes(self) -> tuple[ChartAxis, ChartAxis]:
-        """The u and v directions; a pole v is spectral when u is periodic."""
+        """The u and v directions, built once per domain, so each axis builds
+        its weights once; a pole v is spectral when u is periodic."""
         u = ChartAxis(*self.u_range, self.nu, "periodic" if self.periodic_u else "open", self.periodic_u)
         v_kind = "periodic" if self.periodic_v else "pole" if self.pole_offset else "open"
         v_spectral = self.periodic_v or self.pole_offset and self.periodic_u
@@ -203,8 +207,9 @@ class SurfaceSample:
 
     def flipped(self) -> "SurfaceSample":
         """The sample in the opposite orientation: the same jets and an
-        empty cache. Every sign flip is exact, so its N and h, built again
-        on first read, are the negations of this sample's bit for bit."""
+        empty cache. Every sign flip is exact, so its N, built again on
+        first read, is the negation of this sample's bit for bit, and its h
+        is equal to the negation, though a zero may differ in sign."""
         return replace(self, orientation_sign=-self.orientation_sign, _cache={})
 
     @property

@@ -23,6 +23,7 @@ validated against the definition it encodes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
@@ -444,44 +445,33 @@ def fd_variation_oracle(
     return fd_variation_oracle_many(s, (E,), u, order, allow_open, force)[0]
 
 
-_EVOLUTION_QUANTITIES = ("g", "g_inv", "dS", "2H", "K", "laplacian_f", "h_hess_f")
-_NEEDS_F = ("laplacian_f", "h_hess_f")  # the quantities that need the auxiliary field f
+# each quantity the evolution checks move: its closed-form derivative along
+# u, formula(ff, ops, u, f), and its value on a sample, measure(ff, ops, f),
+# each read off that sample's forms ff and operator cache ops, and whether
+# it needs the auxiliary field f
+_Evolving = namedtuple("_Evolving", "formula measure needs_f", defaults=(False,))
+_EVOLUTION = {
+    "g": _Evolving(lambda ff, ops, u, f: -2.0 * u.values[..., None, None] * ff.h, lambda ff, ops, f: ff.g),
+    "g_inv": _Evolving(
+        lambda ff, ops, u, f: 2.0 * u.values[..., None, None] * _MAT_MUL(_MAT_MUL(ff.g_inv, ff.h), ff.g_inv),
+        lambda ff, ops, f: ff.g_inv,
+    ),
+    "dS": _Evolving(lambda ff, ops, u, f: -2.0 * ops.H * u.values * ff.dS_weight, lambda ff, ops, f: ff.dS_weight),
+    "2H": _Evolving(lambda ff, ops, u, f: 2.0 * _dH(ops, u), lambda ff, ops, f: 2.0 * ops.H),
+    "K": _Evolving(lambda ff, ops, u, f: _dK(ops, u), lambda ff, ops, f: ops.K),
+    "laplacian_f": _Evolving(lambda ff, ops, u, f: _laplacian_dot(ops, u, f), lambda ff, ops, f: ops.lap(f), True),
+    "h_hess_f": _Evolving(lambda ff, ops, u, f: _h_hess_dot(ops, u, f), lambda ff, ops, f: ops.h_hess(f), True),
+}
+_EVOLUTION_QUANTITIES = tuple(_EVOLUTION)
+_NEEDS_F = tuple(q for q, entry in _EVOLUTION.items() if entry.needs_f)
 
 
 def _evolution_formulas(s: SurfaceSample, u: ScalarField, f: Optional[ScalarField], quantities):
     """The closed-form deformation derivatives of ``quantities``, yielded in
     order, over one cache of operators."""
-    ff = fundamental_forms(s)
-    ops = _operators(s)
-    uv = u.values
-    formulas = {
-        "g": lambda: -2.0 * uv[..., None, None] * ff.h,
-        "g_inv": lambda: 2.0 * uv[..., None, None] * _MAT_MUL(_MAT_MUL(ff.g_inv, ff.h), ff.g_inv),
-        "dS": lambda: -2.0 * ops.H * uv * ff.dS_weight,
-        "2H": lambda: 2.0 * _dH(ops, u),
-        "K": lambda: _dK(ops, u),
-        "laplacian_f": lambda: _laplacian_dot(ops, u, f),
-        "h_hess_f": lambda: _h_hess_dot(ops, u, f),
-    }
+    ff, ops = fundamental_forms(s), _operators(s)
     for q in quantities:
-        yield formulas[q]()
-
-
-def _evolution_measures(st: SurfaceSample, f: Optional[ScalarField], quantities) -> list:
-    """``quantities`` measured on the sample st, in order, over one operator
-    cache: one Hess f, from the chart partials f keeps across samples."""
-    ff = fundamental_forms(st)
-    ops = _operators(st)
-    measures = {
-        "g": lambda: ff.g,
-        "g_inv": lambda: ff.g_inv,
-        "dS": lambda: ff.dS_weight,
-        "2H": lambda: 2.0 * ops.H,
-        "K": lambda: ops.K,
-        "laplacian_f": lambda: ops.lap(f),
-        "h_hess_f": lambda: ops.h_hess(f),
-    }
-    return [measures[q]() for q in quantities]
+        yield _EVOLUTION[q].formula(ff, ops, u, f)
 
 
 def evolution_check_many(
@@ -493,11 +483,17 @@ def evolution_check_many(
     """Evolution-equation checks for several quantities sharing the same
     four deformed samples; returns {quantity: VariationReport}."""
     for q in quantities:
-        if q in _NEEDS_F and f is None:
+        if q not in _EVOLUTION:
+            raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION)})")
+        if _EVOLUTION[q].needs_f and f is None:
             raise ConfigError(f"quantity '{q}' needs the auxiliary field f")
-        if q not in _EVOLUTION_QUANTITIES:
-            raise ConfigError(f"unknown evolution quantity '{q}' (have: {', '.join(_EVOLUTION_QUANTITIES)})")
-    h1, d1s, d2s, oracles = _differences(s, u, 1, lambda st: _evolution_measures(st, f, quantities))
+
+    def measure(st: SurfaceSample) -> list:
+        # one operator cache per sample: one Hess f, from the chart partials f keeps across samples
+        ff, ops = fundamental_forms(st), _operators(st)
+        return [_EVOLUTION[q].measure(ff, ops, f) for q in quantities]
+
+    h1, d1s, d2s, oracles = _differences(s, u, 1, measure)
     out = {}
     # each quantity's differences are dropped once it is reported, before
     # the formulas of the quantities after it are built

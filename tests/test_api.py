@@ -194,6 +194,21 @@ def test_a_density_is_one_table_of_partials():
     assert _readers(PACKAGE, {"partials"}) == {"densities"}
 
 
+def test_an_evolving_quantity_is_one_table_entry():
+    """An evolving quantity's closed form, its measure on a sample and its
+    need for f are one entry of ``variations._EVOLUTION``: each name is
+    spelled once in ``variations``, as its key. ("2H" and "K" are also
+    ``evolution_check``'s default and a curvature field's name.)"""
+    names = ("g", "g_inv", "dS", "laplacian_f", "h_hess_f")
+    tree = ast.parse((PACKAGE / "variations.py").read_text())
+    spelled = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in names]
+    assert sorted(spelled) == sorted(names)
+    from curvevar.variations import _EVOLUTION, _EVOLUTION_QUANTITIES, _NEEDS_F
+
+    assert set(names) <= set(_EVOLUTION) and _EVOLUTION_QUANTITIES == tuple(_EVOLUTION)
+    assert _NEEDS_F == ("laplacian_f", "h_hess_f")
+
+
 def test_one_rule_builds_every_variation_report():
     """An integral's oracle check and a per-node evolution check are
     reported by one rule: ``variations._report`` alone constructs a

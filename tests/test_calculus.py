@@ -185,6 +185,28 @@ def test_open_patch_integration_guard():
             oracle(s, bending(), u)
 
 
+@pytest.mark.parametrize("name", ["sphere", "graph"])
+def test_quadrature_weights_are_built_once_per_chart(name, monkeypatch):
+    """Each axis of a chart builds its quadrature weights once, the pole
+    axis's Fejer sums included, and hands them out read-only: a second
+    ``integrate`` on the same sample builds none and gives the same value."""
+    from functools import cached_property
+
+    from curvevar.surface import ChartAxis
+
+    built, build = [], ChartAxis.weights.func
+    counted = cached_property(lambda ax: built.append(ax.kind) or build(ax))
+    counted.__set_name__(ChartAxis, "weights")
+    monkeypatch.setattr(ChartAxis, "weights", counted)
+    s = sample_builtin(name, {}, domain=default_domain(name, None, 16, 16))
+    first = integrate(np.ones(s.shape), s)
+    assert sorted(built) == sorted(ax.kind for ax in s.domain.axes)
+    assert integrate(np.ones(s.shape), s) == first and len(built) == 2
+    for ax in s.domain.axes:
+        with pytest.raises(ValueError, match="read-only"):
+            ax.weights[0] = 0.0
+
+
 def test_expressions_with_unknown_symbols_are_refused(torus):
     """A field expression in a symbol other than u, v is refused naming it,
     as a density expression in a symbol other than H, K is; both used to

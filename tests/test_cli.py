@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvevar.cli import main
+from curvevar.variations import _EVOLUTION_QUANTITIES
 
 
 def run(capsys, *argv):
@@ -546,10 +547,11 @@ def test_small_open_grid_field_exits_1(tmp_path, capsys):
     assert err.startswith("curvevar: ") and "along u need at least 9 grid nodes (got nu = 8)" in err
 
 
-@pytest.mark.parametrize("quantity", ["2H", "laplacian_f"])
+@pytest.mark.parametrize("quantity", _EVOLUTION_QUANTITIES)
 def test_verify_evolution(quantity, capsys):
-    """laplacian_f needs the auxiliary field f, which the subcommand draws
-    itself; both checks pass at second order."""
+    """Every evolving quantity checks through the CLI; laplacian_f and
+    h_hess_f need the auxiliary field f, which the subcommand draws
+    itself. Each check passes at second order."""
     code, out, _ = run(
         capsys, "verify-evolution", "--surface", "torus", "--u", "random:seed=3", "--quantity", quantity,
         "--nu", "64", "--nv", "32",
