@@ -71,18 +71,27 @@ def criterion_2():
     return _crit(2, "H^p energy of spheres is 4*pi*r^(2-p)", worst <= 1e-8, {"worst_rel": worst, **rows})
 
 
-def _first_order_densities():
-    return [willmore(), bending(), helfrich(1.0, 0.3, 0.5), pwillmore(1), pwillmore(3), ksquared()]
+def _first_order_densities(k0: float = 0.0):
+    return [willmore(k0), bending(k0), helfrich(1.0, 0.3, 0.5), pwillmore(1), pwillmore(3), ksquared()]
 
 
 def criterion_3():
-    cases = [("sphere", {"r": 1.0}, False), ("torus", {"R": 2.0, "a": 1.0}, False), ("catenoid", {}, True)]
-    densities = _first_order_densities()
+    """Order-1 oracles of the six densities on the sphere, the torus, the
+    catenoid and the S^3 and H^3 torus images (willmore and bending with
+    each image's k0), at seeds 0-4."""
+    cases = (
+        lambda: sample_builtin("sphere", {"r": 1.0}),
+        lambda: sample_builtin("torus", {"R": 2.0, "a": 1.0}),
+        lambda: sample_builtin("catenoid", {}),
+        lambda: _torus_image(SpaceForm.sphere(1.0)),
+        lambda: _torus_image(SpaceForm.hyperbolic(1.0)),
+    )
     worst_rel, worst_order = 0.0, float("inf")
-    for name, params, compact in cases:
-        s = sample_builtin(name, params)
+    for make in cases:
+        s = make()
+        densities = _first_order_densities(s.sf.k0)
         for seed in range(5):
-            u = random_smooth_field(s, seed, compact_v=compact)
+            u = random_smooth_field(s, seed, compact_v=not s.domain.closed)
             for rep in fd_variation_oracle_many(s, densities, u, order=1, allow_open=True):
                 worst_rel = max(worst_rel, rep.rel_error)
                 worst_order = min(worst_order, rep.convergence_order)
@@ -152,7 +161,7 @@ def criterion_5():
             worst_order = min(worst_order, rep.convergence_order)
             rows[f"{name}/{q}"] = [rep.rel_error, rep.convergence_order]
     ok = oracle_passes("evolution", worst_rel, worst_order)
-    return _crit(5, "all seven evolution equations verified on torus and S^3 geodesic sphere", ok, {"worst_rel": worst_rel, "worst_order": worst_order, **rows})
+    return _crit(5, "all seven evolution equations verified on torus, S^3 geodesic sphere and S^3, H^3 torus images", ok, {"worst_rel": worst_rel, "worst_order": worst_order, **rows})
 
 
 def criterion_6():
@@ -275,14 +284,14 @@ def criterion_12():
 
 def criterion_13():
     worst_cod, worst_egr = 0.0, 0.0
-    for name in CATALOG_NAMES:
-        s = sample_builtin(name)
+    images = [_torus_image(SpaceForm.sphere(1.0)), _torus_image(SpaceForm.hyperbolic(1.0))]
+    for s in [sample_builtin(name) for name in CATALOG_NAMES] + images:
         worst_cod = max(worst_cod, float(np.max(codazzi_residual(s))))
         cs = curvature_scalars(s)
         k_int = intrinsic_gauss_curvature(s)
         worst_egr = max(worst_egr, float(np.max(np.abs(k_int - cs.K) / np.maximum(1.0, np.abs(cs.K)))))
     ok = worst_cod <= 1e-6 and worst_egr <= 1e-6
-    return _crit(13, "Codazzi and Theorema Egregium hold on every catalog surface", ok, {"worst_codazzi": worst_cod, "worst_egregium": worst_egr})
+    return _crit(13, "Codazzi and Theorema Egregium hold on every catalog surface and the S^3, H^3 torus images", ok, {"worst_codazzi": worst_cod, "worst_egregium": worst_egr})
 
 
 def criterion_14():

@@ -1,10 +1,10 @@
 """Built-in surface catalog with exact jets.
 
-Each chart is written as a sum of separable terms c * f(u) * g(v) per
-ambient component, whose factors are 1, cos/sin(w x), cosh/sinh(w x) or
-x^n. Their k-th derivatives are known in closed form, so the jets to
-order 4 (and the position map) are evaluated with numpy alone. A sample
-is checked (``surface.check_immersion``) and oriented before anything is
+Each chart is one entry of ``_CHARTS``. Its terms c * f(u) * g(v) per
+ambient component have factors 1, cos/sin(w x), cosh/sinh(w x) or x^n,
+whose k-th derivatives are known in closed form, so the jets to order 4
+(and the position map) are evaluated with numpy alone. A sample is
+checked (``surface.check_immersion``) and oriented before anything is
 cached on it: H > 0 at the node of largest |H|, unless the surface is
 minimal there (sphere: H = +1/r, i.e. inward normal).
 """
@@ -12,6 +12,7 @@ minimal there (sphere: H = +1/r, i.e. inward normal).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -21,81 +22,93 @@ from .errors import ConfigError
 from .spaceform import SpaceForm
 from .surface import MULTI_INDICES, PatchDomain, Provenance, SurfaceSample, _empty_planes, check_immersion
 
-# the catalog charts and the parameters each takes
-_CHART_PARAMS = {
-    "sphere": ("r",),
-    "torus": ("R", "a"),
-    "catenoid": ("c", "s_max"),
-    "graph": ("coeffs",),
-    "geodesic_sphere_S3": ("a", "rho"),
-    "clifford_torus_S3": ("rho",),
-}
-CATALOG_NAMES = tuple(_CHART_PARAMS)
-
-
-def _check_name(name: str) -> None:
-    if name not in CATALOG_NAMES:
-        raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
-
-
 # a univariate factor is (kind, w): cos/sin/cosh/sinh of w*x, or x^w for
 # kind "pow" (w a non-negative integer); _ONE = x^0 is never evaluated
 _ONE = ("pow", 0)
+_COS, _SIN = ("cos", 1.0), ("sin", 1.0)
 _COS_CYCLE = ((1.0, "cos"), (-1.0, "sin"), (-1.0, "cos"), (1.0, "sin"))  # d^k cos(x), k mod 4
 
 
-def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int = 64) -> PatchDomain:
-    _check_name(name)
-    params = params or {}
-    two_pi = 2.0 * np.pi
-    if name in ("sphere", "geodesic_sphere_S3"):
-        return PatchDomain((0.0, two_pi), (0.0, np.pi), nu, nv, periodic_u=True, pole_offset=True)
-    if name in ("torus", "clifford_torus_S3"):
-        return PatchDomain((0.0, two_pi), (0.0, two_pi), nu, nv, periodic_u=True, periodic_v=True)
-    if name == "catenoid":
-        s_max = float(params.get("s_max", 1.2))
-        return PatchDomain((0.0, two_pi), (-s_max, s_max), nu, nv, periodic_u=True)
-    return PatchDomain((-1.0, 1.0), (-1.0, 1.0), nu, nv)  # graph
+def _round(r: float) -> list:
+    """r (cos u sin v, sin u sin v, cos v) as terms (component, c, f(u), g(v))."""
+    return [(0, r, _COS, _SIN), (1, r, _SIN, _SIN), (2, r, _ONE, _COS)]
 
 
-def _chart_terms(name: str, params: dict, sf: SpaceForm) -> list:
-    """The chart as separable terms (component, c, f(u), g(v))."""
-    cos, sin = ("cos", 1.0), ("sin", 1.0)
-    if name == "sphere":
-        r = float(params.get("r", 1.0))
-        if r <= 0:
-            raise ConfigError("sphere radius must be positive")
-        return [(0, r, cos, sin), (1, r, sin, sin), (2, r, _ONE, cos)]
-    if name == "torus":
-        R = float(params.get("R", 2.0))
-        a = float(params.get("a", 1.0))
-        if not R > a > 0:
-            raise ConfigError("torus needs R > a > 0")
+# per chart: its parameters with their defaults, and as functions of the
+# parameters p (floats, defaults merged in) the PatchDomain arguments of
+# its default domain, its space form, the refusal when p fails the chart's
+# condition (else falsy) and its terms (component, c, f(u), g(v))
+_Chart = namedtuple("_Chart", "params domain space refusal terms")
+_LAT_LONG = dict(u_range=(0.0, 2.0 * np.pi), v_range=(0.0, np.pi), periodic_u=True, pole_offset=True)
+_DOUBLY_PERIODIC = dict(u_range=(0.0, 2.0 * np.pi), v_range=(0.0, 2.0 * np.pi), periodic_u=True, periodic_v=True)
+_CHARTS = {
+    "sphere": _Chart(
+        {"r": 1.0}, lambda p: _LAT_LONG, lambda p: SpaceForm.euclidean(),
+        lambda p: p["r"] <= 0 and "sphere radius must be positive",
+        lambda p: _round(p["r"]),
+    ),
+    "torus": _Chart(
+        {"R": 2.0, "a": 1.0}, lambda p: _DOUBLY_PERIODIC, lambda p: SpaceForm.euclidean(),
+        lambda p: not p["R"] > p["a"] > 0 and "torus needs R > a > 0",
         # (R + a cos v) (cos u, sin u), a sin v
-        return [(0, R, cos, _ONE), (0, a, cos, cos), (1, R, sin, _ONE), (1, a, sin, cos), (2, a, _ONE, sin)]
-    if name == "catenoid":
-        c = float(params.get("c", 1.0))
-        if c <= 0:
-            raise ConfigError("catenoid scale must be positive")
-        ch = ("cosh", 1.0 / c)
-        return [(0, c, cos, ch), (1, c, sin, ch), (2, 1.0, _ONE, ("pow", 1))]
-    if name == "graph":
-        coeffs = dict(params.get("coeffs", {(2, 0): 1.0, (0, 2): 1.0}))
-        out = [(0, 1.0, ("pow", 1), _ONE), (1, 1.0, _ONE, ("pow", 1))]
-        for (i, j), c in coeffs.items():
-            if int(i) != i or int(j) != j or i < 0 or j < 0:
-                raise ConfigError(f"graph exponents must be non-negative integers (got {(i, j)})")
-            out.append((2, float(c), ("pow", int(i)), ("pow", int(j))))
-        return out
-    if name == "geodesic_sphere_S3":
-        rho = sf.radius
-        a = float(params.get("a", np.pi / 4))
-        if not 0 < a < np.pi * rho:
-            raise ConfigError("geodesic radius must lie in (0, pi*rho)")
-        rs, rc = rho * math.sin(a / rho), rho * math.cos(a / rho)
-        return [(0, rs, cos, sin), (1, rs, sin, sin), (2, rs, _ONE, cos), (3, rc, _ONE, _ONE)]
-    f = sf.radius / math.sqrt(2.0)  # clifford_torus_S3
-    return [(0, f, cos, _ONE), (1, f, sin, _ONE), (2, f, _ONE, cos), (3, f, _ONE, sin)]
+        lambda p: [(0, p["R"], _COS, _ONE), (0, p["a"], _COS, _COS), (1, p["R"], _SIN, _ONE), (1, p["a"], _SIN, _COS), (2, p["a"], _ONE, _SIN)],
+    ),
+    "catenoid": _Chart(
+        {"c": 1.0, "s_max": 1.2}, lambda p: dict(u_range=(0.0, 2.0 * np.pi), v_range=(-p["s_max"], p["s_max"]), periodic_u=True),
+        lambda p: SpaceForm.euclidean(),
+        lambda p: p["c"] <= 0 and "catenoid scale must be positive",
+        lambda p: [(0, p["c"], _COS, ("cosh", 1.0 / p["c"])), (1, p["c"], _SIN, ("cosh", 1.0 / p["c"])), (2, 1.0, _ONE, ("pow", 1))],
+    ),
+    "graph": _Chart(
+        {"coeffs": {(2, 0): 1.0, (0, 2): 1.0}}, lambda p: dict(u_range=(-1.0, 1.0), v_range=(-1.0, 1.0)),
+        lambda p: SpaceForm.euclidean(),
+        lambda p: next((f"graph exponents must be non-negative integers (got {(i, j)})" for i, j in p["coeffs"] if int(i) != i or int(j) != j or i < 0 or j < 0), None),
+        lambda p: [(0, 1.0, ("pow", 1), _ONE), (1, 1.0, _ONE, ("pow", 1))]
+        + [(2, c, ("pow", int(i)), ("pow", int(j))) for (i, j), c in p["coeffs"].items()],
+    ),
+    "geodesic_sphere_S3": _Chart(
+        {"a": np.pi / 4, "rho": 1.0}, lambda p: _LAT_LONG, lambda p: SpaceForm.sphere(p["rho"]),
+        lambda p: not 0 < p["a"] < np.pi * p["rho"] and "geodesic radius must lie in (0, pi*rho)",
+        lambda p: _round(p["rho"] * math.sin(p["a"] / p["rho"])) + [(3, p["rho"] * math.cos(p["a"] / p["rho"]), _ONE, _ONE)],
+    ),
+    "clifford_torus_S3": _Chart(
+        {"rho": 1.0}, lambda p: _DOUBLY_PERIODIC, lambda p: SpaceForm.sphere(p["rho"]),
+        lambda p: None,
+        lambda p: [(k, p["rho"] / math.sqrt(2.0), fu, fv) for k, (fu, fv) in enumerate([(_COS, _ONE), (_SIN, _ONE), (_ONE, _COS), (_ONE, _SIN)])],
+    ),
+}
+CATALOG_NAMES = tuple(_CHARTS)
+
+
+def _params(name: str, params: dict | None) -> dict:
+    """The chart's parameters: the given ones over its defaults, as floats.
+    Refuses an unknown name, keys the chart does not take and values that
+    are not finite numbers, naming the key."""
+    if name not in _CHARTS:
+        raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
+    p = dict(_CHARTS[name].params)
+    for key, val in dict(params or {}).items():
+        if key not in p:
+            raise ConfigError(f"{name} takes no parameter '{key}' (takes: {', '.join(p)})")
+        if key == "coeffs" and not isinstance(val, dict):
+            raise ConfigError(f"{name} parameter 'coeffs' must be a mapping {{(i, j): c}} (got {val!r})")
+        for x in val.values() if key == "coeffs" else (val,):
+            try:
+                finite = math.isfinite(float(x))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} parameter '{key}' must be a number (got {x!r})") from None
+            if not finite:
+                raise ConfigError(f"{name} parameter '{key}' must be finite (got {x!r})")
+        p[key] = {ij: float(c) for ij, c in val.items()} if key == "coeffs" else float(val)
+    return p
+
+
+def default_domain(name: str, params: dict | None = None, nu: int = 128, nv: int = 64) -> PatchDomain:
+    """The chart's default domain at nu x nv nodes. Refuses a name or
+    parameter as ``sample_builtin`` does; rho and the chart's condition are
+    checked by ``sample_builtin`` alone."""
+    p = _params(name, params)
+    return PatchDomain(nu=nu, nv=nv, **_CHARTS[name].domain(p))
 
 
 def _factor_derivative(f, k: int):
@@ -122,7 +135,10 @@ class ChartBundle:
 
     def __init__(self, name: str, params: dict, sf: SpaceForm):
         self.dim = sf.ambient_dim
-        terms = _chart_terms(name, params, sf)
+        p = _params(name, params)
+        if refusal := _CHARTS[name].refusal(p):
+            raise ConfigError(refusal)
+        terms = _CHARTS[name].terms(p)
         # per multi-index: the terms of d^a_u d^b_v r as (component, coefficient,
         # u factor, v factor), a factor None where it is 1
         self.plans = {}
@@ -180,31 +196,11 @@ class ChartBundle:
         return self.evaluate(U, V, ((0, 0),))[0]
 
 
-def _check_params(name: str, params: dict) -> None:
-    """Refuse keys the chart does not take and values that are not finite
-    numbers, naming the key."""
-    takes = _CHART_PARAMS[name]
-    for key, val in params.items():
-        if key not in takes:
-            raise ConfigError(f"{name} takes no parameter '{key}' (takes: {', '.join(takes)})")
-        if key == "coeffs":
-            if not isinstance(val, dict):
-                raise ConfigError(f"{name} parameter 'coeffs' must be a mapping {{(i, j): c}} (got {val!r})")
-            values = val.values()
-        else:
-            values = (val,)
-        for x in values:
-            try:
-                finite = math.isfinite(float(x))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} parameter '{key}' must be a number (got {x!r})") from None
-            if not finite:
-                raise ConfigError(f"{name} parameter '{key}' must be finite (got {x!r})")
-
-
 @lru_cache(maxsize=32)
 def _bundle(name: str, params_key: tuple, sf: SpaceForm) -> ChartBundle:
-    return ChartBundle(name, dict(params_key), sf)
+    """The bundle of the given parameters, keyed as ``sample_builtin`` keys
+    them (``coeffs`` as its sorted items)."""
+    return ChartBundle(name, {k: dict(v) if isinstance(v, tuple) else v for k, v in params_key}, sf)
 
 
 def _check_poles(name: str, bundle: ChartBundle, domain: PatchDomain) -> None:
@@ -225,10 +221,9 @@ def sample_builtin(name: str, params: dict | None = None, domain: PatchDomain | 
     module docstring says, in Euclidean space or, for the S^3 charts, the
     sphere of radius ``rho``. A pole-offset domain must end at poles of the
     chart in v (``ConfigError`` naming v_range otherwise)."""
-    _check_name(name)
     params = dict(params or {})
-    _check_params(name, params)
-    sf = SpaceForm.sphere(float(params.get("rho", 1.0))) if name.endswith("_S3") else SpaceForm.euclidean()
+    p = _params(name, params)
+    sf = _CHARTS[name].space(p)
     if domain is None:
         domain = default_domain(name, params)
     key = tuple(sorted((k, float(v) if not isinstance(v, dict) else tuple(sorted(v.items()))) for k, v in params.items()))
@@ -237,14 +232,7 @@ def sample_builtin(name: str, params: dict | None = None, domain: PatchDomain | 
         _check_poles(name, bundle, domain)
 
     jets = dict(zip(MULTI_INDICES, bundle.evaluate(*domain.meshes(), MULTI_INDICES)))
-    s = SurfaceSample(
-        domain=domain,
-        sf=sf,
-        jets=jets,
-        provenance=Provenance.ANALYTIC,
-        position_map=bundle.position_map,
-        name=name,
-    )
+    s = SurfaceSample(domain, sf, jets, provenance=Provenance.ANALYTIC, position_map=bundle.position_map, name=name)
     check_immersion(s, where=name)
     H = curvature_scalars(s).H
     return s.flipped() if H.flat[np.argmax(np.abs(H))] < -1e-9 else s

@@ -84,8 +84,8 @@ class ChartDerivatives:
 
     def transform(self, vals: np.ndarray, axis: int) -> np.ndarray:
         """Forward FFT of grid values along a spectral direction; along a
-        pole-offset v (the domain ensures an even nu), of the values extended
-        to the full latitude circle by f(u, -v) = f(u + period/2, v)."""
+        pole-offset v (the domain ensures a periodic u, even nu), of the
+        values extended to the full latitude circle by f(u, -v) = f(u + period/2, v)."""
         if self.axes[axis].kind == "pole":
             vals = np.concatenate([vals, np.roll(np.flip(vals, axis=1), vals.shape[0] // 2, axis=0)], axis=1)
         return np.fft.rfft(vals, axis=axis)
@@ -97,7 +97,7 @@ class ChartDerivatives:
         if not orders:
             return []
         ax = self.axes[axis]
-        if not ax.spectral:
+        if ax.kind == "open":
             spec = "ij,j...->i..." if axis == 0 else "ij,kj...->ki..."
             return [np.einsum(spec, self._fd_matrix(axis, m), vals) for m in orders]
         fk = self.transform(vals, axis) if fk is None else fk

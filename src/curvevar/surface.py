@@ -48,16 +48,14 @@ class ChartAxis:
     lo + (k + 1/2) L/n, FFT over the 2n values of the extension across
     the poles, f(u, -v) = f(u + period/2, v), of period 2L, and Fejer-1
     weights over cos(theta) divided by sin(theta). Open: nodes
-    lo + k L/(n - 1), trapezoid weights. ``spectral`` marks an axis
-    differentiated by FFT (else by finite differences): a periodic one,
-    or a pole one when u is periodic, as the extension needs.
+    lo + k L/(n - 1), trapezoid weights. A periodic or pole axis is
+    differentiated by FFT, an open one by finite differences.
     """
 
     lo: float
     hi: float
     n: int
     kind: str  # "periodic", "pole" or "open"
-    spectral: bool
 
     @property
     def length(self) -> float:
@@ -127,19 +125,19 @@ class PatchDomain:
             raise ConfigError("grid counts must be at least 8")
         if self.periodic_v and self.pole_offset:
             raise ConfigError("pole_offset applies to a non-periodic v direction")
+        # the pole extension f(u, -v) = f(u + period/2, v) needs the
+        # antipodal longitude of every node on the grid
+        if self.pole_offset and not self.periodic_u:
+            raise ConfigError("pole_offset needs a periodic u direction")
         if self.pole_offset and self.nu % 2:
-            # the pole extension f(u, -v) = f(u + period/2, v) needs the
-            # antipodal longitude of every node on the grid
             raise ConfigError(f"pole_offset needs an even nu (got nu = {self.nu})")
 
     @cached_property
     def axes(self) -> tuple[ChartAxis, ChartAxis]:
         """The u and v directions, built once per domain, so each axis builds
-        its weights once; a pole v is spectral when u is periodic."""
-        u = ChartAxis(*self.u_range, self.nu, "periodic" if self.periodic_u else "open", self.periodic_u)
+        its weights once."""
         v_kind = "periodic" if self.periodic_v else "pole" if self.pole_offset else "open"
-        v_spectral = self.periodic_v or self.pole_offset and self.periodic_u
-        return u, ChartAxis(*self.v_range, self.nv, v_kind, v_spectral)
+        return ChartAxis(*self.u_range, self.nu, "periodic" if self.periodic_u else "open"), ChartAxis(*self.v_range, self.nv, v_kind)
 
     @property
     def u_nodes(self) -> np.ndarray:
@@ -174,7 +172,8 @@ MULTI_INDICES = [(a, b) for a in range(JET_ORDER + 1) for b in range(JET_ORDER +
 class SurfaceSample:
     """Grid of immersion jets: {(a, b): d^a_u d^b_v r} at every node. Its
     ``_cache`` holds what is built from it (arrays, jets, forms), never an
-    object that refers back to a sample, so a dropped sample is freed."""
+    object that refers back to a sample, so a dropped sample is freed; a
+    copy made by ``dataclasses.replace`` starts with an empty one."""
 
     domain: PatchDomain
     sf: SpaceForm
@@ -186,7 +185,7 @@ class SurfaceSample:
     # deformed sample
     position_map: object = None
     name: str = "surface"
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def positions(self) -> np.ndarray:
@@ -210,7 +209,7 @@ class SurfaceSample:
         empty cache. Every sign flip is exact, so its N, built again on
         first read, is the negation of this sample's bit for bit, and its h
         is equal to the negation, though a zero may differ in sign."""
-        return replace(self, orientation_sign=-self.orientation_sign, _cache={})
+        return replace(self, orientation_sign=-self.orientation_sign)
 
     @property
     def jet_order(self) -> int:
@@ -394,7 +393,7 @@ def spectral_tail(values, domain: PatchDomain) -> dict:
     """
     ops = ChartDerivatives(domain)
     x = np.asarray(values, dtype=float)
-    return {"uv"[i]: _tail_share(ops.transform(x, i), i, ax.fft[0]) for i, ax in enumerate(ops.axes) if ax.spectral}
+    return {"uv"[i]: _tail_share(ops.transform(x, i), i, ax.fft[0]) for i, ax in enumerate(ops.axes) if ax.kind != "open"}
 
 
 def _tail_share(fk: np.ndarray, axis: int, n: int) -> float:

@@ -209,6 +209,45 @@ def test_an_evolving_quantity_is_one_table_entry():
     assert _NEEDS_F == ("laplacian_f", "h_hess_f")
 
 
+def test_a_catalog_chart_is_one_table_entry():
+    """A chart's parameters with their defaults, its domain, its space
+    form, its condition and its terms are one entry of
+    ``catalog._CHARTS``: each name is spelled once in ``catalog``, as its
+    key."""
+    from curvevar.catalog import _CHARTS, CATALOG_NAMES
+
+    tree = ast.parse((PACKAGE / "catalog.py").read_text())
+    spelled = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in CATALOG_NAMES]
+    assert sorted(spelled) == sorted(CATALOG_NAMES)
+    assert CATALOG_NAMES == tuple(_CHARTS)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("cylinder", {}),
+        ("sphere", {"R": 1}),
+        ("torus", {"a": "x"}),
+        ("catenoid", {"s_max": float("nan")}),
+        ("graph", {"coeffs": [1.0]}),
+        ("graph", {"coeffs": {(2, 0): float("inf")}}),
+        ("clifford_torus_S3", {"a": 1.0}),
+    ],
+)
+def test_default_domain_refuses_what_sample_builtin_refuses(name, params):
+    """``default_domain`` checks the name and the parameters as
+    ``sample_builtin`` does, with the same message: it used to return a
+    domain for a key the chart does not take, and a NaN ``s_max`` reached
+    ``PatchDomain`` as a NaN range."""
+    from curvevar.errors import ConfigError
+
+    with pytest.raises(ConfigError) as built:
+        curvevar.sample_builtin(name, params)
+    with pytest.raises(ConfigError) as domain:
+        curvevar.default_domain(name, params)
+    assert str(domain.value) == str(built.value)
+
+
 def test_one_rule_builds_every_variation_report():
     """An integral's oracle check and a per-node evolution check are
     reported by one rule: ``variations._report`` alone constructs a

@@ -104,7 +104,7 @@ def test_codazzi_negative_control(torus):
     bad = jets[(0, 2)].copy()
     bad[..., 0] += 0.05
     jets[(0, 2)] = bad
-    broken = dataclasses.replace(torus, jets=jets, _cache={})
+    broken = dataclasses.replace(torus, jets=jets)
     assert np.max(np.abs(codazzi_residual(broken))) > 1e-3
 
 
@@ -117,7 +117,7 @@ def test_non_finite_curvature_from_finite_jets_is_refused(torus):
     jets = dict(torus.jets)
     for ab in ((2, 0), (0, 2)):
         jets[ab] = 1e200 * jets[ab]
-    s = dataclasses.replace(torus, jets=jets, _cache={})
+    s = dataclasses.replace(torus, jets=jets)
     check_immersion(s)
     with pytest.raises(GuardViolation, match=r"K_E = inf is not finite at node \(0, 0\)") as err:
         curvature_scalars(s)

@@ -183,6 +183,15 @@ def test_domain_validation():
     assert not PatchDomain((0, 1), (0, 1), 16, 16).closed
 
 
+def test_a_pole_axis_needs_a_periodic_u():
+    """The pole extension f(u, -v) = f(u + period/2, v) reads the longitude
+    half a period away, so a pole-offset v on a chart open in u is
+    refused. It used to give a pole axis differentiated by finite
+    differences."""
+    with pytest.raises(ConfigError, match=r"^pole_offset needs a periodic u direction$"):
+        PatchDomain((0, 2 * np.pi), (0, np.pi), 16, 16, pole_offset=True)
+
+
 @pytest.mark.parametrize(
     "u_range,v_range,axis,got",
     [
@@ -803,8 +812,24 @@ def test_normal_jet_is_built_once_per_orientation(geo_sphere):
     assert normal_jet(flipped) is not N
     for x, y in zip(normal_jet(flipped).parts, N.parts):
         assert np.array_equal(x, -y)
-    fresh = dataclasses.replace(flipped, _cache={})
+    fresh = dataclasses.replace(flipped)
     assert np.array_equal(fundamental_forms(fresh).N, -fundamental_forms(geo_sphere).N)
+
+
+def test_a_replaced_sample_builds_its_own_forms(torus):
+    """``dataclasses.replace`` gives the new sample an empty cache. When
+    the cache was handed on, the flipped copy reported the unflipped N and
+    H, and a copy with doubled jets the old area weight."""
+    import dataclasses
+
+    from curvevar.curvature import fundamental_forms
+
+    ff, H = fundamental_forms(torus), curvature_scalars(torus).H
+    flipped = dataclasses.replace(torus, orientation_sign=-torus.orientation_sign)
+    assert np.array_equal(fundamental_forms(flipped).N, -ff.N)
+    assert np.array_equal(curvature_scalars(flipped).H, -H)
+    doubled = dataclasses.replace(torus, jets={ab: 2.0 * x for ab, x in torus.jets.items()})
+    assert np.allclose(fundamental_forms(doubled).dS_weight, 4.0 * ff.dS_weight, rtol=1e-14, atol=0)
 
 
 # peak traced memory of normal_jet, then curvature_jets, on

@@ -336,7 +336,7 @@ def test_quadric_normal_matches_determinant_reference(signs, dtype):
 def _with_jet(s, ab, jet):
     jets = dict(s.jets)
     jets[ab] = jet
-    return dataclasses.replace(s, jets=jets, _cache={})
+    return dataclasses.replace(s, jets=jets)
 
 
 def test_a_nan_reaches_the_guard_that_names_its_node(torus):
