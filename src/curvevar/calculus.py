@@ -151,6 +151,11 @@ def _cos10_window(domain: PatchDomain, axis: int) -> Taylor2:
 def random_smooth_field(sample: SurfaceSample, seed: int, compact_v: bool = False) -> ScalarField:
     """Seeded band-limited field: ambient quadratic with O(1) coefficients.
 
+    The linear and quadratic coefficients are scaled by 1/max(1, max|x|),
+    the largest ambient norm taken over the grid nodes of ``sample``, not
+    over the surface: where it exceeds 1, one seed can draw different
+    fields on two charts or grids of one surface.
+
     With ``compact_v`` the field is multiplied by a cos^10 window in v and,
     on a chart open in u, in u too, so it is compactly supported away from
     the non-periodic edges.
@@ -291,15 +296,23 @@ def area(s: SurfaceSample) -> float:
 # -- CSV helpers --------------------------------------------------------------
 
 
+def _node_rows(sample: SurfaceSample, columns: dict):
+    """Node-row CSV header and data: u, v, then the named columns, one row per grid node in grid order."""
+    cols = [*sample.domain.meshes(), *columns.values()]
+    return ["u", "v", *columns], np.column_stack([np.asarray(c, dtype=float).ravel() for c in cols])
+
+
+def _write_node_rows(out, header, data) -> None:
+    """Header and rows to the text stream ``out`` in one %.17g pass, the bytes
+    np.savetxt(fmt="%.17g", delimiter=",") writes: an exact round trip."""
+    line = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    out.write(",".join(header) + "\n" + (line * len(data)) % tuple(data.ravel().tolist()))
+
+
 def export_field_csv(f: ScalarField, path) -> None:
-    UU, VV = f.sample.domain.meshes()
-    np.savetxt(
-        path,
-        np.column_stack([UU.ravel(), VV.ravel(), f.values.ravel()]),
-        delimiter=",",
-        header="u,v,value",
-        comments="",
-    )
+    """Write f to the file ``path`` as node rows u, v, value."""
+    with open(path, "w") as out:
+        _write_node_rows(out, *_node_rows(f.sample, {"value": f.values}))
 
 
 def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
@@ -314,7 +327,7 @@ def import_field_csv(path, sample: SurfaceSample) -> ScalarField:
         raise ConfigError("CSV row count does not match the sample grid")
     if data.shape[1] < 3:
         raise ConfigError(f"field CSV '{path}' has no value column (expected u,v,value)")
-    nodes = np.column_stack([x.ravel() for x in sample.domain.meshes()])
+    nodes = _node_rows(sample, {})[1]
     extent = [ax.length for ax in sample.domain.axes]
     off = ~np.all(np.abs(data[:, :2] - nodes) <= 1e-9 * np.array(extent), axis=1)  # NaN is off too
     if np.any(off):

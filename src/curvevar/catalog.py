@@ -62,7 +62,7 @@ _CHARTS = {
     "graph": _Chart(
         {"coeffs": {(2, 0): 1.0, (0, 2): 1.0}}, lambda p: dict(u_range=(-1.0, 1.0), v_range=(-1.0, 1.0)),
         lambda p: SpaceForm.euclidean(),
-        lambda p: next((f"graph exponents must be non-negative integers (got {(i, j)})" for i, j in p["coeffs"] if int(i) != i or int(j) != j or i < 0 or j < 0), None),
+        lambda p: None,
         lambda p: [(0, 1.0, ("pow", 1), _ONE), (1, 1.0, _ONE, ("pow", 1))]
         + [(2, c, ("pow", int(i)), ("pow", int(j))) for (i, j), c in p["coeffs"].items()],
     ),
@@ -80,10 +80,20 @@ _CHARTS = {
 CATALOG_NAMES = tuple(_CHARTS)
 
 
+def _exponent_pair(ij) -> bool:
+    """Whether a graph ``coeffs`` key is a pair (i, j) of non-negative integers."""
+    try:
+        i, j = ij
+        return int(i) == i >= 0 and int(j) == j >= 0
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _params(name: str, params: dict | None) -> dict:
     """The chart's parameters: the given ones over its defaults, as floats.
-    Refuses an unknown name, keys the chart does not take and values that
-    are not finite numbers, naming the key."""
+    Refuses an unknown name, keys the chart does not take, values that are
+    not finite numbers and graph exponents (i, j) that are not non-negative
+    integers, naming the key."""
     if name not in _CHARTS:
         raise ConfigError(f"unknown catalog surface '{name}' (have: {', '.join(CATALOG_NAMES)})")
     p = dict(_CHARTS[name].params)
@@ -92,6 +102,9 @@ def _params(name: str, params: dict | None) -> dict:
             raise ConfigError(f"{name} takes no parameter '{key}' (takes: {', '.join(p)})")
         if key == "coeffs" and not isinstance(val, dict):
             raise ConfigError(f"{name} parameter 'coeffs' must be a mapping {{(i, j): c}} (got {val!r})")
+        for ij in val if key == "coeffs" else ():
+            if not _exponent_pair(ij):
+                raise ConfigError(f"{name} parameter 'coeffs' keys must be pairs (i, j) of non-negative integers (got key {ij!r})")
         for x in val.values() if key == "coeffs" else (val,):
             try:
                 finite = math.isfinite(float(x))

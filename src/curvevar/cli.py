@@ -97,10 +97,9 @@ def _emit(args, payload: dict, rows=None) -> None:
     try:
         if args.format == "csv":
             if rows is not None:
-                header, data = rows
-                # np.savetxt(fmt="%.17g", delimiter=",") bytes, in one % pass
-                line = ",".join(["%.17g"] * data.shape[1]) + "\n"
-                out.write(",".join(header) + "\n" + (line * len(data)) % tuple(data.ravel().tolist()))
+                from .calculus import _write_node_rows
+
+                _write_node_rows(out, *rows)
             else:
                 writer = csv.writer(out, lineterminator="\n")
                 writer.writerow(("key", "value"))
@@ -127,21 +126,11 @@ def _flatten(val, name=""):
     return flat
 
 
-def _field_rows(sample, columns: dict):
-    """CSV header and one row per grid node: u, v and the named columns."""
-    import numpy as np
-
-    UU, VV = sample.domain.meshes()
-    header = ["u", "v"] + list(columns)
-    data = np.column_stack([UU.ravel(), VV.ravel()] + [np.asarray(c, dtype=float).ravel() for c in columns.values()])
-    return header, data
-
-
 # -- subcommand bodies --------------------------------------------------------
 
 
 def _cmd_curvature(args):
-    from .calculus import area
+    from .calculus import _node_rows, area
     from .curvature import curvature_scalars
 
     s = _make_sample(args)
@@ -153,7 +142,7 @@ def _cmd_curvature(args):
         "K_E": {"min": float(cs.K_E.min()), "max": float(cs.K_E.max())},
         "area": float(area(s)),
     }
-    _emit(args, payload, rows=_field_rows(s, {"H": cs.H, "K": cs.K, "K_E": cs.K_E}))
+    _emit(args, payload, rows=_node_rows(s, {"H": cs.H, "K": cs.K, "K_E": cs.K_E}))
     return 0
 
 
@@ -196,6 +185,7 @@ def _cmd_variation(args, order: int):
 def _cmd_el_residual(args):
     import numpy as np
 
+    from .calculus import _node_rows
     from .variations import _area_mean, el_residual
 
     s = _make_sample(args)
@@ -207,7 +197,7 @@ def _cmd_el_residual(args):
         "sup_norm": float(np.max(np.abs(res.values))),
         "mean": _area_mean(res),
     }
-    _emit(args, payload, rows=_field_rows(s, {"residual": res.values}))
+    _emit(args, payload, rows=_node_rows(s, {"residual": res.values}))
     return 0
 
 
@@ -286,7 +276,7 @@ def _build_parser() -> _Parser:
         if density:
             p.add_argument("--density", help="built-in density, e.g. willmore (an unknown name lists them all)")
             p.add_argument("--p", type=float, help="exponent for the H^p density")
-            p.add_argument("--k0", type=float, help="ambient curvature constant in the density")
+            p.add_argument("--k0", type=float, help="the density's constant k0: 0 unless given, not the space form's curvature (unit S^3: --k0 1)")
             p.add_argument("--c0", type=float, help="spontaneous curvature (helfrich)")
             p.add_argument("--kc", type=float, help="bending modulus (helfrich)")
             p.add_argument("--kbar", type=float, help="saddle-splay modulus (helfrich)")

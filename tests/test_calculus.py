@@ -166,7 +166,7 @@ def test_csv_round_trip(tmp_path, torus):
     path = tmp_path / "field.csv"
     export_field_csv(f, path)
     g = import_field_csv(path, torus)
-    assert np.max(np.abs(f.values - g.values)) < 1e-12
+    assert np.array_equal(f.values, g.values)  # %.17g reads back exactly
 
 
 def test_open_patch_integration_guard():

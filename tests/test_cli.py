@@ -432,6 +432,24 @@ def test_field_csv_is_byte_identical_to_per_value_formatting(tmp_path, capsys):
     assert target.read_bytes() == _former_csv(sph, {"residual": res.values}).encode()
 
 
+def test_export_field_csv_writes_the_cli_rows(tmp_path, capsys):
+    """export_field_csv and --format csv share one node-row writer: below
+    their headers, the residual's rows are the same bytes."""
+    from curvevar import default_domain, el_residual, export_field_csv, sample_builtin
+    from curvevar.densities import willmore
+
+    sph = sample_builtin("sphere", {"r": 1.5}, domain=default_domain("sphere", {}, 32, 16))
+    path = tmp_path / "res.csv"
+    export_field_csv(el_residual(sph, willmore()), path)
+    argv = ("el-residual", "--surface", "sphere:r=1.5", "--density", "willmore", "--nu", "32", "--nv", "16", "--format", "csv")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    exported = path.read_text().splitlines()
+    assert exported[0] == "u,v,value" and out.splitlines()[0] == "u,v,residual"
+    assert exported[1:] == out.splitlines()[1:]
+    assert len(exported) == 1 + 32 * 16
+
+
 def test_field_csv_formats_special_values_like_python_floats(capsys):
     from types import SimpleNamespace
 

@@ -94,6 +94,22 @@ def test_catalog_rejects_bad_graph_exponents():
         sample_builtin("graph", {"coeffs": {(-1, 0): 1.0}})
 
 
+@pytest.mark.parametrize("key", [("a", 0), (None, 0), 2, (1, 2, 3), (math.nan, 0), (math.inf, 0)], ids=repr)
+def test_catalog_refuses_malformed_graph_keys_naming_them(key):
+    """A coeffs key that is no pair of integers gets a ConfigError naming
+    it, not the exception int() or unpacking raises."""
+    with pytest.raises(ConfigError, match=r"'coeffs' keys must be pairs \(i, j\) of non-negative integers") as exc:
+        sample_builtin("graph", {"coeffs": {key: 1.0}})
+    assert str(exc.value).endswith(f"(got key {key!r})")
+
+
+def test_catalog_keeps_integral_graph_keys_of_any_number_type():
+    want = sample_builtin("graph", {"coeffs": {(2, 0): 1.0, (1, 1): 0.5}})
+    for key in [(2.0, 0), (np.int64(2), np.float64(0.0)), (2, False)]:
+        s = sample_builtin("graph", {"coeffs": {key: 1.0, (1, 1): 0.5}})
+        assert np.array_equal(s.jets[(0, 0)], want.jets[(0, 0)])
+
+
 @pytest.mark.parametrize(
     "name,params,key",
     [
