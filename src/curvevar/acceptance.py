@@ -77,14 +77,15 @@ def _first_order_densities(k0: float = 0.0):
 
 def criterion_3():
     """Order-1 oracles of the six densities on the sphere, the torus, the
-    catenoid and the S^3 and H^3 torus images (willmore and bending with
-    each image's k0), at seeds 0-4."""
+    catenoid, the S^3 and H^3 torus images and the two Hopf tori (willmore
+    and bending with each curved surface's k0), at seeds 0-4."""
     cases = (
         lambda: sample_builtin("sphere", {"r": 1.0}),
         lambda: sample_builtin("torus", {"R": 2.0, "a": 1.0}),
         lambda: sample_builtin("catenoid", {}),
         lambda: _torus_image(SpaceForm.sphere(1.0)),
         lambda: _torus_image(SpaceForm.hyperbolic(1.0)),
+        *(lambda c=c: _hopf_torus(*c) for c in HOPF_CURVES),
     )
     worst_rel, worst_order = 0.0, float("inf")
     for make in cases:
@@ -140,9 +141,32 @@ def _torus_image(sf: SpaceForm):
     return sample_callable(_torus_image_map(sf), default_domain("torus", None, 128, 64), sf=sf, name="torus image")
 
 
+# (t0, eps, m) of the curves on S^2(1/2) whose Hopf tori the criteria sample
+HOPF_CURVES = ((math.pi / 2, 0.3, 3), (1.2, 0.4, 2))
+
+
+def _hopf_torus(t0: float, eps: float, m: int):
+    """The Hopf torus in S^3(1) over the closed curve on S^2(1/2) of polar
+    angle t = t0 + eps cos(ms) and azimuth s, sampled at 128 x 64 on the
+    doubly periodic chart (u = s, v = phi) from its lift T(s, phi) =
+    (cos(t/2) cos(s + phi), cos(t/2) sin(s + phi), sin(t/2) cos phi,
+    sin(t/2) sin phi). It is flat, with H = -kappa(s)/2 over the curve's
+    geodesic curvature kappa, and its chart is not orthogonal (Pinkall,
+    Invent. Math. 81 (1985) 379-386)."""
+
+    def position_map(S, P):
+        t = t0 + eps * np.cos(m * S)
+        c, s = np.cos(t / 2), np.sin(t / 2)
+        return np.stack([c * np.cos(S + P), c * np.sin(S + P), s * np.cos(P), s * np.sin(P)], axis=-1)
+
+    dom = default_domain("torus", None, 128, 64)
+    return sample_callable(position_map, dom, sf=SpaceForm.sphere(1.0), name="hopf_torus")
+
+
 def criterion_5():
     """The seven evolution equations on the E^3 torus, the S^3 geodesic
-    sphere and the S^3 and H^3 images of a torus, whose H and K vary."""
+    sphere, the S^3 and H^3 images of a torus and the two Hopf tori, whose
+    H and K vary."""
     worst_rel, worst_order = 0.0, float("inf")
     rows = {}
     cases = (
@@ -150,6 +174,7 @@ def criterion_5():
         ("geodesic_sphere_S3", lambda: sample_builtin("geodesic_sphere_S3", {"a": math.pi / 4})),
         ("torus_image_S3", lambda: _torus_image(SpaceForm.sphere(1.0))),
         ("torus_image_H3", lambda: _torus_image(SpaceForm.hyperbolic(1.0))),
+        *(("hopf_torus_S3(t0=%.4g,eps=%g,m=%d)" % c, lambda c=c: _hopf_torus(*c)) for c in HOPF_CURVES),
     )
     for name, make in cases:
         s = make()
@@ -161,7 +186,7 @@ def criterion_5():
             worst_order = min(worst_order, rep.convergence_order)
             rows[f"{name}/{q}"] = [rep.rel_error, rep.convergence_order]
     ok = oracle_passes("evolution", worst_rel, worst_order)
-    return _crit(5, "all seven evolution equations verified on torus, S^3 geodesic sphere and S^3, H^3 torus images", ok, {"worst_rel": worst_rel, "worst_order": worst_order, **rows})
+    return _crit(5, "all seven evolution equations verified on torus, S^3 geodesic sphere, S^3, H^3 torus images and S^3 Hopf tori", ok, {"worst_rel": worst_rel, "worst_order": worst_order, **rows})
 
 
 def criterion_6():
@@ -285,13 +310,14 @@ def criterion_12():
 def criterion_13():
     worst_cod, worst_egr = 0.0, 0.0
     images = [_torus_image(SpaceForm.sphere(1.0)), _torus_image(SpaceForm.hyperbolic(1.0))]
+    images += [_hopf_torus(*c) for c in HOPF_CURVES]
     for s in [sample_builtin(name) for name in CATALOG_NAMES] + images:
         worst_cod = max(worst_cod, float(np.max(codazzi_residual(s))))
         cs = curvature_scalars(s)
         k_int = intrinsic_gauss_curvature(s)
         worst_egr = max(worst_egr, float(np.max(np.abs(k_int - cs.K) / np.maximum(1.0, np.abs(cs.K)))))
     ok = worst_cod <= 1e-6 and worst_egr <= 1e-6
-    return _crit(13, "Codazzi and Theorema Egregium hold on every catalog surface and the S^3, H^3 torus images", ok, {"worst_codazzi": worst_cod, "worst_egregium": worst_egr})
+    return _crit(13, "Codazzi and Theorema Egregium hold on every catalog surface, the S^3, H^3 torus images and the S^3 Hopf tori", ok, {"worst_codazzi": worst_cod, "worst_egregium": worst_egr})
 
 
 def criterion_14():

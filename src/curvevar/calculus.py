@@ -38,6 +38,7 @@ from .curvature import (
     curvature_scalars,
     fundamental_forms,
 )
+from .gridops import ChartDerivatives
 from .surface import PatchDomain, Provenance, SurfaceSample, _empty_planes, _inner_form, _require_same_grid
 
 
@@ -69,7 +70,7 @@ class ScalarField:
         if self.jet is not None:
             return self.jet
         if "jet" not in self._cache:
-            partials = self.sample.chart_ops().jet(self.values, 2)
+            partials = ChartDerivatives(self.sample.domain).jet(self.values, 2)
             self._cache["jet"] = Taylor2(partials[ab] for ab in TAYLOR_INDICES)
         return self._cache["jet"]
 

@@ -38,6 +38,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, GuardViolation, _first_node
+from .gridops import ChartDerivatives
 from .surface import (
     SurfaceSample,
     _Bilinear,
@@ -439,7 +440,7 @@ def shape_operator_derivatives(sample: SurfaceSample) -> np.ndarray:
     inner = sample.sf.flat_inner
     ff = fundamental_forms(sample)
     j = sample.jets
-    dN = sample.chart_ops().jet(ff.N, 1)
+    dN = ChartDerivatives(sample.domain).jet(ff.N, 1)
     out = _empty_planes(sample.shape + (2, 2, 2), float, 3)
     for k in range(2):
         for a in range(2):

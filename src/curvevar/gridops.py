@@ -17,6 +17,8 @@ stencil weights, here and for the local jet stencils.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError
@@ -54,6 +56,23 @@ def fd_weights(offsets: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
+@lru_cache(maxsize=32)
+def fd_matrix(axis, d: str, order: int) -> np.ndarray:
+    """Differentiation matrix along an open ``ChartAxis`` d ("u" or "v")
+    of n >= FD_WIDTH nodes, built once per (axis, d, order) and read-only,
+    so equal grids share it. The cache keeps the latest 32, at most
+    32 x 8 n^2 bytes (4.2 MB for n <= 128)."""
+    n, step = axis.n, axis.spacing
+    if n < FD_WIDTH:
+        raise ConfigError(f"finite differences along {d} need at least {FD_WIDTH} grid nodes (got n{d} = {n})")
+    mat = np.zeros((n, n))
+    for i in range(n):
+        idx = np.arange(FD_WIDTH) + min(max(i - FD_WIDTH // 2, 0), n - FD_WIDTH)
+        mat[i, idx] = fd_weights((idx - i) * step, order)
+    mat.setflags(write=False)
+    return mat
+
+
 class ChartDerivatives:
     """Partial-derivative operator bundle for one chart grid.
 
@@ -64,29 +83,12 @@ class ChartDerivatives:
 
     def __init__(self, domain):
         self.domain = domain
-        self.axes = domain.axes
-        self._mats: dict[tuple[int, int], np.ndarray] = {}
-
-    def _fd_matrix(self, axis: int, order: int) -> np.ndarray:
-        """Dense differentiation matrix along a direction of n >= FD_WIDTH nodes."""
-        key = (axis, order)
-        if key not in self._mats:
-            n, step = self.axes[axis].n, self.axes[axis].spacing
-            if n < FD_WIDTH:
-                d = "uv"[axis]
-                raise ConfigError(f"finite differences along {d} need at least {FD_WIDTH} grid nodes (got n{d} = {n})")
-            self._mats[key] = mat = np.zeros((n, n))
-            for i in range(n):
-                lo = min(max(i - FD_WIDTH // 2, 0), n - FD_WIDTH)
-                idx = np.arange(lo, lo + FD_WIDTH)
-                mat[i, idx] = fd_weights((idx - i) * step, order)
-        return self._mats[key]
 
     def transform(self, vals: np.ndarray, axis: int) -> np.ndarray:
         """Forward FFT of grid values along a spectral direction; along a
         pole-offset v (the domain ensures a periodic u, even nu), of the
         values extended to the full latitude circle by f(u, -v) = f(u + period/2, v)."""
-        if self.axes[axis].kind == "pole":
+        if self.domain.axes[axis].kind == "pole":
             vals = np.concatenate([vals, np.roll(np.flip(vals, axis=1), vals.shape[0] // 2, axis=0)], axis=1)
         return np.fft.rfft(vals, axis=axis)
 
@@ -96,10 +98,10 @@ class ChartDerivatives:
         ``transform(vals, axis)``, taken here unless given."""
         if not orders:
             return []
-        ax = self.axes[axis]
+        ax = self.domain.axes[axis]
         if ax.kind == "open":
             spec = "ij,j...->i..." if axis == 0 else "ij,kj...->ki..."
-            return [np.einsum(spec, self._fd_matrix(axis, m), vals) for m in orders]
+            return [np.einsum(spec, fd_matrix(ax, "uv"[axis], m), vals) for m in orders]
         fk = self.transform(vals, axis) if fk is None else fk
         n, period = ax.fft
         k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / period

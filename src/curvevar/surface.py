@@ -199,11 +199,6 @@ class SurfaceSample:
     def shape(self) -> tuple[int, int]:
         return self.positions.shape[:2]
 
-    def chart_ops(self) -> ChartDerivatives:
-        if "chart_ops" not in self._cache:
-            self._cache["chart_ops"] = ChartDerivatives(self.domain)
-        return self._cache["chart_ops"]
-
     def flipped(self) -> "SurfaceSample":
         """The sample in the opposite orientation: the same jets and an
         empty cache. Every sign flip is exact, so its N, built again on
@@ -393,7 +388,7 @@ def spectral_tail(values, domain: PatchDomain) -> dict:
     """
     ops = ChartDerivatives(domain)
     x = np.asarray(values, dtype=float)
-    return {"uv"[i]: _tail_share(ops.transform(x, i), i, ax.fft[0]) for i, ax in enumerate(ops.axes) if ax.kind != "open"}
+    return {"uv"[i]: _tail_share(ops.transform(x, i), i, ax.fft[0]) for i, ax in enumerate(domain.axes) if ax.kind != "open"}
 
 
 def _tail_share(fk: np.ndarray, axis: int, n: int) -> float:
@@ -417,7 +412,7 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
         raise ConfigError(f"{name}: non-finite position at node {node}")
     # the forward transforms along u and v serve the tail guard, then the jet
     spectra = {axis: ops.transform(x, axis) for axis in (0, 1)}
-    for axis, ax in enumerate(ops.axes):
+    for axis, ax in enumerate(ops.domain.axes):
         share = _tail_share(spectra[axis], axis, ax.fft[0])
         if share > SPECTRAL_TAIL_BOUND:
             fix = "use a finer grid"

@@ -46,7 +46,7 @@ from .calculus import (
 )
 from .curvature import _MAT_MUL, TAYLOR_INDICES, Taylor2, curvature_scalars, fundamental_forms
 from .densities import ORDERS, EnergyDensity
-from .errors import ConfigError, NotCriticalError
+from .errors import ConfigError, NotCriticalError, _first_node
 from .spaceform import Model
 from .surface import SurfaceSample, _deformed_samples
 
@@ -387,10 +387,30 @@ def fd_variation_oracle_many(
     symmetry direction such as a translation of the sphere the augmented
     value is zero while the plain closed-form expression is not; both are
     available, their difference being exactly lambda times the volume
-    term.) An open chart needs ``allow_open=True``: there a nonzero lambda
-    needs compactly supported u, as ``volume_variations`` does.
+    term.) An open chart needs ``allow_open=True``: there a row with a
+    nonzero lambda is refused (``ConfigError``) unless u and its first chart
+    partials vanish on the open edges, as ``volume_variations`` needs.
     """
     return _oracle_core(s, Es, u, order, allow_open, force)[1]
+
+
+def _require_vanishing_edges(s: SurfaceSample, u: ScalarField, lam: float) -> None:
+    """Refuse an order-2 oracle row with multiplier lam != 0 on an open
+    chart unless u and its first chart partials vanish, to round-off of
+    max|u|, at the nodes of the open edges: ``volume_variations`` leaves
+    out the edge terms of V' and V''."""
+    edge = np.zeros(s.shape, dtype=bool)
+    for axis, ax in enumerate(s.domain.axes):
+        if ax.kind == "open":
+            np.moveaxis(edge, axis, 0)[[0, -1]] = True
+    size = np.maximum.reduce([np.abs(u.partial(*ab)) for ab in ((0, 0), (1, 0), (0, 1))])
+    bad = edge & (size > 1e-12 * np.max(np.abs(u.values)))
+    if np.any(bad):
+        raise ConfigError(
+            f"an order-2 oracle with multiplier lambda = {lam:.6g} on an open chart needs u and its first chart "
+            "partials to vanish on the open edges (volume_variations leaves out the edge terms of V' and V''), "
+            f"but they do not at node {_first_node(bad)}"
+        )
 
 
 def _oracle_core(
@@ -417,6 +437,8 @@ def _oracle_core(
             lam, value = 0.0, _first_variation(ops, E, u)
         else:
             lam = _criticality(s, E)[1] if force else _second_variation_multiplier(s, E, u)
+            if lam != 0.0 and not s.domain.closed:
+                _require_vanishing_edges(s, u, lam)
             value = _second_variation_integral(ops, E, u)
         lams.append(lam)
         values.append(value)

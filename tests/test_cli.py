@@ -268,15 +268,16 @@ def test_second_variation_oracle_classifies_and_integrates_once(capsys, monkeypa
     assert code == 0 and json.loads(plain)["value"] == payload["value"]
 
 
-def test_oracle_that_disagrees_exits_2(tmp_path, capsys):
+def test_oracle_that_disagrees_exits_2(tmp_path, capsys, monkeypatch):
     """--oracle gates on verify-all's bounds (criterion 6's for order 2):
     stdout keeps the report and stderr gets one line. On the catenoid with
     u = 1 + 0.3 cos u v + 0.2 v^2, not compactly supported, bending
-    (lambda = 0) agrees to 3.5e-11 and prints F'' = 22.77181; forced
-    ksquared differences F - lambda V with lambda = -0.096, the mean EL
-    residual, and V'' = integral -2Hu^2 dS leaves out its edge term, so it
-    is off by 4.9e-2."""
-    from curvevar import ScalarField, export_field_csv, sample_builtin
+    (lambda = 0) agrees to 3.5e-11 and prints F'' = 22.77181, and a bound
+    tightened to 1e-12 fails it with exit 2. Forced ksquared would difference
+    F - lambda V with lambda = -0.096, the mean EL residual, and V'' =
+    integral -2Hu^2 dS leaves out its edge term (off by 4.9e-2), so it is
+    refused with exit 1, naming lambda and the first edge node."""
+    from curvevar import ScalarField, export_field_csv, sample_builtin, variations
 
     s = sample_builtin("catenoid", {})
     U, V = s.domain.meshes()
@@ -287,10 +288,15 @@ def test_oracle_that_disagrees_exits_2(tmp_path, capsys):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert round(payload["value"], 5) == 22.77181 and payload["oracle"]["rel_error"] <= 1e-10
-    code, out, err = run(capsys, *argv, "ksquared", "--force")
+    monkeypatch.setitem(variations.ORACLE_BOUNDS, "second_variation", (1e-12, None))
+    code, out, err = run(capsys, *argv, "bending")
     assert code == 2
-    assert json.loads(out)["oracle"]["rel_error"] > 1e-4
+    assert json.loads(out)["oracle"]["rel_error"] > 1e-12
     assert err.startswith("curvevar: oracle check failed (rel_error ") and err.count("\n") == 1
+    code, out, err = run(capsys, *argv, "ksquared", "--force")
+    assert code == 1 and out == ""
+    assert err.startswith("curvevar: an order-2 oracle with multiplier lambda = -0.0964275 on an open chart")
+    assert err.rstrip().endswith("at node (0, 0)")
 
 
 def test_config_file_merge(tmp_path, capsys):

@@ -10,43 +10,30 @@ int (H^2 + 1) dS = (pi/2) int (kappa^2 + 4) ds (Pinkall, Invent. Math. 81
 sin t sin s, cos t) with t = t0 + eps cos(ms); its lift is
 T(s, phi) = (cos(t/2) cos(s + phi), cos(t/2) sin(s + phi),
 sin(t/2) cos phi, sin(t/2) sin phi), sampled on the doubly periodic 128x64
-chart with u = s. Every reference value is computed from gamma alone.
+chart with u = s (``acceptance._hopf_torus``, which criteria 3, 5 and 13
+sample too). Every reference value is computed from gamma alone.
 """
 
 import numpy as np
 import pytest
 
 from curvevar import (
-    PatchDomain,
-    SpaceForm,
     area,
     curvature_scalars,
     fundamental_forms,
     functional_value,
     intrinsic_gauss_curvature,
-    sample_callable,
 )
+from curvevar.acceptance import HOPF_CURVES, _hopf_torus
 from curvevar.densities import willmore
 
-# (t0, eps, m) and the bound of each check, 10x its value measured at 128x64
+# (t0, eps, m) = (pi/2, 0.3, 3) and (1.2, 0.4, 2) and the bound of each check, 10x its value measured at 128x64
 # ("W" 10 ulp where W and its prediction differ in the last bits only);
 # "W" and "area" are relative to (pi/2)(int kappa^2 ds + 4L) and 2 pi L
-CASES = {
-    (np.pi / 2, 0.3, 3): {"W": 4.4e-15, "area": 3.1e-15, "K": 1.5e-11, "K_E": 1.5e-11, "H": 2.3e-11, "brioschi": 4.1e-11},
-    (1.2, 0.4, 2): {"W": 1.8e-15, "area": 1.7e-15, "K": 1.4e-11, "K_E": 1.4e-11, "H": 2.5e-11, "brioschi": 6.0e-11},
-}
-
-
-def _hopf_torus(t0: float, eps: float, m: int):
-    def position_map(S, P):
-        t = t0 + eps * np.cos(m * S)
-        c, s = np.cos(t / 2), np.sin(t / 2)
-        return np.stack([c * np.cos(S + P), c * np.sin(S + P), s * np.cos(P), s * np.sin(P)], axis=-1)
-
-    dom = PatchDomain(
-        nu=128, nv=64, u_range=(0.0, 2 * np.pi), v_range=(0.0, 2 * np.pi), periodic_u=True, periodic_v=True
-    )
-    return sample_callable(position_map, dom, sf=SpaceForm.sphere(1.0), name="hopf_torus")
+CASES = dict(zip(HOPF_CURVES, (
+    {"W": 4.4e-15, "area": 3.1e-15, "K": 1.5e-11, "K_E": 1.5e-11, "H": 2.3e-11, "brioschi": 4.1e-11},
+    {"W": 1.8e-15, "area": 1.7e-15, "K": 1.4e-11, "K_E": 1.4e-11, "H": 2.5e-11, "brioschi": 6.0e-11},
+)))
 
 
 def _curve(t0: float, eps: float, m: int, s: np.ndarray):

@@ -340,6 +340,24 @@ def test_compact_random_field_vanishes_on_every_open_edge():
             (want,) = _differences(s, u, order, lambda st: [volume_functional(st)])[3]
             assert abs(formula - want) <= 1e-8 * abs(want), (seed, order, formula, want)
 
+
+def test_open_chart_multiplier_oracle_needs_vanishing_edges():
+    """On the catenoid (v open) a forced ksquared row has lambda != 0, and
+    the formula side's volume variations leave out edge terms: the oracle
+    takes a windowed field (edge |u| about 1e-162; 5.4e-10 measured) and
+    refuses the same seed unwindowed, naming lambda and the first edge
+    node. A lambda = 0 row (bending) takes the unwindowed field."""
+    from curvevar.errors import ConfigError
+
+    s = sample_builtin("catenoid", {})
+    rep = fd_variation_oracle(s, ksquared(), random_smooth_field(s, 2, compact_v=True), 2, True, force=True)
+    assert rep.rel_error <= 1e-8
+    u = random_smooth_field(s, 2)
+    with pytest.raises(ConfigError, match=r"multiplier lambda = -?\d.* on an open chart .* at node \(0, 0\)$"):
+        fd_variation_oracle(s, ksquared(), u, 2, True, force=True)
+    assert fd_variation_oracle(s, bending(), u, 2, True).rel_error <= 1e-6
+
+
 def test_geodesic_sphere_bending_critical(geo_sphere):
     """Geodesic spheres in S^3 are constrained-critical for H^2: the
     residual is a nonzero constant."""
