@@ -90,6 +90,9 @@ def _harmonic_expr(l: int, m: int) -> _Harmonic:
     ``harmonic_field``."""
     if not 0 <= abs(m) <= l:
         raise ConfigError("harmonic needs |m| <= l")
+    if l + abs(m) > 170:
+        # (l + |m|)! of the normalisation is then past the largest float
+        raise ConfigError(f"harmonic needs l + |m| <= 170, so that its normalisation is a finite float (got l = {l}, m = {m})")
     am = abs(m)
     scale = math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - am) / math.factorial(l + am))
     return _Harmonic(l, m, scale)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotTangentError, _first_node, _require_radius
+from .errors import ConfigError, NotTangentError, _first_node, _require_radius
 
 TANGENCY_RTOL = 1e-8
 
@@ -31,6 +31,23 @@ class SpaceForm:
     k0: float
     model: Model
     radius: float = 0.0
+
+    def __post_init__(self):
+        """Accept only the triples ``euclidean()``, ``sphere(r)`` and
+        ``hyperbolic(r)`` build: k0 = 0 and radius 0 in E^3, and k0 = +-1/r^2
+        exactly on a model quadric of radius r."""
+        if self.model is Model.EUCLIDEAN:
+            ok = self.k0 == 0.0 and self.radius == 0.0
+        elif self.model in (Model.SPHERE, Model.HYPERBOLOID):
+            _require_radius(self.radius, f"{self.model.name.lower()} model radius", "radius")
+            ok = self.k0 == (1.0 if self.model is Model.SPHERE else -1.0) / self.radius**2
+        else:
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"inconsistent SpaceForm(k0={self.k0!r}, model={self.model!s}, radius={self.radius!r}): build it with "
+                "SpaceForm.euclidean() (k0 = 0, radius = 0), SpaceForm.sphere(r) (k0 = 1/r^2) or SpaceForm.hyperbolic(r) (k0 = -1/r^2)"
+            )
 
     @staticmethod
     def euclidean() -> "SpaceForm":

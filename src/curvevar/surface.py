@@ -10,9 +10,9 @@ positions, and the chart decides how:
   ``gridops.ChartDerivatives``: FFT along periodic directions, and the
   double-Fourier pole extension along a pole-offset v. A spectral-tail
   guard refuses grids that do not resolve the positions.
-- On an open chart, 5-point stencils at steps h = 1e-3 x the chart's
-  extent and h/2, combined by Richardson extrapolation, evaluate a
-  position map at 41 offsets around the nodes.
+- On an open chart, one centered 7-point stencil per axis at the step
+  h = 2e-3 x the axis length gives every partial to order 4 from the
+  positions at the 7 x 7 offsets around the nodes (49 map calls).
 
 A deformed surface (``deform_normal``) gets its jets to order 2 by the
 chain rule from those of the base sample, its normal and the field, on
@@ -154,10 +154,6 @@ class PatchDomain:
     def closed(self) -> bool:
         """True when quadrature over the patch covers a closed surface."""
         return all(ax.kind != "open" for ax in self.axes)
-
-    @property
-    def extent(self) -> float:
-        return max(ax.length for ax in self.axes)
 
 
 class Provenance(Enum):
@@ -368,6 +364,11 @@ def check_immersion(sample: SurfaceSample, where: str = "") -> None:
 # largest spectral tail (``spectral_tail``) that spectral jets accept
 SPECTRAL_TAIL_BOUND = 1e-20
 
+# points of the centered stencil along each axis of an open chart, and its
+# step as a share of the axis length (``_stencil_jets``)
+STENCIL_WIDTH = 7
+STENCIL_STEP = 2e-3
+
 
 def spectral_tail(values, domain: PatchDomain) -> dict:
     """Share of the spectral energy of grid values in the top third of the
@@ -425,49 +426,38 @@ def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
     return ops.jet(x, JET_ORDER, spectra)
 
 
-def _stencil_tables(h: float):
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    return {m: fd_weights(offsets, m) for m in range(JET_ORDER + 1)}
-
-
 def _stencil_jets(f, domain: PatchDomain) -> dict:
     """Numeric jets of a position map on an open chart.
 
-    The map is called once at each offset that some 5-point stencil at
-    step h (or h/2) uses, in ascending (du, dv) order, and each value is
-    folded into every finite-difference sum at once, so no evaluation
+    Along each axis the centered ``STENCIL_WIDTH``-point stencil at the
+    step h = ``STENCIL_STEP`` x the axis length gives the Fornberg weights
+    w_m of the m-th derivative, those of odd m exactly 0 at the centre and
+    w_0 the centre alone. d^a_u d^b_v is the sum of w_a[i] w_b[j] f(u + i
+    h_u, v + j h_v) over the offsets where that weight is non-zero. The map
+    is called once at each of the 49 offsets, in ascending (i, j) order,
+    and each value is folded into every sum that uses it, so no evaluation
     outlives its offset. That order is each sum's own term order.
     """
     UU, VV = domain.meshes()
-    h = 1e-3 * domain.extent
-    steps = (h, h / 2.0)
-    terms = {}  # offset -> [(sum key, weight)]
-    for k, step in enumerate(steps):
-        w = _stencil_tables(step)
-        for a, b in MULTI_INDICES[1:]:
-            for i in range(-2, 3) if a > 0 else [0]:
-                wi = w[a][i + 2] if a > 0 else 1.0
-                for j in range(-2, 3) if b > 0 else [0]:
-                    wj = w[b][j + 2] if b > 0 else 1.0
-                    terms.setdefault((i * step, j * step), []).append(((a, b, k), wi * wj))
-
-    acc, centre = {}, None
-    for du, dv in sorted(terms):
-        x = _as_planes(f(UU + du, VV + dv))
-        if du == 0.0 and dv == 0.0:
-            centre = x
-        for key, c in terms[(du, dv)]:
-            if key in acc:
-                acc[key] += c * x
-            else:
-                acc[key] = 0.0 + c * x  # a sum started at 0.0 (sign of zero included)
-
-    jets = {(0, 0): centre}
-    for a, b in MULTI_INDICES[1:]:
-        d1, d2 = acc.pop((a, b, 0)), acc.pop((a, b, 1))
-        # Richardson extrapolation at the leading error order h^p
-        fac = 2.0 ** min(4 if k <= 2 else 2 for k in (a, b) if k > 0)
-        jets[(a, b)] = (fac * d2 - d1) / (fac - 1.0)
+    offsets = np.arange(STENCIL_WIDTH) - STENCIL_WIDTH // 2
+    steps = [STENCIL_STEP * ax.length for ax in domain.axes]
+    wu, wv = (np.array([fd_weights(offsets * h, m) for m in range(JET_ORDER + 1)]) for h in steps)
+    for w in (wu, wv):
+        w[0] = offsets == 0  # the centre value itself
+        w[1::2, STENCIL_WIDTH // 2] = 0.0  # odd orders vanish at the centre
+    jets = dict.fromkeys(MULTI_INDICES)
+    for i, du in enumerate(offsets * steps[0]):
+        for j, dv in enumerate(offsets * steps[1]):
+            x = _as_planes(f(UU + du, VV + dv))
+            term = np.empty_like(x)
+            for a, b in MULTI_INDICES:
+                c = wu[a, i] * wv[b, j]
+                if c == 0.0:
+                    continue
+                if jets[(a, b)] is None:
+                    jets[(a, b)] = c * x
+                else:
+                    jets[(a, b)] += np.multiply(c, x, out=term)
     return jets
 
 
@@ -475,12 +465,12 @@ def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
     """All chart partials of a position map up to order 4 at the grid nodes.
 
     On a closed chart the map is evaluated once, at the grid nodes, and
-    differentiated spectrally. On an open chart, 5-point centered stencils
-    at steps h = 1e-3 x the domain extent and h/2 are combined by
-    Richardson extrapolation at the leading error order of each
-    multi-index; the map is evaluated once at each of the 41 offsets the
-    stencils use. ``name`` labels the error raised on a closed chart when
-    the map is not finite at a node or the grid does not resolve it.
+    differentiated spectrally. On an open chart each partial is the
+    tensor product of centered 7-point stencils along u and v at the
+    steps h = 2e-3 x each axis length (``_stencil_jets``); the map is
+    evaluated once at each of the 49 offsets. ``name`` labels the error
+    raised on a closed chart when the map is not finite at a node or the
+    grid does not resolve it.
     """
     if domain.closed:
         return _spectral_jets(f(*domain.meshes()), ChartDerivatives(domain), name)
@@ -494,9 +484,19 @@ def sample_callable(
     orientation_sign: float = 1.0,
     name: str = "callable",
 ) -> SurfaceSample:
-    """Sample a user-supplied position map with numeric jets (spectral on a
-    closed chart, stencils on an open one; see ``numeric_jets``)."""
-    jets = numeric_jets(f, domain, name)
+    """Sample a user-supplied position map with numeric jets to order 4
+    (spectral on a closed chart, one 7-point stencil per axis on an open
+    one; see ``numeric_jets``). Refuses a map whose values at the chart
+    points are not of shape (nu, nv, ambient_dim), naming both shapes."""
+    want = (domain.nu, domain.nv, sf.ambient_dim)
+
+    def checked(U, V):
+        x = f(U, V)
+        if np.shape(x) != want:
+            raise ConfigError(f"{name}: the position map returned values of shape {np.shape(x)}, expected (nu, nv, ambient_dim) = {want}")
+        return x
+
+    jets = numeric_jets(checked, domain, name)
     s = SurfaceSample(
         domain=domain,
         sf=sf,

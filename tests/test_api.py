@@ -256,3 +256,13 @@ def test_one_rule_builds_every_variation_report():
     for path in PACKAGE.glob("*.py"):
         builders |= {(path.stem, where) for where in _callers(ast.parse(path.read_text()), "VariationReport")}
     assert builders == {("variations", "_report")}
+
+
+def test_two_stencil_builders_call_fd_weights():
+    """Finite-difference weights are taken in two places: the banded
+    matrices along an open chart axis and the 7-point jet stencil of a
+    position map on an open chart."""
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        callers |= {(path.stem, where) for where in _callers(ast.parse(path.read_text()), "fd_weights")}
+    assert callers == {("gridops", "fd_matrix"), ("surface", "_stencil_jets")}

@@ -699,6 +699,8 @@ _FV16 = ("first-variation", "--surface", "sphere", "--density", "willmore", "--n
         (_FV16, "missing --u (expected const, harmonic:l,m, random:seed=N, or a .csv path)"),
         ((*_FV16, "--u", "harmonic:2"), "malformed --u harmonic spec (expected harmonic:l,m)"),
         (("spectrum", "--k", "-1"), "spectrum index must be >= 0"),
+        ((*_FV16, "--u", "harmonic:86,85"), "harmonic needs l + |m| <= 170, so that its normalisation is a finite float (got l = 86, m = 85)"),
+        (("poincare", "--u", "harmonic:171,0"), "harmonic needs l + |m| <= 170, so that its normalisation is a finite float (got l = 171, m = 0)"),
     ],
 )
 def test_missing_or_malformed_inputs_exit_1(argv, message, capsys):

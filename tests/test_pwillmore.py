@@ -277,3 +277,15 @@ def test_el_residual_names_the_first_guard_node():
     node, H = err.value.node, s._cache["scalars"].H
     assert H[node] <= 0
     assert not np.any(H.ravel()[: np.ravel_multi_index(node, H.shape)] <= 0)
+
+
+@pytest.mark.parametrize("l,m", [(86, 85), (171, 0), (100, -90)])
+def test_harmonic_whose_normalisation_overflows_is_refused(l, m, sphere):
+    """(l + |m|)! is past the largest float from l + |m| = 171 on."""
+    with pytest.raises(ConfigError) as err:
+        harmonic_field(sphere, l, m)
+    assert str(err.value) == f"harmonic needs l + |m| <= 170, so that its normalisation is a finite float (got l = {l}, m = {m})"
+
+
+def test_harmonic_at_the_largest_degree_sum_is_built(sphere):
+    assert np.all(np.isfinite(harmonic_field(sphere, 86, 84).values))

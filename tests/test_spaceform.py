@@ -153,3 +153,28 @@ def test_radii_whose_square_overflows_or_vanishes_are_refused():
             build()
     assert SpaceForm.sphere(1e150).k0 == pytest.approx(1e-300)
     assert SpaceForm.hyperbolic(1e-150).k0 == pytest.approx(-1e300)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1.0, Model.SPHERE),
+        (0.5, Model.SPHERE, 1.0),
+        (-1.0, Model.SPHERE, 1.0),
+        (1.0, Model.HYPERBOLOID, 1.0),
+        (float("nan"), Model.HYPERBOLOID, 1.0),
+        (1.0, Model.EUCLIDEAN),
+        (0.0, Model.EUCLIDEAN, 1.0),
+        (1.0, "sphere", 1.0),
+    ],
+)
+def test_inconsistent_space_form_is_refused(args):
+    """Only k0 = 0 with radius 0 in E^3, and k0 = +-1/r^2 exactly on a model
+    quadric of a valid radius r, make a space form; the refusal is one line
+    that names the fields."""
+    with pytest.raises(ConfigError) as err:
+        SpaceForm(*args)
+    message = str(err.value)
+    assert "\n" not in message and "radius" in message
+    if len(args) == 3 or args[1] is Model.EUCLIDEAN:
+        assert all(f"{name}=" in message for name in ("k0", "model", "radius"))
