@@ -196,7 +196,7 @@ def curvature_field(sample: SurfaceSample, which: str) -> ScalarField:
     values, since a deformed sample carries no order-3/4 jets to push
     through. On ``sample_callable`` samples of open charts neither route
     wins everywhere: at 128x64 the second partials of H and K_E are off by
-    2.8e-7 to 5.4e-6 pushed and 4.5e-7 to 7.2e-6 from the grid. Two calls
+    2.2e-7 to 5.3e-6 pushed and 4.4e-7 to 7.2e-6 from the grid. Two calls
     give two fields over the same jet; compare them by ``.jet`` or values.
     """
     cs = curvature_scalars(sample)

@@ -1,7 +1,8 @@
 """Grid differentiation helpers.
 
 ``ChartDerivatives.jet`` takes all partials of grid values up to a total
-order in one pass, for fields without a jet and for closed-chart jets:
+order in one pass, for fields without a jet and, along closed axes, for
+position maps:
 
 - FFT differentiation along periodic directions.
 - FFT differentiation along a pole-offset latitude direction, using the
@@ -12,7 +13,7 @@ order in one pass, for fields without a jet and for closed-chart jets:
 
 Which rule a direction takes, with its spacing, FFT length and period,
 is read from the domain's ``ChartAxis``. ``fd_weights`` gives Fornberg
-stencil weights, here and for the local jet stencils.
+stencil weights, here and for position jets along open axes.
 """
 
 from __future__ import annotations
@@ -118,16 +119,17 @@ class ChartDerivatives:
             out.append(der[:, : ax.n].copy(order="K") if ax.kind == "pole" else der)
         return out
 
-    def jet(self, vals: np.ndarray, order: int, spectra: dict | None = None) -> dict:
-        """{(a, b): d^a_u d^b_v vals} for a + b <= order, (0, 0) being vals:
-        the u-derivatives, then the v-derivatives of each, one forward FFT
-        per spectral pass; ``spectra`` = {axis: transform(vals, axis)} saves
-        the first two, when already taken."""
+    def jet(self, vals: np.ndarray, order: int, spectra: dict | None = None, axes=(0, 1)) -> dict:
+        """{(a, b): d^a_u d^b_v vals} for a + b <= order along ``axes`` (a
+        field takes both, ``surface.numeric_jets`` the closed ones), (0, 0)
+        being vals: the u-derivatives, then the v-derivatives of each, one
+        forward FFT per spectral pass; ``spectra`` = {axis: transform(vals,
+        axis)} saves the first two, when already taken."""
         spectra = spectra or {}
         out = {}
-        du = [vals, *self._along(vals, 0, range(1, order + 1), spectra.get(0))]
+        du = [vals, *self._along(vals, 0, range(1, order + 1) if 0 in axes else (), spectra.get(0))]
         for a, x in enumerate(du):
-            dv = [x, *self._along(x, 1, range(1, order - a + 1), None if a else spectra.get(1))]
+            dv = [x, *self._along(x, 1, range(1, order - a + 1) if 1 in axes else (), None if a else spectra.get(1))]
             out.update(((a, b), y) for b, y in enumerate(dv))
         return out
 

@@ -214,7 +214,9 @@ def poincare_check(u: ScalarField) -> PoincareReport:
     r = _sphere_radius(s)
     dec = harmonic_project(u, l_max=1)
     norm_sq = dec.norm_sq
-    scale = math.sqrt(max(norm_sq, 1e-300))
+    if not norm_sq > 0.0:
+        raise ConfigError(f"Poincare check requires a field of non-zero norm (got integral of u^2 = {norm_sq:g})")
+    scale = math.sqrt(norm_sq)
     if abs(dec.coefficients[(0, 0)]) > 1e-6 * scale or not dec.is_orthogonal_to_first_eigenspace():
         raise ConfigError("Poincare check requires a field orthogonal to constants and to the first eigenspace")
     grad_q = r**2 / 6.0 * integrate(grad_inner(u, u, s), s)
@@ -239,7 +241,7 @@ class StabilityReport:
     index_by_l: Dict[int, List[float]]
     sign_summary: str
     coercivity_bound: float
-    min_rayleigh: float
+    min_rayleigh: Optional[float]  # None when l_max = 1: no l >= 2 eigenspace was tested
     verdict: str
 
 
@@ -276,7 +278,7 @@ def stability_report(setting: PWillmoreSetting, l_max: int = 5, sample: Optional
     sign_summary = " ".join(signs)
     min_rayleigh = min(
         r**p * v for l in range(2, l_max + 1) for v in index_by_l[l]
-    ) if l_max >= 2 else float("inf")
+    ) if l_max >= 2 else None
     if l1 < -tol:
         verdict = "unstable in first eigenspace"
     elif abs(l1) <= tol:

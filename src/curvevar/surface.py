@@ -3,16 +3,15 @@
 A SurfaceSample carries the partial derivatives (jets) of the immersion at
 every grid node. Catalog surfaces get them to order 4 in closed form. A
 user position map (``sample_callable``) gets them to order 4 from sampled
-positions, and the chart decides how:
+positions, by the rule of each chart axis (``numeric_jets``):
 
-- On a closed chart (periodic u, and v periodic or pole-offset) the
-  positions are needed at the grid nodes only. All 15 partials come from
-  ``gridops.ChartDerivatives``: FFT along periodic directions, and the
-  double-Fourier pole extension along a pole-offset v. A spectral-tail
-  guard refuses grids that do not resolve the positions.
-- On an open chart, one centered 7-point stencil per axis at the step
-  h = 2e-3 x the axis length gives every partial to order 4 from the
-  positions at the 7 x 7 offsets around the nodes (49 map calls).
+- Along an open axis the map is sampled at the 7 offsets of one centered
+  stencil at the step h = 2e-3 x the axis length, whose Fornberg weights
+  give the partials along it.
+- Along a periodic or pole-offset axis it is sampled at the nodes only,
+  and ``gridops.ChartDerivatives`` differentiates: FFT along a periodic
+  axis, the double-Fourier pole extension along a pole-offset v. A
+  spectral-tail guard refuses grids that do not resolve the positions.
 
 A deformed surface (``deform_normal``) gets its jets to order 2 by the
 chain rule from those of the base sample, its normal and the field, on
@@ -29,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -121,6 +121,9 @@ class PatchDomain:
         for axis, (lo, hi) in (("u", self.u_range), ("v", self.v_range)):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ConfigError(f"chart {axis}_range must be finite with lo < hi (got {axis}_range = ({lo}, {hi}))")
+        for d, n in (("nu", self.nu), ("nv", self.nv)):
+            if not isinstance(n, Integral):
+                raise ConfigError(f"grid counts must be integers (got {d} = {n!r})")
         if self.nu < 8 or self.nv < 8:
             raise ConfigError("grid counts must be at least 8")
         if self.periodic_v and self.pole_offset:
@@ -182,6 +185,10 @@ class SurfaceSample:
     position_map: object = None
     name: str = "surface"
     _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.orientation_sign not in (1.0, -1.0):
+            raise ConfigError(f"{self.name}: orientation_sign must be +1 or -1 (got {self.orientation_sign!r})")
 
     @property
     def positions(self) -> np.ndarray:
@@ -343,8 +350,8 @@ def _normal_from_minors(signs) -> _Bilinear:
 
 
 def check_immersion(sample: SurfaceSample, where: str = "") -> None:
-    """Refuse non-finite jets (a map undefined at a node or, on an open
-    chart, at a stencil offset) and a degenerate metric, naming the node.
+    """Refuse non-finite jets (a chart, a field or stencil sums that are
+    not finite at a node) and a degenerate metric, naming the node.
     The metric guard builds the forms (``fundamental_forms``), which stay cached."""
     from .curvature import fundamental_forms
 
@@ -364,8 +371,8 @@ def check_immersion(sample: SurfaceSample, where: str = "") -> None:
 # largest spectral tail (``spectral_tail``) that spectral jets accept
 SPECTRAL_TAIL_BOUND = 1e-20
 
-# points of the centered stencil along each axis of an open chart, and its
-# step as a share of the axis length (``_stencil_jets``)
+# points of the centered stencil along each open chart axis, and its step
+# as a share of the axis length (``_axis_stencil``)
 STENCIL_WIDTH = 7
 STENCIL_STEP = 2e-3
 
@@ -402,79 +409,77 @@ def _tail_share(fk: np.ndarray, axis: int, n: int) -> float:
     return float(power[n // 3 + 1 :].sum() / total) if total > 0 else 0.0
 
 
-def _spectral_jets(values, ops: ChartDerivatives, name: str) -> dict:
-    """Jets of positions sampled at the nodes of a closed chart, all 15
-    partials by spectral differentiation, laid out component-major like
-    the values. Refuses values that are not finite, or whose spectral tail
-    exceeds ``SPECTRAL_TAIL_BOUND``."""
-    x = _as_planes(values)
-    node = _nonfinite_node(x)
-    if node is not None:
-        raise ConfigError(f"{name}: non-finite position at node {node}")
-    # the forward transforms along u and v serve the tail guard, then the jet
-    spectra = {axis: ops.transform(x, axis) for axis in (0, 1)}
-    for axis, ax in enumerate(ops.domain.axes):
-        share = _tail_share(spectra[axis], axis, ax.fft[0])
-        if share > SPECTRAL_TAIL_BOUND:
-            fix = "use a finer grid"
-            if ax.kind == "pole":
-                fix = f"both ends of v_range = {ops.domain.v_range} must be poles of the chart; if they are, {fix}"
-            raise ConfigError(
-                f"{name}: spectral tail {share:.2e} along {'uv'[axis]} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
-                f"{ops.domain.nu}x{ops.domain.nv} grid does not resolve it and its jets would be aliased; {fix}"
-            )
-    return ops.jet(x, JET_ORDER, spectra)
+def _axis_stencil(ax: ChartAxis) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets at which ``numeric_jets`` calls a map along one chart axis,
+    and the weights w[m, i] that fold the value at offset i into the sum
+    of the m-th derivative. Open: the centered ``STENCIL_WIDTH``-point
+    stencil at h = ``STENCIL_STEP`` x the axis length, Fornberg weights
+    (odd m exactly 0 at the centre, w_0 the centre alone). Periodic or
+    pole: the node alone, for the sum of order 0, which is differentiated
+    spectrally afterwards."""
+    if ax.kind != "open":
+        return np.zeros(1), np.eye(JET_ORDER + 1, 1)
+    offsets = (np.arange(STENCIL_WIDTH) - STENCIL_WIDTH // 2) * (STENCIL_STEP * ax.length)
+    w = np.array([fd_weights(offsets, m) for m in range(JET_ORDER + 1)])
+    w[0] = offsets == 0
+    w[1::2, STENCIL_WIDTH // 2] = 0.0
+    return offsets, w
 
 
-def _stencil_jets(f, domain: PatchDomain) -> dict:
-    """Numeric jets of a position map on an open chart.
+def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
+    """All chart partials of a position map up to order 4 at the grid nodes,
+    laid out component-major, by the rule of each ``ChartAxis``.
 
-    Along each axis the centered ``STENCIL_WIDTH``-point stencil at the
-    step h = ``STENCIL_STEP`` x the axis length gives the Fornberg weights
-    w_m of the m-th derivative, those of odd m exactly 0 at the centre and
-    w_0 the centre alone. d^a_u d^b_v is the sum of w_a[i] w_b[j] f(u + i
-    h_u, v + j h_v) over the offsets where that weight is non-zero. The map
-    is called once at each of the 49 offsets, in ascending (i, j) order,
-    and each value is folded into every sum that uses it, so no evaluation
-    outlives its offset. That order is each sum's own term order.
+    The map is called at the offsets of ``_axis_stencil``, in ascending
+    order: once on a closed chart, 7 times on a chart open in one
+    direction, 49 on one open in both. Each value is folded into every sum
+    w_a[i] w_b[j] f(u + i h_u, v + j h_v) that uses it, in that order, so
+    no evaluation outlives its offset. Each sum is then differentiated
+    spectrally along the closed axes (``ChartDerivatives.jet``). A value
+    that is not finite, and node values whose spectral tail along a closed
+    axis exceeds ``SPECTRAL_TAIL_BOUND``, are refused before any FFT,
+    naming ``name`` and the node or the axis.
     """
+    ops = ChartDerivatives(domain)
+    (du, wu), (dv, wv) = (_axis_stencil(ax) for ax in domain.axes)
+    closed = tuple(axis for axis, ax in enumerate(domain.axes) if ax.kind != "open")
     UU, VV = domain.meshes()
-    offsets = np.arange(STENCIL_WIDTH) - STENCIL_WIDTH // 2
-    steps = [STENCIL_STEP * ax.length for ax in domain.axes]
-    wu, wv = (np.array([fd_weights(offsets * h, m) for m in range(JET_ORDER + 1)]) for h in steps)
-    for w in (wu, wv):
-        w[0] = offsets == 0  # the centre value itself
-        w[1::2, STENCIL_WIDTH // 2] = 0.0  # odd orders vanish at the centre
-    jets = dict.fromkeys(MULTI_INDICES)
-    for i, du in enumerate(offsets * steps[0]):
-        for j, dv in enumerate(offsets * steps[1]):
-            x = _as_planes(f(UU + du, VV + dv))
+    sums = dict.fromkeys(MULTI_INDICES)
+    for i, hu in enumerate(du):
+        for j, hv in enumerate(dv):
+            x = _as_planes(f(UU + hu, VV + hv))
+            node = _nonfinite_node(x)
+            if node is not None:
+                off = f" offset by ({hu:g}, {hv:g})" if hu or hv else ""
+                raise ConfigError(f"{name}: non-finite position at node {node}{off}")
             term = np.empty_like(x)
             for a, b in MULTI_INDICES:
                 c = wu[a, i] * wv[b, j]
                 if c == 0.0:
                     continue
-                if jets[(a, b)] is None:
-                    jets[(a, b)] = c * x
+                if sums[(a, b)] is None:
+                    sums[(a, b)] = c * x
                 else:
-                    jets[(a, b)] += np.multiply(c, x, out=term)
-    return jets
-
-
-def numeric_jets(f, domain: PatchDomain, name: str = "position map") -> dict:
-    """All chart partials of a position map up to order 4 at the grid nodes.
-
-    On a closed chart the map is evaluated once, at the grid nodes, and
-    differentiated spectrally. On an open chart each partial is the
-    tensor product of centered 7-point stencils along u and v at the
-    steps h = 2e-3 x each axis length (``_stencil_jets``); the map is
-    evaluated once at each of the 49 offsets. ``name`` labels the error
-    raised on a closed chart when the map is not finite at a node or the
-    grid does not resolve it.
-    """
-    if domain.closed:
-        return _spectral_jets(f(*domain.meshes()), ChartDerivatives(domain), name)
-    return _stencil_jets(f, domain)
+                    sums[(a, b)] += np.multiply(c, x, out=term)
+    # the node values' transforms along the closed axes serve the guard, then the jet
+    spectra = {axis: ops.transform(sums[(0, 0)], axis) for axis in closed}
+    for axis, fk in spectra.items():
+        ax = domain.axes[axis]
+        share = _tail_share(fk, axis, ax.fft[0])
+        if share > SPECTRAL_TAIL_BOUND:
+            fix = "use a finer grid"
+            if ax.kind == "pole":
+                fix = f"both ends of v_range = {domain.v_range} must be poles of the chart; if they are, {fix}"
+            raise ConfigError(
+                f"{name}: spectral tail {share:.2e} along {'uv'[axis]} exceeds {SPECTRAL_TAIL_BOUND:g}, so the "
+                f"{domain.nu}x{domain.nv} grid does not resolve it and its jets would be aliased; {fix}"
+            )
+    jets = {}
+    for (a, b), x in sums.items():
+        if x is not None:
+            part = ops.jet(x, JET_ORDER - a - b, spectra if a + b == 0 else None, closed)
+            jets.update(((a + p, b + q), y) for (p, q), y in part.items())
+    return {ab: jets[ab] for ab in MULTI_INDICES}
 
 
 def sample_callable(
@@ -484,10 +489,10 @@ def sample_callable(
     orientation_sign: float = 1.0,
     name: str = "callable",
 ) -> SurfaceSample:
-    """Sample a user-supplied position map with numeric jets to order 4
-    (spectral on a closed chart, one 7-point stencil per axis on an open
-    one; see ``numeric_jets``). Refuses a map whose values at the chart
-    points are not of shape (nu, nv, ambient_dim), naming both shapes."""
+    """Sample a user-supplied position map with numeric jets to order 4,
+    by the rule of each chart axis (``numeric_jets``). Refuses a map whose
+    values at the chart points are not of shape (nu, nv, ambient_dim),
+    naming both shapes."""
     want = (domain.nu, domain.nv, sf.ambient_dim)
 
     def checked(U, V):

@@ -14,10 +14,20 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text: str):
+    """The JSON payload of a subcommand, refusing NaN, Infinity and
+    -Infinity, which strict JSON parsers reject."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_spectrum_json(capsys):
     code, out, _ = run(capsys, "spectrum", "--k", "2", "--r", "2.0")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["schema"] == "curvevar/1"
     assert payload["lambda"] == pytest.approx(1.5)
     assert payload["multiplicity"] == 6
@@ -40,7 +50,7 @@ def test_first_variation_with_oracle(capsys):
         "--nu", "64", "--nv", "32",
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["oracle"]["rel_error"] < 1e-4
 
 
@@ -57,7 +67,7 @@ def test_first_variation_oracle_with_csv_field(tmp_path, capsys):
         "--oracle",
     )
     assert code == 0
-    oracle = json.loads(out)["oracle"]
+    oracle = strict_json(out)["oracle"]
     assert oracle["rel_error"] < 1e-5
     assert oracle["convergence_order"] >= 1.9
 
@@ -158,7 +168,7 @@ def test_non_finite_field_csv_names_the_node(tmp_path, capsys):
     # the same grid with finite values is accepted
     rows[16 * 3 + 5] = "1.5"
     code, out, _ = run(capsys, *fv, _grid_csv(tmp_path / "ok.csv", rows))
-    assert code == 0 and np.isfinite(json.loads(out)["value"])
+    assert code == 0 and np.isfinite(strict_json(out)["value"])
 
 
 def test_field_csv_from_another_grid_exits_1(tmp_path, capsys):
@@ -181,7 +191,7 @@ def test_field_csv_from_another_grid_exits_1(tmp_path, capsys):
     code, out, _ = run(capsys, *fv, "--surface", "torus:R=2,a=1", "--nu", "64", "--nv", "32")
     assert code == 0
     want = first_variation(torus, willmore(), ScalarField(u.values, torus))
-    assert json.loads(out)["value"] == want
+    assert strict_json(out)["value"] == want
 
 
 def test_not_critical_exits_2(capsys):
@@ -221,7 +231,7 @@ def test_el_residual_mean_is_the_area_weighted_mean(capsys):
     surface = ("--surface", "torus:R=2,a=1", "--density", "willmore")
     code, out, _ = run(capsys, "el-residual", *surface)
     assert code == 0
-    mean = json.loads(out)["mean"]
+    mean = strict_json(out)["mean"]
     s = sample_builtin("torus", {"R": 2.0, "a": 1.0})
     assert mean == pytest.approx(integrate(el_residual(s, willmore()), s) / area(s), rel=1e-13)
     code, _, err = run(capsys, "second-variation", *surface, "--u", "random:seed=1")
@@ -239,7 +249,7 @@ def test_second_variation_force(capsys):
         "--nu", "64", "--nv", "32",
     )
     assert code == 0
-    assert "note" in json.loads(out)
+    assert "note" in strict_json(out)
 
 
 def test_second_variation_oracle_classifies_and_integrates_once(capsys, monkeypatch):
@@ -262,10 +272,10 @@ def test_second_variation_oracle_classifies_and_integrates_once(capsys, monkeypa
     code, out, _ = run(capsys, *argv, "--oracle")
     assert code == 0
     assert counts == {"_criticality": 1, "_second_variation_integral": 1}
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["oracle"]["rel_error"] < 1e-4
     code, plain, _ = run(capsys, *argv)
-    assert code == 0 and json.loads(plain)["value"] == payload["value"]
+    assert code == 0 and strict_json(plain)["value"] == payload["value"]
 
 
 def test_oracle_that_disagrees_exits_2(tmp_path, capsys, monkeypatch):
@@ -286,12 +296,12 @@ def test_oracle_that_disagrees_exits_2(tmp_path, capsys, monkeypatch):
     argv = ("second-variation", "--surface", "catenoid", "--u", str(path), "--oracle", "--density")
     code, out, err = run(capsys, *argv, "bending")
     assert code == 0 and err == ""
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert round(payload["value"], 5) == 22.77181 and payload["oracle"]["rel_error"] <= 1e-10
     monkeypatch.setitem(variations.ORACLE_BOUNDS, "second_variation", (1e-12, None))
     code, out, err = run(capsys, *argv, "bending")
     assert code == 2
-    assert json.loads(out)["oracle"]["rel_error"] > 1e-12
+    assert strict_json(out)["oracle"]["rel_error"] > 1e-12
     assert err.startswith("curvevar: oracle check failed (rel_error ") and err.count("\n") == 1
     code, out, err = run(capsys, *argv, "ksquared", "--force")
     assert code == 1 and out == ""
@@ -304,10 +314,10 @@ def test_config_file_merge(tmp_path, capsys):
     conf.write_text(json.dumps({"surface": "sphere:r=2", "density": "willmore"}))
     code, out, _ = run(capsys, "energy", "--config", str(conf))
     assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(4 * 3.141592653589793, abs=1e-8)
+    assert strict_json(out)["value"] == pytest.approx(4 * 3.141592653589793, abs=1e-8)
     # explicit flags win over the config file
     code, out, _ = run(capsys, "energy", "--config", str(conf), "--density", "bending")
-    assert json.loads(out)["density"] == "bending"
+    assert strict_json(out)["density"] == "bending"
 
 
 def test_config_unknown_key(tmp_path, capsys):
@@ -326,9 +336,9 @@ def test_config_sets_a_flag_that_has_a_default(tmp_path, capsys):
     """--r defaults to 1.0, and a config value still sets it; a typed flag wins."""
     conf = _config(tmp_path, {"r": 2.0})
     code, out, _ = run(capsys, "spectrum", "--k", "1", "--config", conf)
-    assert code == 0 and json.loads(out)["lambda"] == 0.5
+    assert code == 0 and strict_json(out)["lambda"] == 0.5
     code, out, _ = run(capsys, "spectrum", "--k", "1", "--config", conf, "--r", "4")
-    assert code == 0 and json.loads(out)["lambda"] == 0.125
+    assert code == 0 and strict_json(out)["lambda"] == 0.125
 
 
 def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
@@ -389,25 +399,49 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "spectrum", "--k", "1", "--output", str(target))
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["lambda"] == 2.0
+    assert strict_json(target.read_text())["lambda"] == 2.0
 
 
 def test_sphere_stability_cli(capsys):
     code, out, _ = run(capsys, "sphere-stability", "--p", "3", "--lmax", "2")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["verdict"] == "unstable in first eigenspace"
     assert payload["index_by_l"]["2"][0] == pytest.approx(26.0, abs=1e-8)
+
+
+def test_sphere_stability_without_an_l2_eigenspace_reports_null(capsys):
+    """--lmax 1 tests no l >= 2 eigenspace, so there is no Rayleigh
+    quotient to report: min_rayleigh is null (it was printed as Infinity,
+    which strict JSON parsers reject), and the keys are those of --lmax 2."""
+    code, out, _ = run(capsys, "sphere-stability", "--p", "3", "--lmax", "1")
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["min_rayleigh"] is None and list(payload["index_by_l"]) == ["1"]
+    code, out, _ = run(capsys, "sphere-stability", "--p", "3", "--lmax", "2")
+    assert code == 0 and strict_json(out).keys() == payload.keys()
+
+
+def test_poincare_refuses_a_zero_field(tmp_path, capsys):
+    """A field of zero norm has no Poincare ratios; it used to end in a
+    ZeroDivisionError traceback."""
+    from curvevar import ScalarField, export_field_csv, sample_builtin
+
+    path = tmp_path / "zero.csv"
+    export_field_csv(ScalarField.constant(0.0, sample_builtin("sphere")), path)
+    code, out, err = run(capsys, "poincare", "--u", str(path))
+    assert code == 1 and out == ""
+    assert err == "curvevar: Poincare check requires a field of non-zero norm (got integral of u^2 = 0)\n"
 
 
 def test_poincare_cli(capsys):
     code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0")
     assert code == 0
-    assert json.loads(out)["passes"] is True
+    assert strict_json(out)["passes"] is True
     # the ratios are scale-free: the check reads the radius off the sample
     code, out, _ = run(capsys, "poincare", "--u", "harmonic:3,0", "--r", "1.3")
     assert code == 0
-    assert json.loads(out)["ratios"] == pytest.approx([2.0, 4.0], abs=1e-8)
+    assert strict_json(out)["ratios"] == pytest.approx([2.0, 4.0], abs=1e-8)
 
 
 def _former_csv(sample, columns: dict) -> str:
@@ -581,7 +615,7 @@ def test_verify_evolution(quantity, capsys):
         "--nu", "64", "--nv", "32",
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["quantity"] == quantity and payload["surface"] == "torus"
     assert payload["rel_error"] < 1e-6 and payload["convergence_order"] >= 1.9
 
@@ -594,7 +628,7 @@ def test_verify_evolution_passes_on_minimal_surfaces(surface, capsys):
     0.99901 and exited 2."""
     code, out, _ = run(capsys, "verify-evolution", "--surface", surface, "--quantity", "dS", "--u", "random:seed=3")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["rel_error"] < 1e-4 and payload["convergence_order"] >= 1.9
 
 
@@ -686,7 +720,7 @@ def test_config_supplies_a_required_flag(conf, typed, tmp_path, capsys):
 
 def test_config_required_flag_loses_to_a_typed_one(tmp_path, capsys):
     code, out, _ = run(capsys, "spectrum", "--config", _config(tmp_path, {"k": 2}), "--k", "1")
-    assert code == 0 and json.loads(out)["k"] == 1
+    assert code == 0 and strict_json(out)["k"] == 1
 
 
 _FV16 = ("first-variation", "--surface", "sphere", "--density", "willmore", "--nu", "16", "--nv", "16")
@@ -725,7 +759,7 @@ def test_config_switch_takes_true_or_false(tmp_path, capsys):
     argv = ("first-variation", "--surface", "sphere", "--density", "willmore", "--u", "harmonic:2,0", "--nu", "32", "--nv", "16")
     for on, typed in ((True, ("--oracle",)), (False, ())):
         code, want, _ = run(capsys, *argv, *typed)
-        assert code == 0 and ("oracle" in json.loads(want)) is on
+        assert code == 0 and ("oracle" in strict_json(want)) is on
         assert run(capsys, *argv, "--config", _config(tmp_path, {"oracle": on}))[:2] == (0, want)
     code, out, err = run(capsys, *argv, "--config", _config(tmp_path, {"oracle": "yes"}))
     assert code == 1 and out == ""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,31 +51,45 @@ def _h3_sphere(a=0.7, nu=64, nv=32):
 
 
 def _loop_numeric_jets(f, domain):
-    """Reference numeric jets: all 49 offsets of the 7x7 stencil evaluated
-    up front, then each finite-difference sum formed on its own, over the
-    offsets where its weight is non-zero."""
-    from curvevar.gridops import fd_weights
+    """Reference numeric jets by the per-axis rule: the map evaluated up
+    front at every offset, the 7 of the stencil along an open axis and the
+    node alone along a closed one; each stencil sum over the open offsets
+    formed on its own, over the offsets where its weight is non-zero; then
+    each sum differentiated along the closed axes by
+    ChartDerivatives.partial, one multi-index at a time."""
+    from curvevar.gridops import ChartDerivatives, fd_weights
     from curvevar.surface import MULTI_INDICES
 
     UU, VV = domain.meshes()
-    offs = np.arange(-3, 4)
+    is_open = [ax.kind == "open" for ax in domain.axes]
     steps = [2e-3 * ax.length for ax in domain.axes]
-    evals = {(i, j): np.asarray(f(UU + offs[i] * steps[0], VV + offs[j] * steps[1]), dtype=float) for i in range(7) for j in range(7)}
+    offs = [np.arange(-3, 4) if o else np.zeros(1, dtype=int) for o in is_open]
+    evals = {
+        (i, j): np.asarray(f(UU + offs[0][i] * steps[0], VV + offs[1][j] * steps[1]), dtype=float)
+        for i in range(len(offs[0]))
+        for j in range(len(offs[1]))
+    }
 
-    def weights(m, h):
-        w = np.array(offs == 0, dtype=float) if m == 0 else fd_weights(offs * h, m)
+    def weights(m, axis):
+        if not is_open[axis]:
+            return np.ones(1)  # the node alone, for the sum of order 0
+        o = offs[axis]
+        w = np.array(o == 0, dtype=float) if m == 0 else fd_weights(o * steps[axis], m)
         if m % 2:
             w[3] = 0.0
         return w
 
+    ops = ChartDerivatives(domain)
     jets = {}
     for a, b in MULTI_INDICES:
-        wu, wv = weights(a, steps[0]), weights(b, steps[1])
-        terms = [wu[i] * wv[j] * evals[(i, j)] for i in range(7) for j in range(7) if wu[i] * wv[j] != 0.0]
+        # the orders along open axes come from the stencil, the rest spectrally
+        p, q = a * is_open[0], b * is_open[1]
+        wu, wv = weights(p, 0), weights(q, 1)
+        terms = [wu[i] * wv[j] * x for (i, j), x in evals.items() if wu[i] * wv[j] != 0.0]
         acc = terms[0]
         for term in terms[1:]:
             acc = acc + term
-        jets[(a, b)] = acc
+        jets[(a, b)] = ops.partial(acc, a - p, b - q)
     return jets
 
 
@@ -89,15 +105,24 @@ _OPEN_TORUS = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 32, 16, periodic_u=Tru
 _OPEN_BAND = PatchDomain((0, 2 * np.pi), (0.3, np.pi - 0.3), 32, 16, periodic_u=True)
 
 
+def _graph_case():
+    from curvevar.catalog import ChartBundle
+
+    return ChartBundle("graph", {}, SpaceForm.euclidean()).position_map, default_domain("graph", None, 32, 16)
+
+
 def test_numeric_jets_equal_loop_reference():
-    """Sharing evaluations across sums changes no jet in the last bit."""
-    _assert_jets_equal(numeric_jets(_torus_map(), _OPEN_TORUS), _loop_numeric_jets(_torus_map(), _OPEN_TORUS))
+    """Sharing evaluations across sums and jets across multi-indices changes
+    no jet in the last bit, on a chart periodic in u only (the torus) and
+    on one open in both directions (the graph)."""
+    for where, (f, domain) in (("torus", (_torus_map(), _OPEN_TORUS)), ("graph", _graph_case())):
+        _assert_jets_equal(numeric_jets(f, domain), _loop_numeric_jets(f, domain), where)
 
 
 def test_numeric_jets_match_exact_jets():
-    """Stencil jets on an open chart (the torus periodic in u only), bounded
-    at 10x the measured worst errors, 3.5e-11 at order <= 2 and 5.2e-9 at
-    order 3."""
+    """Numeric jets on the torus periodic in u only, bounded at 10x the
+    worst errors measured with stencils along u and v, 3.5e-11 at order
+    <= 2 and 5.2e-9 at order 3."""
     domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 128, 64, periodic_u=True)
     exact = sample_builtin("torus", {"R": 2.0, "a": 1.0}, domain=domain)
     numeric = sample_callable(_torus_map(), domain)
@@ -119,10 +144,10 @@ STENCIL_BOUND = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(STENCIL_BOUND))
-def test_stencil_jets_per_order_accuracy(name):
-    """Stencil jets of a catalog chart's position map against its exact
-    jets, the worst partial of each order k = 1..4."""
+def _open_chart_errors(name):
+    """{(a, b): error} of the numeric jets of a catalog chart's position map
+    at 128x64 against its exact jets, relative to max(1, max |exact|), on
+    the catenoid, the graph or the torus band v in [0.2, 2 pi - 0.2]."""
     from curvevar.catalog import ChartBundle
 
     if name == "torus_band":
@@ -131,12 +156,36 @@ def test_stencil_jets_per_order_accuracy(name):
         chart, domain = name, default_domain(name, None, 128, 64)
     exact = sample_builtin(chart, domain=domain)
     numeric = numeric_jets(ChartBundle(chart, {}, exact.sf).position_map, domain)
+    return {ab: np.max(np.abs(x - numeric[ab])) / max(1.0, np.max(np.abs(x))) for ab, x in exact.jets.items()}
+
+
+@pytest.mark.parametrize("name", sorted(STENCIL_BOUND))
+def test_stencil_jets_per_order_accuracy(name):
+    """Numeric jets of a catalog chart's position map on an open chart
+    against its exact jets, the worst partial of each order k = 1..4."""
     errs = [0.0] * 4
-    for (a, b), x in exact.jets.items():
+    for (a, b), err in _open_chart_errors(name).items():
         if a + b:
-            err = np.max(np.abs(x - numeric[(a, b)])) / max(1.0, np.max(np.abs(x)))
             errs[a + b - 1] = max(errs[a + b - 1], err)
     assert all(e < bound for e, bound in zip(errs, STENCIL_BOUND[name])), errs
+
+
+# bounds on the order-4 partials (4, 0), (3, 1) and (2, 2) of charts
+# periodic in u only at 128x64, 10x the measured errors relative to
+# max(1, max |exact|): 3.5e-9 / 3.9e-9 / 5.3e-8 (catenoid) and
+# 3.1e-9 / 6.0e-9 / 3.1e-8 (torus band) with spectral partials along u;
+# 1.2e-7 / 7.6e-8 / 6.7e-7 and 1.5e-7 / 8.3e-8 / 5.8e-7 with the 7-point
+# stencil along u as well
+MIXED_BOUND = {"catenoid": (3.5e-8, 3.9e-8, 5.4e-7), "torus_band": (3.1e-8, 6.0e-8, 3.1e-7)}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_BOUND))
+def test_partials_along_a_periodic_u_are_spectral(name):
+    """On a chart periodic in u only, the partials along u are taken
+    spectrally from the stencil sums along v."""
+    errs = _open_chart_errors(name)
+    got = [errs[ab] for ab in ((4, 0), (3, 1), (2, 2))]
+    assert all(e < bound for e, bound in zip(got, MIXED_BOUND[name])), got
 
 
 def test_mixed_partial_consistency():
@@ -212,6 +261,48 @@ def test_domain_validation():
     d = PatchDomain((0, 2 * np.pi), (0, np.pi), 16, 16, periodic_u=True, pole_offset=True)
     assert d.closed
     assert not PatchDomain((0, 1), (0, 1), 16, 16).closed
+
+
+@pytest.mark.parametrize("axis,n", [("nu", 16.0), ("nu", 16.5), ("nv", "16"), ("nv", 16.5)])
+def test_domain_refuses_non_integer_grid_counts(axis, n):
+    """nu = 16.0 raised a bare TypeError (slice indices), nu = 16.5 on a
+    periodic axis built 17 nodes and then refused a (17, 16, 3) map against
+    (16.5, 16, 3), and nu = "16" raised a TypeError."""
+    counts = {"nu": 16, "nv": 16, axis: n}
+    with pytest.raises(ConfigError) as err:
+        PatchDomain((0, 2 * np.pi), (0, np.pi), counts["nu"], counts["nv"], periodic_u=True, pole_offset=True)
+    assert str(err.value) == f"grid counts must be integers (got {axis} = {n!r})"
+
+
+def test_domain_accepts_numpy_integer_grid_counts():
+    domain = PatchDomain((0, 2 * np.pi), (0, np.pi), np.int64(16), np.int32(8), periodic_u=True, pole_offset=True)
+    assert domain == PatchDomain((0, 2 * np.pi), (0, np.pi), 16, 8, periodic_u=True, pole_offset=True)
+    assert domain.u_nodes.shape == (16,) and domain.v_nodes.shape == (8,)
+
+
+@pytest.mark.parametrize("sign", [2.0, 0.0, float("nan")])
+def test_orientation_sign_must_be_plus_or_minus_one(sign, sphere):
+    """orientation_sign = 2 gave the round sphere H = 2 and a Willmore
+    energy of 4 x 4 pi, and 0 gave H = 0 and energy 0, with no error. Every
+    constructor of a sample refuses it."""
+    from dataclasses import replace
+
+    want = f"round: orientation_sign must be +1 or -1 (got {sign!r})"
+    with pytest.raises(ConfigError) as err:
+        sample_callable(_round_map(3), default_domain("sphere", None, 16, 16), orientation_sign=sign, name="round")
+    assert str(err.value) == want
+    with pytest.raises(ConfigError) as err:
+        replace(sphere, orientation_sign=sign, name="round")
+    assert str(err.value) == want
+
+
+def test_orientation_signs_plus_and_minus_one_are_kept(sphere):
+    """+-1 and the catalog's flip still orient a sample: the two signs give
+    opposite H, and the catalog torus is flipped to H > 0."""
+    domain = default_domain("sphere", None, 16, 16)
+    H = [curvature_scalars(sample_callable(_round_map(3), domain, orientation_sign=sign)).H for sign in (1.0, -1)]
+    assert np.array_equal(H[0], -H[1]) and np.all(np.abs(H[0]) > 0.99)
+    assert sample_builtin("torus").orientation_sign == -1.0 and sphere.flipped().orientation_sign == -sphere.orientation_sign
 
 
 def test_a_pole_axis_needs_a_periodic_u():
@@ -330,17 +421,20 @@ def test_deformed_jets_match_composed_map_jets(name):
 
 
 def test_stencil_evaluation_counts():
-    """One evaluation at each of the 49 offsets of the 7x7 stencil, shared
-    by every sum."""
-    domain = PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=True)
-    calls = {"map": 0}
+    """The map is evaluated once at each offset, shared by every sum: the
+    node alone along a periodic axis and the 7 points of the stencil along
+    an open one, so 1 call on a closed chart, 7 on a chart periodic in u or
+    in v only and 49 on one open in both."""
+    calls = []
 
     def counted_map(U, V):
-        calls["map"] += 1
+        calls[-1] += 1
         return _torus_map()(U, V)
 
-    numeric_jets(counted_map, domain)
-    assert calls["map"] == 49
+    for periodic_u, periodic_v in ((True, True), (True, False), (False, True), (False, False)):
+        calls.append(0)
+        numeric_jets(counted_map, PatchDomain((0, 2 * np.pi), (0, 2 * np.pi), 16, 16, periodic_u=periodic_u, periodic_v=periodic_v))
+    assert calls == [1, 7, 7, 49]
 
 
 @pytest.mark.parametrize(
@@ -352,9 +446,10 @@ def test_stencil_evaluation_counts():
     ids=["E3", "H3"],
 )
 def test_deformation_evaluates_no_position_map(f, domain, sf):
-    """On an open chart, sampling a map evaluates it at the 49 stencil
-    offsets; deforming the sample evaluates it nowhere, whatever the number
-    of steps, and the deformed samples carry no position map."""
+    """On a chart periodic in u only, sampling a map evaluates it at the 7
+    stencil offsets along v; deforming the sample evaluates it nowhere,
+    whatever the number of steps, and the deformed samples carry no
+    position map."""
     calls = [0]
 
     def counted_map(U, V):
@@ -362,7 +457,7 @@ def test_deformation_evaluates_no_position_map(f, domain, sf):
         return f(U, V)
 
     s = sample_callable(counted_map, domain, sf=sf)
-    assert calls[0] == 49
+    assert calls[0] == 7
     u = random_smooth_field(s, 2)
     for ts in ((0.01,), (0.01, -0.01, 0.005, -0.005)):
         calls[0] = 0
@@ -449,11 +544,10 @@ def test_spectral_jets_match_exact_jets(name, params):
 
 @pytest.mark.parametrize("case", ["torus", "h3_sphere"])
 def test_spectral_jets_transform_each_input_once(case, monkeypatch):
-    """A spectral jet build runs one forward FFT along u, and one along v
-    per u-order below 4 (5 in all; one partial at a time took 14), the
-    spectral-tail guard reading the first two, and its jets equal bit for
-    bit those of ChartDerivatives.partial taken one multi-index at a time."""
-    from curvevar import surface
+    """Numeric jets on a closed chart run one forward FFT along u, and one
+    along v per u-order below 4 (5 in all; one partial at a time took 14),
+    the spectral-tail guard reading the first two, and equal bit for bit
+    those of ChartDerivatives.partial taken one multi-index at a time."""
     from curvevar.gridops import ChartDerivatives
     from curvevar.surface import JET_ORDER, MULTI_INDICES
 
@@ -472,7 +566,7 @@ def test_spectral_jets_transform_each_input_once(case, monkeypatch):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counted)
-    jets = surface._spectral_jets(x, ops, case)
+    jets = numeric_jets(f, domain, case)
     assert sorted(axes) == [0] + [1] * JET_ORDER
     for ab in MULTI_INDICES:
         assert np.array_equal(jets[ab], want[ab]), ab
@@ -517,6 +611,38 @@ def test_spectral_tail_guard_refuses_aliased_jets(torus):
     assert "bumpy" in msg and "along u" in msg and f"{SPECTRAL_TAIL_BOUND:g}" in msg and "finer grid" in msg
 
 
+def test_half_open_chart_refuses_an_unresolved_periodic_u():
+    """The spectral-tail guard reads the node values along the periodic u
+    of a chart open in v: a mode of the map above a third of the u modes
+    is refused naming u, not differentiated into aliased partials."""
+    from curvevar.surface import SPECTRAL_TAIL_BOUND
+
+    with pytest.raises(ConfigError) as err:
+        sample_callable(lambda U, V: _torus_map()(U, V) * (1 + 1e-3 * np.cos(50 * U))[..., None], _OPEN_TORUS, name="bumpy")
+    assert str(err.value).startswith(f"bumpy: spectral tail ") and str(err.value).endswith(
+        f" along u exceeds {SPECTRAL_TAIL_BOUND:g}, so the 32x16 grid does not resolve it and its jets would be aliased; use a finer grid"
+    )
+
+
+@pytest.mark.parametrize("periodic_u,node", [(True, "(17, 15)"), (False, "(16, 15)")], ids=["periodic_u", "open"])
+def test_map_non_finite_off_the_nodes_is_refused_at_its_node(periodic_u, node):
+    """A map finite at every node but not at a stencil offset past the top
+    v node, for u > pi, is refused before any FFT, naming the first such
+    node and its offset: along a periodic u an FFT would have spread the
+    NaN over the whole row."""
+    domain = PatchDomain((0, 2 * np.pi), (0.3, np.pi - 0.3), 32, 16, periodic_u=periodic_u)
+    edge = np.pi - 0.3 + 2.5 * 2e-3 * domain.axes[1].length
+
+    def f(U, V):
+        x = _torus_map()(U, V)
+        x[(V > edge) & (U > np.pi)] = np.nan
+        return x
+
+    assert np.all(np.isfinite(f(*domain.meshes())))
+    with pytest.raises(ConfigError, match=rf"^edge: non-finite position at node {re.escape(node)} offset by \(.*, 0\.0152"):
+        sample_callable(f, domain, name="edge")
+
+
 def test_spectral_jets_refuse_non_finite_positions():
     domain = default_domain("sphere", None, 16, 16)
 
@@ -538,7 +664,7 @@ def test_open_chart_refuses_non_finite_positions():
         with np.errstate(invalid="ignore"):
             return np.stack([U, V, np.sqrt(0.95 - U)], axis=-1)
 
-    with pytest.raises(ConfigError, match=r"non-finite position partial \(0, 0\) at node \(31, 0\) in callable"):
+    with pytest.raises(ConfigError, match=r"^callable: non-finite position at node \(31, 0\) offset by "):
         sample_callable(f, domain)
 
 
